@@ -36,12 +36,14 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List, Optional
 
 from .core import spp1000
 from .experiments import list_experiments
+from .obs.scopes import SCOPES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,17 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
         description=("Reproduce the tables and figures of 'A Performance "
                      "Evaluation of the Convex SPP-1000' (SC'95) on the "
                      "simulated machine."))
+    profilers = ", ".join(f"'{name} <experiment>' ({scope.summary})"
+                          for name, scope in SCOPES.items())
     parser.add_argument(
         "experiment", nargs="?", default=None,
         help="experiment id (fig2, fig3, ...), 'list', 'all', 'bench' "
              "(serial vs parallel vs cached wall-clock benchmark), "
-             "'timeline' (ASCII Gantt view of a trace), 'memscope "
-             "<experiment>' (memory-system profile: miss classes, hop "
-             "counts, ring occupancy, hot pages), 'critscope "
-             "<experiment>' (wait-state and critical-path analysis with "
-             "what-if speedup projections), or 'hostscope <experiment>' "
-             "(host-time self-profile: wall-clock attribution per "
-             "simulator subsystem plus cycles/s and events/s throughput)")
+             "'timeline' (ASCII Gantt view of a trace), or a profiler "
+             f"command: {profilers}")
     parser.add_argument(
         "--hypernodes", type=int, default=2,
         help="hypernodes in the simulated machine (default: 2, as measured "
@@ -158,27 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
              "performance ledger at PATH (bare --ledger uses "
              "benchmarks/LEDGER.jsonl); works with 'bench' and with "
              "--metrics runs; inspect with 'python -m repro ledger'")
-    parser.add_argument(
-        "--memscope", action="store_true",
-        help="attach the memory-system profiler to the run: print the "
-             "miss-class/occupancy profile and fold a 'memscope' block "
-             "into --metrics manifests")
-    parser.add_argument(
-        "--memscope-sample", type=int, default=1, metavar="N",
-        help="profile 1-in-N accesses for the per-page heat map (aggregate "
-             "miss/hit counters stay exact; default: 1 = every access)")
-    parser.add_argument(
-        "--critscope", action="store_true",
-        help="attach the critical-path analyzer to the run: print the "
-             "per-thread wait-state attribution, critical path and "
-             "what-if projections, and fold a 'critscope' block into "
-             "--metrics manifests")
-    parser.add_argument(
-        "--hostscope", action="store_true",
-        help="attach the host-time self-profiler to the run: print the "
-             "per-subsystem wall-clock attribution and throughput "
-             "report, and fold a 'hostscope' block into --metrics "
-             "manifests")
+    for name, scope in SCOPES.items():
+        parser.add_argument(
+            f"--{name}", action="store_true",
+            help=f"attach {name} to the run: print its {scope.summary} "
+                 f"and fold a '{name}' block into --metrics manifests")
+        for flag, spec in scope.options:
+            parser.add_argument(flag, **spec)
     parser.add_argument(
         "--progress", nargs="?", const="-", default=None, metavar="PATH",
         help="stream live JSONL sweep telemetry (unit completions with "
@@ -186,18 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
              "PATH, or to stderr when PATH is omitted; fabric "
              "experiments only")
     parser.add_argument(
-        "--what-if", action="append", default=None, metavar="CAT=FACTOR",
-        help="with 'critscope': project run time with category CAT sped "
-             "up FACTOR-fold (e.g. barrier_release=2); repeatable")
-    parser.add_argument(
         "--json", action="store_true",
-        help="with 'memscope'/'critscope': print the profile as a JSON "
+        help="with a profiler command: print the profile as a JSON "
              "document instead of rendered tables")
     parser.add_argument(
         "--top", type=int, default=10, metavar="N",
-        help="with 'memscope': how many hot pages / flagged cache lines "
-             "to report; with 'critscope': how many longest critical-path "
-             "spans (default: 10)")
+        help="with a profiler: how many hot pages, flagged cache lines, "
+             "critical-path spans or host-time regions to report "
+             "(default: 10)")
     return parser
 
 
@@ -216,21 +197,16 @@ def _seed_rngs(seed: int) -> None:
 def _unknown_experiment(exp_id: str) -> int:
     print(f"unknown experiment {exp_id!r}", file=sys.stderr)
     print("valid experiments:", file=sys.stderr)
-    for known_id, title in list_experiments().items():
-        print(f"  {known_id:10s} {title}", file=sys.stderr)
-    print("  timeline   ASCII Gantt view of a trace", file=sys.stderr)
-    print("  memscope   memory-system profile of an experiment",
-          file=sys.stderr)
-    print("  critscope  wait-state / critical-path analysis of an "
-          "experiment", file=sys.stderr)
-    print("  hostscope  host-time self-profile of an experiment",
-          file=sys.stderr)
-    print("  serve      run the simulation job server (repro.sdk "
-          "clients)", file=sys.stderr)
-    print("  top        live dashboard for a running job server",
-          file=sys.stderr)
-    print("  ledger     longitudinal performance-and-fidelity ledger",
-          file=sys.stderr)
+    commands = {
+        **list_experiments(),
+        "timeline": "ASCII Gantt view of a trace",
+        **{name: scope.summary for name, scope in SCOPES.items()},
+        "serve": "run the simulation job server (repro.sdk clients)",
+        "top": "live dashboard for a running job server",
+        "ledger": "longitudinal performance-and-fidelity ledger",
+    }
+    for name, title in commands.items():
+        print(f"  {name:10s} {title}", file=sys.stderr)
     return 2
 
 
@@ -302,33 +278,24 @@ def _timeline(args) -> int:
     return 0
 
 
-def _memscope(args, config) -> int:
-    """``python -m repro memscope`` — the memory-system profiler view."""
+def _scope_command(scope, args, config) -> int:
+    """``python -m repro <scope> <experiment>`` (or ``--trace PATH``):
+    one profiler's view of a live run, or of a saved trace."""
     import json as _json
 
-    from .obs.export import load_trace_checked
-    from .obs.memscope import (
-        MemScope,
-        memscope_from_trace,
-        placement_probe,
-        render_trace_summary,
-        use_memscope,
-    )
-
     if args.trace:
+        from .obs.export import load_trace_checked
+
         events = load_trace_checked(args.trace)
         if events is None:
             return 2
-        doc = memscope_from_trace(events)
-        if args.json:
-            print(_json.dumps(doc, indent=2))
-        else:
-            print(render_trace_summary(doc, title=args.trace))
+        doc = scope.from_trace(events)
+        print(_json.dumps(doc, indent=2) if args.json
+              else scope.render_trace(doc, title=args.trace))
         return 0
-
     if not args.experiment:
-        print("memscope needs an experiment id (e.g. 'python -m repro "
-              "memscope fig6') or --trace PATH", file=sys.stderr)
+        print(f"{scope.name} needs an experiment id (e.g. 'python -m repro "
+              f"{scope.name} fig3') or --trace PATH", file=sys.stderr)
         return 2
     from .experiments import resolve_experiment_id
 
@@ -336,211 +303,38 @@ def _memscope(args, config) -> int:
         exp_id = resolve_experiment_id(args.experiment)
     except KeyError:
         return _unknown_experiment(args.experiment)
-
-    ms = MemScope(config, sample=args.memscope_sample)
-    with use_memscope(ms):
+    profiler = scope.build(config, args)
+    with scope.install(profiler):
         _run(exp_id, config=config, quick=args.quick)
-    if ms.machine_accesses == 0:
-        # Model-level experiment: the analytic perfmodel attributed its
-        # miss populations (the 'model' block) but no cycle-level machine
-        # ran.  Probe the machine's actual page placement under this
-        # config so the miss-class breakdown reflects real GCB/SCI paths.
-        placement_probe(config, ms)
+    if scope.probe is not None:
+        scope.probe(config, profiler)
+    if not scope.has_report(profiler):
+        print(scope.command_empty.format(exp_id=exp_id), file=sys.stderr)
+        return 2
     if args.json:
-        doc = ms.to_dict(top=args.top)
+        doc = scope.block(profiler, args)
         doc["experiment"] = exp_id
         print(_json.dumps(doc, indent=2))
     else:
-        print(ms.render(title=f"memscope: {exp_id}", top=args.top))
-    return 0
-
-
-def _parse_what_if(specs):
-    """Parse repeated ``--what-if CAT=FACTOR`` into ``[(cat, factor)]``.
-
-    Returns ``None`` (after one actionable stderr line) on the first
-    malformed spec; an empty input list parses to ``[]``.
-    """
-    from .obs.critscope import WHAT_IF_PARAMS
-
-    scalable = ", ".join(sorted(WHAT_IF_PARAMS)) + ", compute, memory"
-    out = []
-    for spec in specs or []:
-        cat, sep, factor_s = spec.partition("=")
-        if not sep:
-            print(f"--what-if expects CATEGORY=FACTOR (got {spec!r}); "
-                  f"e.g. --what-if barrier_release=2", file=sys.stderr)
-            return None
-        try:
-            factor = float(factor_s)
-        except ValueError:
-            print(f"--what-if factor must be a number (got {factor_s!r} "
-                  f"in {spec!r})", file=sys.stderr)
-            return None
-        if factor <= 0:
-            print(f"--what-if factor must be > 0 (got {factor_s} in "
-                  f"{spec!r}); 2 means 'twice as fast'", file=sys.stderr)
-            return None
-        from .obs.critscope import CATEGORIES
-
-        if cat not in CATEGORIES or cat == "idle":
-            print(f"--what-if category {cat!r} is not projectable; "
-                  f"choose one of: {scalable}", file=sys.stderr)
-            return None
-        out.append((cat, factor))
-    return out
-
-
-def _critscope(args, config) -> int:
-    """``python -m repro critscope`` — wait-state / critical-path view."""
-    import json as _json
-
-    from .obs.critscope import (
-        CritScope,
-        critscope_from_trace,
-        render_trace_summary,
-        use_critscope,
-    )
-    from .obs.export import load_trace_checked
-
-    what_if = _parse_what_if(args.what_if)
-    if what_if is None:
-        return 2
-
-    if args.trace:
-        events = load_trace_checked(args.trace)
-        if events is None:
-            return 2
-        doc = critscope_from_trace(events)
-        if args.json:
-            print(_json.dumps(doc, indent=2))
-        else:
-            print(render_trace_summary(doc, title=args.trace))
-        return 0
-
-    if not args.experiment:
-        print("critscope needs an experiment id (e.g. 'python -m repro "
-              "critscope fig3') or --trace PATH", file=sys.stderr)
-        return 2
-    from .experiments import resolve_experiment_id
-
-    try:
-        exp_id = resolve_experiment_id(args.experiment)
-    except KeyError:
-        return _unknown_experiment(args.experiment)
-
-    cs = CritScope(config)
-    with use_critscope(cs):
-        _run(exp_id, config=config, quick=args.quick)
-    if not any(run.threads for run in cs.runs):
-        print(f"experiment {exp_id!r} ran no cycle-level machine (it is "
-              "an analytic model-level experiment); critscope needs "
-              "simulated threads to attribute — try fig2, fig3, fig4, or "
-              "a PVM experiment", file=sys.stderr)
-        return 2
-    if args.json:
-        doc = cs.to_dict(top=args.top, what_if=what_if or None)
-        doc["experiment"] = exp_id
-        print(_json.dumps(doc, indent=2))
-    else:
-        print(cs.render(title=f"critscope: {exp_id}", top=args.top,
-                        what_if=what_if or None))
-    return 0
-
-
-def _hostscope(args, config) -> int:
-    """``python -m repro hostscope`` — the host-time self-profiler view."""
-    import json as _json
-
-    from .obs.export import load_trace_checked
-    from .obs.hostscope import (
-        HostScope,
-        hostscope_from_trace,
-        render_trace_summary,
-        use_hostscope,
-    )
-
-    if args.trace:
-        events = load_trace_checked(args.trace)
-        if events is None:
-            return 2
-        doc = hostscope_from_trace(events)
-        if args.json:
-            print(_json.dumps(doc, indent=2))
-        else:
-            print(render_trace_summary(doc, title=args.trace))
-        return 0
-
-    if not args.experiment:
-        print("hostscope needs an experiment id (e.g. 'python -m repro "
-              "hostscope fig2') or --trace PATH", file=sys.stderr)
-        return 2
-    from .experiments import resolve_experiment_id
-
-    try:
-        exp_id = resolve_experiment_id(args.experiment)
-    except KeyError:
-        return _unknown_experiment(args.experiment)
-
-    hs = HostScope(config)
-    with use_hostscope(hs), hs.profile():
-        _run(exp_id, config=config, quick=args.quick)
-    if args.json:
-        doc = hs.to_dict(top=args.top)
-        doc["experiment"] = exp_id
-        print(_json.dumps(doc, indent=2))
-    else:
-        print(hs.render(title=f"hostscope: {exp_id}", top=args.top))
+        print(scope.render(profiler, f"{scope.name}: {exp_id}", args))
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # ``repro run <experiment>`` reads naturally in scripts/CI; the
-    # leading word is optional noise to the parser.  ``repro --list``
-    # is a common muscle-memory spelling of ``repro list``.
-    if argv and argv[0] == "run":
-        argv = argv[1:]
-    if argv and argv[0] == "--list":
-        argv = ["list"] + argv[1:]
-    if argv and argv[0] == "serve":
-        # the job server has its own parser (``repro serve --help``)
-        from .server import serve_main
+    verb = _VERBS.get(argv[0]) if argv else None
+    return verb(argv[1:]) if verb is not None else _main(argv)
 
-        return serve_main(argv[1:])
-    if argv and argv[0] == "top":
-        # the live dashboard has its own parser (``repro top --help``)
-        from .obs.top import top_main
 
-        return top_main(argv[1:])
-    if argv and argv[0] == "ledger":
-        # the performance ledger has its own parser
-        # (``repro ledger --help``)
-        from .obs.ledger import ledger_main
-
-        return ledger_main(argv[1:])
-    memscope_cmd = False
-    if argv and argv[0] == "memscope":
-        memscope_cmd = True
-        argv = argv[1:]
-    critscope_cmd = False
-    if argv and argv[0] == "critscope":
-        critscope_cmd = True
-        argv = argv[1:]
-    hostscope_cmd = False
-    if argv and argv[0] == "hostscope":
-        hostscope_cmd = True
-        argv = argv[1:]
+def _main(argv: List[str], command=None) -> int:
+    """Parse ``argv`` and run the experiments it names, or, given one of
+    :data:`~repro.obs.scopes.SCOPES` as ``command``, that profiler's
+    command."""
     args = build_parser().parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         print(f"--jobs must be >= 1 (got {args.jobs}): use --jobs 1 for a "
               "serial run or --jobs N to fan work units out to N worker "
               "processes", file=sys.stderr)
-        return 2
-    if args.memscope_sample < 1:
-        print(f"--memscope-sample must be >= 1 (got "
-              f"{args.memscope_sample}): 1 profiles every access, N "
-              "profiles one in N", file=sys.stderr)
         return 2
     if args.unit_timeout is not None and args.unit_timeout <= 0:
         print(f"--unit-timeout must be > 0 seconds (got "
@@ -552,20 +346,23 @@ def main(argv: Optional[List[str]] = None) -> int:
               "worker retries, N allows N retries with exponential "
               "backoff", file=sys.stderr)
         return 2
+    try:
+        for scope in SCOPES.values():
+            scope.check(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.seed is not None:
         _seed_rngs(args.seed)
     config = spp1000(n_hypernodes=args.hypernodes)
-    if memscope_cmd:
-        return _memscope(args, config)
-    if critscope_cmd:
-        return _critscope(args, config)
-    if hostscope_cmd:
-        return _hostscope(args, config)
+    if command is not None:
+        return _scope_command(command, args, config)
     if args.experiment is None:
-        print("an experiment id (or 'list', 'all', 'bench', 'timeline', "
-              "'memscope', 'critscope', 'hostscope', 'serve', 'top', "
-              "'ledger') is required; try 'python -m repro list'",
-              file=sys.stderr)
+        commands = ", ".join(f"'{name}'" for name in (
+            "list", "all", "bench", "timeline", *SCOPES, "serve", "top",
+            "ledger"))
+        print(f"an experiment id (or {commands}) is required; try "
+              "'python -m repro list'", file=sys.stderr)
         return 2
     if args.experiment == "list":
         from .exec import unit_count
@@ -623,15 +420,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     multi = len(targets) > 1
+    profiling = [scope for scope in SCOPES.values()
+                 if getattr(args, scope.name)]
     observing = bool(args.trace or args.metrics or args.profile
-                     or args.memscope or args.critscope or args.hostscope)
+                     or profiling)
     if args.ledger and not args.metrics:
         print("note: for experiment runs --ledger folds the --metrics "
               "manifest; add --metrics PATH (or use 'bench --ledger')",
               file=sys.stderr)
-    what_if = _parse_what_if(args.what_if)
-    if what_if is None:
-        return 2
     if args.trace:
         args.trace = _resolve_output(args.trace, "trace.json")
     if args.metrics:
@@ -736,46 +532,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run(exp_id, **kwargs), None
 
         if observing:
-            from .obs import (use_tracer, write_chrome_trace,
-                              write_metrics)
+            from contextlib import ExitStack
+
+            from .obs import use_tracer, write_chrome_trace, write_metrics
             from .sim import Tracer
 
             tracer = Tracer(enabled=True)
-            ms = None
-            if args.memscope:
-                from .obs.memscope import MemScope, use_memscope
-
-                ms = MemScope(config, sample=args.memscope_sample)
-                ms_ctx = use_memscope(ms)
-            else:
-                from contextlib import nullcontext
-
-                ms_ctx = nullcontext()
-            cs = None
-            if args.critscope:
-                from .obs.critscope import CritScope, use_critscope
-
-                cs = CritScope(config)
-                cs_ctx = use_critscope(cs)
-            else:
-                from contextlib import nullcontext
-
-                cs_ctx = nullcontext()
-            hs = None
-            if args.hostscope:
-                from .obs.hostscope import HostScope, use_hostscope
-
-                hs = HostScope(config)
-                hs_ctx = use_hostscope(hs)
-                hs_prof = hs.profile()
-            else:
-                from contextlib import nullcontext
-
-                hs_ctx = nullcontext()
-                hs_prof = nullcontext()
+            profilers = [(scope, scope.build(config, args))
+                         for scope in profiling]
             try:
-                with use_tracer(tracer), ms_ctx, cs_ctx, hs_ctx, hs_prof, \
-                        faults_ctx:
+                with ExitStack() as stack:
+                    stack.enter_context(use_tracer(tracer))
+                    for scope, profiler in profilers:
+                        stack.enter_context(scope.install(profiler))
+                    stack.enter_context(faults_ctx)
                     result, report = run_target()
             except (JournalError, UnitExecutionError) as exc:
                 return _execution_failed(exc, progress)
@@ -783,40 +553,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.profile:
                 print()
                 print(_render_profile(tracer))
-            if ms is not None:
+            for scope, profiler in profilers:
                 print()
-                print(ms.render(title=f"memscope: {exp_id}",
-                                top=args.top))
-            if cs is not None:
-                print()
-                if any(run.threads for run in cs.runs):
-                    print(cs.render(title=f"critscope: {exp_id}",
-                                    top=args.top,
-                                    what_if=what_if or None))
-                else:
-                    print(f"[critscope {exp_id}] no cycle-level machine "
-                          "ran (analytic model-level experiment); "
-                          "nothing to attribute")
-            if hs is not None:
-                print()
-                print(hs.render(title=f"hostscope: {exp_id}",
-                                top=args.top))
+                print(scope.render(profiler, f"{scope.name}: {exp_id}", args)
+                      if scope.has_report(profiler)
+                      else scope.flag_empty.format(exp_id=exp_id))
             if args.trace:
                 path = _suffixed(args.trace, exp_id, multi)
                 write_chrome_trace(tracer, path, config)
                 print(f"\ntrace written to {path}")
             if args.metrics:
                 path = _suffixed(args.metrics, exp_id, multi)
-                cs_block = None
-                if cs is not None and any(r.threads for r in cs.runs):
-                    cs_block = cs.to_dict(top=args.top,
-                                          what_if=what_if or None)
                 manifest = result.manifest(
                     config=config, tracer=tracer,
                     execution=report.to_dict() if report else None,
-                    memscope=ms, critscope=cs_block,
-                    hostscope=(hs.to_dict(top=args.top)
-                               if hs is not None else None))
+                    **{scope.name: scope.block(profiler, args)
+                       for scope, profiler in profilers
+                       if scope.has_report(profiler)})
                 write_metrics(manifest, path)
                 print(f"metrics manifest written to {path}")
                 if args.ledger:
@@ -995,6 +748,29 @@ def _run(exp_id: str, **kwargs):
     accepted = inspect.signature(fn).parameters
     usable = {k: v for k, v in kwargs.items() if k in accepted}
     return fn(**usable)
+
+
+def _delegate(module: str, function: str):
+    """A verb with its own parser in ``module``, imported on use."""
+    def handler(argv: List[str]) -> int:
+        from importlib import import_module
+
+        return getattr(import_module(module, __package__), function)(argv)
+    return handler
+
+
+#: Leading words that are commands, not experiment ids; each handler
+#: takes the rest of argv.  Experiment ids are positional, which is why
+#: this is a table rather than argparse subparsers.
+_VERBS = {
+    "run": main,                                   # optional noise word
+    "--list": lambda argv: main(["list", *argv]),  # muscle memory
+    "serve": _delegate(".server", "serve_main"),
+    "top": _delegate(".obs.top", "top_main"),
+    "ledger": _delegate(".obs.ledger", "ledger_main"),
+    **{name: functools.partial(_main, command=scope)
+       for name, scope in SCOPES.items()},
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -56,24 +56,21 @@ class ExperimentResult:
         return "\n\n".join(parts)
 
     def manifest(self, *, config=None, tracer=None, phases=None,
-                 execution=None, memscope=None, critscope=None,
-                 hostscope=None, extra=None) -> Dict:
+                 execution=None, extra=None, **scopes) -> Dict:
         """The run's ``metrics.json`` manifest (see :mod:`repro.obs`).
 
         Every experiment gets this for free: headline data from
         :attr:`data`, plus — when a tracer observed the run — per-phase
         span times, counter deltas, imbalance factors, and the §4
-        instrumentation-overhead accounting; ``memscope`` folds in the
-        memory-system profile, ``critscope`` the wait-state /
-        critical-path analysis, and ``hostscope`` the host-time /
-        throughput profile when those observers watched the run.
+        instrumentation-overhead accounting; ``memscope=``,
+        ``critscope=`` and ``hostscope=`` fold in the profiles of the
+        profilers that watched the run.
         """
         from ..obs.metrics import build_manifest
 
         return build_manifest(self, config=config, tracer=tracer,
                               phases=phases, execution=execution,
-                              memscope=memscope, critscope=critscope,
-                              hostscope=hostscope, extra=extra)
+                              extra=extra, **scopes)
 
 
 _REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {}

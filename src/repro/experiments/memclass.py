@@ -24,6 +24,11 @@ __all__ = ["run", "plan_units"]
 PROCESSOR_COUNTS = [8, 9, 12, 16]
 
 
+def _processor_counts(config):
+    """The sweep's CPU counts that fit on ``config``'s machine."""
+    return [p for p in PROCESSOR_COUNTS if p <= config.n_cpus]
+
+
 def _unit(params, config):
     """One work unit: FEM large at one (data placement, CPU count)."""
     workload = FEMWorkload(large_problem(), config,
@@ -32,10 +37,10 @@ def _unit(params, config):
 
 
 def plan_units(config, quick: bool = False):
-    counts = [p for p in PROCESSOR_COUNTS if p <= config.n_cpus]
     return [WorkUnit("memclass", f"{placement}:{p}",
                      {"placement": placement, "p": p})
-            for placement in FEMWorkload.PLACEMENTS for p in counts]
+            for placement in FEMWorkload.PLACEMENTS
+            for p in _processor_counts(config)]
 
 
 @register("memclass", "Memory-class placement ablation (beyond the paper)")
@@ -47,17 +52,18 @@ def run(config: Optional[MachineConfig] = None,
         checkpoint.bind("memclass")
     point = point_runner(checkpoint)
 
+    counts = _processor_counts(config)
     series = []
-    data: Dict = {"processors": PROCESSOR_COUNTS}
+    data: Dict = {"processors": counts}
     table = Table(
         "FEM large: useful MFLOP/s by data placement",
-        ["placement"] + [f"{p} CPUs" for p in PROCESSOR_COUNTS])
+        ["placement"] + [f"{p} CPUs" for p in counts])
     for placement in FEMWorkload.PLACEMENTS:
         rates = [point(f"{placement}:{p}",
                        lambda pl=placement, p=p: _unit(
                            {"placement": pl, "p": p}, config))
-                 for p in PROCESSOR_COUNTS]
-        series.append(Series(placement, PROCESSOR_COUNTS, rates))
+                 for p in counts]
+        series.append(Series(placement, counts, rates))
         table.add_row(placement, *[f"{r:.0f}" for r in rates])
         data[placement] = rates
     return ExperimentResult(

@@ -29,6 +29,10 @@ first-class measurement subsystem for the simulated machine:
   memory/coherence, scheduling, PVM, application code) and reports
   simulated-cycles/s and events/s throughput (``python -m repro
   hostscope``; see ``docs/hostscope.md``);
+* :mod:`repro.obs.scopes` — the profiler scope table: one entry per
+  profiler (how it is built, installed, rendered, folded into a
+  manifest and summarised from a trace), read by the CLI commands and
+  flags, the job server's telemetry and the manifests;
 * :mod:`repro.obs.registry` — the service metrics registry: stdlib
   counters/gauges/histograms with labels, snapshot-consistent reads,
   and Prometheus text exposition (served by ``repro serve
@@ -98,6 +102,7 @@ from .metrics import build_manifest, provenance_stamp, span_summary, \
     write_metrics
 from .phases import PhaseAttributor, PhaseCounters
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .scopes import SCOPES, Scope
 from .timeline import render_timeline, timeline_from_tracer
 from .tracectx import (
     TraceContext,
@@ -120,7 +125,7 @@ __all__ = [
     "MemScope", "active_memscope", "use_memscope", "placement_probe",
     "memscope_from_trace",
     "HostScope", "active_hostscope", "use_hostscope",
-    "hostscope_from_trace",
+    "hostscope_from_trace", "SCOPES", "Scope",
     "FIDELITY_EXPERIMENTS", "fidelity_residuals",
     "Ledger", "LedgerError", "DEFAULT_LEDGER_PATH", "record_checksum",
     "record_from_bench", "record_from_manifest",

@@ -40,9 +40,9 @@ all of them).
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
+from ..core.ambient import Slot
 from ..core.tables import Table
 
 __all__ = ["CATEGORIES", "CritScope", "CritRun", "active_critscope",
@@ -500,22 +500,12 @@ class CritScope:
 
 # -- ambient installation ---------------------------------------------------
 
-_ACTIVE: List[CritScope] = []
+_CRITSCOPE: Slot[CritScope] = Slot("repro.critscope")
 
-
-def active_critscope() -> Optional[CritScope]:
-    """The innermost installed analyzer, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def use_critscope(scope: CritScope):
-    """Install ``scope`` so machines built inside the block report into it."""
-    _ACTIVE.append(scope)
-    try:
-        yield scope
-    finally:
-        _ACTIVE.pop()
+#: the analyzer installed by :func:`use_critscope` in this context, or None
+active_critscope = _CRITSCOPE.get
+#: ``with use_critscope(scope):`` — machines built inside report into it
+use_critscope = _CRITSCOPE.use
 
 
 # -- trace-based summaries --------------------------------------------------

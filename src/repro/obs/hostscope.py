@@ -46,6 +46,7 @@ from contextlib import contextmanager, nullcontext
 from time import perf_counter_ns
 from typing import Dict, List, Optional
 
+from ..core.ambient import Slot
 from ..core.tables import Table
 
 __all__ = ["REGIONS", "HostScope", "active_hostscope", "use_hostscope",
@@ -307,22 +308,12 @@ class HostScope:
 
 # -- ambient installation ---------------------------------------------------
 
-_ACTIVE: List[HostScope] = []
+_HOSTSCOPE: Slot[HostScope] = Slot("repro.hostscope")
 
-
-def active_hostscope() -> Optional[HostScope]:
-    """The innermost installed profiler, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def use_hostscope(scope: HostScope):
-    """Install ``scope`` so simulators built inside the block adopt it."""
-    _ACTIVE.append(scope)
-    try:
-        yield scope
-    finally:
-        _ACTIVE.pop()
+#: the profiler installed by :func:`use_hostscope` in this context, or None
+active_hostscope = _HOSTSCOPE.get
+#: ``with use_hostscope(scope):`` — simulators built inside adopt it
+use_hostscope = _HOSTSCOPE.use
 
 
 def host_region(hs: Optional[HostScope], name: str):

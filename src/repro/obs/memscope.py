@@ -37,8 +37,9 @@ far-shared sweep on a real machine with the configured hypernode count.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional
+
+from ..core.ambient import Slot
 
 __all__ = ["MemScope", "active_memscope", "use_memscope",
            "placement_probe", "memscope_from_trace"]
@@ -446,22 +447,12 @@ class MemScope:
 # a Machine built inside the ``with`` block adopts the installed profiler.
 # ---------------------------------------------------------------------------
 
-_ACTIVE: List[MemScope] = []
+_MEMSCOPE: Slot[MemScope] = Slot("repro.memscope")
 
-
-def active_memscope() -> Optional[MemScope]:
-    """The innermost profiler installed by :func:`use_memscope`, if any."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def use_memscope(scope: MemScope):
-    """Install ``scope`` as the ambient profiler for the dynamic extent."""
-    _ACTIVE.append(scope)
-    try:
-        yield scope
-    finally:
-        _ACTIVE.pop()
+#: the profiler installed by :func:`use_memscope` in this context, or None
+active_memscope = _MEMSCOPE.get
+#: ``with use_memscope(scope):`` — machines built inside report into it
+use_memscope = _MEMSCOPE.use
 
 
 # ---------------------------------------------------------------------------

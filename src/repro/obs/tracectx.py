@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import json
 import secrets
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from ..core.ambient import Slot
 
 __all__ = ["TraceContext", "mint_trace_id", "use_tracectx",
            "active_tracectx", "stitch_chrome_trace", "write_chrome_json"]
@@ -165,43 +166,19 @@ class TraceContext:
 
 
 # ---------------------------------------------------------------------------
-# Ambient context (mirrors repro.sim.trace.use_tracer, but per-thread:
+# Ambient context (the same context-local slot as repro.sim.trace.use_tracer:
 # the job server runs many jobs concurrently on different threads, each
-# under its own context — a process-global stack would cross-stamp them)
+# under its own context)
 # ---------------------------------------------------------------------------
 
-_ACTIVE = threading.local()
+_TRACECTX: Slot[TraceContext] = Slot("repro.tracectx")
 
-
-def _stack() -> List[TraceContext]:
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack is None:
-        stack = _ACTIVE.stack = []
-    return stack
-
-
-def active_tracectx() -> Optional[TraceContext]:
-    """The innermost context installed by :func:`use_tracectx` *on this
-    thread*, if any."""
-    stack = getattr(_ACTIVE, "stack", None)
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def use_tracectx(ctx: TraceContext):
-    """Install ``ctx`` as this thread's ambient trace context.
-
-    :func:`repro.exec.execute` adopts it: unit progress records get
-    stamped with the trace/job IDs and per-unit pool spans are recorded
-    into ``ctx.spans`` — without threading a context through every
-    signature.
-    """
-    stack = _stack()
-    stack.append(ctx)
-    try:
-        yield ctx
-    finally:
-        stack.pop()
+#: the context installed by :func:`use_tracectx` in this thread, or None
+active_tracectx = _TRACECTX.get
+#: ``with use_tracectx(ctx):`` — :func:`repro.exec.execute` adopts
+#: ``ctx``: unit progress records get its trace/job IDs and per-unit pool
+#: spans land in ``ctx.spans``
+use_tracectx = _TRACECTX.use
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ from ..exec import (
     unit_count,
 )
 from ..obs.registry import MetricsRegistry
+from ..obs.scopes import SCOPES
 from ..obs.tracectx import TraceContext, use_tracectx
 from .log import NullLog
 from .protocol import (
@@ -111,7 +112,9 @@ class JobSpec:
     trace: Optional[Dict] = None
 
 
-_TELEMETRY_KINDS = ("hostscope", "memscope", "critscope", "trace")
+#: what a submit's ``telemetry`` may name: each profiler scope, plus the
+#: simulated-time Chrome trace
+_TELEMETRY_KINDS = (*SCOPES, "trace")
 
 
 @dataclass
@@ -311,12 +314,6 @@ class ReproServer:
         self._started_t = time.monotonic()
         self._metrics_endpoint = None
         self._register_metrics()
-        import threading
-
-        #: serialises telemetry-observed jobs: the ambient scope
-        #: contexts are process-global, so only one observed job runs
-        #: at a time (plain jobs are unaffected)
-        self._telemetry_lock = threading.Lock()
 
     def _register_metrics(self) -> None:
         """Create the registry and pre-register every server series, so
@@ -842,33 +839,39 @@ class ReproServer:
     def _run_fabric_job(self, job: Job, config, bridge) -> Dict:
         from contextlib import ExitStack
 
+        from ..sim.trace import Tracer, use_tracer
+
         spec = job.spec
         cache = self._make_cache()
-        blocks: Dict[str, Dict] = {}
-        observed = bool(spec.telemetry)
+        profilers = {name: scope.build(config)
+                     for name, scope in SCOPES.items()
+                     if name in spec.telemetry}
+        tracer = Tracer(enabled=True) if "trace" in spec.telemetry else None
         with ExitStack() as stack:
             stack.enter_context(use_tracectx(job.ctx))
-            scopes = {}
-            if observed:
-                stack.enter_context(self._telemetry_lock)
-                scopes = self._enter_scopes(stack, spec.telemetry, config)
+            for name, profiler in profilers.items():
+                stack.enter_context(SCOPES[name].install(profiler))
+            if tracer is not None:
+                stack.enter_context(use_tracer(tracer))
             result, report = execute(
                 spec.experiment, config, jobs=spec.jobs,
                 quick=spec.quick, cache=cache, seed=spec.seed,
-                observed=observed, progress=bridge)
-            for name, scope in scopes.items():
-                block = self._scope_block(name, scope, config)
-                if block is not None:
-                    blocks[name] = block
+                observed=bool(spec.telemetry), progress=bridge)
+        blocks = {name: SCOPES[name].block(profiler)
+                  for name, profiler in profilers.items()
+                  if SCOPES[name].has_report(profiler)}
         payload = {
             "data": canonical(result.data),
             "execution": report.to_dict(),
-            # the Chrome-trace block is payload-only: manifest() takes
-            # the named profiler scopes, not arbitrary documents
-            "manifest": result.manifest(
-                config=config, execution=report.to_dict(),
-                **{k: v for k, v in blocks.items() if k != "trace"}),
+            "manifest": result.manifest(config=config,
+                                        execution=report.to_dict(),
+                                        **blocks),
         }
+        if tracer is not None and (tracer.events or tracer.records):
+            from ..obs.export import chrome_trace
+
+            # payload-only: manifests fold profiler blocks, not traces
+            blocks["trace"] = chrome_trace(tracer, config)
         if blocks:
             payload["blocks"] = blocks
         return payload
@@ -894,49 +897,6 @@ class ReproServer:
                           "in_process": True},
             "manifest": result.manifest(config=config),
         }
-
-    @staticmethod
-    def _enter_scopes(stack, telemetry, config) -> Dict[str, object]:
-        scopes: Dict[str, object] = {}
-        if "hostscope" in telemetry:
-            from ..obs.hostscope import HostScope, use_hostscope
-
-            hs = HostScope(config)
-            stack.enter_context(use_hostscope(hs))
-            stack.enter_context(hs.profile())
-            scopes["hostscope"] = hs
-        if "memscope" in telemetry:
-            from ..obs.memscope import MemScope, use_memscope
-
-            ms = MemScope(config)
-            stack.enter_context(use_memscope(ms))
-            scopes["memscope"] = ms
-        if "critscope" in telemetry:
-            from ..obs.critscope import CritScope, use_critscope
-
-            cs = CritScope(config)
-            stack.enter_context(use_critscope(cs))
-            scopes["critscope"] = cs
-        if "trace" in telemetry:
-            from ..sim.trace import Tracer, use_tracer
-
-            tr = Tracer(enabled=True)
-            stack.enter_context(use_tracer(tr))
-            scopes["trace"] = tr
-        return scopes
-
-    @staticmethod
-    def _scope_block(name: str, scope, config=None) -> Optional[Dict]:
-        if name == "critscope":
-            if not any(run.threads for run in scope.runs):
-                return None
-            return scope.to_dict()
-        if name == "trace":
-            from ..obs.export import chrome_trace
-
-            return chrome_trace(scope, config) if scope.events \
-                or scope.records else None
-        return scope.to_dict()
 
     # -- stats ---------------------------------------------------------
 

@@ -40,6 +40,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..core.ambient import Slot
+
 __all__ = ["TraceRecord", "TraceEvent", "Tracer", "active_tracer",
            "use_tracer"]
 
@@ -217,25 +219,12 @@ class Tracer:
 # signature.  Lives here (not in repro.obs) to avoid import cycles.
 # ---------------------------------------------------------------------------
 
-_ACTIVE: List[Tracer] = []
+_TRACER: Slot[Tracer] = Slot("repro.tracer")
 
-
-def active_tracer() -> Optional[Tracer]:
-    """The innermost tracer installed by :func:`use_tracer`, if any."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def use_tracer(tracer: Tracer):
-    """Install ``tracer`` as the ambient tracer for the dynamic extent.
-
-    :class:`~repro.machine.system.Machine` instances constructed inside
-    the ``with`` block (without an explicit ``tracer=``) adopt it, so a
-    whole experiment — however many machines it builds — funnels into
-    one event stream.
-    """
-    _ACTIVE.append(tracer)
-    try:
-        yield tracer
-    finally:
-        _ACTIVE.pop()
+#: the tracer installed by :func:`use_tracer` in this context, or None
+active_tracer = _TRACER.get
+#: ``with use_tracer(tracer):`` — a :class:`~repro.machine.system.Machine`
+#: built inside (without an explicit ``tracer=``) adopts ``tracer``, so a
+#: whole experiment, however many machines it builds, funnels into one
+#: event stream
+use_tracer = _TRACER.use

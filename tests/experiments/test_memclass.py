@@ -47,3 +47,13 @@ def test_placement_ordering_beyond_one_hypernode(memclass):
 def test_unknown_placement_rejected():
     with pytest.raises(ValueError):
         FEMWorkload(large_problem(), spp1000(), data_placement="magic")
+
+
+def test_one_hypernode_sweeps_only_the_counts_that_fit():
+    """At one hypernode (8 CPUs) the sweep plans and assembles its 8-CPU
+    point instead of raising on 9 threads."""
+    from repro.exec import execute
+
+    result, _report = execute("memclass", spp1000(1), quick=True)
+    assert result.data["processors"] == [8]
+    assert all(len(result.data[p]) == 1 for p in FEMWorkload.PLACEMENTS)

@@ -3,13 +3,13 @@
 HostScope's contract has three legs — host-time attribution whose
 region self-times partition the profiled wall clock (coverage >= 95%
 on a real run), bit-identical simulated results *and* final simulated
-clocks whether the profiler is installed or not, and an off-path cost
-(one ``is None`` check per hot-loop site) small enough to stay within
-a 2% wall-time budget.
+clocks whether the profiler is installed or not, and an off path that
+tests ``sim.hostscope`` once per hot-loop call.
 """
 
-import heapq
+import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -24,7 +24,6 @@ from repro.obs.hostscope import (
 from repro.pvm import PvmSystem
 from repro.runtime import Placement, Runtime
 from repro.sim import Simulator
-from repro.sim.errors import SimulationError
 from repro.sim.process import Process
 
 
@@ -231,117 +230,48 @@ def test_trace_summary_census():
 
 
 # ---------------------------------------------------------------------------
-# the off-path overhead budget
+# the off path: one hostscope test per hot-loop call
 # ---------------------------------------------------------------------------
 
-def _reference_step(self):
-    """Simulator.step as it was before hostscope instrumentation."""
-    time_, _seq, event = heapq.heappop(self._queue)
-    if time_ < self._now - 1e-12:
-        raise SimulationError("event scheduled in the past")
-    self._now = time_
-    if self.tracer is not None:
-        self.tracer.emit(time_, "sim.dispatch")
-    callbacks, event.callbacks = event.callbacks, None
-    for callback in callbacks:
-        callback(event)
-    if not event.ok and not event.defused:
-        raise event.value
+def test_off_path_reads_hostscope_once_per_hot_call(monkeypatch):
+    """With no profiler installed, every ``Simulator.step``,
+    ``Simulator._schedule`` and ``Process._resume`` call reads
+    ``sim.hostscope`` exactly once: the single ``is None`` test of the
+    zero-cost contract.  A property stub counts the reads per calling
+    function, so the check is exact where a timing would be noisy."""
+    assert active_hostscope() is None
+    reads = Counter()
+    calls = Counter()
 
+    class CountingSimulator(Simulator):
+        @property
+        def hostscope(self):
+            reads[sys._getframe(1).f_code.co_name] += 1
+            return None
 
-def _reference_resume(self, event):
-    """Process._resume as it was before hostscope instrumentation."""
-    self.sim._active_process = self
-    self._target = None
-    try:
-        if event.ok:
-            next_event = self._generator.send(event.value)
-        else:
-            event.defused = True
-            next_event = self._generator.throw(event.value)
-    except StopIteration as stop:
-        self.sim._active_process = None
-        self.succeed(stop.value)
-        return
-    except BaseException as exc:
-        self.sim._active_process = None
-        self.fail(exc)
-        return
-    self.sim._active_process = None
-    if not isinstance(next_event, type(event)) \
-            and not hasattr(next_event, "callbacks"):
-        kind = type(next_event).__name__
-        self._generator.close()
-        self.fail(SimulationError(
-            f"process {self.name!r} yielded a non-event ({kind})"))
-        return
-    if next_event.sim is not self.sim:
-        self._generator.close()
-        self.fail(SimulationError(
-            f"process {self.name!r} yielded an event from another "
-            "simulator"))
-        return
-    if next_event.processed:
-        proxy = type(event)(self.sim)
-        proxy.callbacks.append(self._resume)
-        if next_event.ok:
-            proxy.succeed(next_event.value)
-        else:
-            next_event.defused = True
-            proxy.defused = True
-            proxy.fail(next_event.value)
-        self._target = proxy
-    else:
-        next_event.callbacks.append(self._resume)
-        self._target = next_event
+        @hostscope.setter
+        def hostscope(self, value):
+            assert value is None
 
+    def counting(name, original):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        return wrapper
 
-def _churn_workload(n_procs=4, n_events=8000):
-    sim = Simulator()
+    for cls, name in ((Simulator, "step"), (Simulator, "_schedule"),
+                      (Process, "_resume")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+
+    sim = CountingSimulator()
 
     def churn(sim):
-        for _ in range(n_events):
+        for _ in range(200):
             yield sim.timeout(1.0)
 
-    for _ in range(n_procs):
+    for _ in range(4):
         sim.process(churn(sim))
     sim.run()
-
-
-def _best_of(fn, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def test_off_path_overhead_under_two_percent(monkeypatch):
-    """The uninstalled profiler costs < 2% wall time on an event-churn
-    workload (one None check per step/schedule/resume)."""
-    assert active_hostscope() is None
-
-    def measure_once():
-        # Interleaved best-of-N damps scheduler noise: reference and
-        # current alternate so a background blip hits both equally.
-        current, reference = float("inf"), float("inf")
-        for _ in range(5):
-            t0 = time.perf_counter()
-            _churn_workload()
-            current = min(current, time.perf_counter() - t0)
-            with monkeypatch.context() as mp:
-                mp.setattr(Simulator, "step", _reference_step)
-                mp.setattr(Process, "_resume", _reference_resume)
-                t0 = time.perf_counter()
-                _churn_workload()
-                reference = min(reference, time.perf_counter() - t0)
-        return current, reference
-
-    for _ in range(3):                      # retry to shrug off CI noise
-        current, reference = measure_once()
-        if current <= reference * 1.02:
-            return
-    assert current <= reference * 1.02, (
-        f"off-path hostscope overhead {current / reference - 1:.1%} "
-        "exceeds the 2% budget")
+    assert calls["step"] > 800 and calls["_resume"] > 800
+    for name in ("step", "_schedule", "_resume"):
+        assert reads[name] == calls[name], (name, dict(reads), dict(calls))

@@ -87,3 +87,8 @@ def test_manifest_sanitizes_non_json_values():
     assert doc["np_scalar"] == 1.5
     assert doc["np_array"] == [0, 1, 2]
     assert doc["tuple"] == [1, 2]
+
+
+def test_manifest_rejects_unknown_profiler_blocks():
+    with pytest.raises(TypeError, match="bogus"):
+        build_manifest(bogus={})
