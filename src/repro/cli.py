@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare", metavar="PATH", default=None,
         help="with 'bench': baseline BENCH_exec.json to diff the fresh "
              "measurements against; exits 1 when any experiment's serial "
-             "path regressed past the noise threshold")
+             "path regressed past the noise threshold or a fidelity "
+             "anchor is out of tolerance")
     parser.add_argument(
         "--bench-diff-out", metavar="PATH", default=None,
         help="with 'bench --compare': also write a markdown regression "
@@ -705,10 +706,11 @@ def _bench(args, config) -> int:
 
 
 def _bench_compare(doc, args) -> int:
-    """Diff a fresh bench document against ``--compare BASELINE``."""
+    """Judge a fresh bench document against ``--compare BASELINE``."""
     import json as _json
 
-    from .exec.bench import compare_bench, markdown_compare, render_compare
+    from .exec.bench import markdown_compare, stale_artifact_warning
+    from .obs.ledger import judge, record_from_bench, render_verdict
 
     try:
         with open(args.compare, "r", encoding="utf-8") as fh:
@@ -723,19 +725,17 @@ def _bench_compare(doc, args) -> int:
               "expected a BENCH_exec.json written by 'python -m repro "
               "bench'", file=sys.stderr)
         return 2
-    from .exec.bench import stale_artifact_warning
-
     warning = stale_artifact_warning(baseline, args.compare)
     if warning:
         print(warning, file=sys.stderr)
-    report = compare_bench(doc, baseline)
+    report = judge(record_from_bench(doc), [record_from_bench(baseline)])
     print()
-    print(render_compare(report))
+    print(render_verdict(report))
     if args.bench_diff_out:
         with open(args.bench_diff_out, "w", encoding="utf-8") as fh:
-            fh.write(markdown_compare(report))
+            fh.write(markdown_compare(report, doc))
         print(f"\nregression report written to {args.bench_diff_out}")
-    return 1 if report["regressions"] else 0
+    return 0 if report["pass"] else 1
 
 
 def _run(exp_id: str, **kwargs):

@@ -44,7 +44,6 @@ from .cache import (
     CacheRootError,
     ResultCache,
     default_cache_root,
-    value_checksum,
 )
 from .chaos import (
     CHAOS_ENV,
@@ -88,7 +87,6 @@ __all__ = [
     "run_unit", "unit_experiments", "PointStore",
     "WorkerPool", "PoolStats", "ProgressStream",
     "ResultCache", "default_cache_root", "CACHE_SCHEMA", "CacheRootError",
-    "value_checksum",
     "ResiliencePolicy", "ResilienceStats", "UnitFailure",
     "UnitExecutionError",
     "ChaosPlan", "ChaosPlanError", "chaos_from_dict", "load_chaos_plan",

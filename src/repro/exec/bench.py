@@ -74,8 +74,7 @@ from .events import make_event
 from .fingerprint import code_fingerprint, git_dirty, git_sha
 
 __all__ = ["BENCH_SCHEMA", "host_info", "run_bench", "write_bench",
-           "render_bench", "compare_bench", "render_compare",
-           "markdown_compare", "stale_artifact_warning"]
+           "render_bench", "markdown_compare", "stale_artifact_warning"]
 
 BENCH_SCHEMA = 2
 
@@ -93,8 +92,8 @@ def _timed(fn):
 
 def _calibrate(repeats: int = 3, n: int = 200_000) -> float:
     """Host-speed score: millions of iterations/s of a fixed pure-Python
-    loop, best of ``repeats`` (higher = faster host).  Used by
-    ``bench --compare`` to normalize cross-machine timing ratios."""
+    loop, best of ``repeats`` (higher = faster host).  The regression
+    rule (:func:`repro.obs.ledger.judge`) normalizes timings by it."""
     best = float("inf")
     for _ in range(repeats):
         acc = 0.0
@@ -133,7 +132,7 @@ def _cpu_details() -> Dict[str, object]:
     return {"cpu_model": model, "physical_cpus": len(physical) or None}
 
 
-def host_info(*, calibrate: bool = True) -> Dict[str, object]:
+def host_info() -> Dict[str, object]:
     """The enriched ``host`` block: who ran this bench, and how fast a
     machine it was."""
     info: Dict[str, object] = {"cpu_count": os.cpu_count()}
@@ -144,7 +143,7 @@ def host_info(*, calibrate: bool = True) -> Dict[str, object]:
         info["loadavg_1m"] = round(os.getloadavg()[0], 2)
     except (AttributeError, OSError):  # pragma: no cover - non-POSIX
         info["loadavg_1m"] = None
-    info["calibration_miters_s"] = _calibrate() if calibrate else None
+    info["calibration_miters_s"] = _calibrate()
     return info
 
 
@@ -384,194 +383,23 @@ def render_bench(doc: Dict) -> str:
     return "\n".join(parts)
 
 
-# -- the regression observatory -------------------------------------------
+# -- the regression report ------------------------------------------------
 
-#: scalar resilience counters folded into ``bench --compare``; the list
-#: (quarantined_units) and dict (chaos_injected) fields are summarised
-#: to counts so the comparison table stays one row per experiment.
-_RESILIENCE_KEYS = ("retries", "timeouts", "hung_workers_replaced",
-                    "workers_replaced", "serial_fallbacks", "cache_corrupt")
-
-
-def _resilience_summary(row: Dict) -> Dict[str, int]:
-    """Flatten one bench row's ``resilience`` block (possibly absent —
-    clean runs omit it) to comparable integer counters."""
-    resil = row.get("resilience") or {}
-    summary = {key: int(resil.get(key, 0) or 0) for key in _RESILIENCE_KEYS}
-    summary["quarantined"] = len(resil.get("quarantined_units") or ())
-    summary["chaos_injected"] = sum(
-        (resil.get("chaos_injected") or {}).values())
-    return summary
-
-
-def compare_bench(current: Dict, baseline: Dict, *,
-                  threshold: float = 0.25, min_abs_s: float = 0.02,
-                  normalize: Optional[bool] = None) -> Dict:
-    """Diff two bench documents on the serial (uncached, 1-job) path.
-
-    The serial path is the honest one: no cache hits, no pool scheduling
-    noise — a regression there is a real code slowdown, not an artifact
-    of worker placement.  Per shared experiment the report carries the
-    baseline/current serial seconds, the raw ratio, the host-speed
-    *normalized* ratio, and a status:
-
-    * ``regression`` — normalized ratio above ``1 + threshold`` AND the
-      absolute slowdown exceeds ``min_abs_s`` (sub-hundredth-of-a-second
-      deltas are timer noise, never regressions);
-    * ``improved`` — normalized ratio below ``1 - threshold``;
-    * ``ok`` — within the noise band.
-
-    Host-speed normalization divides each ratio by an expected
-    machine-speed factor, so running the baseline on a fast machine and
-    the current on a slow one does not flag everything.  Preferred
-    source (mode ``"calibration"``): the fixed pure-Python
-    microbenchmark score both bench documents carry in their ``host``
-    block — a *measured* speed ratio, independent of the experiments
-    under test, so even a regression in every single experiment cannot
-    hide inside the normalizer.  When either document predates the
-    calibration score (schema 1 baselines), the old heuristic applies
-    (mode ``"median"``): the median timing ratio across shared
-    experiments, activated with >= 4 shared experiments.  ``normalize``
-    forces normalization on (best available mode) or off.
-    """
-    base_rows = baseline.get("experiments", {})
-    cur_rows = current.get("experiments", {})
-    shared = [e for e in cur_rows if e in base_rows]
-    ratios = {}
-    for exp_id in shared:
-        base_s = float(base_rows[exp_id].get("serial_s", 0.0))
-        cur_s = float(cur_rows[exp_id].get("serial_s", 0.0))
-        ratios[exp_id] = cur_s / base_s if base_s > 0 else 1.0
-
-    base_score = (baseline.get("host") or {}).get("calibration_miters_s")
-    cur_score = (current.get("host") or {}).get("calibration_miters_s")
-    have_scores = bool(base_score) and bool(cur_score)
-    if normalize is None:
-        normalize = have_scores or len(shared) >= 4
-    norm, mode = 1.0, "none"
-    if normalize and have_scores:
-        # score = iterations/s (higher = faster host); a slower current
-        # host inflates every cur_s by ~base_score/cur_score.
-        mode = "calibration"
-        norm = base_score / cur_score
-    elif normalize and ratios:
-        mode = "median"
-        ordered = sorted(ratios.values())
-        mid = len(ordered) // 2
-        norm = (ordered[mid] if len(ordered) % 2
-                else 0.5 * (ordered[mid - 1] + ordered[mid])) or 1.0
-
-    experiments: Dict[str, Dict] = {}
-    regressions, improvements = [], []
-    for exp_id in shared:
-        base_s = float(base_rows[exp_id].get("serial_s", 0.0))
-        cur_s = float(cur_rows[exp_id].get("serial_s", 0.0))
-        ratio = ratios[exp_id]
-        nratio = ratio / norm
-        delta = cur_s - base_s
-        status = "ok"
-        if nratio > 1.0 + threshold and delta > min_abs_s:
-            status = "regression"
-            regressions.append(exp_id)
-        elif nratio < 1.0 - threshold:
-            status = "improved"
-            improvements.append(exp_id)
-        experiments[exp_id] = {
-            "baseline_s": round(base_s, 4),
-            "current_s": round(cur_s, 4),
-            "ratio": round(ratio, 4),
-            "normalized_ratio": round(nratio, 4),
-            "delta_s": round(delta, 4),
-            "status": status,
-        }
-    resolution_limited = sorted(
-        e for e, row in cur_rows.items()
-        if row.get("cached_speedup_resolution_limited"))
-    # Fault behaviour comparison: one entry per shared experiment where
-    # either run survived something (PR 7's resilience counters).  The
-    # fold is informational — the exit code stays driven by the serial
-    # timing check alone, because a retried-but-identical run is a
-    # fabric save, not a code regression.
-    resilience: Dict[str, Dict] = {}
-    for exp_id in shared:
-        base_r = _resilience_summary(base_rows[exp_id])
-        cur_r = _resilience_summary(cur_rows[exp_id])
-        if any(base_r.values()) or any(cur_r.values()):
-            resilience[exp_id] = {"baseline": base_r, "current": cur_r}
-    return {
-        "schema_version": BENCH_SCHEMA,
-        "threshold": threshold,
-        "min_abs_s": min_abs_s,
-        "normalized": mode != "none",
-        "normalization_mode": mode,
-        "host_speed_factor": round(norm, 4),
-        "cached_resolution_limited": resolution_limited,
-        "baseline_fingerprint": baseline.get("code_fingerprint"),
-        "current_fingerprint": current.get("code_fingerprint"),
-        "baseline_git_sha": baseline.get("git_sha"),
-        "current_git_sha": current.get("git_sha"),
-        "experiments": experiments,
-        "resilience": resilience,
-        "regressions": regressions,
-        "improvements": improvements,
-        "new": sorted(e for e in cur_rows if e not in base_rows),
-        "missing": sorted(e for e in base_rows if e not in cur_rows),
-    }
-
-
-def render_compare(report: Dict) -> str:
-    """Human table of a :func:`compare_bench` report."""
-    norm = ""
-    if report["normalized"]:
-        mode = report.get("normalization_mode", "median")
-        norm = (f", host factor {report['host_speed_factor']:.2f} "
-                f"[{mode}]")
-    table = Table(
-        f"Serial-path regression check "
-        f"(threshold {report['threshold']:.0%}{norm})",
-        ["experiment", "baseline s", "current s", "ratio", "norm",
-         "status"])
-    for exp_id, row in report["experiments"].items():
-        table.add_row(exp_id, f"{row['baseline_s']:.3f}",
-                      f"{row['current_s']:.3f}", f"{row['ratio']:.2f}x",
-                      f"{row['normalized_ratio']:.2f}x",
-                      row["status"].upper() if row["status"] == "regression"
-                      else row["status"])
-    parts = [table.render()]
-    if report["new"]:
-        parts.append("new experiments (no baseline): "
-                     + ", ".join(report["new"]))
-    if report["missing"]:
-        parts.append("missing vs baseline: " + ", ".join(report["missing"]))
-    resilience = report.get("resilience") or {}
-    if resilience:
-        faults = []
-        for exp_id, sides in resilience.items():
-            base_n = sum(sides["baseline"].values())
-            cur_n = sum(sides["current"].values())
-            faults.append(f"{exp_id} {base_n}->{cur_n}")
-        parts.append("fault events survived (baseline->current): "
-                     + ", ".join(faults))
-    if report["regressions"]:
-        parts.append(f"REGRESSIONS: {', '.join(report['regressions'])}")
-    else:
-        parts.append("no serial-path regressions")
-    return "\n".join(parts)
-
-
-def markdown_compare(report: Dict) -> str:
-    """GitHub-flavoured markdown report of a :func:`compare_bench` diff."""
+def markdown_compare(report: Dict, doc: Dict) -> str:
+    """GitHub-flavoured markdown of a ``bench --compare`` verdict:
+    ``report`` from :func:`repro.obs.ledger.judge`, ``doc`` the fresh
+    bench document it judged."""
     lines = ["# Bench regression report", ""]
-    verdict = ("**FAIL** — serial-path regression detected"
-               if report["regressions"] else "**PASS** — no regressions")
-    lines.append(verdict)
+    lines.append("**PASS** — no regressions, fidelity within tolerance"
+                 if report["pass"] else
+                 "**FAIL** — " + "; ".join(report["regressions"]
+                                          + report["fidelity_breaches"]))
     lines.append("")
     lines.append(f"- threshold: {report['threshold']:.0%} "
                  f"(min abs delta {report['min_abs_s']}s)")
-    if report["normalized"]:
-        mode = report.get("normalization_mode", "median")
-        lines.append(f"- host-speed normalization: {mode} "
-                     f"(factor {report['host_speed_factor']:.3f})")
+    lines.append("- host-speed normalization: "
+                 + ("calibration scores" if report["normalized"] else
+                    "none (a document lacks a calibration score)"))
     for side in ("baseline", "current"):
         sha = report.get(f"{side}_git_sha")
         fp = report.get(f"{side}_fingerprint")
@@ -589,8 +417,7 @@ def markdown_compare(report: Dict) -> str:
             f"| {exp_id} | {row['baseline_s']:.3f} | "
             f"{row['current_s']:.3f} | {row['ratio']:.2f}x | "
             f"{row['normalized_ratio']:.2f}x | {status} |")
-    resilience = report.get("resilience") or {}
-    if resilience:
+    if report["resilience"]:
         lines += ["", "## Fault behaviour", "",
                   "Resilience counters from runs that survived faults "
                   "(baseline → current); informational only — the "
@@ -598,30 +425,29 @@ def markdown_compare(report: Dict) -> str:
                   "| experiment | retries | timeouts | workers replaced | "
                   "quarantined | corrupt cache | chaos injected |",
                   "|---|---:|---:|---:|---:|---:|---:|"]
-        for exp_id, sides in resilience.items():
-            base_r, cur_r = sides["baseline"], sides["current"]
+        for exp_id, sides in report["resilience"].items():
+            def _cell(*keys):
+                return " → ".join(
+                    str(sum(sides[side].get(key, 0) for key in keys))
+                    for side in ("baseline", "current"))
 
-            def _cell(key):
-                return f"{base_r[key]} → {cur_r[key]}"
-
-            replaced = (f"{base_r['hung_workers_replaced'] + base_r['workers_replaced']}"
-                        f" → "
-                        f"{cur_r['hung_workers_replaced'] + cur_r['workers_replaced']}")
             lines.append(
                 f"| {exp_id} | {_cell('retries')} | {_cell('timeouts')} | "
-                f"{replaced} | {_cell('quarantined')} | "
-                f"{_cell('cache_corrupt')} | {_cell('chaos_injected')} |")
+                f"{_cell('hung_workers_replaced', 'workers_replaced')} | "
+                f"{_cell('quarantined')} | {_cell('cache_corrupt')} | "
+                f"{_cell('chaos_injected')} |")
     if report["new"]:
         lines += ["", "New experiments (no baseline entry): "
                   + ", ".join(f"`{e}`" for e in report["new"])]
     if report["missing"]:
         lines += ["", "Missing vs baseline: "
                   + ", ".join(f"`{e}`" for e in report["missing"])]
-    if report.get("cached_resolution_limited"):
+    limited = [e for e, row in doc["experiments"].items()
+               if row.get("cached_speedup_resolution_limited")]
+    if limited:
         lines += ["", "Warm-cache wall time was below the "
                   f"{_RESOLUTION_FLOOR_S}s timer-resolution floor for "
-                  + ", ".join(f"`{e}`"
-                              for e in report["cached_resolution_limited"])
+                  + ", ".join(f"`{e}`" for e in limited)
                   + "; their cached speedups are clamped lower bounds, "
                     "not measurements."]
     lines.append("")

@@ -39,18 +39,17 @@ verified.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from typing import Dict, Optional
 
-from ..core.canon import canonical, canonical_json
+from ..core.canon import canonical, stable_hash
 from .fingerprint import code_fingerprint
 from .units import WorkUnit
 
 __all__ = ["ResultCache", "CacheRootError", "default_cache_root",
-           "CACHE_SCHEMA", "value_checksum"]
+           "CACHE_SCHEMA"]
 
 CACHE_SCHEMA = 2
 
@@ -70,11 +69,6 @@ def default_cache_root() -> str:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "repro")
-
-
-def value_checksum(value) -> str:
-    """SHA-256 of the value's canonical JSON — the payload integrity tag."""
-    return hashlib.sha256(canonical_json(value).encode("ascii")).hexdigest()
 
 
 class ResultCache:
@@ -145,9 +139,7 @@ class ResultCache:
 
     def digest(self, unit: WorkUnit, config, fault_plan=None,
                seed: Optional[int] = None) -> str:
-        material = self.key_material(unit, config, fault_plan, seed)
-        return hashlib.sha256(
-            canonical_json(material).encode("ascii")).hexdigest()
+        return stable_hash(self.key_material(unit, config, fault_plan, seed))
 
     def _path(self, digest: str) -> str:
         return os.path.join(self.root, "objects", digest[:2],
@@ -185,7 +177,7 @@ class ResultCache:
                 pass
             self.misses += 1
             raise KeyError(digest) from None
-        if value_checksum(value) != recorded:
+        if stable_hash(value) != recorded:
             # well-formed JSON whose payload no longer matches its
             # checksum: silent corruption.  Preserve the evidence.
             self.corrupt += 1
@@ -214,7 +206,7 @@ class ResultCache:
         path = self._path(digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {"schema": CACHE_SCHEMA, "value": value,
-                 "sha256": value_checksum(value)}
+                 "sha256": stable_hash(value)}
         if unit is not None:
             entry["unit"] = {"experiment_id": unit.experiment_id,
                              "key": unit.key}

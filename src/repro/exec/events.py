@@ -1,10 +1,9 @@
 """The shared event schema: every telemetry record the fabric emits.
 
-Three consumers speak the same record shapes — the ``--progress`` JSONL
-stream (:mod:`repro.exec.progress`), the crash-safe sweep journal
-(:mod:`repro.exec.journal`), and the ``repro.server`` wire protocol
-(:mod:`repro.server.protocol`) — so their shapes live here, once.
-Every live-telemetry record carries:
+Two consumers speak the same record shapes — the ``--progress`` JSONL
+stream (:mod:`repro.exec.progress`) and the ``repro.server`` wire
+protocol (:mod:`repro.server.protocol`) — so their shapes live here,
+once.  Every live-telemetry record carries:
 
 * ``event``  — the kind (one of :data:`EVENT_KINDS`);
 * ``schema`` — :data:`EVENT_SCHEMA`, so a reader written against one
@@ -18,10 +17,9 @@ kind, missing field, foreign schema).  Optional enrichments (``t_s``,
 ``eta_s``, per-unit host timings, worker occupancy) ride along freely:
 validation pins the floor of each shape, not its ceiling.
 
-The journal's on-disk line shapes (a binding header plus one
-checksummed completion per line) also live here — they predate the
-``event`` envelope and keep their exact byte shape so every journal
-written by an older build still replays.
+The crash-safe sweep journal is not a telemetry stream: its line
+shapes live with the only code that writes and reads them,
+:mod:`repro.exec.journal`.
 
 Kinds (``EVENT_KINDS``):
 
@@ -40,8 +38,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 __all__ = ["EVENT_SCHEMA", "EVENT_KINDS", "EventSchemaError",
-           "make_event", "validate_event", "journal_header",
-           "journal_record"]
+           "make_event", "validate_event"]
 
 EVENT_SCHEMA = 1
 
@@ -118,23 +115,3 @@ def validate_event(record, *, schema: Optional[int] = EVENT_SCHEMA) -> str:
             f"{', '.join(missing)}")
     return kind
 
-
-# -- journal line shapes ----------------------------------------------------
-#
-# The journal predates the ``event`` envelope and its lines must stay
-# byte-compatible with every journal already on disk, so these two
-# builders define the shapes without the envelope.  (Replay tolerates
-# extra fields, so enriching them later is safe — removing is not.)
-
-def journal_header(schema: int, experiment_id: str,
-                   fingerprint: str = "") -> Dict:
-    """The journal's first line: binds the file to one experiment."""
-    header: Dict = {"journal": schema, "experiment_id": experiment_id}
-    if fingerprint:
-        header["fingerprint"] = fingerprint
-    return header
-
-
-def journal_record(key: str, value, sha256: str) -> Dict:
-    """One unit-completion line: key, canonical value, payload checksum."""
-    return {"key": key, "value": value, "sha256": sha256}

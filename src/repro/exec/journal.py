@@ -9,38 +9,58 @@ point — power cut, OOM kill, ^C — and the journal holds every unit
 that finished; ``--resume`` replays it and the sweep re-executes only
 the units that never completed.
 
-Format (one JSON object per line)::
+Format (one self-checksummed JSON object per line, written and read by
+:mod:`repro.core.jsonl`)::
 
-    {"journal": 1, "experiment_id": "fig3", "fingerprint": "..."}
-    {"key": "uniform:1", "value": ..., "sha256": "<payload checksum>"}
-    {"key": "uniform:2", "value": ..., "sha256": "..."}
+    {"experiment_id": "fig3", "fingerprint": "...", "journal": 2, "sha256": "..."}
+    {"key": "uniform:1", "sha256": "...", "value": ...}
+    {"key": "uniform:2", "sha256": "...", "value": ...}
 
 The first line binds the journal to one experiment (replaying a
-``fig3`` journal into a ``fig7`` sweep is refused).  Every record
-carries the same SHA-256 payload checksum the result cache uses
-(:func:`repro.exec.cache.value_checksum`), so a torn or corrupted line
-is detected on replay and skipped — in particular the final line, which
-a crash mid-append routinely truncates.  Skipped lines only cost a
-re-execution; they can never smuggle a wrong value into results.
+``fig3`` journal into a ``fig7`` sweep is refused).  Every line's
+``sha256`` covers the whole object — key *and* value — so a torn,
+corrupted or edited line is detected on replay and skipped; in
+particular the final line, which a crash mid-append routinely
+truncates, and which the next append starts after instead of
+extending.  Skipped lines only cost a re-execution; they can never
+smuggle a wrong value into results.
+
+Schema history: v2 checksums each whole line (v1 checksummed only the
+value, so an edited key replayed as another unit).  A v1 journal is
+refused with an actionable error rather than replayed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional, TextIO
+from typing import Dict
 
+from ..core import jsonl
 from ..core.canon import canonical
-from .cache import value_checksum
-from .events import journal_header, journal_record
 
-__all__ = ["SweepJournal", "JournalError", "JOURNAL_SCHEMA"]
+__all__ = ["SweepJournal", "JournalError", "JOURNAL_SCHEMA",
+           "journal_header", "journal_record"]
 
-JOURNAL_SCHEMA = 1
+JOURNAL_SCHEMA = 2
 
 
 class JournalError(ValueError):
     """The journal file is unusable for this sweep; str() says why."""
+
+
+def journal_header(experiment_id: str, fingerprint: str = "") -> Dict:
+    """The journal's first line: binds the file to one experiment."""
+    header: Dict = {"journal": JOURNAL_SCHEMA,
+                    "experiment_id": experiment_id}
+    if fingerprint:
+        header["fingerprint"] = fingerprint
+    return header
+
+
+def journal_record(key: str, value) -> Dict:
+    """One unit-completion line: the unit key and its canonical value."""
+    return {"key": key, "value": canonical(value)}
 
 
 class SweepJournal:
@@ -55,7 +75,7 @@ class SweepJournal:
         ...
         journal.close()
 
-    ``replay`` before ``open``: opening is append-mode, so a journal
+    ``replay`` before ``open``: recording appends, so a journal
     survives its own resume and keeps growing across interruptions.
     """
 
@@ -64,7 +84,7 @@ class SweepJournal:
         self.replayed = 0      #: completions recovered by replay()
         self.skipped = 0       #: torn/corrupt lines ignored by replay()
         self.recorded = 0      #: completions appended this run
-        self._fh: Optional[TextIO] = None
+        self._open = False
 
     # -- replay ---------------------------------------------------------
 
@@ -73,86 +93,71 @@ class SweepJournal:
 
         Returns ``{}`` when the file does not exist yet.  Raises
         :class:`JournalError` when the file belongs to a different
-        experiment or is not a journal at all.  Torn or checksum-failed
-        lines (the normal crash residue) are counted in ``skipped`` and
-        ignored; later duplicates of a key win (they are by construction
-        identical values, re-journaled after a resume raced a crash).
+        experiment, uses another journal schema, or is not a journal at
+        all.  Torn or checksum-failed lines (the normal crash residue)
+        are counted in ``skipped`` and ignored; later duplicates of a
+        key win (they are by construction identical values,
+        re-journaled after a resume raced a crash).
         """
         try:
-            fh = open(self.path, "r", encoding="utf-8")
+            fh = open(self.path, "r", encoding="utf-8", errors="replace")
         except FileNotFoundError:
             return {}
-        done: Dict[str, object] = {}
         with fh:
             header = fh.readline()
             if not header.strip():
                 return {}
-            try:
-                head = json.loads(header)
-                schema = head["journal"]
-                bound = head["experiment_id"]
-            except (ValueError, KeyError, TypeError):
-                raise JournalError(
-                    f"{self.path} is not a sweep journal (bad header "
-                    "line); pass a fresh --journal path") from None
-            if schema != JOURNAL_SCHEMA:
-                raise JournalError(
-                    f"{self.path} uses journal schema {schema!r}, this "
-                    f"build writes {JOURNAL_SCHEMA}; pass a fresh "
-                    "--journal path")
-            if bound != experiment_id:
-                raise JournalError(
-                    f"{self.path} belongs to experiment {bound!r}, not "
-                    f"{experiment_id!r}; pass a fresh --journal path")
-            for line in fh:
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key = rec["key"]
-                    value = rec["value"]
-                    recorded = rec["sha256"]
-                except (ValueError, KeyError, TypeError):
-                    self.skipped += 1  # torn tail of a crashed append
-                    continue
-                if value_checksum(value) != recorded:
-                    self.skipped += 1
-                    continue
-                done[key] = value
-                self.replayed += 1
+            self._check_header(header, experiment_id)
+            records, skipped = jsonl.parse(fh)
+        done: Dict[str, object] = {}
+        for rec in records:
+            if "key" not in rec or "value" not in rec:
+                skipped += 1
+                continue
+            done[rec["key"]] = rec["value"]
+            self.replayed += 1
+        self.skipped += skipped
         return done
+
+    def _check_header(self, line: str, experiment_id: str) -> None:
+        try:
+            head = json.loads(line)
+            schema, bound = head["journal"], head["experiment_id"]
+        except (ValueError, KeyError, TypeError):
+            head = schema = bound = None
+        if schema is not None and schema != JOURNAL_SCHEMA:
+            raise JournalError(
+                f"{self.path} uses journal schema {schema!r}, this "
+                f"build writes {JOURNAL_SCHEMA}; pass a fresh "
+                "--journal path")
+        if head is None or head.get("sha256") != jsonl.checksum(head):
+            raise JournalError(
+                f"{self.path} is not a sweep journal (bad header "
+                "line); pass a fresh --journal path")
+        if bound != experiment_id:
+            raise JournalError(
+                f"{self.path} belongs to experiment {bound!r}, not "
+                f"{experiment_id!r}; pass a fresh --journal path")
 
     # -- recording ------------------------------------------------------
 
     def open(self, experiment_id: str, fingerprint: str = "") -> None:
-        """Open for appending; writes the binding header on a new file."""
-        fresh = not os.path.exists(self.path) or \
-            os.path.getsize(self.path) == 0
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        if fresh:
-            self._append(journal_header(JOURNAL_SCHEMA, experiment_id,
-                                        fingerprint))
+        """Start recording; writes the binding header on a new file."""
+        if not os.path.exists(self.path) or \
+                os.path.getsize(self.path) == 0:
+            jsonl.append(self.path,
+                         journal_header(experiment_id, fingerprint))
+        self._open = True
 
     def record(self, key: str, value) -> None:
         """Append one completion; durable (flush + fsync) on return."""
-        if self._fh is None:
+        if not self._open:
             raise JournalError("journal is not open for recording")
-        self._append(journal_record(key, canonical(value),
-                                    value_checksum(value)))
+        jsonl.append(self.path, journal_record(key, value))
         self.recorded += 1
 
-    def _append(self, obj: Dict) -> None:
-        line = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._open = False
 
     def __enter__(self) -> "SweepJournal":
         return self

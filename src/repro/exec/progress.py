@@ -12,10 +12,9 @@ consumed by a dashboard while the sweep is still running:
 * ``{"event": "done", ...}``  — the final tally.
 
 Record shapes are defined once in :mod:`repro.exec.events` (the shared
-event schema, also spoken by the sweep journal and the ``repro.server``
-wire protocol); every record carries an ``event`` kind and a ``schema``
-generation, and producers build them with
-:func:`repro.exec.events.make_event`.
+event schema, also spoken by the ``repro.server`` wire protocol); every
+record carries an ``event`` kind and a ``schema`` generation, and
+producers build them with :func:`repro.exec.events.make_event`.
 
 Every record carries ``t_s``, seconds since the stream was opened.
 ``"-"`` (the default destination) writes to stderr so stdout stays

@@ -10,11 +10,13 @@ cache/resilience counters, git provenance (``git_sha`` +
 ``git_dirty`` + ``code_fingerprint``), and the Fig 2-8 fidelity
 residuals from :mod:`repro.obs.fidelity`.
 
-The file contract is the sweep journal's: append-only, one
-self-checksummed JSON object per line, fsync'd per append.  Readers
-skip torn or corrupt lines (a crash mid-append, a failed checksum)
-and report them as ``skipped`` instead of crashing — history survives
-anything short of deleting the file.
+The file is written and read by :mod:`repro.core.jsonl`, the same
+module as the sweep journal: append-only, one self-checksummed JSON
+object per line, fsync'd per append, a torn tail healed by the next
+append.  Readers skip torn or corrupt lines (a crash mid-append, a
+failed checksum, a foreign ``ledger_schema``) and report them as
+``skipped`` instead of crashing — history survives anything short of
+deleting the file.
 
 CLI verbs (``python -m repro ledger <verb>``):
 
@@ -24,37 +26,40 @@ CLI verbs (``python -m repro ledger <verb>``):
 * ``trend`` — per-experiment ASCII sparklines of any timing /
   throughput / fidelity column, calibration-normalized when every
   record carries a host score;
-* ``diff`` — any two records through :func:`repro.exec.bench.
-  compare_bench` (same thresholds, same noise guards);
-* ``gate`` — windowed regression detection: the newest record vs the
-  median/MAD of its predecessors, exit 1 on sustained regression or a
-  fidelity anchor out of tolerance.
+* ``diff`` — record ``--b`` judged against record ``--a``;
+* ``gate`` — windowed regression detection: the newest record judged
+  against its predecessors in the window, exit 1 on sustained
+  regression or a fidelity anchor out of tolerance.
 
-Robust statistics, not single-baseline diffs: the gate's noise band is
-``max(threshold * median, 3 * 1.4826 * MAD)`` — a noisy history widens
-its own band, a flat history tightens it — and the ``min_abs_s`` raw-
-seconds guard from ``compare_bench`` still applies, so timer jitter on
-sub-hundredth rows can never fail CI.
+One regression rule, :func:`judge`, gives every verdict — ``diff``,
+``gate`` and ``bench --compare`` (which judges a fresh bench run
+against the record of its baseline document).  Its noise band is
+``max(threshold * median, 3 * 1.4826 * MAD)`` over the history — a
+noisy history widens its own band, a flat one tightens it, and a single
+history record gives ``threshold * baseline`` — and the ``min_abs_s``
+raw-seconds guard means timer jitter on sub-hundredth rows can never
+fail CI.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple
 
-from ..core.canon import canonical_json
+from ..core import jsonl
+from ..core.jsonl import checksum as record_checksum
+from ..core.tables import Table
 from .fidelity import fidelity_residuals
 
 __all__ = ["LEDGER_SCHEMA", "DEFAULT_LEDGER_PATH", "Ledger",
            "LedgerError", "record_checksum", "record_from_bench",
            "record_from_manifest", "record_from_server_stats",
-           "fold_document", "trend", "render_trend", "gate",
-           "render_gate", "diff_records", "ledger_main"]
+           "fold_document", "trend", "render_trend", "judge",
+           "render_verdict", "gate", "ledger_main"]
 
 LEDGER_SCHEMA = 1
 
@@ -72,14 +77,6 @@ class LedgerError(ValueError):
     """A document or ledger the CLI cannot act on (actionable message)."""
 
 
-def record_checksum(record: Dict) -> str:
-    """SHA-256 over the record's canonical JSON minus its own ``sha256``
-    key — the same integrity tag the result cache stamps on values."""
-    body = {k: v for k, v in record.items() if k != "sha256"}
-    return hashlib.sha256(
-        canonical_json(body).encode("ascii")).hexdigest()
-
-
 class Ledger:
     """Append-only checksummed JSONL history at ``path``."""
 
@@ -88,61 +85,20 @@ class Ledger:
 
     def append(self, record: Dict) -> Dict:
         """Stamp schema + checksum and append one line (fsync'd)."""
-        record = dict(record)
-        record["ledger_schema"] = LEDGER_SCHEMA
-        record["sha256"] = record_checksum(record)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        # A crash mid-append leaves a torn, newline-less tail; starting
-        # the new record on its own line quarantines the torn one (the
-        # reader skips it) instead of corrupting both.
-        torn_tail = False
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                if fh.tell():
-                    fh.seek(-1, os.SEEK_END)
-                    torn_tail = fh.read(1) != b"\n"
-        except OSError:
-            pass
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(("\n" if torn_tail else "") + line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        return record
+        return jsonl.append(self.path,
+                            {**record, "ledger_schema": LEDGER_SCHEMA})
 
     def read(self) -> Tuple[List[Dict], int]:
         """All intact records plus the count of skipped lines.
 
         Torn tails (a crash mid-append), corrupt JSON, failed
         checksums, and foreign-schema lines are all *skipped*, never
-        raised — the sweep-journal recovery contract.
+        raised.
         """
-        try:
-            fh = open(self.path, encoding="utf-8")
-        except OSError:
-            return [], 0
-        records: List[Dict] = []
-        skipped = 0
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    ok = (isinstance(rec, dict)
-                          and rec.get("ledger_schema") == LEDGER_SCHEMA
-                          and rec.get("sha256") == record_checksum(rec))
-                except (ValueError, TypeError):
-                    ok = False
-                if not ok:
-                    skipped += 1
-                    continue
-                records.append(rec)
-        return records, skipped
+        objects, skipped = jsonl.read(self.path)
+        records = [rec for rec in objects
+                   if rec.get("ledger_schema") == LEDGER_SCHEMA]
+        return records, skipped + len(objects) - len(records)
 
 
 # -- record builders -------------------------------------------------------
@@ -307,23 +263,31 @@ def _bench_records(records: List[Dict]) -> List[Dict]:
     return [r for r in records if r.get("kind") == "bench"]
 
 
-def _normalization(records: List[Dict]) -> Optional[Dict[int, float]]:
+def _median(values: List[float]) -> float:
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return (ordered[mid] if len(ordered) % 2
+            else 0.5 * (ordered[mid - 1] + ordered[mid]))
+
+
+def _normalization(records: List[Dict]) -> Optional[List[float]]:
     """Per-record host-speed factors, or ``None`` when any record lacks
-    a calibration score (then raw values are the only honest basis).
+    a positive calibration score (then raw values are the only honest
+    basis, and no score is ever divided by).
 
     A record's timings are multiplied by ``calibration / median
     calibration``: seconds spent on a fast host count for more work, so
-    the series compares code cost, not machine luck — the same
-    measured-calibration idea as ``compare_bench``'s preferred mode.
+    the series compares code cost, not machine luck.  The score is a
+    fixed pure-Python microbenchmark, independent of the experiments
+    under test, so even a slowdown of every experiment cannot hide
+    inside the normalizer.
     """
     scores = [r.get("calibration_miters_s") for r in records]
-    if not scores or not all(scores):
+    if not scores or not all(isinstance(score, (int, float)) and score > 0
+                             for score in scores):
         return None
-    ordered = sorted(scores)
-    mid = len(ordered) // 2
-    ref = (ordered[mid] if len(ordered) % 2
-           else 0.5 * (ordered[mid - 1] + ordered[mid]))
-    return {i: score / ref for i, score in enumerate(scores)}
+    ref = _median(scores)
+    return [score / ref for score in scores]
 
 
 def _metric_value(record: Dict, exp_id: str, metric: str,
@@ -377,8 +341,7 @@ def trend(records: List[Dict], *, metric: str = "serial_s",
     experiments: Dict[str, Dict] = {}
     for exp_id in exp_ids:
         values = []
-        for i, rec in enumerate(bench):
-            factor = factors[i] if factors else 1.0
+        for rec, factor in zip(bench, factors or [1.0] * len(bench)):
             value = _metric_value(rec, exp_id, metric, factor)
             if value is not None:
                 values.append(round(value, 4))
@@ -417,92 +380,96 @@ def render_trend(report: Dict) -> str:
     return "\n".join(lines)
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    return (ordered[mid] if len(ordered) % 2
-            else 0.5 * (ordered[mid - 1] + ordered[mid]))
+def judge(candidate: Dict, history: List[Dict], *,
+          threshold: float = 0.25, min_abs_s: float = 0.02,
+          metric: str = "serial_s") -> Dict:
+    """The regression rule: one candidate record against its history.
 
+    ``bench --compare`` judges a fresh run against the record of its
+    baseline document, ``ledger diff`` record ``b`` against ``[a]``,
+    ``ledger gate`` the newest record against the rest of its window.
 
-def gate(records: List[Dict], *, window: int = 10,
-         threshold: float = 0.25, min_abs_s: float = 0.02,
-         metric: str = "serial_s") -> Dict:
-    """Windowed regression check: newest bench record vs the robust
-    center of its recent history.
+    Timings are calibration-normalized (:func:`_normalization`) when
+    every record in view carries a host score, and compared raw
+    otherwise.  Per experiment the history yields a median and a MAD;
+    the noise band around the median is ``max(threshold * median,
+    3 * 1.4826 * MAD)`` — three robust standard deviations or the
+    threshold, whichever is wider.  The status is
 
-    The last ``window`` bench records are considered; the newest is the
-    candidate, the rest are history.  Per experiment the noise band
-    around the history median is ``max(threshold * median, 3 * 1.4826 *
-    MAD)`` — three robust standard deviations or the configured
-    threshold, whichever is wider — and a regression additionally
-    requires the *raw* slowdown to exceed ``min_abs_s`` (timer noise is
-    not a regression at any ratio).  Fewer than 2 history records is a
-    trivial pass: one point is a baseline, not a trajectory.  Fidelity
-    anchors out of tolerance in the newest record fail the gate
-    regardless of speed.
+    * ``regression`` — normalized value above ``median + band`` AND a
+      raw slowdown above ``min_abs_s`` (timer noise is not a regression
+      at any ratio);
+    * ``improved`` — normalized value below ``median - band``;
+    * ``ok`` — within the band.
+
+    With one history record the band is ``threshold * baseline`` and
+    the normalized ratio is ``(cur_s * cur_score) / (base_s *
+    base_score)``.  Any fidelity anchor out of tolerance in the
+    candidate fails the verdict regardless of speed.  Resilience
+    counters (candidate vs the newest history record) ride along for
+    the reports; they never change the verdict, because a retried but
+    identical run is a fabric save, not a code regression.
     """
     if metric not in _TIMING_METRICS:
         raise LedgerError(
-            f"ledger: gate metric must be a timing column "
+            f"ledger: regression metric must be a timing column "
             f"({', '.join(_TIMING_METRICS)}), got {metric!r}")
-    bench = _bench_records(records)[-window:]
+    view = history + [candidate]
+    factors = _normalization(view)
+    scale = factors or [1.0] * len(view)
+    latest = history[-1] if history else {}
+    cur_rows = candidate.get("experiments") or {}
+    seen = {exp_id for rec in history
+            for exp_id in rec.get("experiments") or {}}
     report: Dict = {
-        "window": window, "threshold": threshold,
-        "min_abs_s": min_abs_s, "metric": metric,
-        "records_considered": len(bench),
-        "history": max(len(bench) - 1, 0),
-        "normalized": False, "experiments": {},
-        "regressions": [], "fidelity_breaches": [],
+        "metric": metric, "threshold": threshold, "min_abs_s": min_abs_s,
+        "history": len(history), "normalized": factors is not None,
+        "baseline_git_sha": latest.get("git_sha"),
+        "baseline_fingerprint": latest.get("code_fingerprint"),
+        "current_git_sha": candidate.get("git_sha"),
+        "current_fingerprint": candidate.get("code_fingerprint"),
+        "experiments": {}, "resilience": {}, "regressions": [],
+        "improvements": [], "fidelity_breaches": [],
+        "new": sorted(set(cur_rows) - seen) if history else [],
+        "missing": sorted(seen - set(cur_rows)),
     }
-    if not bench:
-        report["pass"] = True
-        report["reason"] = "no bench records in ledger"
-        return report
-    newest, history = bench[-1], bench[:-1]
-    factors = _normalization(bench)
-    report["normalized"] = factors is not None
-    if len(history) >= 2:
-        for exp_id, row in (newest.get("experiments") or {}).items():
-            factor = factors[len(bench) - 1] if factors else 1.0
-            value = _metric_value(newest, exp_id, metric, factor)
-            if value is None:
-                continue
-            hist, hist_raw = [], []
-            for i, rec in enumerate(history):
-                hfactor = factors[i] if factors else 1.0
-                hvalue = _metric_value(rec, exp_id, metric, hfactor)
-                if hvalue is None:
-                    continue
-                hist.append(hvalue)
-                hist_raw.append(float(rec["experiments"][exp_id][metric]))
-            if len(hist) < 2:
-                continue
-            med = _median(hist)
-            mad = _median([abs(v - med) for v in hist])
-            band = max(threshold * med, 3 * 1.4826 * mad)
-            raw = float(row.get(metric) or 0.0)
-            raw_delta = raw - _median(hist_raw)
-            status = "ok"
-            if value - med > band and raw_delta > min_abs_s:
-                status = "regression"
-                report["regressions"].append(f"{exp_id}: {metric}")
-            elif med - value > band:
-                status = "improved"
-            report["experiments"][exp_id] = {
-                "median": round(med, 4),
-                "mad": round(mad, 4),
-                "newest": round(value, 4),
-                "ratio": round(value / med, 4) if med > 0 else 1.0,
-                "band": round(band, 4),
-                "raw_delta_s": round(raw_delta, 4),
-                "history_n": len(hist),
-                "status": status,
-            }
-    else:
-        report["reason"] = (
-            f"insufficient history ({len(history)} prior records, "
-            "need 2): trivial pass")
-    for exp_id, entry in (newest.get("fidelity") or {}).items():
+    for exp_id in cur_rows:
+        raw = _metric_value(candidate, exp_id, metric, 1.0)
+        hist = []   # (raw, normalized) per history record with a value
+        for rec, factor in zip(history, scale):
+            value = _metric_value(rec, exp_id, metric, 1.0)
+            if value is not None:
+                hist.append((value, value * factor))
+        if raw is None or not hist:
+            continue
+        base = _median([value for value, _ in hist])
+        med = _median([norm for _, norm in hist])
+        mad = _median([abs(norm - med) for _, norm in hist])
+        band = max(threshold * med, 3 * 1.4826 * mad)
+        value = raw * scale[-1]
+        status = "ok"
+        if value - med > band and raw - base > min_abs_s:
+            status = "regression"
+            report["regressions"].append(f"{exp_id}: {metric}")
+        elif med - value > band:
+            status = "improved"
+            report["improvements"].append(f"{exp_id}: {metric}")
+        report["experiments"][exp_id] = {
+            "baseline_s": round(base, 4),
+            "current_s": round(raw, 4),
+            "ratio": round(raw / base, 4) if base > 0 else 1.0,
+            "normalized_ratio": round(value / med, 4) if med > 0 else 1.0,
+            "band": round(band / med, 4) if med > 0 else 0.0,
+            "delta_s": round(raw - base, 4),
+            "history_n": len(hist),
+            "status": status,
+        }
+        base_r = (latest.get("experiments") or {}).get(exp_id, {})
+        sides = {"baseline": base_r.get("resilience") or {},
+                 "current": cur_rows[exp_id].get("resilience") or {}}
+        if sides["baseline"] or sides["current"]:
+            report["resilience"][exp_id] = sides
+    for exp_id, entry in (candidate.get("fidelity") or {}).items():
         for name, anchor in (entry.get("metrics") or {}).items():
             if not anchor.get("within_tolerance", True):
                 report["fidelity_breaches"].append(
@@ -513,67 +480,71 @@ def gate(records: List[Dict], *, window: int = 10,
     return report
 
 
-def render_gate(report: Dict) -> str:
-    note = "calibration-normalized" if report["normalized"] else "raw"
-    lines = [f"ledger gate: {report['metric']} over last "
-             f"{report['records_considered']} records "
-             f"(window {report['window']}, threshold "
-             f"{report['threshold']:.0%}, {note})"]
+def render_verdict(report: Dict) -> str:
+    """Human-readable :func:`judge` report (bench --compare, ledger
+    diff, ledger gate)."""
+    note = ("calibration-normalized" if report["normalized"]
+            else "raw: a record in view lacks a calibration score")
+    metric = report["metric"]
+    table = Table(
+        f"{metric} regression check vs {report['history']} history "
+        f"record(s) (threshold {report['threshold']:.0%}, {note})",
+        ["experiment", "n", "baseline s", "current s", "ratio", "norm",
+         "band", "status"])
+    for exp_id, row in report["experiments"].items():
+        table.add_row(exp_id, row["history_n"], f"{row['baseline_s']:.3f}",
+                      f"{row['current_s']:.3f}", f"{row['ratio']:.2f}x",
+                      f"{row['normalized_ratio']:.2f}x",
+                      f"±{row['band']:.0%}",
+                      row["status"].upper() if row["status"] == "regression"
+                      else row["status"])
+    lines = [table.render()]
     if report.get("reason"):
-        lines.append(f"  {report['reason']}")
-    if report["experiments"]:
-        width = max(len(e) for e in report["experiments"])
-        for exp_id, row in report["experiments"].items():
-            lines.append(
-                f"  {exp_id:<{width}}  median {row['median']:g} "
-                f"(MAD {row['mad']:g}, n={row['history_n']})  "
-                f"newest {row['newest']:g}  ratio {row['ratio']:.2f}x  "
-                + (row["status"].upper()
-                   if row["status"] == "regression" else row["status"]))
+        lines.append(report["reason"])
+    if report["new"]:
+        lines.append("new experiments (no history): "
+                     + ", ".join(report["new"]))
+    if report["missing"]:
+        lines.append("missing vs history: " + ", ".join(report["missing"]))
+    if report["resilience"]:
+        lines.append("fault events survived (baseline->current): " + ", ".join(
+            f"{exp_id} {sum(sides['baseline'].values())}->"
+            f"{sum(sides['current'].values())}"
+            for exp_id, sides in report["resilience"].items()))
     for breach in report["fidelity_breaches"]:
-        lines.append(f"  FIDELITY BREACH {breach}")
+        lines.append(f"FIDELITY BREACH {breach}")
     if report["pass"]:
-        lines.append("PASS: no sustained regression, fidelity within "
+        lines.append(f"PASS: no {metric} regressions, fidelity within "
                      "tolerance")
     else:
-        failed = report["regressions"] + report["fidelity_breaches"]
-        lines.append("FAIL: " + "; ".join(failed))
+        lines.append("FAIL: " + "; ".join(report["regressions"]
+                                          + report["fidelity_breaches"]))
     return "\n".join(lines)
 
 
-def _as_bench_doc(record: Dict) -> Dict:
-    """A pseudo bench document from a ledger record, good enough for
-    :func:`repro.exec.bench.compare_bench`."""
-    return {
-        "schema_version": 2,
-        "host": {"calibration_miters_s":
-                 record.get("calibration_miters_s")},
-        "code_fingerprint": record.get("code_fingerprint"),
-        "git_sha": record.get("git_sha"),
-        "experiments": record.get("experiments") or {},
-    }
+def gate(records: List[Dict], *, window: int = 10,
+         threshold: float = 0.25, min_abs_s: float = 0.02,
+         metric: str = "serial_s") -> Dict:
+    """Windowed regression check: :func:`judge` on the newest of the
+    last ``window`` bench records, with the rest as history.
 
-
-def diff_records(records: List[Dict], *, a: int = -2, b: int = -1,
-                 threshold: float = 0.25,
-                 min_abs_s: float = 0.02) -> Dict:
-    """Diff two bench records (by index, negatives ok) through
-    ``compare_bench`` — same thresholds, same normalization."""
-    from ..exec.bench import compare_bench  # avoid import cycle
-
-    bench = _bench_records(records)
-    if len(bench) < 2:
-        raise LedgerError(
-            f"ledger: diff needs >= 2 bench records, have {len(bench)}; "
-            "append more with bench --ledger or repro ledger record")
-    try:
-        baseline, current = bench[a], bench[b]
-    except IndexError:
-        raise LedgerError(
-            f"ledger: record index out of range (a={a}, b={b}, "
-            f"{len(bench)} bench records)") from None
-    return compare_bench(_as_bench_doc(current), _as_bench_doc(baseline),
-                         threshold=threshold, min_abs_s=min_abs_s)
+    Fewer than 2 history records is a trivial timing pass — one point
+    is a baseline, not a trajectory — though a fidelity anchor out of
+    tolerance in the newest record still fails.
+    """
+    bench = _bench_records(records)[-window:]
+    newest, history = (bench[-1], bench[:-1]) if bench else ({}, [])
+    report = judge(newest, history if len(history) >= 2 else [],
+                   threshold=threshold, min_abs_s=min_abs_s,
+                   metric=metric)
+    report["window"] = window
+    if not bench:
+        report["reason"] = "no bench records in ledger"
+    elif len(history) < 2:
+        report["reason"] = (
+            f"insufficient history ({len(history)} prior records, "
+            "need 2): trivial pass")
+    return report
 
 
 # -- CLI -------------------------------------------------------------------
@@ -639,8 +610,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
 
-    p = sub.add_parser("diff", help="compare two records via "
-                                    "compare_bench")
+    p = sub.add_parser("diff", help="judge record --b against record "
+                                    "--a")
     _common(p)
     p.add_argument("--a", type=int, default=-2,
                    help="baseline record index (default: %(default)s)")
@@ -732,20 +703,26 @@ def ledger_main(argv: Optional[List[str]] = None) -> int:
                   else render_trend(report))
             return 0
         if args.verb == "diff":
-            from ..exec.bench import render_compare
-
-            report = diff_records(records, a=args.a, b=args.b,
-                                  threshold=args.threshold,
-                                  min_abs_s=args.min_abs_s)
-            print(json.dumps(report, indent=2) if args.json
-                  else render_compare(report))
-            return 1 if report["regressions"] else 0
-        # gate
-        report = gate(records, window=args.window,
-                      threshold=args.threshold,
-                      min_abs_s=args.min_abs_s, metric=args.metric)
+            bench = _bench_records(records)
+            if len(bench) < 2:
+                raise LedgerError(
+                    f"ledger: diff needs >= 2 bench records, have "
+                    f"{len(bench)}; append more with bench --ledger or "
+                    "repro ledger record")
+            try:
+                baseline, current = bench[args.a], bench[args.b]
+            except IndexError:
+                raise LedgerError(
+                    f"ledger: record index out of range (a={args.a}, "
+                    f"b={args.b}, {len(bench)} bench records)") from None
+            report = judge(current, [baseline], threshold=args.threshold,
+                           min_abs_s=args.min_abs_s)
+        else:  # gate
+            report = gate(records, window=args.window,
+                          threshold=args.threshold,
+                          min_abs_s=args.min_abs_s, metric=args.metric)
         print(json.dumps(report, indent=2) if args.json
-              else render_gate(report))
+              else render_verdict(report))
         return 0 if report["pass"] else 1
     except LedgerError as exc:
         print(str(exc), file=sys.stderr)

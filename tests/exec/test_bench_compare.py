@@ -1,9 +1,17 @@
-"""The regression observatory: compare_bench and its reports."""
+"""The regression observatory: ``bench --compare`` judges a fresh bench
+document against its baseline with the ledger's one regression rule,
+and reports the verdict as text and markdown."""
 
 import pytest
 
-from repro.exec.bench import (compare_bench, markdown_compare,
-                              render_compare, run_bench)
+from repro.exec.bench import markdown_compare, run_bench
+from repro.obs.ledger import judge, record_from_bench, render_verdict
+
+
+def compare(current, baseline, **rule):
+    """The verdict ``bench --compare`` gives: current vs [baseline]."""
+    return judge(record_from_bench(current), [record_from_bench(baseline)],
+                 **rule)
 
 
 def bench_doc(serial, fingerprint="aaaa", sha="a" * 40):
@@ -18,13 +26,20 @@ def bench_doc(serial, fingerprint="aaaa", sha="a" * 40):
     }
 
 
+def scored_doc(serial, score):
+    doc = bench_doc(serial)
+    doc["host"] = {"calibration_miters_s": score}
+    return doc
+
+
 BASE = {"fig2": 0.5, "fig3": 1.0, "fig7": 5.0, "scale128": 8.0,
         "table2": 0.3}
 
 
 def test_self_compare_is_clean():
     doc = bench_doc(BASE)
-    report = compare_bench(doc, doc)
+    report = compare(doc, doc)
+    assert report["pass"]
     assert report["regressions"] == []
     assert report["improvements"] == []
     assert all(row["status"] == "ok"
@@ -36,46 +51,50 @@ def test_self_compare_is_clean():
 def test_injected_2x_slowdown_is_flagged():
     current = dict(BASE)
     current["fig7"] = BASE["fig7"] * 2
-    report = compare_bench(bench_doc(current), bench_doc(BASE))
-    assert report["regressions"] == ["fig7"]
+    report = compare(bench_doc(current), bench_doc(BASE))
+    assert report["regressions"] == ["fig7: serial_s"]
+    assert not report["pass"]
     row = report["experiments"]["fig7"]
     assert row["status"] == "regression"
     assert row["ratio"] == pytest.approx(2.0)
-    # the other four experiments anchor the median at 1.0
     assert row["normalized_ratio"] == pytest.approx(2.0)
 
 
 def test_improvement_is_reported_not_failed():
     current = dict(BASE)
     current["fig3"] = BASE["fig3"] / 2
-    report = compare_bench(bench_doc(current), bench_doc(BASE))
+    report = compare(bench_doc(current), bench_doc(BASE))
     assert report["regressions"] == []
-    assert report["improvements"] == ["fig3"]
+    assert report["improvements"] == ["fig3: serial_s"]
+    assert report["pass"]
 
 
 def test_uniform_host_slowdown_is_normalized_away():
-    # a 3x slower runner shifts every experiment equally: the median
-    # ratio absorbs it and nothing is a regression
+    # a 3x slower runner, measured 3x slower by the calibration
+    # microbenchmark: every experiment reading 3x slower is expected
     current = {exp_id: s * 3 for exp_id, s in BASE.items()}
-    report = compare_bench(bench_doc(current), bench_doc(BASE))
+    report = compare(scored_doc(current, score=3.0),
+                     scored_doc(BASE, score=9.0))
     assert report["normalized"]
-    assert report["host_speed_factor"] == pytest.approx(3.0)
+    assert all(row["normalized_ratio"] == pytest.approx(1.0)
+               for row in report["experiments"].values())
     assert report["regressions"] == []
 
 
 def test_normalization_off_below_four_experiments():
+    # without calibration scores nothing normalizes: raw ratios decide
     base = {"fig2": 0.5, "fig3": 1.0}
     current = {"fig2": 1.5, "fig3": 3.0}
-    report = compare_bench(bench_doc(current), bench_doc(base))
+    report = compare(bench_doc(current), bench_doc(base))
     assert not report["normalized"]
-    assert report["regressions"] == ["fig2", "fig3"]
+    assert report["regressions"] == ["fig2: serial_s", "fig3: serial_s"]
 
 
 def test_min_abs_guard_ignores_timer_noise():
     # 10x ratio but a 9 ms absolute delta: below min_abs_s, not real
     base = dict(BASE, table1=0.001)
     current = dict(BASE, table1=0.010)
-    report = compare_bench(bench_doc(current), bench_doc(base))
+    report = compare(bench_doc(current), bench_doc(base))
     assert report["experiments"]["table1"]["status"] == "ok"
     assert report["regressions"] == []
 
@@ -83,13 +102,11 @@ def test_min_abs_guard_ignores_timer_noise():
 def test_threshold_boundary():
     current = dict(BASE)
     current["fig7"] = BASE["fig7"] * 1.2     # +20% < 25% threshold
-    report = compare_bench(bench_doc(current), bench_doc(BASE),
-                           normalize=False)
+    report = compare(bench_doc(current), bench_doc(BASE))
     assert report["regressions"] == []
     current["fig7"] = BASE["fig7"] * 1.3     # +30% > threshold
-    report = compare_bench(bench_doc(current), bench_doc(BASE),
-                           normalize=False)
-    assert report["regressions"] == ["fig7"]
+    report = compare(bench_doc(current), bench_doc(BASE))
+    assert report["regressions"] == ["fig7: serial_s"]
 
 
 def test_new_and_missing_experiments_listed():
@@ -97,7 +114,7 @@ def test_new_and_missing_experiments_listed():
     current = dict(BASE)
     del current["table2"]
     current["fig9"] = 1.0
-    report = compare_bench(bench_doc(current), bench_doc(base))
+    report = compare(bench_doc(current), bench_doc(base))
     assert report["new"] == ["fig9"]
     assert report["missing"] == ["table2"]
     assert "fig9" not in report["experiments"]
@@ -106,17 +123,31 @@ def test_new_and_missing_experiments_listed():
 def test_render_and_markdown_reports():
     current = dict(BASE)
     current["fig7"] = BASE["fig7"] * 2
-    report = compare_bench(bench_doc(current, "bbbb", "b" * 40),
-                           bench_doc(BASE))
-    text = render_compare(report)
+    doc = bench_doc(current, "bbbb", "b" * 40)
+    report = compare(doc, bench_doc(BASE))
+    text = render_verdict(report)
     assert "REGRESSION" in text and "fig7" in text
-    md = markdown_compare(report)
+    assert "FAIL: fig7: serial_s" in text
+    md = markdown_compare(report, doc)
+    assert md.startswith("# Bench regression report")
     assert "**FAIL**" in md
     assert "| fig7 |" in md
     assert "**REGRESSION**" in md
-    clean = markdown_compare(compare_bench(bench_doc(BASE),
-                                           bench_doc(BASE)))
+    clean = markdown_compare(compare(bench_doc(BASE), bench_doc(BASE)),
+                             bench_doc(BASE))
     assert "**PASS**" in clean
+
+
+def test_fidelity_breach_fails_the_compare():
+    current = bench_doc(BASE)
+    current["fidelity"] = {"fig2": {"metrics": {"local_pair_slope_us": {
+        "rel_err": 0.9, "tolerance": 0.5, "within_tolerance": False}}}}
+    report = compare(current, bench_doc(BASE))
+    assert report["regressions"] == []
+    assert not report["pass"]
+    assert "local_pair_slope_us" in report["fidelity_breaches"][0]
+    assert "FIDELITY BREACH" in render_verdict(report)
+    assert "**FAIL**" in markdown_compare(report, current)
 
 
 def test_run_bench_skips_unknown_experiments(capsys):
@@ -143,8 +174,8 @@ def test_run_bench_errors_when_nothing_benchmarkable():
 
 
 def test_fingerprints_carried_through():
-    report = compare_bench(bench_doc(BASE, "cur", "c" * 40),
-                           bench_doc(BASE, "old", "d" * 40))
+    report = compare(bench_doc(BASE, "cur", "c" * 40),
+                     bench_doc(BASE, "old", "d" * 40))
     assert report["current_fingerprint"] == "cur"
     assert report["baseline_fingerprint"] == "old"
     assert report["current_git_sha"] == "c" * 40
@@ -155,92 +186,85 @@ def test_fingerprints_carried_through():
 # calibration-based normalization (schema 2 host blocks)
 # ---------------------------------------------------------------------------
 
-def scored_doc(serial, score):
-    doc = bench_doc(serial)
-    doc["host"] = {"calibration_miters_s": score}
-    return doc
-
-
 def test_calibration_score_preferred_over_median():
     # current host measured 2x slower by the microbenchmark; every
     # experiment reading 2x slower is therefore expected, not a
     # regression
     current = {exp_id: s * 2 for exp_id, s in BASE.items()}
-    report = compare_bench(scored_doc(current, score=5.0),
-                           scored_doc(BASE, score=10.0))
-    assert report["normalization_mode"] == "calibration"
-    assert report["host_speed_factor"] == pytest.approx(2.0)
+    report = compare(scored_doc(current, score=5.0),
+                     scored_doc(BASE, score=10.0))
+    assert report["normalized"]
+    assert report["experiments"]["fig7"]["ratio"] == pytest.approx(2.0)
+    assert report["experiments"]["fig7"]["normalized_ratio"] == \
+        pytest.approx(1.0)
     assert report["regressions"] == []
 
 
 def test_calibration_catches_uniform_code_slowdown():
     # Same-speed hosts (equal scores) but every experiment 2x slower:
-    # the median heuristic would absorb this into the normalizer; the
-    # calibration score cannot be fooled by the experiments under test.
+    # the calibration score cannot be fooled by the experiments under
+    # test, so every one of them regresses.
     current = {exp_id: s * 2 for exp_id, s in BASE.items()}
-    report = compare_bench(scored_doc(current, score=10.0),
-                           scored_doc(BASE, score=10.0))
-    assert report["normalization_mode"] == "calibration"
-    assert report["host_speed_factor"] == pytest.approx(1.0)
-    assert sorted(report["regressions"]) == sorted(BASE)
+    report = compare(scored_doc(current, score=10.0),
+                     scored_doc(BASE, score=10.0))
+    assert report["normalized"]
+    assert sorted(report["regressions"]) == sorted(
+        f"{exp_id}: serial_s" for exp_id in BASE)
 
 
-def test_median_fallback_for_schema1_baseline():
-    # old baselines have no host score: the median heuristic still
-    # applies with >= 4 shared experiments
+def test_raw_fallback_for_schema1_baseline():
+    # old baselines have no host score: the comparison is raw, so a 3x
+    # slower current run regresses everywhere
     current = {exp_id: s * 3 for exp_id, s in BASE.items()}
-    report = compare_bench(scored_doc(current, score=5.0),
-                           bench_doc(BASE))
-    assert report["normalization_mode"] == "median"
-    assert report["regressions"] == []
+    report = compare(scored_doc(current, score=5.0), bench_doc(BASE))
+    assert not report["normalized"]
+    assert report["experiments"]["fig7"]["normalized_ratio"] == \
+        pytest.approx(3.0)
+    assert len(report["regressions"]) == len(BASE)
 
 
-def test_median_fallback_for_schema2_doc_with_null_calibration():
-    # A schema-2 document whose host block exists but whose calibration
-    # microbenchmark was skipped (--no-calibrate) records null: the
-    # comparison must fall back to the median heuristic, not divide by
-    # the missing score.
+def test_raw_fallback_for_null_calibration():
+    # A schema-2 document whose host block records a null score is
+    # compared raw, never divided by the missing score.
     current = {exp_id: s * 3 for exp_id, s in BASE.items()}
-    report = compare_bench(scored_doc(current, score=10.0),
-                           scored_doc(BASE, score=None))
-    assert report["normalization_mode"] == "median"
-    assert report["host_speed_factor"] == pytest.approx(3.0)
-    assert report["regressions"] == []
+    report = compare(scored_doc(current, score=10.0),
+                     scored_doc(BASE, score=None))
+    assert not report["normalized"]
+    assert report["experiments"]["fig2"]["normalized_ratio"] == \
+        pytest.approx(3.0)
 
 
-def test_median_fallback_for_zero_calibration_score():
+def test_raw_fallback_for_zero_calibration_score():
     # a zero score (corrupt or hand-edited baseline) must never reach
     # the division; both sides zero likewise
     current = {exp_id: s * 3 for exp_id, s in BASE.items()}
-    report = compare_bench(scored_doc(current, score=10.0),
-                           scored_doc(BASE, score=0.0))
-    assert report["normalization_mode"] == "median"
-    assert report["regressions"] == []
-    report = compare_bench(scored_doc(current, score=0.0),
-                           scored_doc(BASE, score=0.0))
-    assert report["normalization_mode"] == "median"
+    report = compare(scored_doc(current, score=10.0),
+                     scored_doc(BASE, score=0.0))
+    assert not report["normalized"]
+    assert len(report["regressions"]) == len(BASE)
+    report = compare(scored_doc(current, score=0.0),
+                     scored_doc(BASE, score=0.0))
+    assert not report["normalized"]
 
 
 def test_no_calibration_and_few_experiments_disables_normalization():
-    # missing scores AND < 4 shared experiments: nothing to normalize
-    # with — mode "none", raw ratios drive the verdict
+    # missing scores: nothing to normalize with — raw ratios drive the
+    # verdict
     base = {"fig2": 0.5, "fig3": 1.0}
     current = {"fig2": 1.5, "fig3": 3.0}
-    report = compare_bench(scored_doc(current, score=None),
-                           scored_doc(base, score=0.0))
-    assert report["normalization_mode"] == "none"
+    report = compare(scored_doc(current, score=None),
+                     scored_doc(base, score=0.0))
     assert not report["normalized"]
-    assert report["regressions"] == ["fig2", "fig3"]
+    assert report["regressions"] == ["fig2: serial_s", "fig3: serial_s"]
 
 
 def test_resolution_limited_rows_surface_in_markdown():
     current = bench_doc(BASE)
     current["experiments"]["fig2"][
         "cached_speedup_resolution_limited"] = True
-    report = compare_bench(current, bench_doc(BASE))
-    assert report["cached_resolution_limited"] == ["fig2"]
-    md = markdown_compare(report)
+    md = markdown_compare(compare(current, bench_doc(BASE)), current)
     assert "timer-resolution floor" in md and "`fig2`" in md
+    assert "`fig3`" not in md
 
 
 # -- the resilience fold --------------------------------------------------
@@ -256,10 +280,10 @@ def _with_resilience(doc, exp_id, **counters):
 
 
 def test_clean_runs_fold_no_resilience():
-    report = compare_bench(bench_doc(BASE), bench_doc(BASE))
+    report = compare(bench_doc(BASE), bench_doc(BASE))
     assert report["resilience"] == {}
-    assert "Fault behaviour" not in markdown_compare(report)
-    assert "fault events" not in render_compare(report)
+    assert "Fault behaviour" not in markdown_compare(report, bench_doc(BASE))
+    assert "fault events" not in render_verdict(report)
 
 
 def test_resilience_counters_fold_per_experiment():
@@ -268,7 +292,7 @@ def test_resilience_counters_fold_per_experiment():
                             chaos_injected={"kill": 3})
     cur = _with_resilience(bench_doc(BASE), "fig3", retries=1,
                            workers_replaced=1, cache_corrupt=1)
-    report = compare_bench(cur, base)
+    report = compare(cur, base)
     assert list(report["resilience"]) == ["fig3"]
     sides = report["resilience"]["fig3"]
     assert sides["baseline"]["retries"] == 2
@@ -277,27 +301,27 @@ def test_resilience_counters_fold_per_experiment():
     assert sides["current"]["retries"] == 1
     assert sides["current"]["workers_replaced"] == 1
     assert sides["current"]["cache_corrupt"] == 1
-    assert sides["current"]["chaos_injected"] == 0
+    assert sides["current"].get("chaos_injected", 0) == 0
 
 
 def test_one_sided_faults_still_fold():
     # a baseline that survived faults vs a now-clean current run (or
     # vice versa) is exactly the story the table should tell
     base = _with_resilience(bench_doc(BASE), "fig7", retries=5)
-    report = compare_bench(bench_doc(BASE), base)
+    report = compare(bench_doc(BASE), base)
     assert report["resilience"]["fig7"]["baseline"]["retries"] == 5
-    assert report["resilience"]["fig7"]["current"]["retries"] == 0
+    assert report["resilience"]["fig7"]["current"].get("retries", 0) == 0
 
 
 def test_fault_table_is_informational_not_failing():
     cur = _with_resilience(bench_doc(BASE), "fig3", retries=9,
                            timeouts=9, cache_corrupt=9)
-    report = compare_bench(cur, bench_doc(BASE))
-    assert report["regressions"] == []  # exit code stays timing-driven
-    md = markdown_compare(report)
+    report = compare(cur, bench_doc(BASE))
+    assert report["regressions"] == []  # the verdict stays timing-driven
+    md = markdown_compare(report, cur)
     assert "**PASS**" in md
     assert "## Fault behaviour" in md
     assert "| fig3 | 0 → 9 | 0 → 9 |" in md
-    text = render_compare(report)
+    text = render_verdict(report)
     assert "fault events survived (baseline->current): fig3 0->27" in text
-    assert "no serial-path regressions" in text
+    assert "PASS: no serial_s regressions" in text

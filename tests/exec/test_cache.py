@@ -154,14 +154,16 @@ def test_checksum_corruption_quarantined_and_reexecutable(tmp_path):
 
 
 def test_entries_carry_payload_checksum(tmp_path):
-    from repro.exec.cache import value_checksum
+    import hashlib
 
     cache = make_cache(tmp_path)
     digest = cache.digest(UNIT, spp1000())
     cache.put(digest, [1, 2.5], UNIT)
     entry = json.load(open(cache._path(digest)))
     assert entry["schema"] == CACHE_SCHEMA == 2
-    assert entry["sha256"] == value_checksum([1, 2.5])
+    # SHA-256 of the value's canonical JSON bytes: entries written by
+    # earlier builds keep verifying
+    assert entry["sha256"] == hashlib.sha256(b"[1,2.5]").hexdigest()
 
 
 def test_v1_entry_without_checksum_is_a_miss(tmp_path):

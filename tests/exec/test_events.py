@@ -1,5 +1,5 @@
 """The shared event schema: emit-site validation, round-trips, and the
-one-schema-everywhere contract (progress JSONL, journal, wire)."""
+one-schema-everywhere contract (progress JSONL, wire)."""
 
 import json
 
@@ -11,8 +11,6 @@ from repro.exec.events import (
     EVENT_KINDS,
     EVENT_SCHEMA,
     EventSchemaError,
-    journal_header,
-    journal_record,
     make_event,
     validate_event,
 )
@@ -38,7 +36,7 @@ def test_every_kind_round_trips():
         record = make_event(kind, **_sample(kind))
         assert record["event"] == kind
         assert record["schema"] == EVENT_SCHEMA
-        # survives JSON (the wire, the progress file, the journal)
+        # survives JSON (the wire, the progress file)
         revived = json.loads(json.dumps(record))
         assert validate_event(revived) == kind
         assert revived == record
@@ -75,15 +73,6 @@ def test_validate_event_rejects_non_record():
         validate_event(["not", "a", "record"])
     with pytest.raises(EventSchemaError):
         validate_event({"no_event_field": True})
-
-
-def test_journal_shapes_are_stable():
-    header = journal_header(1, "fig3", "abc123")
-    assert header == {"journal": 1, "experiment_id": "fig3",
-                      "fingerprint": "abc123"}
-    record = journal_record("u:1", {"v": 2}, "deadbeef")
-    assert record == {"key": "u:1", "value": {"v": 2},
-                      "sha256": "deadbeef"}
 
 
 def test_progress_stream_emits_schema_stamped_records(tmp_path):

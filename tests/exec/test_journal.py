@@ -5,7 +5,14 @@ import json
 import pytest
 
 from repro.core import spp1000
-from repro.exec.journal import JOURNAL_SCHEMA, JournalError, SweepJournal
+from repro.core.canon import stable_hash
+from repro.exec.journal import (
+    JOURNAL_SCHEMA,
+    JournalError,
+    SweepJournal,
+    journal_header,
+    journal_record,
+)
 from repro.exec.pool import WorkerPool
 from repro.exec.units import WorkUnit, register_units
 
@@ -54,6 +61,71 @@ def test_journal_survives_torn_tail(tmp_path):
     done = again.replay("exp")
     assert done == {"k:1": 11, "k:2": 22}
     assert again.skipped == 1
+
+
+def test_append_after_torn_tail_starts_a_fresh_line(tmp_path):
+    """The first completion journaled after a crash must not be merged
+    into the torn line (and lost with it on the next replay)."""
+    path = str(tmp_path / "sweep.jsonl")
+    with SweepJournal(path) as journal:
+        journal.open("exp")
+        journal.record("k:1", 11)
+        journal.record("k:2", 22)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:-10])  # crash residue: the last line torn
+
+    resumed = SweepJournal(path)
+    assert resumed.replay("exp") == {"k:1": 11}
+    resumed.open("exp")
+    resumed.record("k:3", 33)
+    resumed.record("k:4", 44)
+    resumed.close()
+
+    again = SweepJournal(path)
+    assert again.replay("exp") == {"k:1": 11, "k:3": 33, "k:4": 44}
+    assert again.skipped == 1
+
+
+def test_checksum_covers_the_key(tmp_path):
+    """An edited key must not replay someone else's value."""
+    path = str(tmp_path / "sweep.jsonl")
+    with SweepJournal(path) as journal:
+        journal.open("exp")
+        journal.record("k:1", 11)
+        journal.record("k:2", 22)
+    lines = open(path).read().splitlines()
+    record = json.loads(lines[-1])
+    record["key"] = "k:1"
+    lines[-1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+    again = SweepJournal(path)
+    assert again.replay("exp") == {"k:1": 11}
+    assert again.skipped == 1
+
+
+def test_journal_shapes_are_stable(tmp_path):
+    assert journal_header("fig3", "abc123") == {
+        "journal": JOURNAL_SCHEMA, "experiment_id": "fig3",
+        "fingerprint": "abc123"}
+    assert journal_record("u:1", {"v": 2}) == {"key": "u:1",
+                                              "value": {"v": 2}}
+    # on disk each line carries sha256 over the rest of the line
+    path = str(tmp_path / "sweep.jsonl")
+    with SweepJournal(path) as journal:
+        journal.open("fig3", fingerprint="abc123")
+        journal.record("u:1", {"v": 2})
+    header, record = (json.loads(line) for line in open(path))
+    assert header == {"journal": 2, "experiment_id": "fig3",
+                      "fingerprint": "abc123",
+                      "sha256": stable_hash(journal_header("fig3",
+                                                           "abc123"))}
+    assert record == {"key": "u:1", "value": {"v": 2},
+                      "sha256": stable_hash({"key": "u:1",
+                                             "value": {"v": 2}})}
 
 
 def test_journal_skips_checksum_failed_lines(tmp_path):

@@ -1,5 +1,5 @@
-"""The longitudinal ledger: append/read integrity, folding, trend,
-the windowed gate, diff, and the CLI verbs."""
+"""The longitudinal ledger: append/read integrity, folding, trend, the
+regression rule behind the windowed gate and diff, and the CLI verbs."""
 
 import json
 import os
@@ -11,16 +11,16 @@ from repro.obs.ledger import (
     LEDGER_SCHEMA,
     Ledger,
     LedgerError,
-    diff_records,
     fold_document,
     gate,
+    judge,
     ledger_main,
     record_checksum,
     record_from_bench,
     record_from_manifest,
     record_from_server_stats,
-    render_gate,
     render_trend,
+    render_verdict,
     trend,
 )
 
@@ -219,7 +219,7 @@ def test_gate_passes_on_flat_trajectory(tmp_path):
     report = gate(records, window=5)
     assert report["pass"] is True
     assert report["regressions"] == []
-    assert "PASS" in render_gate(report)
+    assert "PASS" in render_verdict(report)
 
 
 def test_gate_detects_synthetic_30pct_slowdown(tmp_path):
@@ -231,7 +231,7 @@ def test_gate_detects_synthetic_30pct_slowdown(tmp_path):
     assert "fig2: serial_s" in report["regressions"]
     assert "fig3: serial_s" in report["regressions"]
     assert report["experiments"]["fig2"]["status"] == "regression"
-    text = render_gate(report)
+    text = render_verdict(report)
     assert "REGRESSION" in text and "FAIL" in text and "fig2" in text
 
 
@@ -288,23 +288,92 @@ def test_gate_rejects_non_timing_metric(tmp_path):
         gate(records, metric="units_per_s")
 
 
+# -- the regression rule with one history record ---------------------------
+
+
+def scored(serial_s, score):
+    return {"kind": "bench", "calibration_miters_s": score,
+            "experiments": {"fig2": {"serial_s": serial_s}}}
+
+
+def test_one_history_ratio_and_threshold_boundaries():
+    """One history record: the band is threshold x baseline and the
+    normalized ratio is (cur_s x cur_score) / (base_s x base_score)."""
+    base = scored(1.0, 8.0)
+    report = judge(scored(3.0, 5.0), [base])
+    row = report["experiments"]["fig2"]
+    assert report["normalized"] is True
+    assert row["normalized_ratio"] == pytest.approx(3.0 * 5.0 / (1.0 * 8.0),
+                                                    abs=1e-4)
+    assert row["ratio"] == pytest.approx(3.0)
+
+    # the status changes exactly across 1 +- threshold (normalized)
+    def status(nratio, threshold=0.25):
+        cur_s = nratio * 1.0 * 8.0 / 5.0
+        return judge(scored(cur_s, 5.0), [base], threshold=threshold,
+                     min_abs_s=0.0)["experiments"]["fig2"]["status"]
+    eps = 1e-9
+    assert status(1.25 * (1 + eps)) == "regression"
+    assert status(1.25 * (1 - eps)) == "ok"
+    assert status(0.75 * (1 + eps)) == "ok"
+    assert status(0.75 * (1 - eps)) == "improved"
+    assert status(1.10, threshold=0.05) == "regression"
+    assert status(1.04, threshold=0.05) == "ok"
+
+
+def test_one_history_min_abs_guard_suppresses_small_raw_deltas():
+    base = scored(0.010, 8.0)
+    slow = scored(0.025, 8.0)  # 2.5x, but only 15 ms slower
+    assert judge(slow, [base])["experiments"]["fig2"]["status"] == "ok"
+    assert judge(slow, [base], min_abs_s=0.01)["regressions"] == [
+        "fig2: serial_s"]
+    # the guard reads raw seconds: normalized, this candidate is 27 ms
+    # slower; raw, 15 ms — still under the default 20 ms guard
+    row = judge(scored(0.025, 16.0), [base])["experiments"]["fig2"]
+    assert row["normalized_ratio"] == 5.0
+    assert row["status"] == "ok"
+
+
+@pytest.mark.parametrize("cur_score,base_score", [
+    (0.0, 8.0), (8.0, 0.0), (0.0, 0.0), (None, 8.0), (8.0, None),
+    (None, None)])
+def test_zero_or_missing_score_compares_raw(cur_score, base_score):
+    report = judge(scored(2.0, cur_score), [scored(1.0, base_score)])
+    assert report["normalized"] is False
+    row = report["experiments"]["fig2"]
+    assert row["normalized_ratio"] == row["ratio"] == 2.0
+    assert report["regressions"] == ["fig2: serial_s"]
+
+
+def test_zero_score_anywhere_in_a_window_compares_raw():
+    history = [scored(1.0, 8.0), scored(1.0, 0.0), scored(1.0, 8.0)]
+    report = judge(scored(1.0, 4.0), history)
+    assert report["normalized"] is False
+    assert report["experiments"]["fig2"]["status"] == "ok"
+
+
 # -- diff -----------------------------------------------------------------
 
 
-def test_diff_records_reuses_compare_bench(tmp_path):
+def test_diff_records_reuses_compare_bench(tmp_path, capsys):
+    """``ledger diff`` is record b judged against [a] — the same rule
+    and report ``bench --compare`` prints."""
     ledger = filled_ledger(tmp_path / "L.jsonl", scales=(1.0, 2.0))
     records, _ = ledger.read()
-    report = diff_records(records, threshold=0.25)
-    assert report["normalization_mode"] == "calibration"
+    assert ledger_main(["diff", "--ledger", ledger.path, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == judge(records[1], [records[0]])
+    assert report["normalized"] is True
     assert set(report["experiments"]) == {"fig2", "fig3"}
     assert report["regressions"]  # 2x slower, same calibration
+    assert ledger_main(["diff", "--ledger", ledger.path]) == 1
+    assert "REGRESSION" in capsys.readouterr().out
 
 
-def test_diff_records_needs_two(tmp_path):
+def test_diff_records_needs_two(tmp_path, capsys):
     ledger = filled_ledger(tmp_path / "L.jsonl", scales=(1.0,))
-    records, _ = ledger.read()
-    with pytest.raises(LedgerError, match=">= 2 bench records"):
-        diff_records(records)
+    assert ledger_main(["diff", "--ledger", ledger.path]) == 2
+    assert ">= 2 bench records" in capsys.readouterr().err
 
 
 # -- the CLI --------------------------------------------------------------

@@ -372,6 +372,15 @@ def test_journal_run_then_resume_replays(tmp_path, capsys):
     assert "0 computed" in out
 
 
+def test_resume_refuses_schema_1_journal(tmp_path, capsys):
+    journal = tmp_path / "j.jsonl"
+    journal.write_text('{"experiment_id":"fig3","journal":1}\n'
+                       '{"key":"uniform:1","sha256":"00","value":1}\n')
+    assert main(["fig3", "--quick", "--no-cache", "--journal",
+                 str(journal), "--resume"]) == 2
+    assert "uses journal schema 1" in capsys.readouterr().err
+
+
 def test_journal_without_resume_starts_fresh(tmp_path, capsys):
     journal = tmp_path / "j.jsonl"
     journal.write_text("stale bytes that would be refused on replay\n")
