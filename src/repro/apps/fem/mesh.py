@@ -21,7 +21,13 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["TriMesh", "rectangle_mesh", "small_mesh", "large_mesh"]
+__all__ = ["TriMesh", "rectangle_mesh", "small_mesh", "large_mesh",
+           "SMALL_GRID", "LARGE_GRID"]
+
+#: the paper's data sets as (nx, ny) quad grids: ``rectangle_mesh(nx, ny)``
+#: has ``(nx+1)(ny+1)`` points and ``2 nx ny`` elements
+SMALL_GRID = (320, 144)
+LARGE_GRID = (512, 512)
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,8 @@ def rectangle_mesh(nx: int, ny: int, periodic: bool = False,
     """A structured triangulation of a rectangle: ``2 nx ny`` triangles.
 
     Non-periodic: ``(nx+1)(ny+1)`` points.  Periodic: ``nx ny`` points
-    with opposite edges identified.
+    with opposite edges identified.  Quad ``(i, j)`` splits into
+    triangles ``2 (i ny + j)`` and ``2 (i ny + j) + 1``.
     """
     if nx < 1 or ny < 1:
         raise ValueError("mesh needs at least one quad per dimension")
@@ -135,28 +142,22 @@ def rectangle_mesh(nx: int, ny: int, periodic: bool = False,
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def pid(i: int, j: int) -> int:
-        if periodic:
-            return (i % nx) * py + (j % ny)
-        return i * py + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            p00 = pid(i, j)
-            p10 = pid(i + 1, j)
-            p01 = pid(i, j + 1)
-            p11 = pid(i + 1, j + 1)
-            tris.append((p00, p10, p11))
-            tris.append((p00, p11, p01))
-    return TriMesh(points, np.array(tris, dtype=np.int64), periodic=periodic)
+    # point id of every quad corner; a periodic grid wraps its last
+    # row and column back onto the first
+    ids = np.arange(px * py, dtype=np.int64).reshape(px, py)
+    if periodic:
+        ids = np.pad(ids, ((0, 1), (0, 1)), mode="wrap")
+    p00, p10 = ids[:-1, :-1], ids[1:, :-1]
+    p01, p11 = ids[:-1, 1:], ids[1:, 1:]
+    tris = np.stack([p00, p10, p11, p00, p11, p01], axis=-1)
+    return TriMesh(points, tris.reshape(-1, 3), periodic=periodic)
 
 
 def small_mesh() -> TriMesh:
     """The paper's small data set: 46 545 points, 92 160 elements."""
-    return rectangle_mesh(320, 144)
+    return rectangle_mesh(*SMALL_GRID)
 
 
 def large_mesh() -> TriMesh:
     """The paper's large data set: 263 169 points, 524 288 elements."""
-    return rectangle_mesh(512, 512)
+    return rectangle_mesh(*LARGE_GRID)

@@ -37,40 +37,40 @@ HYPERNODE_COUNTS = [1, 2, 4, 8, 16]
 _PPM_SCALE_PROBLEM = PPMProblem(480, 960, 8, 32)
 
 
-def _workloads(config: MachineConfig) -> Dict[str, object]:
-    return {
-        "PIC 64x64x32": PICWorkload(pic_large(), config),
-        "FEM large": FEMWorkload(fem_large(), config),
-        "N-body 2M": NBodyWorkload(problem_2m(), config),
-        "PPM 480x960": PPMWorkload(_PPM_SCALE_PROBLEM, config),
-    }
+#: application -> workload factory for one machine; a unit builds only
+#: the application it runs
+_APPS = {
+    "PIC 64x64x32": lambda cfg: PICWorkload(pic_large(), cfg),
+    "FEM large": lambda cfg: FEMWorkload(fem_large(), cfg),
+    "N-body 2M": lambda cfg: NBodyWorkload(problem_2m(), cfg),
+    "PPM 480x960": lambda cfg: PPMWorkload(_PPM_SCALE_PROBLEM, cfg),
+}
 
 
-def _run_app(workload, n_threads: int):
+def _time_ns(app: str, hypernodes: int, threads: int) -> float:
+    """Modelled time of one application on one machine size."""
+    workload = _APPS[app](spp1000(n_hypernodes=hypernodes))
     if hasattr(workload, "run_shared"):
-        return workload.run_shared(n_threads, Placement.HIGH_LOCALITY)
-    return workload.run(n_threads, Placement.HIGH_LOCALITY)
+        return workload.run_shared(threads, Placement.HIGH_LOCALITY).time_ns
+    return workload.run(threads, Placement.HIGH_LOCALITY).time_ns
 
 
 def _unit(params, config):
     """One work unit: one application at one machine size (time_ns)."""
     del config  # machine size is the swept variable here
-    cfg = spp1000(n_hypernodes=params["hypernodes"])
-    workload = _workloads(cfg)[params["app"]]
-    return _run_app(workload, params["threads"]).time_ns
+    return _time_ns(params["app"], params["hypernodes"], params["threads"])
 
 
 def plan_units(config, quick: bool = False):
-    app_names = list(_workloads(spp1000(n_hypernodes=1)))
     units = [WorkUnit("scale128", f"baseline:{name}",
                       {"app": name, "hypernodes": 1, "threads": 1})
-             for name in app_names]
+             for name in _APPS]
     for hns in HYPERNODE_COUNTS:
         n_cpus = spp1000(n_hypernodes=hns).n_cpus
         units.extend(WorkUnit("scale128", f"{name}:{hns}",
                               {"app": name, "hypernodes": hns,
                                "threads": n_cpus})
-                     for name in app_names)
+                     for name in _APPS)
     return units
 
 
@@ -89,23 +89,21 @@ def run(config: Optional[MachineConfig] = None,
         checkpoint.bind("scale128")
     point = point_runner(checkpoint)
 
-    baseline_cfg = spp1000(n_hypernodes=1)
     baselines = {name: point(f"baseline:{name}",
-                             lambda w=w: _run_app(w, 1).time_ns)
-                 for name, w in _workloads(baseline_cfg).items()}
+                             lambda name=name: _time_ns(name, 1, 1))
+                 for name in _APPS}
 
     series: List[Series] = []
     data: Dict = {"cpus": []}
     per_app: Dict[str, List[float]] = {name: [] for name in baselines}
     cpus_axis = []
     for hns in HYPERNODE_COUNTS:
-        cfg = spp1000(n_hypernodes=hns)
-        n_cpus = cfg.n_cpus
+        n_cpus = spp1000(n_hypernodes=hns).n_cpus
         cpus_axis.append(n_cpus)
-        for name, workload in _workloads(cfg).items():
+        for name in _APPS:
             time_ns = point(
                 f"{name}:{hns}",
-                lambda w=workload, n=n_cpus: _run_app(w, n).time_ns)
+                lambda name=name, hns=hns, n=n_cpus: _time_ns(name, hns, n))
             per_app[name].append(baselines[name] / time_ns)
     data["cpus"] = cpus_axis
 

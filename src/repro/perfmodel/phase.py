@@ -13,11 +13,12 @@ modelling substitution documented in DESIGN.md.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 from ..core.config import MachineConfig
-from ..runtime.scheduler import Placement, assign, hypernodes_used
+from ..runtime.scheduler import Placement, assign, team_geometry
 
 __all__ = ["Access", "LocalityMix", "Msg", "Phase", "StepWork", "TeamSpec"]
 
@@ -102,27 +103,39 @@ class StepWork:
 
 @dataclass(frozen=True)
 class TeamSpec:
-    """A thread team mapped onto the machine."""
+    """A thread team mapped onto the machine.
+
+    Its geometry is computed on first use and kept: the model asks for
+    it in every phase of every thread.
+    """
 
     config: MachineConfig
     n_threads: int
     placement: Placement = Placement.HIGH_LOCALITY
 
-    @property
+    @cached_property
     def cpus(self) -> List[int]:
         return assign(self.config, self.n_threads, self.placement)
 
-    @property
+    @cached_property
+    def _threads_per_hypernode(self) -> Dict[int, int]:
+        return team_geometry(self.config, self.cpus)
+
+    @cached_property
     def hypernodes(self) -> List[int]:
-        return hypernodes_used(self.config, self.cpus)
+        """Hypernodes in use, in order of first assignment."""
+        return list(self._threads_per_hypernode)
 
     @property
     def n_hypernodes_used(self) -> int:
         return len(self.hypernodes)
 
     def threads_on_hypernode(self, hn: int) -> int:
-        per_hn = self.config.cpus_per_hypernode
-        return sum(1 for c in self.cpus if c // per_hn == hn)
+        return self._threads_per_hypernode.get(hn, 0)
 
     def hypernode_of_thread(self, tid: int) -> int:
         return self.cpus[tid] // self.config.cpus_per_hypernode
+
+    def __getstate__(self):
+        # the cached geometry is derived: pickle the fields alone
+        return {f.name: getattr(self, f.name) for f in fields(self)}

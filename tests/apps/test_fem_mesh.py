@@ -8,11 +8,14 @@ from repro.apps.fem import (
     TriMesh,
     element_permutation,
     large_mesh,
+    large_problem,
     morton_decode,
     morton_encode,
     morton_order_mesh,
     point_permutation,
     rectangle_mesh,
+    small1_problem,
+    small2_problem,
     small_mesh,
 )
 
@@ -24,6 +27,46 @@ def test_paper_mesh_sizes_exact():
     large = large_mesh()
     assert large.n_points == 263169
     assert large.n_elements == 524288
+
+
+def test_problem_counts_match_the_meshes_they_name():
+    """The problems carry closed-form counts; they must be exactly the
+    counts of the meshes the paper ran."""
+    small, large = small_mesh(), large_mesh()
+    for problem in (small1_problem(), small2_problem()):
+        assert (problem.n_points, problem.n_elements) == \
+            (small.n_points, small.n_elements) == (46545, 92160)
+    problem = large_problem()
+    assert (problem.n_points, problem.n_elements) == \
+        (large.n_points, large.n_elements) == (263169, 524288)
+
+
+def _reference_triangles(nx, ny, periodic):
+    """The triangulation written out quad by quad."""
+    py = ny if periodic else ny + 1
+
+    def pid(i, j):
+        if periodic:
+            return (i % nx) * py + (j % ny)
+        return i * py + j
+
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            tris.append((pid(i, j), pid(i + 1, j), pid(i + 1, j + 1)))
+            tris.append((pid(i, j), pid(i + 1, j + 1), pid(i, j + 1)))
+    return np.array(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 4), (3, 1), (6, 5), (7, 7)])
+def test_rectangle_mesh_matches_the_quad_by_quad_triangulation(
+        nx, ny, periodic):
+    mesh = rectangle_mesh(nx, ny, periodic=periodic)
+    expected = _reference_triangles(nx, ny, periodic)
+    assert mesh.triangles.dtype == expected.dtype
+    assert np.array_equal(mesh.triangles, expected)
+    assert mesh.n_points == (nx * ny if periodic else (nx + 1) * (ny + 1))
 
 
 def test_two_elements_per_point_ratio():

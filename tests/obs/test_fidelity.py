@@ -92,3 +92,19 @@ def test_residuals_never_mutate_the_data():
     before = copy.deepcopy(data)
     fidelity_residuals("fig2", data)
     assert data == before
+
+
+def test_reproduction_anchors_are_pinned_exactly():
+    """A reproduction anchor is the simulator's own deterministic output,
+    so its tolerance leaves room for float noise, not for model drift."""
+    pinned = [a for anchors in GOLDEN_ANCHORS.values() for a in anchors
+              if a.source == "reproduction"]
+    assert len(pinned) == 4
+    assert all(a.tolerance <= 1e-9 for a in pinned)
+
+
+def test_fig6_anchors_skip_a_machine_below_16_cpus():
+    from repro.experiments import get_experiment
+
+    result = get_experiment("fig6")(spp1000(n_hypernodes=1))
+    assert fidelity_residuals("fig6", result.data) is None

@@ -51,3 +51,36 @@ def test_teamspec_high_locality_single_node():
     assert team.n_hypernodes_used == 1
     assert team.threads_on_hypernode(0) == 8
     assert team.threads_on_hypernode(1) == 0
+
+
+def test_teamspec_geometry_is_computed_once_per_team(monkeypatch):
+    from repro.perfmodel import phase
+
+    calls = []
+    assign = phase.assign
+    monkeypatch.setattr(phase, "assign",
+                        lambda *a: calls.append(a) or assign(*a))
+    team = TeamSpec(spp1000(2), 12)
+    for _ in range(3):
+        assert team.hypernodes == [0, 1]
+        assert team.threads_on_hypernode(1) == 4
+        assert team.hypernode_of_thread(11) == 1
+    assert len(calls) == 1
+
+
+def test_teamspec_equality_hash_and_pickle_ignore_the_cache():
+    import pickle
+
+    fresh, used = TeamSpec(spp1000(2), 12), TeamSpec(spp1000(2), 12)
+    assert used.n_hypernodes_used == 2
+    assert used == fresh and hash(used) == hash(fresh)
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    clone = pickle.loads(pickle.dumps(used))
+    assert clone == used and clone.cpus == used.cpus
+
+
+def test_oversubscribed_team_raises_on_every_access():
+    team = TeamSpec(spp1000(2), 17)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="do not fit"):
+            team.n_hypernodes_used
