@@ -203,7 +203,6 @@ def _unknown_experiment(exp_id: str) -> int:
         "timeline": "ASCII Gantt view of a trace",
         **{name: scope.summary for name, scope in SCOPES.items()},
         "serve": "run the simulation job server (repro.sdk clients)",
-        "top": "live dashboard for a running job server",
         "ledger": "longitudinal performance-and-fidelity ledger",
     }
     for name, title in commands.items():
@@ -360,7 +359,7 @@ def _main(argv: List[str], command=None) -> int:
         return _scope_command(command, args, config)
     if args.experiment is None:
         commands = ", ".join(f"'{name}'" for name in (
-            "list", "all", "bench", "timeline", *SCOPES, "serve", "top",
+            "list", "all", "bench", "timeline", *SCOPES, "serve",
             "ledger"))
         print(f"an experiment id (or {commands}) is required; try "
               "'python -m repro list'", file=sys.stderr)
@@ -766,7 +765,6 @@ _VERBS = {
     "run": main,                                   # optional noise word
     "--list": lambda argv: main(["list", *argv]),  # muscle memory
     "serve": _delegate(".server", "serve_main"),
-    "top": _delegate(".obs.top", "top_main"),
     "ledger": _delegate(".obs.ledger", "ledger_main"),
     **{name: functools.partial(_main, command=scope)
        for name, scope in SCOPES.items()},

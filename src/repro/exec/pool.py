@@ -495,6 +495,59 @@ class WorkerPool:
             return sum(1 for key in tasks
                        if key not in values and key not in exhausted)
 
+        def drain() -> bool:
+            """Handle every message already on ``result_q``; True if
+            there was one."""
+            nonlocal last_activity
+            drained = False
+            while not result_q.empty():
+                msg = result_q.get()
+                drained = True
+                last_activity = time.monotonic()
+                kind, pid, key, attempt = msg[:4]
+                if kind == "start":
+                    in_flight[pid] = {"key": key, "attempt": attempt,
+                                      "start_t": msg[4],
+                                      "seen_t": time.monotonic()}
+                elif kind == "done":
+                    _, _, _, _, value, t0, t1, fired = msg
+                    for chaos_kind in fired:
+                        stats.resilience.count_chaos(chaos_kind)
+                    in_flight.pop(pid, None)
+                    if key in values:
+                        continue  # late duplicate after a retry won
+                    recv_t = time.monotonic()
+                    task = tasks[key]
+                    run_s = max(t1 - t0, 0.0)
+                    queue_s = max(t0 - task.submitted_t, 0.0)
+                    roundtrip = max(recv_t - task.submitted_t, 0.0)
+                    timing = {
+                        "key": key, "where": "worker",
+                        "run_s": round(run_s, 6),
+                        "queue_s": round(queue_s, 6),
+                        "return_s": round(max(recv_t - t1, 0.0), 6),
+                        "overhead_s": round(
+                            max(roundtrip - run_s, 0.0), 6),
+                    }
+                    values[key] = value
+                    stats.executed += 1
+                    stats.in_workers += 1
+                    stats.unit_timings.append(timing)
+                    if on_complete is not None:
+                        on_complete(task.unit, value)
+                    if on_progress is not None:
+                        on_progress(task.unit, timing)
+                elif kind == "fail":
+                    _, _, _, _, error, tb, fired = msg
+                    for chaos_kind in fired:
+                        stats.resilience.count_chaos(chaos_kind)
+                    in_flight.pop(pid, None)
+                    if key in values:
+                        continue
+                    fail_attempt(key, attempt, error, tb,
+                                 time.monotonic())
+            return drained
+
         t_spawn = time.monotonic()
         try:
             for _ in range(n_workers):
@@ -524,52 +577,8 @@ class WorkerPool:
                 pending.extend(still_waiting)
 
                 # 2. drain heartbeats and results
-                while not result_q.empty():
-                    msg = result_q.get()
+                if drain():
                     progressed = True
-                    last_activity = time.monotonic()
-                    kind, pid, key, attempt = msg[:4]
-                    if kind == "start":
-                        in_flight[pid] = {"key": key, "attempt": attempt,
-                                          "start_t": msg[4],
-                                          "seen_t": time.monotonic()}
-                    elif kind == "done":
-                        _, _, _, _, value, t0, t1, fired = msg
-                        for chaos_kind in fired:
-                            stats.resilience.count_chaos(chaos_kind)
-                        info = in_flight.pop(pid, None)
-                        if key in values:
-                            continue  # late duplicate after a retry won
-                        recv_t = time.monotonic()
-                        task = tasks[key]
-                        run_s = max(t1 - t0, 0.0)
-                        queue_s = max(t0 - task.submitted_t, 0.0)
-                        roundtrip = max(recv_t - task.submitted_t, 0.0)
-                        timing = {
-                            "key": key, "where": "worker",
-                            "run_s": round(run_s, 6),
-                            "queue_s": round(queue_s, 6),
-                            "return_s": round(max(recv_t - t1, 0.0), 6),
-                            "overhead_s": round(
-                                max(roundtrip - run_s, 0.0), 6),
-                        }
-                        values[key] = value
-                        stats.executed += 1
-                        stats.in_workers += 1
-                        stats.unit_timings.append(timing)
-                        if on_complete is not None:
-                            on_complete(task.unit, value)
-                        if on_progress is not None:
-                            on_progress(task.unit, timing)
-                    elif kind == "fail":
-                        _, _, _, _, error, tb, fired = msg
-                        for chaos_kind in fired:
-                            stats.resilience.count_chaos(chaos_kind)
-                        in_flight.pop(pid, None)
-                        if key in values:
-                            continue
-                        fail_attempt(key, attempt, error, tb,
-                                     time.monotonic())
 
                 # 3. hung-worker detection: heartbeat said the unit
                 # started, but no result within the timeout
@@ -608,6 +617,11 @@ class WorkerPool:
                         continue
                     workers.pop(pid)
                     proc.join()
+                    # Everything the worker wrote before it died is on
+                    # result_q now.  Read it before deciding: a "start"
+                    # that landed after step 2 would otherwise leave its
+                    # unit in flight forever, never retried.
+                    drain()
                     info = in_flight.pop(pid, None)
                     if proc.exitcode == _CHAOS_EXIT:
                         stats.resilience.count_chaos("kill_worker")

@@ -7,7 +7,10 @@ the single-processor rate (the paper's 27.5 MFLOP/s yardstick).
 Expected shapes: 2-7% degradation across hypernodes at equal processor
 counts, a 16-processor result near the paper's 384 MFLOP/s (~14x), a
 problem-size dependence at 16 processors, and a C90 tree-code reference
-of 120 MFLOP/s that the 16-processor run comfortably exceeds.
+of 120 MFLOP/s that the 16-processor run comfortably exceeds.  A machine
+with one hypernode runs only the 1-hypernode series and the C90
+reference; its data has no two-hypernode speed-ups, 16-processor rate
+or degradation.
 """
 
 from __future__ import annotations
@@ -49,14 +52,20 @@ def _unit(params, config):
     return [result.time_ns, result.flops]
 
 
+def _two_hypernodes(config) -> bool:
+    """Whether the machine can run the 2-hypernode series."""
+    return config.n_hypernodes >= 2
+
+
 def plan_units(config, quick: bool = False):
     units = []
+    two_counts = TWO_NODE_COUNTS if _two_hypernodes(config) else []
     for name in _PROBLEMS:
         for p in ONE_NODE_COUNTS:
             units.append(WorkUnit("fig8", f"{name}:high:{p}",
                                   {"problem": name, "placement": "high",
                                    "p": p}))
-        for p in TWO_NODE_COUNTS:
+        for p in two_counts:
             units.append(WorkUnit("fig8", f"{name}:uniform:{p}",
                                   {"problem": name, "placement": "uniform",
                                    "p": p}))
@@ -73,6 +82,7 @@ def run(config: Optional[MachineConfig] = None,
     if checkpoint is not None:
         checkpoint.bind("fig8")
     point = point_runner(checkpoint)
+    two_hypernodes = _two_hypernodes(config)
 
     series = []
     data: Dict = {}
@@ -89,29 +99,34 @@ def run(config: Optional[MachineConfig] = None,
 
         base_t, base_f = shared("high", 1)
         one_node = [base_t / shared("high", p)[0] for p in ONE_NODE_COUNTS]
-        two_node = [base_t / shared("uniform", p)[0]
-                    for p in TWO_NODE_COUNTS]
         series.append(Series(f"{problem.label} 1-hypernode",
                              ONE_NODE_COUNTS, one_node))
-        series.append(Series(f"{problem.label} 2-hypernodes",
-                             TWO_NODE_COUNTS, two_node))
-        t16, f16 = shared("uniform", 16)
-        degradation = {}
-        for p in (2, 4, 8):
-            t1 = shared("high", p)[0]
-            t2 = shared("uniform", p)[0]
-            degradation[p] = (t2 - t1) / t1
-        data[problem.label] = {
+        two_node = mflops_16 = degradation = None
+        if two_hypernodes:
+            two_node = [base_t / shared("uniform", p)[0]
+                        for p in TWO_NODE_COUNTS]
+            series.append(Series(f"{problem.label} 2-hypernodes",
+                                 TWO_NODE_COUNTS, two_node))
+            t16, f16 = shared("uniform", 16)
+            mflops_16 = mflops(f16, t16) if f16 else 0.0
+            degradation = {}
+            for p in (2, 4, 8):
+                t1 = shared("high", p)[0]
+                t2 = shared("uniform", p)[0]
+                degradation[p] = (t2 - t1) / t1
+        row = {
             "one_node_speedup": one_node,
             "two_node_speedup": two_node,
             "single_cpu_mflops": mflops(base_f, base_t) if base_f else 0.0,
-            "mflops_16": mflops(f16, t16) if f16 else 0.0,
+            "mflops_16": mflops_16,
             "degradation": degradation,
             "c90_mflops": point(f"{name}:c90",
                                 lambda n=name: _unit(
                                     {"problem": n, "style": "c90"},
                                     config)),
         }
+        data[problem.label] = {key: value for key, value in row.items()
+                               if value is not None}
 
     return ExperimentResult(
         "fig8", "N-body parallel speed-up vs processors",

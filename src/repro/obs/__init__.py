@@ -33,18 +33,11 @@ first-class measurement subsystem for the simulated machine:
   profiler (how it is built, installed, rendered, folded into a
   manifest and summarised from a trace), read by the CLI commands and
   flags, the job server's telemetry and the manifests;
-* :mod:`repro.obs.registry` — the service metrics registry: stdlib
-  counters/gauges/histograms with labels, snapshot-consistent reads,
-  and Prometheus text exposition (served by ``repro serve
-  --metrics-port``; see ``docs/operations.md``);
 * :mod:`repro.obs.tracectx` — end-to-end trace context: one trace ID
   minted in the SDK, carried over the NDJSON protocol, stamped onto
   exec-pool unit progress, and stitched with the simulated Chrome
-  trace into a single client → server → worker → simulated-time file;
-* :mod:`repro.obs.top` — the live operations dashboard (``python -m
-  repro top``): job table, throughput sparkline, cache hit rate, and
-  worker occupancy against a running server or a replayed progress
-  JSONL;
+  trace into a single client → server → worker → simulated-time file
+  (see ``docs/service.md``);
 * :mod:`repro.obs.ledger` — the longitudinal performance-and-fidelity
   ledger (``python -m repro ledger``): append-only checksummed JSONL
   records of bench timings/throughput/provenance plus the Fig 2-8
@@ -89,7 +82,6 @@ from .ledger import (
     record_checksum,
     record_from_bench,
     record_from_manifest,
-    record_from_server_stats,
 )
 from .memscope import (
     MemScope,
@@ -101,7 +93,6 @@ from .memscope import (
 from .metrics import build_manifest, provenance_stamp, span_summary, \
     write_metrics
 from .phases import PhaseAttributor, PhaseCounters
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .scopes import SCOPES, Scope
 from .timeline import render_timeline, timeline_from_tracer
 from .tracectx import (
@@ -128,9 +119,7 @@ __all__ = [
     "hostscope_from_trace", "SCOPES", "Scope",
     "FIDELITY_EXPERIMENTS", "fidelity_residuals",
     "Ledger", "LedgerError", "DEFAULT_LEDGER_PATH", "record_checksum",
-    "record_from_bench", "record_from_manifest",
-    "record_from_server_stats", "fold_document",
-    "MetricsRegistry", "Counter", "Gauge", "Histogram",
+    "record_from_bench", "record_from_manifest", "fold_document",
     "TraceContext", "active_tracectx", "use_tracectx", "mint_trace_id",
     "stitch_chrome_trace", "write_chrome_json",
 ]

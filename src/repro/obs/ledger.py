@@ -3,7 +3,7 @@
 ``bench --compare`` answers "is this run slower than *one* committed
 baseline?"; the ledger answers the paper's actual question — what is
 the measured *trajectory*?  Every ``bench --ledger`` run (and any
-``--metrics`` run or drained server, via ``repro ledger record``)
+``--metrics`` run, directly or via ``repro ledger record``)
 appends one checksummed JSONL record to ``benchmarks/LEDGER.jsonl``
 carrying host calibration, per-experiment timings and throughput,
 cache/resilience counters, git provenance (``git_sha`` +
@@ -20,8 +20,8 @@ deleting the file.
 
 CLI verbs (``python -m repro ledger <verb>``):
 
-* ``record`` — fold a ``BENCH_exec.json``, ``metrics.json`` manifest,
-  or server-stats JSON into one ledger record (shape auto-detected);
+* ``record`` — fold a ``BENCH_exec.json`` or ``metrics.json`` manifest
+  into one ledger record (shape auto-detected);
 * ``show`` — one record in full;
 * ``trend`` — per-experiment ASCII sparklines of any timing /
   throughput / fidelity column, calibration-normalized when every
@@ -47,7 +47,6 @@ import argparse
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple
 
 from ..core import jsonl
@@ -57,9 +56,9 @@ from .fidelity import fidelity_residuals
 
 __all__ = ["LEDGER_SCHEMA", "DEFAULT_LEDGER_PATH", "Ledger",
            "LedgerError", "record_checksum", "record_from_bench",
-           "record_from_manifest", "record_from_server_stats",
-           "fold_document", "trend", "render_trend", "judge",
-           "render_verdict", "gate", "ledger_main"]
+           "record_from_manifest", "fold_document", "trend",
+           "render_trend", "judge", "render_verdict", "gate",
+           "ledger_main"]
 
 LEDGER_SCHEMA = 1
 
@@ -102,13 +101,6 @@ class Ledger:
 
 
 # -- record builders -------------------------------------------------------
-
-def _provenance() -> Dict:
-    from ..exec.fingerprint import code_fingerprint, git_dirty, git_sha
-
-    return {"git_sha": git_sha(), "git_dirty": git_dirty(),
-            "code_fingerprint": code_fingerprint()[:16]}
-
 
 def _flat_resilience(resil: Dict) -> Dict[str, int]:
     """One bench row's resilience block as comparable integer counts."""
@@ -193,68 +185,22 @@ def record_from_manifest(manifest: Dict, *,
     return record
 
 
-def record_from_server_stats(stats: Dict, *,
-                             source: str = "server") -> Dict:
-    """Fold a server ``stats`` document: lifetime job-latency series per
-    experiment (from the ``repro_job_latency_seconds`` histogram) plus
-    the fabric's lifetime cache/unit counters."""
-    metrics = stats.get("metrics") or {}
-
-    def _series(name):
-        return (metrics.get(name) or {}).get("series") or []
-
-    def _counter_total(name):
-        return int(sum(row.get("value", 0) or 0 for row in _series(name)))
-
-    job_latency: Dict[str, Dict] = {}
-    for row in _series("repro_job_latency_seconds"):
-        exp_id = (row.get("labels") or {}).get("experiment") or "?"
-        count = int(row.get("count", 0) or 0)
-        if not count:
-            continue
-        total = float(row.get("sum", 0.0) or 0.0)
-        job_latency[exp_id] = {"count": count,
-                               "sum_s": round(total, 4),
-                               "mean_s": round(total / count, 4)}
-    record = {
-        "kind": "server",
-        "source": source,
-        "created_utc": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
-        "calibration_miters_s": None,
-        "jobs": stats.get("jobs") or {},
-        "uptime_s": stats.get("uptime_s"),
-        "job_latency": job_latency,
-        "fabric": {"cache_hits": _counter_total("repro_cache_hits_total"),
-                   "cache_misses":
-                       _counter_total("repro_cache_misses_total"),
-                   "units_computed":
-                       _counter_total("repro_units_computed_total"),
-                   "unit_retries":
-                       _counter_total("repro_unit_retries_total")},
-    }
-    record.update(_provenance())
-    return record
-
-
 def fold_document(doc: Dict, *, source: Optional[str] = None) -> Dict:
     """Auto-detect a document's shape and build the matching record."""
     if not isinstance(doc, dict):
         raise LedgerError(
-            "ledger: expected a JSON object (BENCH_exec.json, "
-            "metrics.json, or server stats), got "
+            "ledger: expected a JSON object (BENCH_exec.json or "
+            "metrics.json), got "
             f"{type(doc).__name__}")
     if doc.get("generator") == "repro.exec.bench" or (
             "experiments" in doc and "totals" in doc):
         return record_from_bench(doc, source=source or "bench")
     if doc.get("generator") == "repro.obs" or "provenance" in doc:
         return record_from_manifest(doc, source=source or "metrics")
-    if "jobs" in doc and "metrics" in doc:
-        return record_from_server_stats(doc, source=source or "server")
     raise LedgerError(
         "ledger: unrecognized document shape; foldable inputs are a "
-        "bench document (python -m repro bench --bench-out), a metrics "
-        "manifest (--metrics), or server stats JSON (repro.sdk stats)")
+        "bench document (python -m repro bench --bench-out) or a "
+        "metrics manifest (--metrics)")
 
 
 # -- trajectory analysis ---------------------------------------------------
@@ -585,8 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("record", help="fold a JSON document into the "
                                       "ledger (shape auto-detected)")
     _common(p)
-    p.add_argument("file", help="BENCH_exec.json, metrics.json manifest, "
-                                "or server-stats JSON")
+    p.add_argument("file", help="BENCH_exec.json or metrics.json "
+                                "manifest")
     p.add_argument("--source", default=None,
                    help="origin tag stored on the record (default: by "
                         "document kind)")

@@ -17,7 +17,7 @@ Every submit mints an end-to-end trace ID: ``job.trace_id`` matches
 the ``trace_id`` stamped on the server's progress records,
 ``job.coalesced`` counts the progress records the server merged away
 for this slow consumer, ``client.stats()`` returns the live server
-stats + metrics snapshot, and ``job.write_trace(path)`` saves one
+stats, and ``job.write_trace(path)`` saves one
 Chrome trace spanning client → server → pool → simulated time (add
 ``telemetry=("trace",)`` to the submit for the simulated spans).
 

@@ -302,9 +302,9 @@ class Client:
         return message["experiments"]
 
     def stats(self) -> Dict[str, object]:
-        """Live server stats: job counts by status, queue depth, worker
-        occupancy, recent jobs, and a full metrics snapshot (what
-        ``repro top`` polls)."""
+        """Live server stats: job counts by status, connections,
+        coalesced progress records, queue depth, worker occupancy,
+        uptime and the recent jobs."""
         self._send({"kind": "stats"})
         return self._wait_for_kind("stats")["stats"]
 

@@ -21,8 +21,6 @@ from .protocol import (
     encode,
     validate_message,
 )
-from .log import NullLog, StructuredLog
-from .metricshttp import MetricsEndpoint
 from .server import (
     JobCancelled,
     JobSpec,
@@ -37,7 +35,6 @@ __all__ = [
     "validate_message",
     "ReproServer", "ServerThread", "JobCancelled", "JobSpec",
     "TokenBucket",
-    "StructuredLog", "NullLog", "MetricsEndpoint",
     "serve_main",
 ]
 

@@ -55,27 +55,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="outbound messages buffered per client "
                              "before progress records coalesce "
                              "(default: %(default)s)")
-    parser.add_argument("--metrics-port", type=int, default=None,
-                        metavar="PORT",
-                        help="serve Prometheus metrics over HTTP on "
-                             "this port (/metrics + /healthz; 0 picks "
-                             "a free one; default: off)")
-    parser.add_argument("--ledger", nargs="?",
-                        const="benchmarks/LEDGER.jsonl", default=None,
-                        metavar="PATH",
-                        help="attach the longitudinal performance "
-                             "ledger: expose its record counts on "
-                             "/metrics and append one server-lifetime "
-                             "record (per-experiment job-latency "
-                             "series, fabric counters) at drain (bare "
-                             "--ledger uses benchmarks/LEDGER.jsonl; "
-                             "default: off)")
-    parser.add_argument("--log", nargs="?", const="-", default=None,
-                        metavar="FILE",
-                        help="structured JSON log: one line per "
-                             "connection/job lifecycle event with "
-                             "trace_id/job_id (FILE to append, bare "
-                             "--log for stderr; default: off)")
     return parser
 
 
@@ -101,39 +80,27 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         return _fail(f"--send-buffer must be >= 4, got "
                      f"{args.send_buffer}; smaller buffers cannot hold "
                      "a job's terminal messages")
-    if args.metrics_port is not None and not 0 <= args.metrics_port <= 65535:
-        return _fail(f"--metrics-port must be 0..65535, got "
-                     f"{args.metrics_port}; 0 picks a free port")
-    from .log import open_log
-
-    log = open_log(args.log)
     try:
-        asyncio.run(_serve(args, log))
+        asyncio.run(_serve(args))
     except KeyboardInterrupt:
         pass
     except OSError as exc:
         return _fail(f"cannot serve on {args.host}:{args.port}: "
                      f"{exc.strerror or exc}")
-    finally:
-        log.close()
     return 0
 
 
-async def _serve(args, log) -> None:
+async def _serve(args) -> None:
     server = ReproServer(
         args.host, args.port, workers=args.workers,
         cache_dir=args.cache_dir, no_cache=args.no_cache,
         rate_per_s=args.rate, burst=args.burst,
-        max_queue=args.max_queue, send_buffer=args.send_buffer,
-        metrics_port=args.metrics_port, ledger_path=args.ledger,
-        log=log)
+        max_queue=args.max_queue, send_buffer=args.send_buffer)
     host, port = await server.start()
     cache_note = "no cache" if args.no_cache else \
         (args.cache_dir or "shared cache")
-    metrics_note = (f", metrics on :{server.metrics_port}"
-                    if server.metrics_port is not None else "")
     print(f"repro.server listening on {host}:{port} "
-          f"({args.workers} workers, {cache_note}{metrics_note}); "
+          f"({args.workers} workers, {cache_note}); "
           "Ctrl-C drains and exits", flush=True)
 
     stop = asyncio.Event()

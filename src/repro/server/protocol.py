@@ -21,7 +21,7 @@ Client -> server:
             minted by the SDK for end-to-end trace stitching
 ``cancel``  ``{"kind", "job"}`` — queued or running job
 ``list``    ``{"kind"}`` — the servable experiment catalog
-``stats``   ``{"kind"}`` — live server stats + metrics snapshot
+``stats``   ``{"kind"}`` — live server stats
 ``ping``    ``{"kind"}``
 
 Server -> client:

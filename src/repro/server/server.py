@@ -31,14 +31,11 @@ Scheduling and fairness:
 * **Graceful drain** — ``shutdown(drain=True)`` stops accepting,
   finishes every queued and running job, delivers the results, sends
   ``bye`` and closes.
-* **Observability** — every lifecycle transition feeds a
-  :class:`~repro.obs.registry.MetricsRegistry` (read it via the
-  ``stats`` protocol verb, the optional ``--metrics-port`` Prometheus
-  endpoint, or ``python -m repro top``); each job carries an
-  end-to-end :class:`~repro.obs.tracectx.TraceContext` whose ID rides
-  ``accepted``/``event``/``result`` messages and every unit progress
-  record; ``--log`` writes one structured JSON line per lifecycle
-  event with ``trace_id``/``job_id`` on job lines.
+* **Observability** — the ``stats`` protocol verb returns job counts,
+  queue depth, worker occupancy and the recent jobs; each job carries
+  an end-to-end :class:`~repro.obs.tracectx.TraceContext` whose ID
+  rides ``accepted``/``event``/``result`` messages and every unit
+  progress record.
 
 Thread model: the asyncio loop owns all protocol I/O; jobs execute in a
 small thread pool (the fabric's ``--jobs N`` worker *processes* hang
@@ -67,10 +64,8 @@ from ..exec import (
     has_units,
     unit_count,
 )
-from ..obs.registry import MetricsRegistry
 from ..obs.scopes import SCOPES
 from ..obs.tracectx import TraceContext, use_tracectx
-from .log import NullLog
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -167,12 +162,7 @@ class TokenBucket:
 class ClientConnection:
     """One connected client: reader loop state + bounded outbound buffer."""
 
-    _ids = 0
-
     def __init__(self, server: "ReproServer", reader, writer):
-        ClientConnection._ids += 1
-        self.name = f"c{ClientConnection._ids}"
-        self.server = server
         self.reader = reader
         self.writer = writer
         self.bucket = TokenBucket(server.rate_per_s, server.burst)
@@ -191,15 +181,6 @@ class ClientConnection:
         return (message.get("kind") == "event"
                 and isinstance(message.get("record"), dict)
                 and message["record"].get("event") == "unit")
-
-    def _coalesce(self) -> None:
-        """Count one merged/dropped progress record (here + registry)."""
-        self.coalesced += 1
-        # getattr: unit tests drive ClientConnection with a bare
-        # SimpleNamespace in place of a full ReproServer
-        metric = getattr(self.server, "m_coalesced", None)
-        if metric is not None:
-            metric.inc()
 
     def push(self, message: Dict, *, critical: bool = False) -> None:
         """Enqueue one outbound message under the bounded-buffer policy.
@@ -223,15 +204,15 @@ class ClientConnection:
                         merged["coalesced"] = (prior.get("coalesced", 0)
                                                + 1)
                         self._buffer[i] = merged
-                        self._coalesce()
+                        self.coalesced += 1
                         self._wakeup.set()
                         return
-                self._coalesce()  # nothing to merge into: drop
+                self.coalesced += 1  # nothing to merge into: drop
                 return
             for i, prior in enumerate(self._buffer):
                 if self._is_progress(prior):
                     del self._buffer[i]
-                    self._coalesce()
+                    self.coalesced += 1
                     break
         self._buffer.append(message)
         self.max_buffered = max(self.max_buffered, len(self._buffer))
@@ -283,9 +264,7 @@ class ReproServer:
                  workers: int = 2, cache_dir: Optional[str] = None,
                  no_cache: bool = False, rate_per_s: float = 10.0,
                  burst: int = 20, max_queue: int = 128,
-                 send_buffer: int = 256,
-                 metrics_port: Optional[int] = None,
-                 ledger_path: Optional[str] = None, log=None):
+                 send_buffer: int = 256):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.host = host
@@ -297,10 +276,6 @@ class ReproServer:
         self.burst = burst
         self.max_queue = max_queue
         self.send_buffer = send_buffer
-        self.metrics_port = metrics_port
-        self.ledger_path = ledger_path
-        self._ledger_counts = {"records": 0, "skipped": 0}
-        self.log = log if log is not None else NullLog()
         self.draining = False
         self.jobs: Dict[str, Job] = {}
         self.connections: set = set()
@@ -312,81 +287,6 @@ class ReproServer:
         self._seq = 0
         self._catalog: Optional[Dict[str, Dict]] = None
         self._started_t = time.monotonic()
-        self._metrics_endpoint = None
-        self._register_metrics()
-
-    def _register_metrics(self) -> None:
-        """Create the registry and pre-register every server series, so
-        a scrape of an idle server already shows the full schema."""
-        m = self.metrics = MetricsRegistry()
-        self.m_submitted = m.counter(
-            "repro_jobs_submitted_total",
-            "Jobs accepted onto the queue", ("experiment",))
-        self.m_completed = m.counter(
-            "repro_jobs_completed_total",
-            "Jobs reaching a terminal status", ("experiment", "status"))
-        self.m_rejected = m.counter(
-            "repro_requests_rejected_total",
-            "Requests refused before queueing (rate_limited, "
-            "queue_full, draining, ...)", ("reason",))
-        self.m_queue_depth = m.gauge(
-            "repro_queue_depth", "Jobs waiting in the priority queue")
-        self.m_running = m.gauge(
-            "repro_jobs_running", "Jobs currently executing")
-        self.m_connections = m.gauge(
-            "repro_connections", "Open client connections")
-        self.m_coalesced = m.counter(
-            "repro_progress_coalesced_total",
-            "Progress records merged or dropped by send-buffer "
-            "backpressure")
-        self.m_latency = m.histogram(
-            "repro_job_latency_seconds",
-            "Wall seconds from acceptance to terminal status",
-            ("experiment",))
-        # fabric counters, folded from each job's ExecutionReport
-        self.m_cache_hits = m.counter(
-            "repro_cache_hits_total", "Fabric result-cache hits")
-        self.m_cache_misses = m.counter(
-            "repro_cache_misses_total", "Fabric result-cache misses")
-        self.m_units_computed = m.counter(
-            "repro_units_computed_total", "Work units simulated")
-        self.m_unit_retries = m.counter(
-            "repro_unit_retries_total", "Unit attempts after the first")
-        self.m_unit_timeouts = m.counter(
-            "repro_unit_timeouts_total", "Unit attempts killed by timeout")
-        self.m_workers_replaced = m.counter(
-            "repro_workers_replaced_total",
-            "Pool workers replaced (crash or hang)")
-        self.m_quarantined = m.counter(
-            "repro_units_quarantined_total",
-            "Units quarantined after exhausting retries")
-        self.m_serial_fallbacks = m.counter(
-            "repro_serial_fallbacks_total",
-            "Units degraded to in-process execution")
-        # longitudinal ledger visibility (only moves with --ledger):
-        # record count and skipped-line count of the attached ledger
-        self.m_ledger_records = m.gauge(
-            "repro_ledger_records",
-            "Intact records in the attached performance ledger")
-        self.m_ledger_skipped = m.gauge(
-            "repro_ledger_skipped_lines",
-            "Corrupt/torn lines skipped reading the attached ledger")
-
-    def _fold_report(self, execution: Dict) -> None:
-        """Add one finished job's ExecutionReport onto the lifetime
-        counters (the per-run → service-lifetime bridge)."""
-        self.m_cache_hits.inc(execution.get("cache_hits", 0) or 0)
-        self.m_cache_misses.inc(execution.get("cache_misses", 0) or 0)
-        self.m_units_computed.inc(execution.get("computed", 0) or 0)
-        resilience = execution.get("resilience") or {}
-        self.m_unit_retries.inc(resilience.get("retries", 0) or 0)
-        self.m_unit_timeouts.inc(resilience.get("timeouts", 0) or 0)
-        self.m_workers_replaced.inc(
-            resilience.get("workers_replaced", 0) or 0)
-        self.m_quarantined.inc(
-            len(resilience.get("quarantined_units") or ()))
-        self.m_serial_fallbacks.inc(
-            resilience.get("serial_fallbacks", 0) or 0)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -405,49 +305,9 @@ class ReproServer:
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
         self._started_t = time.monotonic()
-        if self.metrics_port is not None:
-            from .metricshttp import MetricsEndpoint
-
-            self._metrics_endpoint = MetricsEndpoint(
-                self.metrics, self.host, self.metrics_port,
-                health=lambda: not self.draining)
-            _, self.metrics_port = self._metrics_endpoint.start()
-        if self.ledger_path:
-            self._refresh_ledger_gauges()
         for _ in range(self.workers):
             self.add_worker()
-        self.log.emit("listening", host=self.host, port=self.port,
-                      workers=self.workers,
-                      metrics_port=self.metrics_port)
         return self.host, self.port
-
-    def _refresh_ledger_gauges(self) -> None:
-        """Re-read the attached ledger; expose its record and skipped
-        counts on ``/metrics`` (and the ``stats`` ledger block)."""
-        from ..obs.ledger import Ledger
-
-        records, skipped = Ledger(self.ledger_path).read()
-        self._ledger_counts = {"records": len(records),
-                               "skipped": skipped}
-        self.m_ledger_records.set(len(records))
-        self.m_ledger_skipped.set(skipped)
-
-    def _append_ledger_record(self) -> None:
-        """Fold this server lifetime (job-latency series per experiment,
-        fabric counters) into one ledger record — called at drain, so a
-        served session leaves the same longitudinal trace a bench run
-        does.  Best-effort: a ledger failure never blocks shutdown."""
-        from ..obs.ledger import Ledger, record_from_server_stats
-
-        try:
-            record = record_from_server_stats(self.stats())
-            Ledger(self.ledger_path).append(record)
-            self._refresh_ledger_gauges()
-            self.log.emit("ledger_record", path=self.ledger_path,
-                          sha256=record["sha256"][:12])
-        except Exception as exc:  # noqa: BLE001 - shutdown must proceed
-            self.log.emit("ledger_error", path=self.ledger_path,
-                          error=str(exc))
 
     def add_worker(self) -> None:
         """Start one more job-worker task (tests use this to sequence)."""
@@ -460,8 +320,6 @@ class ReproServer:
     async def shutdown(self, *, drain: bool = True) -> None:
         """Stop accepting; optionally finish all accepted jobs first."""
         self.draining = True
-        self.log.emit("drain" if drain else "stop",
-                      queued=self._queue.qsize() if self._queue else 0)
         if self._server is not None:
             self._server.close()
         if drain and self._queue is not None:
@@ -482,12 +340,6 @@ class ReproServer:
             await self._server.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=False)
-        if self._metrics_endpoint is not None:
-            self._metrics_endpoint.stop()
-            self._metrics_endpoint = None
-        if self.ledger_path:
-            self._append_ledger_record()
-        self.log.emit("stopped", jobs=self.stats()["jobs"])
 
     # -- the catalog ---------------------------------------------------
 
@@ -513,19 +365,13 @@ class ReproServer:
         try:
             ok = await self._handshake(conn)
             if not ok:
-                self.log.emit("handshake_failed", connection=conn.name)
                 await conn.close()
                 return
             conn.start_writer()
             self.connections.add(conn)
-            self.m_connections.set(len(self.connections))
-            self.log.emit("connect", connection=conn.name)
             await self._read_loop(conn)
         finally:
             self.connections.discard(conn)
-            self.m_connections.set(len(self.connections))
-            self.log.emit("disconnect", connection=conn.name,
-                          coalesced=conn.coalesced or None)
             for job in self.jobs.values():
                 if job.client is conn:
                     job.client = None  # results of orphans are dropped
@@ -615,9 +461,6 @@ class ReproServer:
         if tag is not None:
             message["tag"] = tag
         message.update(extra)
-        self.m_rejected.labels(reason=error).inc()
-        self.log.emit("submit_rejected", connection=conn.name,
-                      reason=error, tag=tag)
         conn.push(message, critical=True)
 
     def _handle_submit(self, conn: ClientConnection, message: Dict) -> None:
@@ -664,12 +507,6 @@ class ReproServer:
                   seq=self._seq)
         self.jobs[job.id] = job
         self._queue.put_nowait((-spec.priority, job.seq, job))
-        self.m_submitted.labels(experiment=exp_id).inc()
-        self.m_queue_depth.set(self._queue.qsize())
-        self.log.emit("job_submitted", connection=conn.name,
-                      job_id=job.id, trace_id=job.ctx.trace_id,
-                      experiment=exp_id, priority=spec.priority,
-                      quick=spec.quick or None, jobs=spec.jobs)
         conn.push({"kind": "accepted", "job": job.id, "tag": tag,
                    "experiment": exp_id, "priority": spec.priority,
                    "queued": queued + 1, "trace": job.ctx.to_wire()},
@@ -723,11 +560,6 @@ class ReproServer:
         if job.status == "queued":
             job.status = "cancelled"
             job.wall_s = round(time.monotonic() - job.enqueued_t, 4)
-            self.m_completed.labels(experiment=job.spec.experiment,
-                                    status="cancelled").inc()
-            self.log.emit("job_cancelled", job_id=job.id,
-                          trace_id=job.ctx.trace_id,
-                          experiment=job.spec.experiment, where="queue")
             conn.push({"kind": "cancelled", "job": job.id,
                        "where": "queue", "trace": job.ctx.to_wire()},
                       critical=True)
@@ -744,7 +576,6 @@ class ReproServer:
     async def _worker(self) -> None:
         while True:
             _, _, job = await self._queue.get()
-            self.m_queue_depth.set(self._queue.qsize())
             try:
                 if job.status == "cancelled":
                     continue
@@ -752,18 +583,9 @@ class ReproServer:
                 job.ctx.add_span("queued", job.enqueued_epoch,
                                  time.time(), cat="server.queue",
                                  priority=job.spec.priority)
-                self.m_running.inc()
-                self.log.emit("job_started", job_id=job.id,
-                              trace_id=job.ctx.trace_id,
-                              experiment=job.spec.experiment,
-                              queue_s=round(time.monotonic()
-                                            - job.enqueued_t, 3))
                 bridge = _ProgressBridge(self, job)
-                try:
-                    outcome = await self._loop.run_in_executor(
-                        self._executor, self._run_job_sync, job, bridge)
-                finally:
-                    self.m_running.dec()
+                outcome = await self._loop.run_in_executor(
+                    self._executor, self._run_job_sync, job, bridge)
                 self._deliver(job, outcome)
             finally:
                 self._queue.task_done()
@@ -773,17 +595,6 @@ class ReproServer:
         job.status = {"ok": "done", "failed": "failed",
                       "cancelled": "cancelled"}[status]
         job.wall_s = round(time.monotonic() - job.enqueued_t, 4)
-        exp_id = job.spec.experiment
-        self.m_completed.labels(experiment=exp_id,
-                                status=job.status).inc()
-        self.m_latency.labels(experiment=exp_id).observe(job.wall_s)
-        if status == "ok" and isinstance(payload.get("execution"), dict):
-            self._fold_report(payload["execution"])
-        self.log.emit({"done": "job_done", "failed": "job_failed",
-                       "cancelled": "job_cancelled"}[job.status],
-                      job_id=job.id, trace_id=job.ctx.trace_id,
-                      experiment=exp_id, wall_s=job.wall_s,
-                      error=payload[0] if status == "failed" else None)
         conn = job.client
         if conn is None or conn.closed:
             return  # submitter went away; the cache still kept the work
@@ -901,8 +712,8 @@ class ReproServer:
     # -- stats ---------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """Live counters (tests, the drain log, the ``stats`` protocol
-        verb, and ``repro top`` all read these)."""
+        """Live counters (tests, the drain line on stdout and the
+        ``stats`` protocol verb read these)."""
         by_status: Dict[str, int] = {}
         for job in self.jobs.values():
             by_status[job.status] = by_status.get(job.status, 0) + 1
@@ -929,10 +740,6 @@ class ReproServer:
             "queue_depth": self._queue.qsize() if self._queue else 0,
             "uptime_s": round(time.monotonic() - self._started_t, 3),
             "recent_jobs": recent,
-            "metrics": self.metrics.snapshot(),
-            "ledger": ({"path": self.ledger_path,
-                        **self._ledger_counts}
-                       if self.ledger_path else None),
         }
 
 

@@ -170,6 +170,43 @@ def test_chaos_kills_delays_and_drops_stay_bit_identical():
     assert stats.resilience.quarantined_count == 0
 
 
+def test_worker_killed_after_the_last_drain_is_still_retried(monkeypatch):
+    """A worker can send its ``start`` heartbeat and die after the
+    supervisor last read the result queue but before it checks whether
+    the worker is alive.  The supervisor must still read that heartbeat
+    and retry the unit, not leave it in flight for ever (the sweep used
+    to hang there).  A liveness check that first gives the worker a
+    moment to exit opens that window on every kill; the unit timeout
+    only matters if the heartbeat is lost, when the hung-worker detector
+    recovers the unit and counts a timeout."""
+    import multiprocessing.process
+
+    is_alive = multiprocessing.process.BaseProcess.is_alive
+
+    def slow_is_alive(proc):
+        proc.join(timeout=0.2)
+        return is_alive(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "is_alive",
+                        slow_is_alive)
+    units = _plan_victim(None)
+    config = spp1000()
+    clean = WorkerPool(1).map_units(units, config)
+    plan = chaos_from_dict({"faults": [
+        {"kind": "kill_worker", "unit": 0},
+        {"kind": "kill_worker", "unit": 1},
+    ]})
+    stats = PoolStats(2)
+    policy = ResiliencePolicy(unit_timeout_s=30.0, backoff_s=0.0)
+    chaotic = WorkerPool(2, policy).map_units(
+        units, config, stats=stats, chaos_spec=plan.resolve(units))
+
+    assert canonical_json(chaotic) == canonical_json(clean)
+    assert stats.resilience.chaos_injected.get("kill_worker", 0) == 2
+    assert stats.resilience.retries == 2
+    assert stats.resilience.timeouts == 0
+
+
 def test_chaos_serial_delay_and_drop_stay_bit_identical():
     units = _plan_victim(None)
     config = spp1000()

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import spp1000
+from repro.exec import execute, plan_units
 from repro.experiments import run_experiment
 
 
@@ -45,3 +47,20 @@ def test_c90_reference_and_favourable_comparison(fig8):
 def test_problem_size_affects_16_processor_speedup(fig8):
     s = {label: d["two_node_speedup"][-1] for label, d in fig8.data.items()}
     assert max(s.values()) - min(s.values()) > 0.5
+
+
+def test_one_hypernode_runs_only_the_one_node_series():
+    """fig8 compares one hypernode with two; a machine with one plans and
+    reports the 1-hypernode series and the C90 reference, nothing more."""
+    config = spp1000(n_hypernodes=1)
+    keys = [u.key for u in plan_units("fig8", config)]
+    assert keys == [f"{name}:{style}" for name in ("32k", "256k", "2m")
+                    for style in ("high:1", "high:2", "high:4", "high:8",
+                                  "c90")]
+    result, report = execute("fig8", config, jobs=1, quick=True)
+    assert report.computed == len(keys)
+    assert [s.label for s in result.series] == [
+        "32K 1-hypernode", "256K 1-hypernode", "2M 1-hypernode"]
+    for d in result.data.values():
+        assert set(d) == {"one_node_speedup", "single_cpu_mflops",
+                          "c90_mflops"}

@@ -18,7 +18,6 @@ from repro.obs.ledger import (
     record_checksum,
     record_from_bench,
     record_from_manifest,
-    record_from_server_stats,
     render_trend,
     render_verdict,
     trend,
@@ -58,6 +57,20 @@ def bench_doc(scale=1.0, cal=12.0, fidelity_ok=True):
                    "cached_speedup": 18.0,
                    "cached_speedup_resolution_limited": False},
     }
+
+
+#: a ``kind: "server"`` record exactly as a job server attached with
+#: ``repro serve --ledger`` appended it at drain, before that flag was
+#: removed; old ledgers still hold such lines
+SERVER_RECORD_LINE = (
+    '{"calibration_miters_s":null,"code_fingerprint":"0123456789abcdef",'
+    '"created_utc":"2026-10-01T00:00:00+00:00","fabric":{"cache_hits":16,'
+    '"cache_misses":0,"unit_retries":0,"units_computed":16},'
+    '"git_dirty":false,"git_sha":"b4d1726671ac52ece1c79a60057d32ba33fb7e85",'
+    '"job_latency":{"fig3":{"count":2,"mean_s":0.25,"sum_s":0.5}},'
+    '"jobs":{"done":2},"kind":"server","ledger_schema":1,'
+    '"sha256":"5f10ee58f1560aa40346a6b5ad75f30ca10a695d33e0e00d973e9786b0ed8c19",'
+    '"source":"server","uptime_s":4.2}\n')
 
 
 def filled_ledger(path, scales=(1.0, 1.01, 0.99)):
@@ -145,25 +158,6 @@ def test_fold_document_detects_manifest():
     # fidelity recomputed from the headline (pair slope 10us = golden)
     fid = record["fidelity"]["fig2"]
     assert fid["metrics"]["local_pair_slope_us"]["rel_err"] == 0.0
-
-
-def test_fold_document_detects_server_stats():
-    stats = {
-        "jobs": {"done": 3}, "uptime_s": 12.5,
-        "metrics": {
-            "repro_job_latency_seconds": {"series": [
-                {"labels": {"experiment": "fig2"}, "count": 3,
-                 "sum": 1.5, "buckets": {}}]},
-            "repro_cache_hits_total": {"series": [{"value": 7}]},
-            "repro_units_computed_total": {"series": [{"value": 11}]},
-        },
-    }
-    record = fold_document(stats)
-    assert record["kind"] == "server"
-    assert record["job_latency"]["fig2"] == {"count": 3, "sum_s": 1.5,
-                                             "mean_s": 0.5}
-    assert record["fabric"]["cache_hits"] == 7
-    assert record["fabric"]["units_computed"] == 11
 
 
 def test_fold_document_rejects_garbage():
@@ -397,6 +391,17 @@ def test_cli_record_show_trend_gate(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["sha256"] == record_checksum(record)
 
+    # an old server-lifetime record still reads, shows, and is ignored
+    # by trend and gate, which follow bench records only
+    with open(ledger_path, "a", encoding="utf-8") as fh:
+        fh.write(SERVER_RECORD_LINE)
+    records, skipped = Ledger(ledger_path).read()
+    assert len(records) == 4 and skipped == 0
+    assert ledger_main(["show", "--ledger", ledger_path,
+                        "--index", "-1"]) == 0
+    summary = capsys.readouterr().out
+    assert "kind=server" in summary and "git=b4d1726671ac" in summary
+
     assert ledger_main(["trend", "--ledger", ledger_path,
                         "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -405,6 +410,11 @@ def test_cli_record_show_trend_gate(tmp_path, capsys):
     assert ledger_main(["gate", "--ledger", ledger_path,
                         "--window", "5"]) == 0
     assert "PASS" in capsys.readouterr().out
+    assert ledger_main(["gate", "--ledger", ledger_path, "--window", "5",
+                        "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["history"] == 2
+    assert set(report["experiments"]) == {"fig2", "fig3"}
 
 
 def test_cli_gate_exit_1_on_slowdown(tmp_path, capsys):
@@ -444,6 +454,18 @@ def test_cli_errors_are_actionable(tmp_path, capsys):
     assert ledger_main(["record", str(tmp_path / "ghost.json"),
                         "--ledger", missing]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+    # a job server's stats document is not a foldable input
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps({
+        "jobs": {"done": 2}, "uptime_s": 4.2,
+        "metrics": {"repro_cache_hits_total": {"series": [{"value": 16}]}}}))
+    assert ledger_main(["record", str(stats), "--ledger", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "unrecognized document shape" in err
+    assert "server" not in err
+    assert not os.path.exists(missing)
 
 
 def test_default_ledger_path_is_benchmarks_jsonl():

@@ -1,15 +1,12 @@
-"""The operations observatory end to end: stats verb, trace
-propagation, the merged Chrome trace, the Prometheus endpoint, the
-coalesced counter on the Job handle, and structured logging."""
+"""Server observability end to end: the stats verb, trace
+propagation, the merged Chrome trace, and the coalesced counter on the
+Job handle."""
 
 import json
-import urllib.request
 
 import pytest
 
 from repro.sdk import AsyncClient, Client
-from repro.server import ServerThread, StructuredLog
-from repro.server.metricshttp import CONTENT_TYPE
 
 
 # -- the stats verb -------------------------------------------------------
@@ -20,6 +17,9 @@ def test_stats_verb_returns_service_state(server):
         job = client.submit("_srv_fast", quick=True)
         job.result()
         stats = client.stats()
+    assert set(stats) == {"jobs", "connections", "coalesced",
+                          "max_buffered", "draining", "workers",
+                          "queue_depth", "uptime_s", "recent_jobs"}
     assert stats["jobs"].get("done", 0) >= 1
     assert stats["connections"] >= 1
     assert stats["uptime_s"] >= 0
@@ -30,12 +30,6 @@ def test_stats_verb_returns_service_state(server):
     assert recent[-1]["status"] == "done"
     assert recent[-1]["trace_id"] == job.trace_id
     assert recent[-1]["wall_s"] is not None
-    metrics = stats["metrics"]
-    submitted = metrics["repro_jobs_submitted_total"]["series"]
-    assert any(row["labels"] == {"experiment": "_srv_fast"}
-               and row["value"] >= 1 for row in submitted)
-    latency = metrics["repro_job_latency_seconds"]["series"]
-    assert any(row["count"] >= 1 for row in latency)
 
 
 def test_stats_verb_on_async_client(server):
@@ -111,52 +105,6 @@ def test_write_trace_before_result_is_actionable(server, tmp_path):
         job.result()
 
 
-# -- the Prometheus endpoint ----------------------------------------------
-
-
-@pytest.fixture
-def metrics_server(tmp_path):
-    srv = ServerThread(workers=2, cache_dir=str(tmp_path / "cache"),
-                       metrics_port=0).start()
-    yield srv
-    srv.stop(drain=False)
-
-
-def _scrape(srv, path="/metrics"):
-    port = srv.server.metrics_port
-    with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}{path}", timeout=10) as resp:
-        return resp.status, resp.headers.get("Content-Type"), \
-            resp.read().decode("utf-8")
-
-
-def test_metrics_endpoint_serves_prometheus_text(metrics_server):
-    with Client(metrics_server.host, metrics_server.port) as client:
-        client.submit("_srv_fast", quick=True).result()
-    status, ctype, body = _scrape(metrics_server)
-    assert status == 200
-    assert ctype == CONTENT_TYPE
-    assert "# TYPE repro_jobs_submitted_total counter" in body
-    assert 'repro_jobs_submitted_total{experiment="_srv_fast"} 1' in body
-    assert 'repro_jobs_completed_total{experiment="_srv_fast",' \
-           'status="done"} 1' in body
-    # fabric counters folded from the execution report
-    assert "repro_units_computed_total 6" in body
-    assert "repro_cache_misses_total 6" in body
-    # histogram with cumulative buckets present
-    assert 'repro_job_latency_seconds_bucket{experiment="_srv_fast",' \
-           'le="+Inf"} 1' in body
-    assert "repro_job_latency_seconds_count" in body
-
-
-def test_metrics_endpoint_healthz_and_404(metrics_server):
-    status, _, body = _scrape(metrics_server, "/healthz")
-    assert (status, body.strip()) == (200, "ok")
-    with pytest.raises(urllib.error.HTTPError) as exc_info:
-        _scrape(metrics_server, "/nope")
-    assert exc_info.value.code == 404
-
-
 # -- coalescing on the Job handle -----------------------------------------
 
 
@@ -166,113 +114,3 @@ def test_job_coalesced_counter_surfaces(server):
         job.result()
     assert isinstance(job.coalesced, int)
     assert job.coalesced >= 0
-
-
-# -- structured logging ---------------------------------------------------
-
-
-def test_structured_log_lines_carry_trace_and_job_ids(tmp_path):
-    log_path = tmp_path / "server.log"
-    log = StructuredLog(str(log_path))
-    srv = ServerThread(workers=1, no_cache=True, log=log).start()
-    try:
-        with Client(srv.host, srv.port) as client:
-            job = client.submit("_srv_fast", quick=True)
-            job.result()
-    finally:
-        srv.stop(drain=False)
-        log.close()
-    lines = [json.loads(line)
-             for line in log_path.read_text().splitlines()]
-    events = [line["event"] for line in lines]
-    for expected in ("listening", "connect", "job_submitted",
-                     "job_started", "job_done", "stopped"):
-        assert expected in events, events
-    for line in lines:
-        assert "ts" in line
-        if line["event"] in ("job_submitted", "job_started", "job_done"):
-            assert line["job_id"] == job.id
-            assert line["trace_id"] == job.trace_id
-    done = next(line for line in lines if line["event"] == "job_done")
-    assert done["experiment"] == "_srv_fast"
-    assert done["wall_s"] >= 0
-
-
-# -- the longitudinal ledger ----------------------------------------------
-
-
-def test_ledger_attached_server_appends_lifetime_record(tmp_path):
-    """A --ledger server leaves the same longitudinal trace a bench run
-    does: one server-kind record at drain, gauges on the registry."""
-    from repro.obs.ledger import Ledger
-
-    ledger_path = tmp_path / "LEDGER.jsonl"
-    srv = ServerThread(workers=1, cache_dir=str(tmp_path / "cache"),
-                       ledger_path=str(ledger_path)).start()
-    try:
-        stats = srv.call(_stats_coro(srv))
-        assert stats["ledger"] == {"path": str(ledger_path),
-                                   "records": 0, "skipped": 0}
-        snapshot = stats["metrics"]
-        assert "repro_ledger_records" in snapshot
-        assert "repro_ledger_skipped_lines" in snapshot
-        with Client(srv.host, srv.port) as client:
-            client.submit("_srv_fast", quick=True).result()
-    finally:
-        srv.stop(drain=True)
-
-    records, skipped = Ledger(str(ledger_path)).read()
-    assert skipped == 0
-    assert len(records) == 1
-    rec = records[0]
-    assert rec["kind"] == "server"
-    assert rec["jobs"]["done"] == 1
-    latency = rec["job_latency"]["_srv_fast"]
-    assert latency["count"] == 1
-    assert latency["sum_s"] >= 0
-    assert rec["fabric"]["units_computed"] >= 1
-
-
-def test_ledger_gauges_reflect_existing_records(tmp_path):
-    from repro.obs.ledger import Ledger, fold_document
-
-    ledger_path = tmp_path / "LEDGER.jsonl"
-    doc = {"schema_version": 2, "generator": "repro.exec.bench",
-           "git_sha": None, "code_fingerprint": "ab" * 8,
-           "host": {"calibration_miters_s": 10.0},
-           "experiments": {"fig2": {"serial_s": 0.5}},
-           "totals": {"serial_s": 0.5}}
-    Ledger(str(ledger_path)).append(fold_document(doc))
-    with open(ledger_path, "a", encoding="utf-8") as fh:
-        fh.write('{"torn')  # a torn tail the gauges must count
-
-    srv = ServerThread(workers=1, cache_dir=str(tmp_path / "cache"),
-                       ledger_path=str(ledger_path)).start()
-    try:
-        stats = srv.call(_stats_coro(srv))
-        assert stats["ledger"]["records"] == 1
-        assert stats["ledger"]["skipped"] == 1
-        snapshot = stats["metrics"]
-        assert _gauge_value(snapshot["repro_ledger_records"]) == 1
-        assert _gauge_value(snapshot["repro_ledger_skipped_lines"]) == 1
-    finally:
-        srv.stop(drain=False)
-
-
-def test_server_without_ledger_reports_none_and_writes_nothing(
-        server, tmp_path):
-    stats = server.call(_stats_coro(server))
-    assert stats["ledger"] is None
-    assert not list(tmp_path.glob("*.jsonl"))
-
-
-async def _stats_async(srv):
-    return srv.server.stats()
-
-
-def _stats_coro(srv):
-    return _stats_async(srv)
-
-
-def _gauge_value(metric_doc):
-    return metric_doc["series"][0]["value"]

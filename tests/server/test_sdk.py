@@ -178,10 +178,14 @@ def test_slow_consumer_is_coalesced_not_buffered():
     outbound buffer stays bounded and progress records coalesce."""
     srv = ServerThread(workers=1, no_cache=True, send_buffer=8).start()
     try:
-        sock = socket.create_connection((srv.host, srv.port),
-                                        timeout=120)
-        # a tiny receive window so the server's writer blocks early
+        # a tiny receive window so the server's writer blocks early;
+        # set before connect so the handshake already uses it (set
+        # afterwards, the drain below waits seconds on TCP's
+        # zero-window persist timer)
+        sock = socket.socket()
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(120)
+        sock.connect((srv.host, srv.port))
         fh = sock.makefile("rb")
         sock.sendall(encode({"kind": "hello",
                              "protocol": PROTOCOL_VERSION}))
