@@ -41,23 +41,20 @@ class Crossbar:
         self.traversals = 0
 
     def traverse(self, dst_fu: int):
-        """Process: one traversal to functional unit ``dst_fu``."""
+        """Sub-operation: one traversal to functional unit ``dst_fu``."""
         port = self.ports[dst_fu]
         cfg = self.config
-
-        def _go():
-            yield port.acquire()
-            ms = self.memscope
-            start = self.sim.now if ms is not None else 0.0
-            try:
-                yield self.sim.timeout(cfg.cycles(cfg.crossbar_cycles))
-            finally:
-                port.release()
-            self.traversals += 1
-            if ms is not None:
-                ms.crossbar_busy(self.hypernode, dst_fu, start,
-                                 cfg.cycles(cfg.crossbar_cycles))
-        return self.sim.process(_go())
+        yield port.acquire()
+        ms = self.memscope
+        start = self.sim.now if ms is not None else 0.0
+        try:
+            yield self.sim.timeout(cfg.cycles(cfg.crossbar_cycles))
+        finally:
+            port.release()
+        self.traversals += 1
+        if ms is not None:
+            ms.crossbar_busy(self.hypernode, dst_fu, start,
+                             cfg.cycles(cfg.crossbar_cycles))
 
 
 class Ring:
@@ -76,7 +73,7 @@ class Ring:
         self.busy_ns = 0.0
 
     def transfer(self, src_hn: int, dst_hn: int, extra_cycles: float = 0.0):
-        """Process: move one packet from ``src_hn`` to ``dst_hn``.
+        """Sub-operation: move one packet from ``src_hn`` to ``dst_hn``.
 
         ``extra_cycles`` adds a per-packet detour cost (degraded-mode
         rerouting around a failed ring charges it here so the surviving
@@ -86,20 +83,17 @@ class Ring:
         hops = (dst_hn - src_hn) % cfg.n_hypernodes
         hold = (cfg.cycles(cfg.ring_hop_cycles) * max(hops, 1)
                 + cfg.cycles(extra_cycles))
-
-        def _go():
-            yield self._bus.acquire()
-            ms = self.memscope
-            start = self.sim.now if ms is not None else 0.0
-            try:
-                yield self.sim.timeout(hold)
-            finally:
-                self._bus.release()
-            self.transfers += 1
-            self.busy_ns += hold
-            if ms is not None:
-                ms.ring_busy(self.ring_id, start, hold, hops)
-        return self.sim.process(_go())
+        yield self._bus.acquire()
+        ms = self.memscope
+        start = self.sim.now if ms is not None else 0.0
+        try:
+            yield self.sim.timeout(hold)
+        finally:
+            self._bus.release()
+        self.transfers += 1
+        self.busy_ns += hold
+        if ms is not None:
+            ms.ring_busy(self.ring_id, start, hold, hops)
 
 
 class Interconnect:
@@ -125,10 +119,14 @@ class Interconnect:
         return self.rings[ring_id]
 
     def transfer(self, ring_id: int, src_hn: int, dst_hn: int):
-        """Process: one packet on ``ring_id``, rerouted if that ring is down.
+        """Sub-operation: one packet on ``ring_id``, rerouted if that ring
+        is down.
 
         This is the fault-aware front door the machine model uses; with no
         fault state attached it is exactly ``self.rings[ring_id].transfer``.
+        Routing happens at the call, so a partitioned network raises
+        :class:`~repro.faults.state.NetworkPartitionedError` here rather
+        than when the sub-operation first runs.
         """
         if self.faults is None:
             return self.rings[ring_id].transfer(src_hn, dst_hn)

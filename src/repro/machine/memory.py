@@ -34,28 +34,27 @@ class MemoryBank:
         self.accesses = 0
 
     def service(self, lines: int = 1):
-        """Process: occupy the bank long enough to read/write ``lines``."""
+        """Sub-operation: occupy the bank long enough to read/write
+        ``lines``."""
         cfg = self.config
         return self.occupy(cfg.cycles(cfg.bank_cycles) * lines, lines)
 
     def occupy(self, hold_ns: float, lines: int = 1):
-        """Process: hold the bank port for an explicit duration.
+        """Sub-operation: hold the bank port for an explicit duration.
 
         Bulk (page-mode) transfers stream lines faster than the random
         per-line latency; the caller supplies the pipelined duration.
         """
-        def _go():
-            yield self._port.acquire()
-            ms = self.memscope
-            start = self.sim.now if ms is not None else 0.0
-            try:
-                yield self.sim.timeout(hold_ns)
-            finally:
-                self._port.release()
-            self.accesses += lines
-            if ms is not None:
-                ms.bank_busy(self.home, start, hold_ns, lines)
-        return self.sim.process(_go())
+        yield self._port.acquire()
+        ms = self.memscope
+        start = self.sim.now if ms is not None else 0.0
+        try:
+            yield self.sim.timeout(hold_ns)
+        finally:
+            self._port.release()
+        self.accesses += lines
+        if ms is not None:
+            ms.bank_busy(self.home, start, hold_ns, lines)
 
 
 class MemorySubsystem:

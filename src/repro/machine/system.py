@@ -14,8 +14,11 @@ exposes the operations that programs running *on* the machine use:
 * ``compute`` — burn CPU cycles;
 * ``alloc`` — obtain memory of one of the five §3.2 classes.
 
-All of these return simulation :class:`~repro.sim.process.Process` objects
-(or events) to be ``yield``-ed from a simulated thread.
+``compute`` returns an event and ``alloc`` a region.  Every other
+operation returns a generator: a *sub-operation* that the calling
+process runs when it ``yield``s it, with the event order a child process
+would have had (see :mod:`repro.sim.process`).  To run one as a
+standalone process, wrap it: ``sim.process(machine.load(cpu, addr))``.
 
 Coherence protocol summary (two levels, as in the paper):
 
@@ -197,19 +200,18 @@ class Machine:
                 yield blocked
 
     def timestamp(self, cpu: int):
-        """Process: take one timestamp; returns the (post-read) sim time.
+        """Sub-operation: take one timestamp; returns the (post-read) sim
+        time.
 
         Costs ``timer_overhead_cycles``, mirroring the intrusion the
         paper's methodology corrects for.
         """
-        def _go():
-            yield self.sim.timeout(
-                self.config.cycles(self.config.timer_overhead_cycles))
-            # Counted so reports can correct for timer intrusion (§4):
-            # total overhead = count("timer.read") * timer_overhead_ns.
-            self.tracer.emit(self.sim.now, "timer.read", cpu)
-            return self.sim.now
-        return self.sim.process(_go(), region="memory")
+        yield self.sim.timeout(
+            self.config.cycles(self.config.timer_overhead_cycles))
+        # Counted so reports can correct for timer intrusion (§4):
+        # total overhead = count("timer.read") * timer_overhead_ns.
+        self.tracer.emit(self.sim.now, "timer.read", cpu)
+        return self.sim.now
 
     def _home(self, line: int, accessor_hn: int) -> HomeLocation:
         return self.space.home_of(line, accessor_hn)
@@ -318,10 +320,7 @@ class Machine:
     # loads and stores
     # ------------------------------------------------------------------
     def load(self, cpu: int, addr: int):
-        """Process: coherent load; returns the word's value."""
-        return self.sim.process(self._load(cpu, addr), region="memory")
-
-    def _load(self, cpu: int, addr: int):
+        """Sub-operation: coherent load; returns the word's value."""
         cfg = self.config
         line = self.line_of(addr)
         loc = self.topology.locate(cpu)
@@ -336,10 +335,8 @@ class Machine:
         return self._values.get(addr - addr % _WORD)
 
     def store(self, cpu: int, addr: int, value):
-        """Process: coherent store; completes when all copies are invalid."""
-        return self.sim.process(self._store(cpu, addr, value), region="memory")
-
-    def _store(self, cpu: int, addr: int, value):
+        """Sub-operation: coherent store; completes when all copies are
+        invalid."""
         cfg = self.config
         line = self.line_of(addr)
         loc = self.topology.locate(cpu)
@@ -439,10 +436,8 @@ class Machine:
     # uncached atomics (counting semaphores)
     # ------------------------------------------------------------------
     def fetch_add(self, cpu: int, addr: int, delta=1):
-        """Process: uncached atomic fetch-and-add at the word's home bank."""
-        return self.sim.process(self._fetch_add(cpu, addr, delta), region="memory")
-
-    def _fetch_add(self, cpu: int, addr: int, delta):
+        """Sub-operation: uncached atomic fetch-and-add at the word's home
+        bank; returns the old value."""
         cfg = self.config
         loc = self.topology.locate(cpu)
         yield from self._gate(cpu)
@@ -468,14 +463,13 @@ class Machine:
     # bulk transfers
     # ------------------------------------------------------------------
     def read_block(self, cpu: int, addr: int, nbytes: int):
-        """Process: pipelined sequential read of ``nbytes`` starting at addr."""
-        return self.sim.process(self._block(cpu, addr, nbytes, "read"),
-                                region="memory")
+        """Sub-operation: pipelined sequential read of ``nbytes`` starting
+        at addr."""
+        return self._block(cpu, addr, nbytes, "read")
 
     def write_block(self, cpu: int, addr: int, nbytes: int):
-        """Process: pipelined sequential write of ``nbytes``."""
-        return self.sim.process(self._block(cpu, addr, nbytes, "write"),
-                                region="memory")
+        """Sub-operation: pipelined sequential write of ``nbytes``."""
+        return self._block(cpu, addr, nbytes, "write")
 
     def _block(self, cpu: int, addr: int, nbytes: int, kind: str):
         if nbytes <= 0:
@@ -490,9 +484,9 @@ class Machine:
         remote = home.hypernode != loc.hypernode
         # leading line pays the full latency
         if kind == "read":
-            yield from self._load(cpu, addr)
+            yield from self.load(cpu, addr)
         else:
-            yield from self._store(cpu, addr, None)
+            yield from self.store(cpu, addr, None)
         # every page the block crosses is translated once
         first_page = addr // cfg.page_bytes
         last_page = (addr + nbytes - 1) // cfg.page_bytes
@@ -514,7 +508,8 @@ class Machine:
     def spin_until(self, cpu: int, addr: int,
                    predicate: Callable[[object], bool],
                    info: Optional[str] = None):
-        """Process: spin on a cached word until ``predicate(value)`` holds.
+        """Sub-operation: spin on a cached word until ``predicate(value)``
+        holds.
 
         While the value is cached and unchanged the CPU spins at cache
         speed (costing nothing further in simulation); it is re-activated
@@ -524,14 +519,10 @@ class Machine:
         ``info`` names what is being waited on (e.g. which barrier) for
         the watchdog's stall report.
         """
-        return self.sim.process(self._spin_until(cpu, addr, predicate, info),
-                                region="memory")
-
-    def _spin_until(self, cpu, addr, predicate, info=None):
         cfg = self.config
         line = self.line_of(addr)
         while True:
-            value = yield from self._load(cpu, addr)
+            value = yield from self.load(cpu, addr)
             if predicate(value):
                 return value
             waiters = self._spin_waiters.setdefault(line, {})

@@ -67,6 +67,10 @@ class AsyncThread:
 class ThreadEnv:
     """A thread's handle on the machine: all operations are CPU-bound.
 
+    ``compute`` returns an event; every other operation returns a machine
+    sub-operation (a generator the thread ``yield``s; see
+    :mod:`repro.sim.process`).
+
     Every operation takes an optional ``cat`` — the wait-state category
     the elapsed simulated time is attributed to when a critical-path
     analyzer is installed (see :mod:`repro.obs.critscope`).  Defaults:
@@ -99,6 +103,26 @@ class ThreadEnv:
             lambda _e: cr.segment(tid, t0, sim.now, cat))
         return ev
 
+    def _timed(self, op, cat: str, addr: Optional[int] = None):
+        """Sub-operation: run ``op`` and attribute its elapsed simulated
+        time to ``cat`` when it ends, as a wait on ``addr`` if one is
+        given.  The record is made in ``op``'s last slice: no event is
+        added and simulated time is never advanced."""
+        t0 = self.sim.now
+        try:
+            value = yield from op
+        except Exception:
+            self._close(t0, cat, addr)
+            raise
+        self._close(t0, cat, addr)
+        return value
+
+    def _close(self, t0: float, cat: str, addr: Optional[int]) -> None:
+        if addr is None:
+            self.crit.segment(self.tid, t0, self.sim.now, cat)
+        else:
+            self.crit.wait(self.tid, t0, self.sim.now, cat, addr)
+
     def compute(self, cycles: float, cat: str = "compute"):
         """Event: execute ``cycles`` of computation."""
         ev = self.machine.compute(self.cpu, cycles)
@@ -107,18 +131,19 @@ class ThreadEnv:
         return ev
 
     def timestamp(self):
-        """Process: read the clock (costs timer overhead); returns time."""
-        proc = self.machine.timestamp(self.cpu)
+        """Sub-operation: read the clock (costs timer overhead); returns
+        the time."""
+        op = self.machine.timestamp(self.cpu)
         if self.crit is not None:
-            self._record(proc, "compute")
-        return proc
+            return self._timed(op, "compute")
+        return op
 
     # -- memory -----------------------------------------------------------
     def load(self, addr: int, cat: str = "memory"):
-        proc = self.machine.load(self.cpu, addr)
+        op = self.machine.load(self.cpu, addr)
         if self.crit is not None:
-            self._record(proc, cat)
-        return proc
+            return self._timed(op, cat)
+        return op
 
     def store(self, addr: int, value, cat: str = "memory"):
         cr = self.crit
@@ -126,42 +151,39 @@ class ThreadEnv:
             # writer resolution is recorded at the store's *start*:
             # causally before any spinner the invalidation walk wakes
             cr.note_write(addr, self.tid, self.sim.now)
-        proc = self.machine.store(self.cpu, addr, value)
+        op = self.machine.store(self.cpu, addr, value)
         if cr is not None:
-            self._record(proc, cat)
-        return proc
+            return self._timed(op, cat)
+        return op
 
     def fetch_add(self, addr: int, delta=1, cat: str = "memory"):
         cr = self.crit
         if cr is not None:
             cr.note_write(addr, self.tid, self.sim.now)
-        proc = self.machine.fetch_add(self.cpu, addr, delta)
+        op = self.machine.fetch_add(self.cpu, addr, delta)
         if cr is not None:
-            self._record(proc, cat)
-        return proc
+            return self._timed(op, cat)
+        return op
 
     def read_block(self, addr: int, nbytes: int, cat: str = "memory"):
-        proc = self.machine.read_block(self.cpu, addr, nbytes)
+        op = self.machine.read_block(self.cpu, addr, nbytes)
         if self.crit is not None:
-            self._record(proc, cat)
-        return proc
+            return self._timed(op, cat)
+        return op
 
     def write_block(self, addr: int, nbytes: int, cat: str = "memory"):
-        proc = self.machine.write_block(self.cpu, addr, nbytes)
+        op = self.machine.write_block(self.cpu, addr, nbytes)
         if self.crit is not None:
-            self._record(proc, cat)
-        return proc
+            return self._timed(op, cat)
+        return op
 
     def spin(self, addr: int, predicate, info: Optional[str] = None,
              cat: str = "lock"):
         """``info`` names what is awaited, for watchdog stall reports."""
-        proc = self.machine.spin_until(self.cpu, addr, predicate, info)
-        cr = self.crit
-        if cr is not None:
-            tid, sim, t0 = self.tid, self.sim, self.sim.now
-            proc.callbacks.append(
-                lambda _e: cr.wait(tid, t0, sim.now, cat, addr))
-        return proc
+        op = self.machine.spin_until(self.cpu, addr, predicate, info)
+        if self.crit is not None:
+            return self._timed(op, cat, addr)
+        return op
 
     def alloc_private(self, size: int, label: str = "") -> Region:
         """Thread-private memory homed on this thread's functional unit."""

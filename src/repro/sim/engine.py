@@ -124,11 +124,19 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value=None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        # Event.__init__ and Simulator._schedule, inlined: a timeout is
+        # the kernel's most frequent event
+        self.sim = sim
+        self.callbacks = []
+        self.defused = False
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
+        self._scheduled = True
+        self.delay = delay
+        queue = sim._queue
+        heapq.heappush(queue, (sim._now + delay, next(sim._seq), self))
+        if sim.hostscope is not None:
+            sim.hostscope.note_push(len(queue))
 
 
 class Condition(Event):
@@ -179,7 +187,13 @@ class Simulator:
         self._now = 0.0
         self._queue: list = []
         self._seq = itertools.count()
-        self._active_process = None
+        #: the event whose *last* callback is running, unless that event
+        #: is the target of ``run(until=...)``: while it is, the running
+        #: process may take its zero-delay wakes inline
+        #: (:meth:`~repro.sim.process.Process._resume`)
+        self._tail: Optional[Event] = None
+        #: the event the latest ``run(until=...)`` stops after
+        self._until: Optional[Event] = None
         #: optional :class:`~repro.sim.trace.Tracer` counting event
         #: dispatches under ``"sim.dispatch"``.  Left ``None`` by default
         #: so the hot loop pays nothing; the machine model attaches its
@@ -231,8 +245,6 @@ class Simulator:
         the process's generator slices are attributed to (default
         ``"app"``); it has no effect on simulated time.
         """
-        from .process import Process
-
         return Process(self, generator, region=region)
 
     # -- scheduling -------------------------------------------------------
@@ -256,7 +268,12 @@ class Simulator:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event from the queue."""
+        """Dispatch exactly one event from the queue.
+
+        Its last callback may go on to run zero-delay wakes inline (see
+        :mod:`repro.sim.process`), so one step can run several generator
+        slices at the current instant.
+        """
         if self.hostscope is not None:
             self._step_profiled(self.hostscope)
             return
@@ -267,12 +284,17 @@ class Simulator:
         if self.tracer is not None:
             self.tracer.emit(time, "sim.dispatch")
         callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event.ok and not event.defused:
+        if callbacks:
+            last = callbacks.pop()
+            for callback in callbacks:
+                callback(event)
+            if event is not self._until:
+                self._tail = event
+            last(event)
+        if not event._ok and not event.defused:
             # A failed event nobody waited on: surface the error loudly
             # rather than silently dropping it.
-            raise event.value
+            raise event._value
 
     def _step_profiled(self, hs) -> None:
         """:meth:`step` with host-time accounting (hostscope installed)."""
@@ -296,16 +318,19 @@ class Simulator:
         callbacks, event.callbacks = event.callbacks, None
         if detail:
             hs.enter("dispatch")
-            try:
+        try:
+            if callbacks:
+                last = callbacks.pop()
                 for callback in callbacks:
                     callback(event)
-            finally:
+                if event is not self._until:
+                    self._tail = event
+                last(event)
+        finally:
+            if detail:
                 hs.exit()
-        else:
-            for callback in callbacks:
-                callback(event)
-        if not event.ok and not event.defused:
-            raise event.value
+        if not event._ok and not event.defused:
+            raise event._value
 
     def run(self, until: "float | Event | None" = None):
         """Run the event loop.
@@ -320,8 +345,10 @@ class Simulator:
                 self.step()
             return None
         if isinstance(until, Event):
-            sentinel = until
-            while not sentinel.processed:
+            # its callbacks must not run wakes inline: run() stops
+            # after them, and a wake belongs to the next run
+            sentinel = self._until = until
+            while sentinel.callbacks is not None:
                 if not self._queue:
                     raise DeadlockError(
                         "event queue drained before target event triggered",
@@ -329,9 +356,9 @@ class Simulator:
                         report=(self.watchdog.report(self._now)
                                 if self.watchdog is not None else None))
                 self.step()
-            if sentinel.ok:
-                return sentinel.value
-            raise sentinel.value
+            if sentinel._ok:
+                return sentinel._value
+            raise sentinel._value
         horizon = float(until)
         if horizon < self._now:
             raise ValueError("cannot run backwards in time")
@@ -339,3 +366,7 @@ class Simulator:
             self.step()
         self._now = max(self._now, horizon)
         return None
+
+
+# process.py builds on Event and Simulator, so it is imported last.
+from .process import Process  # noqa: E402

@@ -14,10 +14,29 @@ each other::
     def parent(sim):
         value = yield sim.process(child(sim))
         assert value == 42
+
+A generator may also yield another *generator*: a **sub-operation**.  It
+runs on the same process, and the yield evaluates to its return value
+(or raises its exception), as if it had been a child process::
+
+    def parent(sim):
+        value = yield child(sim)     # no Process object is built
+        assert value == 42
+
+A sub-operation keeps the event order of a child process exactly.  Where
+the child's start event and completion event took their heap slots, the
+sub-operation schedules a zero-delay *wake*; the completion wake carries
+the return value or exception.  A wake runs inline, without a heap
+round trip, only when the heap would dispatch it next anyway: nothing
+else is queued at the current instant, the running callback is the
+last one of its event, and that event is not the target of
+``run(until=...)``.  Inline wakes are not dispatches: they are missing
+from the ``sim.dispatch`` trace count and hostscope's event count.
 """
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Generator
 
 from .engine import Event, Simulator
@@ -29,7 +48,7 @@ __all__ = ["Process"]
 class Process(Event):
     """A running simulated activity; also an event for its completion."""
 
-    __slots__ = ("_generator", "_target", "name", "region")
+    __slots__ = ("_generator", "_stack", "_target", "name", "region")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = "",
                  region: "str | None" = None):
@@ -39,9 +58,14 @@ class Process(Event):
                 "did you call the function instead of passing its generator?")
         super().__init__(sim)
         sim.alive_processes += 1
+        #: the innermost running generator: the process's own, or the
+        #: sub-operation it is inside
         self._generator = generator
+        #: the suspended callers of ``_generator``, outermost first
+        self._stack: list = []
         self.name = name or getattr(generator, "__name__", "process")
-        #: hostscope region this process's generator slices bill to
+        #: hostscope region this process's generator slices bill to;
+        #: sub-operation slices bill to ``memory``
         self.region = region or "app"
         if sim.hostscope is not None:
             sim.hostscope.processes += 1
@@ -71,7 +95,10 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time.
 
         The process must currently be waiting on an event; the event itself
-        stays pending (the process simply stops waiting for it).
+        stays pending (the process simply stops waiting for it).  Inside a
+        sub-operation the interrupt is thrown into the innermost generator;
+        if that does not catch it, it reaches the caller like any other
+        exception of a sub-operation.
         """
         if self.triggered:
             raise SimulationError(f"{self!r} has already terminated")
@@ -88,60 +115,89 @@ class Process(Event):
     # -- internal -------------------------------------------------------
     def _resume(self, event: Event) -> None:
         # Host-time attribution: each generator slice bills to the
-        # process's hostscope region.  Off path (no profiler): one None
-        # check and a try/finally — the body stays inline, no extra call.
-        hs = self.sim.hostscope
+        # process's hostscope region (``memory`` inside a sub-operation).
+        # Off path (no profiler): one None check and a try/finally per
+        # slice.
+        sim = self.sim
+        hs = sim.hostscope
         prof = hs is not None and hs.detail
-        if prof:
-            hs.enter(self.region)
-        try:
-            self.sim._active_process = self
-            self._target = None
-            try:
-                if event.ok:
-                    next_event = self._generator.send(event.value)
-                else:
-                    event.defused = True
-                    next_event = self._generator.throw(event.value)
-            except StopIteration as stop:
-                self.sim._active_process = None
-                self.succeed(stop.value)
-                return
-            except BaseException as exc:
-                self.sim._active_process = None
-                self.fail(exc)
-                return
-            self.sim._active_process = None
-            if not isinstance(next_event, Event):
-                kind = type(next_event).__name__
-                self._generator.close()
-                self.fail(SimulationError(
-                    f"process {self.name!r} yielded a non-event ({kind})"))
-                return
-            if next_event.sim is not self.sim:
-                self._generator.close()
-                self.fail(SimulationError(
-                    f"process {self.name!r} yielded an event from another "
-                    "simulator"))
-                return
-            if next_event.processed:
-                # Already done: resume immediately (at the current
-                # instant) via a fresh proxy event so ordering stays FIFO.
-                proxy = Event(self.sim)
-                proxy.callbacks.append(self._resume)
-                if next_event.ok:
-                    proxy.succeed(next_event.value)
-                else:
-                    next_event.defused = True
-                    proxy.defused = True
-                    proxy.fail(next_event.value)
-                self._target = proxy
-            else:
-                next_event.callbacks.append(self._resume)
-                self._target = next_event
-        finally:
+        self._target = None
+        ok = event._ok
+        value = event._value
+        if not ok:
+            event.defused = True
+        gen = self._generator
+        stack = self._stack
+        while True:
             if prof:
-                hs.exit()
+                hs.enter("memory" if stack else self.region)
+            try:
+                try:
+                    if ok:
+                        yielded = gen.send(value)
+                    else:
+                        yielded = gen.throw(value)
+                except StopIteration as stop:
+                    if not stack:
+                        self.succeed(stop.value)
+                        return
+                    # sub-operation returned: wake its caller with the value
+                    ok, value = True, stop.value
+                    gen = self._generator = stack.pop()
+                except BaseException as exc:
+                    if not stack:
+                        self.fail(exc)
+                        return
+                    ok, value = False, exc
+                    gen = self._generator = stack.pop()
+                else:
+                    if type(yielded) is GeneratorType:
+                        # sub-operation: start it with a wake
+                        stack.append(gen)
+                        gen = self._generator = yielded
+                        ok, value = True, None
+                    elif isinstance(yielded, Event) and yielded.sim is sim:
+                        callbacks = yielded.callbacks
+                        if callbacks is not None:
+                            callbacks.append(self._resume)
+                            self._target = yielded
+                            return
+                        # already processed: resume with its outcome, at
+                        # the current instant, so ordering stays FIFO
+                        ok, value = yielded._ok, yielded._value
+                        if not ok:
+                            yielded.defused = True
+                    else:
+                        gen.close()
+                        if isinstance(yielded, Event):
+                            problem = "an event from another simulator"
+                        else:
+                            problem = (f"a non-event "
+                                       f"({type(yielded).__name__})")
+                        exc = SimulationError(
+                            f"process {self.name!r} yielded {problem}")
+                        if not stack:
+                            self.fail(exc)
+                            return
+                        ok, value = False, exc
+                        gen = self._generator = stack.pop()
+                # Deliver (ok, value) to ``gen`` by a zero-delay wake.  It
+                # runs inline when the heap would dispatch it next anyway.
+                queue = sim._queue
+                if sim._tail is event and (not queue
+                                           or queue[0][0] > sim._now):
+                    continue
+                wake = Event(sim)
+                wake.callbacks.append(self._resume)
+                if ok:
+                    wake.succeed(value)
+                else:
+                    wake.fail(value)
+                self._target = wake
+                return
+            finally:
+                if prof:
+                    hs.exit()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"

@@ -28,7 +28,7 @@ def make_machine(plan):
 
 def transfer_ns(machine, ring=0, src=0, dst=1):
     start = machine.sim.now
-    proc = machine.net.transfer(ring, src, dst)
+    proc = machine.sim.process(machine.net.transfer(ring, src, dst))
     machine.sim.run(until=proc)
     return machine.sim.now - start
 

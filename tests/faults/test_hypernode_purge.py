@@ -41,8 +41,8 @@ def test_sharer_hypernode_is_detached_from_sci_lists():
     region = machine.alloc(4096, MemClass.NEAR_SHARED, home_hypernode=0)
     addr = region.base
     line = machine.line_of(addr)
-    run(machine, machine.load(0, addr))   # home hypernode reads
-    run(machine, machine.load(8, addr))   # hypernode 1 becomes a sharer
+    run(machine, machine.sim.process(machine.load(0, addr)))   # home hypernode reads
+    run(machine, machine.sim.process(machine.load(8, addr)))   # hypernode 1 becomes a sharer
     assert 1 in machine.sci.sharers(line)
 
     fail_hypernode(machine, 1)
@@ -56,7 +56,7 @@ def test_lines_homed_on_dead_hypernode_are_dropped_everywhere():
     region = machine.alloc(4096, MemClass.NEAR_SHARED, home_hypernode=1)
     addr = region.base
     line = machine.line_of(addr)
-    run(machine, machine.load(0, addr))   # hypernode 0 caches a remote line
+    run(machine, machine.sim.process(machine.load(0, addr)))   # hypernode 0 caches a remote line
     assert machine.caches[0].contains(line)
 
     fail_hypernode(machine, 1)
@@ -79,7 +79,7 @@ def test_failed_cpu_operations_halt_forever():
 
     # the healthy hypernode keeps working
     region = machine.alloc(4096, MemClass.NEAR_SHARED, home_hypernode=0)
-    run(machine, machine.load(0, region.base))
+    run(machine, machine.sim.process(machine.load(0, region.base)))
 
 
 def test_access_to_dead_hypernode_memory_halts_forever():
@@ -87,7 +87,7 @@ def test_access_to_dead_hypernode_memory_halts_forever():
     region = machine.alloc(4096, MemClass.NEAR_SHARED, home_hypernode=1)
     fail_hypernode(machine, 1)
 
-    stuck = machine.load(0, region.base)
+    stuck = machine.sim.process(machine.load(0, region.base))
     machine.sim.run(until=machine.sim.now + 1_000_000.0)
     assert not stuck.triggered
     assert machine.tracer.count("fault.halt") == 1

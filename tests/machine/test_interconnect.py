@@ -23,7 +23,7 @@ def test_interconnect_inventory():
 def test_crossbar_traversal_takes_configured_cycles():
     sim = Simulator()
     xbar = Crossbar(sim, CFG, hypernode=0)
-    proc = xbar.traverse(2)
+    proc = sim.process(xbar.traverse(2))
     sim.run(until=proc)
     assert sim.now == CFG.cycles(CFG.crossbar_cycles)
     assert xbar.traversals == 1
@@ -33,10 +33,10 @@ def test_crossbar_ports_contend_independently():
     sim = Simulator()
     xbar = Crossbar(sim, CFG, hypernode=0)
     # two traversals to the same port serialise...
-    p1 = xbar.traverse(0)
-    p2 = xbar.traverse(0)
+    p1 = sim.process(xbar.traverse(0))
+    p2 = sim.process(xbar.traverse(0))
     # ...one to a different port runs in parallel
-    p3 = xbar.traverse(1)
+    p3 = sim.process(xbar.traverse(1))
     sim.run()
     assert all(p.triggered for p in (p1, p2, p3))
     assert sim.now == 2 * CFG.cycles(CFG.crossbar_cycles)
@@ -46,10 +46,10 @@ def test_ring_transfer_time_scales_with_hops():
     cfg = spp1000(4)
     sim = Simulator()
     ring = Ring(sim, cfg, ring_id=0)
-    one_hop = ring.transfer(0, 1)
+    one_hop = sim.process(ring.transfer(0, 1))
     sim.run(until=one_hop)
     t1 = sim.now
-    three_hops = ring.transfer(1, 0)  # unidirectional: 3 hops
+    three_hops = sim.process(ring.transfer(1, 0))  # unidirectional: 3 hops
     sim.run(until=three_hops)
     assert (sim.now - t1) == pytest.approx(3 * t1)
     assert ring.transfers == 2
@@ -59,7 +59,7 @@ def test_ring_transfer_time_scales_with_hops():
 def test_ring_serialises_transfers():
     sim = Simulator()
     ring = Ring(sim, CFG, ring_id=1)
-    procs = [ring.transfer(0, 1) for _ in range(3)]
+    procs = [sim.process(ring.transfer(0, 1)) for _ in range(3)]
     sim.run()
     assert all(p.triggered for p in procs)
     assert sim.now == pytest.approx(3 * CFG.cycles(CFG.ring_hop_cycles))
@@ -69,7 +69,7 @@ def test_bank_contention_serialises_same_bank():
     sim = Simulator()
     mem = MemorySubsystem(sim, CFG)
     bank = mem.bank(HomeLocation(0, 0, 0))
-    procs = [bank.service() for _ in range(4)]
+    procs = [sim.process(bank.service()) for _ in range(4)]
     sim.run()
     assert sim.now == pytest.approx(4 * CFG.cycles(CFG.bank_cycles))
     assert bank.accesses == 4
@@ -78,9 +78,9 @@ def test_bank_contention_serialises_same_bank():
 def test_distinct_banks_run_in_parallel():
     sim = Simulator()
     mem = MemorySubsystem(sim, CFG)
-    p1 = mem.bank(HomeLocation(0, 0, 0)).service()
-    p2 = mem.bank(HomeLocation(0, 0, 1)).service()
-    p3 = mem.bank(HomeLocation(0, 1, 0)).service()
+    p1 = sim.process(mem.bank(HomeLocation(0, 0, 0)).service())
+    p2 = sim.process(mem.bank(HomeLocation(0, 0, 1)).service())
+    p3 = sim.process(mem.bank(HomeLocation(0, 1, 0)).service())
     sim.run()
     assert all(p.triggered for p in (p1, p2, p3))
     assert sim.now == pytest.approx(CFG.cycles(CFG.bank_cycles))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import Interrupt, Resource, SimulationError, Simulator, Tracer
 
 
 def test_process_runs_and_returns_value():
@@ -173,3 +173,245 @@ def test_many_processes_complete():
         sim.process(worker(sim, i))
     sim.run()
     assert sorted(done) == list(range(200))
+
+
+# -- sub-operations: a yielded generator runs on the same process -----------
+
+def test_sub_operation_returns_its_value():
+    sim = Simulator()
+
+    def op(sim):
+        yield sim.timeout(4.0)
+        return ("op-result", sim.alive_processes)
+
+    def parent(sim):
+        value = yield op(sim)
+        return (sim.now, value)
+
+    proc = sim.process(parent(sim))
+    # the operation ran on the parent's process: no second one was built
+    assert sim.run(until=proc) == (4.0, ("op-result", 1))
+
+
+def test_sub_operation_exception_reaches_the_caller():
+    sim = Simulator()
+
+    def op(sim):
+        yield sim.timeout(2.0)
+        raise ValueError("inner")
+
+    def parent(sim):
+        try:
+            yield op(sim)
+        except ValueError as exc:
+            return f"caught {exc} at {sim.now}"
+
+    proc = sim.process(parent(sim))
+    assert sim.run(until=proc) == "caught inner at 2.0"
+
+
+def test_uncaught_sub_operation_exception_fails_the_process():
+    sim = Simulator()
+
+    def op(sim):
+        yield sim.timeout(1.0)
+        raise ValueError("unhandled")
+
+    def parent(sim):
+        yield op(sim)
+
+    sim.process(parent(sim))
+    with pytest.raises(ValueError, match="unhandled"):
+        sim.run()
+
+
+def test_nested_sub_operations():
+    sim = Simulator()
+
+    def leaf(sim, delay):
+        yield sim.timeout(delay)
+        return delay
+
+    def middle(sim):
+        a = yield leaf(sim, 1.0)
+        b = yield leaf(sim, 2.0)
+        return a + b
+
+    def parent(sim):
+        total = yield middle(sim)
+        return (sim.now, total)
+
+    proc = sim.process(parent(sim))
+    assert sim.run(until=proc) == (3.0, 3.0)
+
+
+def test_sub_operation_yielding_a_non_event_raises_in_the_caller():
+    sim = Simulator()
+
+    def op():
+        yield 42
+
+    def parent():
+        try:
+            yield op()
+        except SimulationError as exc:
+            return str(exc)
+
+    proc = sim.process(parent())
+    assert "non-event (int)" in sim.run(until=proc)
+
+
+def test_interrupt_is_thrown_into_the_innermost_generator():
+    sim = Simulator()
+    log = []
+
+    def op(sim, catch):
+        try:
+            yield sim.timeout(1000.0)
+        except Interrupt as intr:
+            if not catch:
+                raise
+            log.append(("op", sim.now, intr.cause))
+            return "recovered"
+
+    def parent(sim, catch):
+        try:
+            value = yield op(sim, catch)
+        except Interrupt as intr:
+            log.append(("parent", sim.now, intr.cause))
+            return "interrupted"
+        return value
+
+    caught = sim.process(parent(sim, True))
+    escaped = sim.process(parent(sim, False))
+    sim.schedule_callback(5.0, lambda: caught.interrupt("a"))
+    sim.schedule_callback(6.0, lambda: escaped.interrupt("b"))
+    sim.run()
+    assert log == [("op", 5.0, "a"), ("parent", 6.0, "b")]
+    assert caught.value == "recovered" and escaped.value == "interrupted"
+
+
+def _grant_order(form):
+    """A and B start at t=0, A first.  A acquires a resource inside an
+    operation started in ``form``; B acquires it directly."""
+    sim = Simulator()
+    res = Resource(sim)
+    granted = []
+
+    def op(name):
+        yield res.acquire()
+        granted.append(name)
+        yield sim.timeout(1.0)
+        res.release()
+
+    def a():
+        if form == "process":
+            yield sim.process(op("A"))
+        elif form == "sub-operation":
+            yield op("A")
+        else:  # a plain call: no start or completion slot at all
+            yield from op("A")
+
+    def b():
+        yield from op("B")
+
+    sim.process(a())
+    sim.process(b())
+    sim.run()
+    return granted
+
+
+def test_same_instant_order_matches_a_child_process():
+    assert _grant_order("process") == ["B", "A"]
+    assert _grant_order("sub-operation") == ["B", "A"]
+    # dropping the start slot would let A overtake B
+    assert _grant_order("yield from") == ["A", "B"]
+
+
+def _timeline(form):
+    """One process alone: every wake may run inline."""
+    sim = Simulator()
+    sim.tracer = Tracer()
+    stamps = []
+
+    def op(depth):
+        stamps.append(("start", depth, sim.now))
+        yield sim.timeout(3.0)
+        if depth:
+            yield (sim.process(op(depth - 1)) if form == "process"
+                   else op(depth - 1))
+        stamps.append(("end", depth, sim.now))
+        return depth
+
+    def main():
+        for _ in range(3):
+            stamps.append(("got", (yield (
+                sim.process(op(2)) if form == "process" else op(2))),
+                sim.now))
+
+    sim.run(until=sim.process(main()))
+    return stamps, sim.tracer.count("sim.dispatch")
+
+
+def test_lone_process_gets_identical_timestamps_with_fewer_dispatches():
+    stamps_proc, dispatched_proc = _timeline("process")
+    stamps_sub, dispatched_sub = _timeline("sub-operation")
+    assert stamps_sub == stamps_proc
+    # each start and completion wake ran inline instead of being queued
+    assert dispatched_sub < dispatched_proc
+
+
+def _order_after_run_target(form):
+    sim = Simulator()
+    gate = sim.event()
+    log = []
+
+    def op():
+        log.append(("op", sim.now))
+        yield sim.timeout(1.0)
+
+    def waiter():
+        yield gate
+        log.append(("resumed", sim.now))
+        yield sim.process(op()) if form == "process" else op()
+
+    sim.process(waiter())
+    sim.schedule_callback(2.0, lambda: gate.succeed())
+    sim.run(until=gate)
+    first = list(log)
+    sim.run()
+    return first, log
+
+
+def test_run_until_target_does_not_run_wakes_inline():
+    assert _order_after_run_target("sub-operation") \
+        == _order_after_run_target("process") \
+        == ([("resumed", 2.0)], [("resumed", 2.0), ("op", 2.0)])
+
+
+def _order_with_two_waiters(form):
+    sim = Simulator()
+    gate = sim.event()
+    log = []
+
+    def op(name):
+        log.append((name, "op"))
+        yield sim.timeout(1.0)
+
+    def waiter(name):
+        yield gate
+        log.append((name, "resumed"))
+        yield sim.process(op(name)) if form == "process" else op(name)
+
+    sim.process(waiter("p"))
+    sim.process(waiter("q"))
+    sim.schedule_callback(2.0, lambda: gate.succeed())
+    sim.run()
+    return log
+
+
+def test_only_the_last_callback_of_an_event_runs_wakes_inline():
+    expected = [("p", "resumed"), ("q", "resumed"), ("p", "op"),
+                ("q", "op")]
+    assert _order_with_two_waiters("process") == expected
+    assert _order_with_two_waiters("sub-operation") == expected
