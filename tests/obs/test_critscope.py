@@ -16,6 +16,7 @@ from repro.core import spp1000
 from repro.experiments.fig2_forkjoin import forkjoin_time_us
 from repro.experiments.fig3_barrier import barrier_metrics_us
 from repro.machine import Machine
+from repro.obs import HostScope, use_hostscope
 from repro.obs.critscope import (CATEGORIES, CritScope, critscope_from_trace,
                                  render_trace_summary, scaled_config,
                                  use_critscope)
@@ -56,6 +57,20 @@ def test_results_and_clocks_bit_identical_with_analyzer():
     assert observed_result == bare_result
     assert observed_clock == bare_clock          # bit-identical, not approx
     assert cs.run_of_interest() is not None      # ... and it did observe
+
+
+def test_analyzer_adds_no_event():
+    """Segments are recorded inside the operations' own slices: the
+    heap sees the same pushes and dispatches with the analyzer on."""
+    cfg = spp1000(2)
+    counts = []
+    for cs in (None, CritScope(cfg)):
+        hs = HostScope(detail=False)
+        with use_hostscope(hs), use_critscope(cs):
+            barrier_workload(cfg)
+        counts.append((hs.events, hs.pushes))
+    assert counts[0] == counts[1]
+    assert counts[0][0] > 0
 
 
 def test_no_analyzer_means_no_recording():

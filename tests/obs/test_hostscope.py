@@ -127,6 +127,26 @@ def test_expected_regions_present_after_runtime_run():
     assert set(seen) <= set(REGIONS)
 
 
+def test_sub_operation_slices_bill_to_memory():
+    hs = HostScope()
+    with use_hostscope(hs), hs.profile():
+        sim = Simulator()
+
+        def op():
+            yield sim.timeout(1.0)
+            yield sim.timeout(1.0)
+
+        def body():
+            yield op()
+
+        sim.run(until=sim.process(body()))
+    # the body's two slices bill to its region, the operation's three
+    # (start, after each timeout) to memory; no Process is built for it
+    assert hs._enters["app"] == 2
+    assert hs._enters["memory"] == 3
+    assert hs.processes == 1
+
+
 def test_pvm_region_billed_on_message_traffic():
     hs = HostScope()
     with use_hostscope(hs), hs.profile():
