@@ -24,8 +24,7 @@ Examples::
     python -m repro fig3 --hostscope --metrics m.json  # fold into manifest
     python -m repro fig3 --jobs 4 --progress  # live JSONL sweep telemetry
     python -m repro bench --compare benchmarks/BENCH_baseline.json
-    python -m repro fig3 --jobs 4 --journal j.jsonl   # crash-safe journal
-    python -m repro fig3 --jobs 4 --journal j.jsonl --resume  # pick up
+    python -m repro fig3 --no-cache --journal j.jsonl  # rerun to resume
     python -m repro fig3 --jobs 4 --unit-timeout 60 --retries 3
     python -m repro fig3 --jobs 4 --chaos examples/chaos/kill_and_corrupt.json
     python -m repro bench --quick --ledger     # append to the perf ledger
@@ -89,19 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
              "failures, CPU/hypernode failures, and PVM message loss at "
              "simulated timestamps")
     parser.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
-        help="persist each completed sweep point of a long experiment to "
-             "PATH (JSON), enabling --resume after a kill")
-    parser.add_argument(
         "--journal", metavar="PATH", default=None,
-        help="crash-safe sweep journal: append every unit completion to "
-             "PATH (JSONL, fsync-ed) so --resume replays an interrupted "
-             "--jobs N sweep exactly where it died; fabric experiments "
-             "only")
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="with --checkpoint and/or --journal: skip points already "
-             "recorded on disk")
+        help="crash-safe sweep journal for --no-cache runs: append every "
+             "unit completion to PATH (JSONL, fsync-ed); rerunning the "
+             "same sweep with the same PATH replays it and computes only "
+             "the missing units. A journal of another run, or a file "
+             "that is not a journal, exits 2 and is left untouched. "
+             "Fabric experiments only")
     parser.add_argument(
         "--unit-timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock limit per work-unit attempt; a worker that "
@@ -405,20 +398,6 @@ def _main(argv: List[str], command=None) -> int:
     if not ok:
         return 2
 
-    if args.resume and not (args.checkpoint or args.journal):
-        print("--resume requires --checkpoint PATH and/or --journal PATH",
-              file=sys.stderr)
-        return 2
-    checkpoint = None
-    if args.checkpoint:
-        from .experiments.checkpoint import Checkpoint, CheckpointError
-
-        try:
-            checkpoint = Checkpoint(args.checkpoint, resume=args.resume)
-        except CheckpointError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
     multi = len(targets) > 1
     profiling = [scope for scope in SCOPES.values()
                  if getattr(args, scope.name)]
@@ -472,18 +451,6 @@ def _main(argv: List[str], command=None) -> int:
         kwargs = {"config": config}
         if args.quick:
             kwargs["quick"] = True
-        if checkpoint is not None and not fabric:
-            import inspect
-
-            from .experiments import get_experiment
-
-            if "checkpoint" in inspect.signature(
-                    get_experiment(exp_id)).parameters:
-                kwargs["checkpoint"] = checkpoint
-            else:
-                print(f"note: experiment {exp_id!r} does not support "
-                      "checkpointing; --checkpoint ignored",
-                      file=sys.stderr)
         if not fabric and jobs > 1:
             print(f"note: experiment {exp_id!r} has no work-unit planner; "
                   "running in-process (--jobs ignored)", file=sys.stderr)
@@ -506,17 +473,9 @@ def _main(argv: List[str], command=None) -> int:
                   file=sys.stderr)
         journal = None
         if args.journal and fabric:
-            from .exec import JournalError, SweepJournal
+            from .exec import SweepJournal
 
-            journal_path = _suffixed(args.journal, exp_id, multi)
-            if not args.resume and os.path.exists(journal_path):
-                try:  # like --checkpoint: no --resume means a fresh sweep
-                    os.remove(journal_path)
-                except OSError as exc:
-                    print(f"cannot reset journal {journal_path}: {exc}",
-                          file=sys.stderr)
-                    return 2
-            journal = SweepJournal(journal_path)
+            journal = SweepJournal(_suffixed(args.journal, exp_id, multi))
 
         def run_target():
             if fabric:
@@ -524,8 +483,7 @@ def _main(argv: List[str], command=None) -> int:
 
                 result, rep = execute(
                     exp_id, config, jobs=jobs, quick=args.quick,
-                    cache=cache, checkpoint=checkpoint,
-                    fault_plan=fault_plan, seed=args.seed,
+                    cache=cache, fault_plan=fault_plan, seed=args.seed,
                     observed=observing, progress=progress,
                     policy=policy, chaos=chaos_plan, journal=journal)
                 return result, rep

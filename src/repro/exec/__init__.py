@@ -21,16 +21,18 @@ exploits that three ways:
   serial/parallel/cached trajectory, written to ``BENCH_exec.json``.
 
 Plus the robustness layer: :mod:`repro.exec.journal` appends every unit
-completion to a crash-safe JSONL journal so an interrupted sweep
-resumes exactly where it died, and :mod:`repro.exec.chaos` injects
-deterministic host faults (worker kills, delays, cache corruption,
-return-path drops) to prove, in CI, that none of it changes results.
+completion to a crash-safe JSONL journal bound to its run, so an
+interrupted ``--no-cache`` sweep resumes exactly where it died, and
+:mod:`repro.exec.chaos` injects deterministic host faults (worker
+kills, delays, cache corruption, return-path drops) to prove, in CI,
+that none of it changes results.
 
 :func:`execute` ties them together: plan units, satisfy them from the
-checkpoint, the journal, and the cache, fan the rest out to the pool,
-then hand the experiment's ``run()`` a
-:class:`~repro.exec.units.PointStore` so it assembles its tables and
-series without re-simulating anything.
+journal and the cache, fan the rest out to the pool — storing each
+unit in the cache and the journal the moment it completes, so a killed
+or cancelled sweep keeps every unit it finished — then hand the
+experiment's ``run()`` a :class:`~repro.exec.units.PointStore` so it
+assembles its tables and series without re-simulating anything.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ import inspect
 import time
 from typing import Dict, Optional
 
+from ..core.canon import stable_hash
 from .cache import (
     CACHE_SCHEMA,
     CacheRootError,
     ResultCache,
     default_cache_root,
+    run_material,
 )
 from .chaos import (
     CHAOS_ENV,
@@ -106,7 +110,6 @@ class ExecutionReport:
         self.experiment_id = experiment_id
         self.jobs = jobs
         self.units_planned = 0
-        self.from_checkpoint = 0
         self.from_journal = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -138,7 +141,6 @@ class ExecutionReport:
             "experiment_id": self.experiment_id,
             "jobs": self.jobs,
             "units_planned": self.units_planned,
-            "from_checkpoint": self.from_checkpoint,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_stores": self.cache_stores,
@@ -179,8 +181,6 @@ class ExecutionReport:
             parts.append(f"{self.cache_corrupt} corrupt cache "
                          f"entr{'y' if self.cache_corrupt == 1 else 'ies'} "
                          "quarantined + re-executed")
-        if self.from_checkpoint:
-            parts.append(f"{self.from_checkpoint} from checkpoint")
         if self.from_journal:
             parts.append(f"{self.from_journal} replayed from journal")
         if self.retried_in_process:
@@ -213,7 +213,7 @@ class ExecutionReport:
 
 def execute(experiment_id: str, config, *, jobs: int = 1,
             quick: bool = False, cache: Optional[ResultCache] = None,
-            checkpoint=None, fault_plan=None, seed: Optional[int] = None,
+            fault_plan=None, seed: Optional[int] = None,
             observed: bool = False,
             progress: Optional[ProgressStream] = None,
             policy: Optional[ResiliencePolicy] = None,
@@ -230,10 +230,15 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
 
     ``policy`` sets timeouts/retries (:class:`ResiliencePolicy`);
     ``chaos`` injects deterministic host faults (:class:`ChaosPlan`);
-    ``journal`` (a :class:`SweepJournal`) replays prior completions and
-    appends new ones crash-safely.  When units exhaust every attempt
-    the sweep still drains, then :class:`UnitExecutionError` propagates
-    with the healthy units safely journaled/cached/checkpointed.
+    ``journal`` (a :class:`SweepJournal`) replays the completions of
+    this same run and appends new ones crash-safely; a journal of any
+    other run raises :class:`JournalError` before anything executes.
+
+    Each computed unit goes to the cache, then the journal, as it
+    completes and before its ``unit`` progress record.  So whatever
+    stops the sweep — a kill, a cancel raised from ``progress``, poison
+    units (:class:`UnitExecutionError`, raised once the rest drained) —
+    every unit already reported is stored.
     """
     from ..experiments import get_experiment
     from ..obs.tracectx import active_tracectx
@@ -260,15 +265,16 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
     timing["plan_s"] = round(time.perf_counter() - t_phase, 6)
     report.units_planned = len(units)
 
-    if checkpoint is not None:
-        checkpoint.bind(experiment_id)
-
     replayed: Dict[str, object] = {}
     if journal is not None:
-        replayed = journal.replay(experiment_id)  # may raise JournalError
-        journal.open(experiment_id,
-                     cache.fingerprint if cache is not None
-                     else code_fingerprint())
+        run = stable_hash({
+            "units": [unit.material() for unit in units],
+            "run": run_material(config, fault_plan, seed,
+                                cache.fingerprint if cache is not None
+                                else code_fingerprint())})
+        # raises JournalError for a journal of any other run
+        replayed = journal.replay(experiment_id, run)
+        journal.open(experiment_id, run)
 
     chaos_resolved = chaos.resolve(units) if chaos is not None else {}
     worker_spec = {
@@ -291,18 +297,11 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
         values: Dict[str, object] = {}
         remaining = []
         digests: Dict[str, str] = {}
-        from_cache: Dict[str, object] = {}
-        from_journal: Dict[str, object] = {}
         corrupt_before = cache.corrupt if cache is not None else 0
         quarantined_before = cache.quarantined if cache is not None else 0
         for unit in units:
-            if checkpoint is not None and unit.key in checkpoint.points:
-                values[unit.key] = checkpoint.points[unit.key]
-                report.from_checkpoint += 1
-                continue
             if unit.key in replayed:
-                values[unit.key] = from_journal[unit.key] = \
-                    replayed[unit.key]
+                values[unit.key] = replayed[unit.key]
                 report.from_journal += 1
                 continue
             if cache is not None:
@@ -310,8 +309,7 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
                 digests[unit.key] = digest
                 if not observed:
                     try:
-                        values[unit.key] = from_cache[unit.key] = \
-                            cache.get(digest)
+                        values[unit.key] = cache.get(digest)
                         report.cache_hits += 1
                         continue
                     except KeyError:
@@ -320,10 +318,6 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
         if cache is not None:
             report.cache_corrupt = cache.corrupt - corrupt_before
             report.cache_quarantined = cache.quarantined - quarantined_before
-        if checkpoint is not None and (from_cache or from_journal):
-            # fold cache hits and journal replays into the checkpoint so
-            # a later --resume without either still skips them
-            checkpoint.put_many({**from_cache, **from_journal})
         timing["cache_lookup_s"] = round(time.perf_counter() - t_phase, 6)
 
         effective_jobs = 1 if observed else jobs
@@ -331,7 +325,6 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
             progress.emit(stamp(make_event(
                 "start", experiment=experiment_id,
                 units=len(units), to_compute=len(remaining),
-                from_checkpoint=report.from_checkpoint,
                 cache_hits=report.cache_hits,
                 jobs=min(effective_jobs, max(len(remaining), 1)),
             )))
@@ -342,17 +335,12 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
             stats = PoolStats(pool.jobs)
             stats.resilience = resilience
 
-            def record(unit, value):
+            def complete(unit, value):
                 if cache is not None:
                     t_put = time.perf_counter()
-                    cache.put(digests.get(unit.key) or cache.digest(
-                        unit, config, fault_plan, seed), value, unit)
+                    cache.put(digests[unit.key], value, unit)
                     timing["cache_store_s"] += time.perf_counter() - t_put
                     report.cache_stores += 1
-                if checkpoint is not None:
-                    checkpoint.put(unit.key, value)
-
-            def complete(unit, value):
                 if journal is not None:
                     journal.record(unit.key, value)
 
@@ -391,11 +379,10 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
             try:
                 computed = pool.map_units(
                     remaining, config, fault_plan=fault_plan, seed=seed,
-                    stats=stats, on_unit=record,
+                    stats=stats, on_complete=complete,
                     on_progress=heartbeat
                     if (progress is not None or ctx is not None) else None,
                     on_event=progress.emit if progress is not None else None,
-                    on_complete=complete if journal is not None else None,
                     chaos_spec=worker_spec)
             finally:
                 timing["pool_s"] = round(time.perf_counter() - t_phase
@@ -412,10 +399,10 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
             report.journal = journal.stats()
 
     t_phase = time.perf_counter()
-    store = PointStore(values, checkpoint=checkpoint)
+    store = PointStore(values)
     fn = get_experiment(experiment_id)
     accepted = inspect.signature(fn).parameters
-    kwargs = {"checkpoint": store}
+    kwargs = {"points": store}
     if "config" in accepted:
         kwargs["config"] = config
     if quick and "quick" in accepted:

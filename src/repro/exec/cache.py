@@ -4,6 +4,10 @@ Each completed work unit is stored under the SHA-256 of its **key
 material**: the canonical JSON (see :mod:`repro.core.canon`) of
 
 * the unit itself (experiment id, point key, parameters),
+
+plus its run's :func:`run_material`, which the sweep journal's header
+binds to as well:
+
 * the full machine configuration,
 * the ambient fault plan (or null),
 * the RNG seed (or null),
@@ -13,6 +17,9 @@ material**: the canonical JSON (see :mod:`repro.core.canon`) of
 Anything that could change a unit's value changes its address, so the
 cache never needs explicit invalidation — stale entries are simply
 never addressed again (``prune`` exists to reclaim the disk they use).
+Entries are written as each unit completes, so a killed or cancelled
+sweep keeps every unit it finished and its rerun computes only the
+rest.
 
 Layout: ``<root>/objects/<aa>/<digest>.json``, each file a small JSON
 document holding the value, a ``sha256`` **payload checksum** of the
@@ -49,7 +56,7 @@ from .fingerprint import code_fingerprint
 from .units import WorkUnit
 
 __all__ = ["ResultCache", "CacheRootError", "default_cache_root",
-           "CACHE_SCHEMA"]
+           "CACHE_SCHEMA", "run_material"]
 
 CACHE_SCHEMA = 2
 
@@ -59,6 +66,24 @@ _CACHE_ENTRIES = {"objects", "quarantine"}
 
 class CacheRootError(ValueError):
     """The cache root is unusable; str() is one actionable line."""
+
+
+def run_material(config, fault_plan=None, seed: Optional[int] = None,
+                 fingerprint: str = "") -> Dict:
+    """Everything besides the unit itself that a unit's value depends on.
+
+    The one definition of "the same run": a cache entry's address and
+    a sweep journal's header both hash it, so neither can hand a value
+    to a run with another machine, fault plan, seed or code.
+    """
+    return {
+        "schema": CACHE_SCHEMA,
+        "machine": canonical(config),
+        "faults": (canonical(fault_plan.to_dict())
+                   if fault_plan is not None else None),
+        "seed": seed,
+        "code": fingerprint,
+    }
 
 
 def default_cache_root() -> str:
@@ -127,15 +152,8 @@ class ResultCache:
     def key_material(self, unit: WorkUnit, config, fault_plan=None,
                      seed: Optional[int] = None) -> Dict:
         """Everything a unit's value depends on, in canonical form."""
-        return {
-            "schema": CACHE_SCHEMA,
-            "unit": unit.material(),
-            "machine": canonical(config),
-            "faults": (canonical(fault_plan.to_dict())
-                       if fault_plan is not None else None),
-            "seed": seed,
-            "code": self.fingerprint,
-        }
+        return {"unit": unit.material(),
+                **run_material(config, fault_plan, seed, self.fingerprint)}
 
     def digest(self, unit: WorkUnit, config, fault_plan=None,
                seed: Optional[int] = None) -> str:

@@ -8,7 +8,8 @@ once.  Every live-telemetry record carries:
 * ``event``  — the kind (one of :data:`EVENT_KINDS`);
 * ``schema`` — :data:`EVENT_SCHEMA`, so a reader written against one
   generation of the stream can refuse (or adapt to) another instead of
-  silently misparsing it.
+  silently misparsing it.  Schema 2 dropped the checkpoint count from
+  ``start``.
 
 Producers build records with :func:`make_event`, which enforces the
 required fields at the emit site; consumers call :func:`validate_event`
@@ -40,12 +41,12 @@ from typing import Dict, Optional
 __all__ = ["EVENT_SCHEMA", "EVENT_KINDS", "EventSchemaError",
            "make_event", "validate_event"]
 
-EVENT_SCHEMA = 1
+EVENT_SCHEMA = 2
 
 #: kind -> required fields (beyond ``event`` and ``schema``)
 EVENT_KINDS: Dict[str, frozenset] = {
     "start": frozenset({"experiment", "units", "to_compute",
-                        "from_checkpoint", "cache_hits", "jobs"}),
+                        "cache_hits", "jobs"}),
     "unit": frozenset({"key", "done", "total"}),
     "done": frozenset({"experiment", "computed", "cache_hits",
                        "cache_hit_rate", "wall_s"}),

@@ -11,6 +11,10 @@ runners are pure functions of their parameters, the machine
 configuration, and those two ambients).  Results merge into plan order
 regardless of completion order, so output is deterministic.
 
+On either path each finished unit goes to the caller's ``on_complete``
+hook the moment it arrives, so the caller can store it before the
+sweep ends: a killed or cancelled sweep keeps every unit it finished.
+
 Host-level fault tolerance (see :mod:`repro.exec.resilience`):
 
 * **Crash containment** — a unit whose worker dies is retried with
@@ -200,7 +204,6 @@ class WorkerPool:
     def map_units(self, units: List[WorkUnit], config, *,
                   fault_plan=None, seed: Optional[int] = None,
                   stats: Optional[PoolStats] = None,
-                  on_unit: Optional[Callable[[WorkUnit, object], None]] = None,
                   on_progress: Optional[Callable[[WorkUnit, Dict],
                                                  None]] = None,
                   on_event: Optional[Callable[[Dict], None]] = None,
@@ -210,15 +213,15 @@ class WorkerPool:
                   ) -> Dict[str, object]:
         """Compute every unit; returns ``{unit.key: value}`` in plan order.
 
-        ``on_unit(unit, value)`` fires once per completed unit, in plan
-        order (the cache/checkpoint write hook).  ``on_progress(unit,
-        timing)`` fires as each unit *completes* — out of plan order
-        under ``--jobs N`` — with that unit's host-timing record; it is
-        the live-telemetry hook and must not mutate results.
-        ``on_complete(unit, value)`` also fires at completion time,
-        *with* the value — the crash-safe journal hook.  ``on_event``
-        receives resilience telemetry records (``retry``,
-        ``hung_worker``, ``quarantine``, ``serial_fallback``).
+        ``on_complete(unit, value)`` fires once per completed unit, as
+        it completes — out of plan order under ``--jobs N`` — on every
+        path (serial, worker drain, serial fallback); it is the hook
+        that stores finished units (cache and journal).
+        ``on_progress(unit, timing)`` fires right after it with that
+        unit's host-timing record; it is the live-telemetry hook and
+        must not mutate results.  ``on_event`` receives resilience
+        telemetry records (``retry``, ``hung_worker``, ``quarantine``,
+        ``serial_fallback``).
 
         Units that exhaust every attempt (see
         :class:`~repro.exec.resilience.ResiliencePolicy`) are
@@ -237,10 +240,6 @@ class WorkerPool:
                                         stats, on_progress, on_event,
                                         on_complete, chaos_spec)
         ordered = {u.key: values[u.key] for u in units if u.key in values}
-        if on_unit is not None:
-            for unit in units:
-                if unit.key in ordered:
-                    on_unit(unit, ordered[unit.key])
         if stats.resilience.quarantined:
             raise self._quarantine_error(units, stats)
         return ordered

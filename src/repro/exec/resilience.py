@@ -113,7 +113,7 @@ class UnitExecutionError(RuntimeError):
     """Raised after a sweep drains with quarantined (poison) units.
 
     The sweep itself completed every healthy unit first — their values
-    are in the journal/cache/checkpoint, so a rerun after the fix
+    are in the cache and the journal, so a rerun after the fix
     recomputes only the named units.  ``failures`` holds one
     :class:`UnitFailure` per poisoned unit, original tracebacks
     included.

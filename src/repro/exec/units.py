@@ -13,11 +13,10 @@ opt in by registering two module-level callables:
   by reference) and must return plain JSON-able data (the cache stores
   it verbatim).
 
-``run()`` itself consumes precomputed units through the checkpoint
-``point(key, fn)`` protocol it already speaks: the fabric hands it a
-:class:`PointStore` seeded with every unit's value, so the experiment
-keeps its structure and only its per-point computations move into the
-registered runner.
+``run(points=...)`` itself consumes precomputed units through the
+``point(key, fn)`` protocol: the fabric hands it a :class:`PointStore`
+seeded with every unit's value, so the experiment keeps its structure
+and only its per-point computations move into the registered runner.
 """
 
 from __future__ import annotations
@@ -122,29 +121,20 @@ def run_unit(experiment_id: str, params: Dict, config):
 
 
 class PointStore:
-    """Precomputed point values behind the checkpoint ``point`` protocol.
+    """Precomputed point values behind the ``point(key, fn)`` protocol.
 
     The fabric seeds it with every planned unit's value; the
     experiment's ``run()`` then drains it through ``point(key, fn)``
     without simulating anything.  A key the plan missed falls back to
-    computing ``fn()`` in-process (counted in :attr:`computed`), so a
-    ``run()`` invoked with non-default sweep parameters still works.
-
-    When a :class:`~repro.experiments.checkpoint.Checkpoint` is
-    attached, fallback computations are persisted to it, keeping
-    ``--checkpoint``/``--resume`` correct even for points the planner
-    did not anticipate.
+    computing ``fn()`` in-process (counted in :attr:`computed`, stored
+    nowhere), so a ``run()`` invoked with non-default sweep parameters
+    still works.
     """
 
-    def __init__(self, values: Dict[str, object], checkpoint=None):
+    def __init__(self, values: Dict[str, object]):
         self.values = dict(values)
-        self.checkpoint = checkpoint
         self.hits = 0       #: points served from the precomputed plan
         self.computed = 0   #: points computed in-process (plan misses)
-
-    def bind(self, experiment_id: str) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint.bind(experiment_id)
 
     def point(self, key: str, fn: Callable[[], object]):
         if key in self.values:
@@ -153,6 +143,4 @@ class PointStore:
         value = fn()
         self.computed += 1
         self.values[key] = value
-        if self.checkpoint is not None:
-            self.checkpoint.put(key, value)
         return value

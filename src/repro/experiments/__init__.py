@@ -16,12 +16,10 @@ from .base import (
 from . import fig2_forkjoin, fig3_barrier, fig4_message
 from . import ablations, contention, degraded, fig6_pic, fig7_fem
 from . import fig8_nbody, memclass, scale128, table1_pic_c90, table2_ppm
-from .checkpoint import Checkpoint, CheckpointError
 
 __all__ = [
     "ExperimentResult", "register", "get_experiment", "list_experiments",
     "resolve_experiment_id", "run_experiment",
-    "Checkpoint", "CheckpointError",
     "fig2_forkjoin", "fig3_barrier", "fig4_message",
     "fig6_pic", "table1_pic_c90", "degraded",
 ]

@@ -20,11 +20,10 @@ __all__ = ["ExperimentResult", "register", "get_experiment",
 def point_runner(store):
     """The per-point memoisation hook shared by every sweep experiment.
 
-    ``store`` is anything speaking the checkpoint protocol — a
-    :class:`~repro.experiments.checkpoint.Checkpoint` (``--resume``), a
-    :class:`~repro.exec.units.PointStore` seeded by the execution
-    fabric, or None — and the returned ``point(key, fn)`` either serves
-    the recorded value or computes ``fn()`` in place.
+    ``store`` is the :class:`~repro.exec.units.PointStore` the
+    execution fabric passes as ``run(points=...)``, or None, and the
+    returned ``point(key, fn)`` either serves the precomputed value or
+    computes ``fn()`` in place.
     """
     if store is None:
         return lambda key, fn: fn()

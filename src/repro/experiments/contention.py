@@ -83,12 +83,10 @@ def plan_units(config, quick: bool = False):
 
 @register("contention", "Message-traffic contention (ref [24] observation)")
 def run(config: Optional[MachineConfig] = None,
-        max_pairs: int = MAX_PAIRS, checkpoint=None) -> ExperimentResult:
+        max_pairs: int = MAX_PAIRS, points=None) -> ExperimentResult:
     """Per-pair round trip vs number of simultaneous pairs."""
     config = config or spp1000()
-    if checkpoint is not None:
-        checkpoint.bind("contention")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
 
     pair_counts = list(range(1, max_pairs + 1))
     local = [point(f"local:{n}",

@@ -95,7 +95,7 @@ def plan_units(config, quick: bool = False):
 
 @register("degraded", "Barrier and message costs under failed SCI rings")
 def run(config: Optional[MachineConfig] = None, quick: bool = False,
-        checkpoint=None) -> ExperimentResult:
+        points=None) -> ExperimentResult:
     """Measure Fig. 3 barrier and Fig. 4 message curves per fault scenario."""
     config = config or spp1000()
     thread_counts, sizes = _sweep_lists(config, quick)
@@ -103,9 +103,7 @@ def run(config: Optional[MachineConfig] = None, quick: bool = False,
     repeats = 2 if quick else 4
 
     scenarios = _scenarios()
-    if checkpoint is not None:
-        checkpoint.bind("degraded")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
 
     series: List[Series] = []
     msg_table = Table(

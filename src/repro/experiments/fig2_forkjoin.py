@@ -80,15 +80,13 @@ def plan_units(config, quick: bool = False):
 @register("fig2", "Cost of fork-join")
 def run(config: Optional[MachineConfig] = None,
         thread_counts: Optional[Sequence[int]] = None,
-        repeats: int = 3, checkpoint=None) -> ExperimentResult:
+        repeats: int = 3, points=None) -> ExperimentResult:
     """Regenerate Figure 2."""
     config = config or spp1000()
     if thread_counts is None:
         thread_counts = THREAD_COUNTS
     thread_counts = [n for n in thread_counts if n <= config.n_cpus]
-    if checkpoint is not None:
-        checkpoint.bind("fig2")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
 
     values = {key: point(key, lambda p=params: _unit(p, config))
               for key, params in _points(thread_counts, repeats)}

@@ -90,15 +90,13 @@ def plan_units(config, quick: bool = False):
 @register("fig3", "Cost of barrier synchronisation")
 def run(config: Optional[MachineConfig] = None,
         thread_counts: Optional[Sequence[int]] = None,
-        rounds: int = 12, checkpoint=None) -> ExperimentResult:
+        rounds: int = 12, points=None) -> ExperimentResult:
     """Regenerate Figure 3."""
     config = config or spp1000()
     if thread_counts is None:
         thread_counts = THREAD_COUNTS
     thread_counts = [n for n in thread_counts if n <= config.n_cpus]
-    if checkpoint is not None:
-        checkpoint.bind("fig3")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
 
     data: Dict[str, list] = {"thread_counts": list(thread_counts)}
     series = []

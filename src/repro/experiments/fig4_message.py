@@ -74,14 +74,12 @@ def plan_units(config, quick: bool = False):
 @register("fig4", "Cost of round-trip message passing")
 def run(config: Optional[MachineConfig] = None,
         sizes: Optional[Sequence[int]] = None,
-        repeats: int = 4, checkpoint=None) -> ExperimentResult:
+        repeats: int = 4, points=None) -> ExperimentResult:
     """Regenerate Figure 4."""
     config = config or spp1000()
     if sizes is None:
         sizes = SIZES
-    if checkpoint is not None:
-        checkpoint.bind("fig4")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
 
     values = {key: point(key, lambda p=params: _unit(p, config))
               for key, params in _points(sizes, repeats)}

@@ -54,15 +54,13 @@ def plan_units(config, quick: bool = False):
 @register("fig6", "PIC time to solution and speed-up")
 def run(config: Optional[MachineConfig] = None,
         processor_counts: Optional[Sequence[int]] = None,
-        checkpoint=None) -> ExperimentResult:
+        points=None) -> ExperimentResult:
     """Regenerate Figure 6."""
     config = config or spp1000()
     if processor_counts is None:
         processor_counts = PROCESSOR_COUNTS
     processor_counts = [p for p in processor_counts if p <= config.n_cpus]
-    if checkpoint is not None:
-        checkpoint.bind("fig6")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
 
     series = []
     data: Dict = {"processors": list(processor_counts)}

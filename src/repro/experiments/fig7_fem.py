@@ -57,15 +57,13 @@ def plan_units(config, quick: bool = False):
 @register("fig7", "FEM performance on small and large data sets")
 def run(config: Optional[MachineConfig] = None,
         processor_counts: Optional[Sequence[int]] = None,
-        checkpoint=None) -> ExperimentResult:
+        points=None) -> ExperimentResult:
     """Regenerate Figure 7."""
     config = config or spp1000()
     if processor_counts is None:
         processor_counts = PROCESSOR_COUNTS
     processor_counts = [p for p in processor_counts if p <= config.n_cpus]
-    if checkpoint is not None:
-        checkpoint.bind("fig7")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
 
     series = []
     data: Dict = {"processors": list(processor_counts)}

@@ -76,12 +76,10 @@ def plan_units(config, quick: bool = False):
 
 @register("fig8", "N-body performance scaling")
 def run(config: Optional[MachineConfig] = None,
-        include_2m: bool = True, checkpoint=None) -> ExperimentResult:
+        include_2m: bool = True, points=None) -> ExperimentResult:
     """Regenerate Figure 8."""
     config = config or spp1000()
-    if checkpoint is not None:
-        checkpoint.bind("fig8")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
     two_hypernodes = _two_hypernodes(config)
 
     series = []

@@ -45,12 +45,10 @@ def plan_units(config, quick: bool = False):
 
 @register("memclass", "Memory-class placement ablation (beyond the paper)")
 def run(config: Optional[MachineConfig] = None,
-        checkpoint=None) -> ExperimentResult:
+        points=None) -> ExperimentResult:
     """FEM large under far-shared / near-shared / block-shared placement."""
     config = config or spp1000()
-    if checkpoint is not None:
-        checkpoint.bind("memclass")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
 
     counts = _processor_counts(config)
     series = []

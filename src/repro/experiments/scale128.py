@@ -76,18 +76,15 @@ def plan_units(config, quick: bool = False):
 
 @register("scale128", "Predicted scaling to 128 processors (future work)")
 def run(config: Optional[MachineConfig] = None,
-        checkpoint=None) -> ExperimentResult:
+        points=None) -> ExperimentResult:
     """Extrapolate every application to the 16-hypernode machine.
 
-    ``checkpoint`` (a :class:`~repro.experiments.checkpoint.Checkpoint`
-    or the execution fabric's point store) persists each completed sweep
-    point; a resumed run skips them and reproduces the same final
-    results bit for bit.
+    ``points`` (the execution fabric's
+    :class:`~repro.exec.units.PointStore`) serves every sweep point the
+    fabric already computed, from workers, the cache or a journal.
     """
     del config  # machine size is the swept variable here
-    if checkpoint is not None:
-        checkpoint.bind("scale128")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
 
     baselines = {name: point(f"baseline:{name}",
                              lambda name=name: _time_ns(name, 1, 1))

@@ -53,12 +53,10 @@ def plan_units(config, quick: bool = False):
 
 @register("table1", "PIC performance on 1 C90 processor")
 def run(config: Optional[MachineConfig] = None,
-        checkpoint=None) -> ExperimentResult:
+        points=None) -> ExperimentResult:
     """Regenerate Table 1."""
     config = config or spp1000()
-    if checkpoint is not None:
-        checkpoint.bind("table1")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
 
     table = Table(
         "Table 1: PIC on one C90 head (paper values in parentheses)",

@@ -64,12 +64,10 @@ def plan_units(config, quick: bool = False):
 
 @register("table2", "PPM performance")
 def run(config: Optional[MachineConfig] = None,
-        checkpoint=None) -> ExperimentResult:
+        points=None) -> ExperimentResult:
     """Regenerate Table 2."""
     config = config or spp1000()
-    if checkpoint is not None:
-        checkpoint.bind("table2")
-    point = point_runner(checkpoint)
+    point = point_runner(points)
 
     table = Table("Table 2: PPM performance (paper values in parentheses)",
                   ["Grid Size", "No. of Tiles", "No. of Procs", "Mflop/s"])

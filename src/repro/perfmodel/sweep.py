@@ -17,10 +17,10 @@ def scaling_study(run: Callable[[int], RunResult],
     """Run a workload at each processor count; returns a ScalingCurve.
 
     ``run(p)`` must return a :class:`RunResult`; each count is executed
-    exactly once.  ``point(key, fn)`` — the experiment checkpoint /
-    execution-fabric memoisation protocol (see :mod:`repro.exec`) —
-    lets a resumed or parallel run serve counts already computed; the
-    value memoised per count is the ``(time_ns, flops)`` pair.
+    exactly once.  ``point(key, fn)`` — the execution fabric's
+    memoisation protocol (see :mod:`repro.exec`) — lets a parallel,
+    cached or journaled run serve counts already computed; the value
+    memoised per count is the ``(time_ns, flops)`` pair.
     """
     if not processor_counts:
         raise ValueError("no processor counts given")

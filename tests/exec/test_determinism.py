@@ -3,8 +3,8 @@
 Acceptance criteria from the execution-fabric issue: every registered
 experiment run with ``--jobs 4`` produces byte-identical ``.data`` to
 the serial run — including under a fault plan and when resuming a
-half-finished checkpoint — and a warm-cache re-run re-simulates
-nothing.
+half-finished journal — and a warm-cache re-run re-simulates nothing.
+A sweep stopped partway keeps every unit it reported as finished.
 """
 
 import pytest
@@ -12,8 +12,7 @@ import pytest
 import repro.experiments  # noqa: F401
 from repro.core import spp1000
 from repro.core.canon import canonical_json
-from repro.exec import ResultCache, execute, unit_experiments
-from repro.experiments.checkpoint import Checkpoint
+from repro.exec import ResultCache, SweepJournal, execute, unit_experiments
 
 CONFIG = spp1000()
 
@@ -68,35 +67,53 @@ def test_parallel_under_fault_plan_is_bit_identical():
 def test_resume_mid_sweep_is_bit_identical(tmp_path):
     expected, _ = serial_data("fig3")
     # a "killed" run: only the first five points made it to disk
-    full = Checkpoint(str(tmp_path / "full.json"))
-    _result, _report = execute("fig3", CONFIG, jobs=1, quick=True,
-                               checkpoint=full)
-    partial_points = dict(list(full.points.items())[:5])
-    partial = Checkpoint(str(tmp_path / "ck.json"))
-    partial.bind("fig3")
-    partial.put_many(partial_points)
+    full = tmp_path / "full.jsonl"
+    execute("fig3", CONFIG, jobs=1, quick=True,
+            journal=SweepJournal(str(full)))
+    partial = tmp_path / "partial.jsonl"
+    header_and_five = full.read_text().splitlines(keepends=True)[:6]
+    partial.write_text("".join(header_and_five))
 
-    resumed = Checkpoint(str(tmp_path / "ck.json"), resume=True)
     result, report = execute("fig3", CONFIG, jobs=4, quick=True,
-                             checkpoint=resumed)
+                             journal=SweepJournal(str(partial)))
     assert canonical_json(result.data) == expected
-    assert report.from_checkpoint == 5
+    assert report.from_journal == 5
     assert report.computed == report.units_planned - 5
 
 
-def test_cache_hits_fold_into_checkpoint(tmp_path):
+class _Cancelled(BaseException):
+    """Stands in for the server's JobCancelled."""
+
+
+class _CancelAtUnit:
+    """A progress stream whose k-th ``unit`` record raises, the way a
+    server cancel stops a sweep at a unit boundary."""
+
+    def __init__(self, k):
+        self.k = k
+        self.units = 0
+
+    def emit(self, record):
+        if record["event"] == "unit":
+            self.units += 1
+            if self.units == self.k:
+                raise _Cancelled()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_interrupted_sweep_keeps_finished_units(jobs, tmp_path):
+    expected, _ = serial_data("fig3")
     cache = ResultCache(str(tmp_path / "cache"))
-    execute("table1", CONFIG, jobs=1, cache=cache)
-    ck = Checkpoint(str(tmp_path / "ck.json"))
-    _result, report = execute("table1", CONFIG, jobs=1, cache=cache,
-                              checkpoint=ck)
-    assert report.cache_hits == report.units_planned
-    # a later --resume without the cache skips everything
-    resumed = Checkpoint(str(tmp_path / "ck.json"), resume=True)
-    _result2, report2 = execute("table1", CONFIG, jobs=1,
-                                checkpoint=resumed)
-    assert report2.from_checkpoint == report2.units_planned
-    assert report2.computed == 0
+    with pytest.raises(_Cancelled):
+        execute("fig3", CONFIG, jobs=jobs, quick=True, cache=cache,
+                progress=_CancelAtUnit(5))
+    # every unit reported before the cancel is already on disk
+    assert cache.entries() == 5
+    result, report = execute("fig3", CONFIG, jobs=jobs, quick=True,
+                             cache=cache)
+    assert report.cache_hits == 5
+    assert report.computed == report.units_planned - 5
+    assert canonical_json(result.data) == expected
 
 
 def test_observed_run_skips_cache_reads_but_writes(tmp_path):

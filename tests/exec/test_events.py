@@ -19,7 +19,7 @@ from repro.exec.progress import ProgressStream
 # representative field values for every required field in the tables
 _SAMPLES = {
     "experiment": "fig3", "units": 4, "to_compute": 2,
-    "from_checkpoint": 0, "cache_hits": 2, "jobs": 1, "key": "u:1",
+    "cache_hits": 2, "jobs": 1, "key": "u:1",
     "done": 1, "total": 4, "computed": 2, "cache_hit_rate": 0.5,
     "wall_s": 0.1, "attempt": 1, "max_attempts": 3, "where": "worker",
     "error": "boom", "backoff_s": 0.1, "pid": 123, "elapsed_s": 9.0,

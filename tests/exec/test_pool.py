@@ -55,7 +55,7 @@ def test_serial_pool_runs_in_plan_order():
     seen = []
     values = WorkerPool(1).map_units(
         units, spp1000(), stats=stats,
-        on_unit=lambda u, v: seen.append(u.key))
+        on_complete=lambda u, v: seen.append(u.key))
     assert list(values) == [u.key for u in units]
     assert values["sq:3"] == 9
     assert seen == [u.key for u in units]

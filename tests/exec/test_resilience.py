@@ -122,7 +122,7 @@ def test_serial_poison_unit_quarantined_not_sinking_sweep():
     with pytest.raises(UnitExecutionError) as excinfo:
         WorkerPool(1, policy).map_units(
             units, spp1000(), stats=stats,
-            on_unit=lambda u, v: cached.update({u.key: v}))
+            on_complete=lambda u, v: cached.update({u.key: v}))
     _assert_poison_error(excinfo, stats)
     # every healthy unit completed and reached the cache hook first
     assert cached == {"p:0": 0, "p:1": 10, "p:3": 30}

@@ -79,15 +79,3 @@ def test_point_store_serves_and_falls_back():
     assert store.computed == 1
     # the fallback value is memoised for subsequent lookups
     assert store.point("b", lambda: 3) == 2
-
-
-def test_point_store_persists_fallbacks_to_checkpoint(tmp_path):
-    from repro.experiments.checkpoint import Checkpoint
-
-    ck = Checkpoint(str(tmp_path / "ck.json"))
-    ck.bind("fig3")
-    store = PointStore({}, checkpoint=ck)
-    store.bind("fig3")
-    assert store.point("extra", lambda: 42) == 42
-    resumed = Checkpoint(str(tmp_path / "ck.json"), resume=True)
-    assert resumed.points["extra"] == 42

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments import Checkpoint, run_experiment
+from repro.core import spp1000
+from repro.exec import SweepJournal, execute
+from repro.experiments import run_experiment
 from repro.faults import ring_loss_plan, use_faults
 
 
@@ -53,12 +55,12 @@ def test_ambient_plan_replaces_canned_scenarios():
     assert recorded["scenario"] == "custom plan under test"
 
 
-def test_checkpoint_resume_is_bit_identical(tmp_path):
-    path = str(tmp_path / "degraded.ckpt.json")
-    first = run_experiment("degraded", quick=True,
-                           checkpoint=Checkpoint(path))
-    resumed = Checkpoint(path, resume=True)
-    second = run_experiment("degraded", quick=True, checkpoint=resumed)
+def test_journal_resume_is_bit_identical(tmp_path):
+    path = str(tmp_path / "degraded.jsonl")
+    first, _ = execute("degraded", spp1000(), quick=True,
+                       journal=SweepJournal(path))
+    second, report = execute("degraded", spp1000(), quick=True,
+                             journal=SweepJournal(path))
     assert second.data == first.data
-    assert resumed.computed == 0          # everything came from the file
-    assert resumed.hits > 0
+    assert report.computed == 0           # everything came from the file
+    assert report.from_journal == report.units_planned > 0

@@ -31,8 +31,8 @@ def _run_fast(params, config):
     return {"i": i, "value": i * i + 7 * i + config.n_hypernodes}
 
 
-def _assemble_fast(config=None, quick=False, checkpoint=None):
-    vals = [checkpoint.point(f"f:{i}",
+def _assemble_fast(config=None, quick=False, points=None):
+    vals = [points.point(f"f:{i}",
                              lambda i=i: _run_fast({"i": i}, config))
             for i in range(FAST_N[quick])]
     return ExperimentResult(experiment_id="_srv_fast",
@@ -55,8 +55,8 @@ def _run_slow(params, config):
     return {"i": params["i"]}
 
 
-def _assemble_slow(config=None, quick=False, checkpoint=None):
-    vals = [checkpoint.point(f"s:{i}",
+def _assemble_slow(config=None, quick=False, points=None):
+    vals = [points.point(f"s:{i}",
                              lambda i=i: _run_slow({"i": i}, config))
             for i in range(SLOW_N)]
     return ExperimentResult(experiment_id="_srv_slow",
@@ -78,8 +78,8 @@ def _run_many(params, config):
     return params["i"]
 
 
-def _assemble_many(config=None, quick=False, checkpoint=None):
-    vals = [checkpoint.point(f"m:{i}",
+def _assemble_many(config=None, quick=False, points=None):
+    vals = [points.point(f"m:{i}",
                              lambda i=i: _run_many({"i": i}, config))
             for i in range(MANY_N)]
     return ExperimentResult(experiment_id="_srv_many",
@@ -99,8 +99,8 @@ def _run_stamp(params, config):
     return {"ran_at": time.monotonic()}
 
 
-def _assemble_stamp(config=None, quick=False, checkpoint=None):
-    val = checkpoint.point("t:0", lambda: _run_stamp({"i": 0}, config))
+def _assemble_stamp(config=None, quick=False, points=None):
+    val = points.point("t:0", lambda: _run_stamp({"i": 0}, config))
     return ExperimentResult(experiment_id="_srv_stamp",
                             title="synthetic run-order stamp",
                             data=val)

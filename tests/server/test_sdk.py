@@ -157,6 +157,28 @@ def test_cancel_running_job_stops_at_unit_boundary(server):
     client.close()
 
 
+def test_cancelled_sweep_resumes_warm(server):
+    """Every unit a client saw reported before its cancel is already in
+    the cache, so resubmitting the sweep computes only the rest."""
+    client = Client(server.host, server.port)
+    job = client.submit("_srv_slow")
+    seen = 0
+    for record in job.events():
+        if record["event"] == "unit":
+            seen += 1
+            if seen == 5:
+                break
+    job.cancel()
+    with pytest.raises(JobCancelledError, match="running"):
+        job.result()
+    again = client.submit("_srv_slow").result()
+    assert again.execution["cache_hits"] >= seen
+    assert again.execution["computed"] == (
+        again.execution["units_planned"] - again.execution["cache_hits"])
+    assert again.data["vals"] == [{"i": i} for i in range(60)]
+    client.close()
+
+
 def test_cancel_queued_job_is_instant():
     srv = ServerThread(workers=0, no_cache=True).start()
     try:

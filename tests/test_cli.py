@@ -125,13 +125,8 @@ def test_parser_has_robustness_flags():
     from repro.cli import build_parser
 
     text = build_parser().format_help()
-    for flag in ("--faults", "--checkpoint", "--resume"):
+    for flag in ("--faults", "--journal"):
         assert flag in text
-
-
-def test_resume_requires_checkpoint(capsys):
-    assert main(["degraded", "--resume"]) == 2
-    assert "--resume requires --checkpoint" in capsys.readouterr().err
 
 
 def test_missing_fault_plan_fails_cleanly(capsys):
@@ -148,21 +143,6 @@ def test_invalid_fault_plan_lists_problems(tmp_path, capsys):
     assert "invalid fault plan" in err
     assert "ring 9 out of range" in err
     assert "bogus" in err
-
-
-def test_corrupt_checkpoint_fails_cleanly(tmp_path, capsys):
-    ck = tmp_path / "ck.json"
-    ck.write_text("{broken")
-    assert main(["degraded", "--checkpoint", str(ck), "--resume"]) == 2
-    assert "cannot resume" in capsys.readouterr().err
-
-
-def test_checkpoint_note_for_unsupported_experiment(tmp_path, capsys):
-    ck = tmp_path / "ck.json"
-    assert main(["ablations", "--checkpoint", str(ck)]) == 0
-    captured = capsys.readouterr()
-    assert "does not support checkpointing" in captured.err
-    assert "ablations" in captured.out
 
 
 def test_metrics_directory_output(tmp_path, capsys):
@@ -279,7 +259,7 @@ def test_cache_stats_report_fields_are_pinned(tmp_path):
     _result, report = execute("table1", spp1000(), jobs=1, cache=cache)
     d = report.to_dict()
     assert set(d) == {
-        "experiment_id", "jobs", "units_planned", "from_checkpoint",
+        "experiment_id", "jobs", "units_planned",
         "cache_hits", "cache_misses", "cache_stores", "cache_hit_rate",
         "computed", "retried_in_process", "fallback_points",
         "wall_seconds", "cache_root", "host_timing", "unit_timings",
@@ -353,20 +333,13 @@ def test_chaos_env_var_activates_plan(tmp_path, capsys, monkeypatch):
     assert "invalid chaos plan" in capsys.readouterr().err
 
 
-def test_resume_accepts_journal_without_checkpoint(tmp_path, capsys):
-    journal = tmp_path / "j.jsonl"
-    assert main(["fig3", "--quick", "--no-cache", "--journal",
-                 str(journal), "--resume"]) == 0
-    assert journal.exists()
-
-
 def test_journal_run_then_resume_replays(tmp_path, capsys):
     journal = tmp_path / "j.jsonl"
     assert main(["fig3", "--quick", "--no-cache", "--jobs", "2",
                  "--journal", str(journal), "--cache-stats"]) == 0
     capsys.readouterr()
     assert main(["fig3", "--quick", "--no-cache", "--journal",
-                 str(journal), "--resume", "--cache-stats"]) == 0
+                 str(journal), "--cache-stats"]) == 0
     out = capsys.readouterr().out
     assert "replayed from journal" in out
     assert "0 computed" in out
@@ -377,20 +350,41 @@ def test_resume_refuses_schema_1_journal(tmp_path, capsys):
     journal.write_text('{"experiment_id":"fig3","journal":1}\n'
                        '{"key":"uniform:1","sha256":"00","value":1}\n')
     assert main(["fig3", "--quick", "--no-cache", "--journal",
-                 str(journal), "--resume"]) == 2
+                 str(journal)]) == 2
     assert "uses journal schema 1" in capsys.readouterr().err
 
 
-def test_journal_without_resume_starts_fresh(tmp_path, capsys):
-    journal = tmp_path / "j.jsonl"
-    journal.write_text("stale bytes that would be refused on replay\n")
+def test_journal_never_overwrites_a_non_journal_file(tmp_path, capsys):
+    journal = tmp_path / "notes.txt"
+    journal.write_text("my notes\n")
     assert main(["fig3", "--quick", "--no-cache", "--journal",
-                 str(journal)]) == 0
-    # the stale file was reset, then rewritten with a valid header
-    import json as _json
+                 str(journal)]) == 2
+    err = capsys.readouterr().err
+    assert "is not a sweep journal" in err
+    assert len(err.strip().splitlines()) == 1
+    assert journal.read_text() == "my notes\n"
 
-    header = _json.loads(journal.read_text().splitlines()[0])
-    assert header["experiment_id"] == "fig3"
+
+@pytest.mark.parametrize("first,second", [
+    (["fig3", "--quick", "--hypernodes", "1"],
+     ["fig3", "--quick", "--hypernodes", "2"]),
+    (["degraded", "--quick"], ["degraded"]),
+], ids=["hypernodes", "quick-then-full"])
+def test_journal_refuses_another_run(first, second, tmp_path, capsys):
+    """A journal replays only into the run that wrote it: another
+    machine or sweep plan exits 2 and leaves the file untouched."""
+    journal = tmp_path / "j.jsonl"
+    assert main(first + ["--no-cache", "--journal", str(journal)]) == 0
+    before = journal.read_bytes()
+    capsys.readouterr()
+    assert main(second + ["--no-cache", "--journal", str(journal)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"{journal} was written by another run of {second[0]!r} (a "
+        "different sweep plan, machine, fault plan, seed or code); pass "
+        "a fresh --journal path"]
+    assert journal.read_bytes() == before
 
 
 def test_cache_dir_pointing_at_file_is_actionable(tmp_path, capsys):
@@ -411,6 +405,15 @@ def test_cache_dir_with_foreign_files_is_actionable(tmp_path, capsys):
     assert "non-cache files" in err and "notes.txt" in err
 
 
+def _journal_values(path):
+    """``{key: value}`` of every unit record in a sweep journal."""
+    from repro.core import jsonl
+
+    records, skipped = jsonl.read(str(path))
+    assert skipped == 0
+    return {rec["key"]: rec["value"] for rec in records[1:]}
+
+
 def test_chaos_run_is_bit_identical_to_clean_serial(tmp_path, capsys):
     """The CLI-level pin of the chaos contract: kill two workers,
     corrupt cache entries, delay a unit -- same bytes out."""
@@ -422,14 +425,16 @@ def test_chaos_run_is_bit_identical_to_clean_serial(tmp_path, capsys):
         {"kind": "kill_worker", "unit": 1},
         {"kind": "delay_unit", "unit": 2, "seconds": 0.02},
     ]}))
-    clean_ck = tmp_path / "clean.ckpt"
-    chaos_ck = tmp_path / "chaos.ckpt"
+    clean = tmp_path / "clean.jsonl"
+    chaotic = tmp_path / "chaos.jsonl"
     assert main(["fig3", "--quick", "--no-cache",
-                 "--checkpoint", str(clean_ck)]) == 0
+                 "--journal", str(clean)]) == 0
     assert main(["fig3", "--quick", "--no-cache", "--jobs", "2",
-                 "--chaos", str(chaos), "--checkpoint", str(chaos_ck),
+                 "--chaos", str(chaos), "--journal", str(chaotic),
                  "--cache-stats"]) == 0
-    assert clean_ck.read_bytes() == chaos_ck.read_bytes()
+    # every unit's value, at full precision, in both runs' journals
+    assert len(_journal_values(clean)) == 16
+    assert _journal_values(chaotic) == _journal_values(clean)
     out = capsys.readouterr().out
     assert "survived" in out
     assert "chaos faults injected" in out
