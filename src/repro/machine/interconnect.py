@@ -48,7 +48,7 @@ class Crossbar:
         ms = self.memscope
         start = self.sim.now if ms is not None else 0.0
         try:
-            yield self.sim.timeout(cfg.cycles(cfg.crossbar_cycles))
+            yield cfg.cycles(cfg.crossbar_cycles)
         finally:
             port.release()
         self.traversals += 1
@@ -87,7 +87,7 @@ class Ring:
         ms = self.memscope
         start = self.sim.now if ms is not None else 0.0
         try:
-            yield self.sim.timeout(hold)
+            yield hold
         finally:
             self._bus.release()
         self.transfers += 1

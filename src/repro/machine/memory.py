@@ -49,7 +49,7 @@ class MemoryBank:
         ms = self.memscope
         start = self.sim.now if ms is not None else 0.0
         try:
-            yield self.sim.timeout(hold_ns)
+            yield hold_ns
         finally:
             self._port.release()
         self.accesses += lines

@@ -14,11 +14,19 @@ exposes the operations that programs running *on* the machine use:
 * ``compute`` — burn CPU cycles;
 * ``alloc`` — obtain memory of one of the five §3.2 classes.
 
-``compute`` returns an event and ``alloc`` a region.  Every other
-operation returns a generator: a *sub-operation* that the calling
-process runs when it ``yield``s it, with the event order a child process
-would have had (see :mod:`repro.sim.process`).  To run one as a
-standalone process, wrap it: ``sim.process(machine.load(cpu, addr))``.
+``compute`` returns an event, which callers may hang callbacks on, and
+``alloc`` a region.  Every other operation returns a generator: a
+*sub-operation* that the calling process runs when it ``yield``s it,
+with the event order a child process would have had (see
+:mod:`repro.sim.process`).  To run one as a standalone process, wrap
+it: ``sim.process(machine.load(cpu, addr))``.
+
+Inside a sub-operation every fixed latency (issue, directory, agent,
+fill, crossbar, bank and ring hold) is a *bare delay*: it yields the
+nanoseconds as a ``float``, so the process advances the clock itself
+whenever nothing else is due first, and free crossbar, bank and ring
+ports are granted without an event.  The healthy path enters no
+generator for the fault gate or for a TLB hit.
 
 Coherence protocol summary (two levels, as in the paper):
 
@@ -193,11 +201,11 @@ class Machine:
 
     def _gate(self, cpu: int, target_hn: Optional[int] = None):
         """Generator: halt forever if ``cpu`` (or the target memory's
-        hypernode) has failed; yields nothing on the healthy path."""
-        if self.faults is not None:
-            blocked = self.faults.gate(cpu, target_hn)
-            if blocked is not None:
-                yield blocked
+        hypernode) has failed.  Callers enter it only under a fault
+        plan; it yields nothing on the healthy path."""
+        blocked = self.faults.gate(cpu, target_hn)
+        if blocked is not None:
+            yield blocked
 
     def timestamp(self, cpu: int):
         """Sub-operation: take one timestamp; returns the (post-read) sim
@@ -206,8 +214,7 @@ class Machine:
         Costs ``timer_overhead_cycles``, mirroring the intrusion the
         paper's methodology corrects for.
         """
-        yield self.sim.timeout(
-            self.config.cycles(self.config.timer_overhead_cycles))
+        yield self.config.cycles(self.config.timer_overhead_cycles)
         # Counted so reports can correct for timer intrusion (§4):
         # total overhead = count("timer.read") * timer_overhead_ns.
         self.tracer.emit(self.sim.now, "timer.read", cpu)
@@ -216,12 +223,11 @@ class Machine:
     def _home(self, line: int, accessor_hn: int) -> HomeLocation:
         return self.space.home_of(line, accessor_hn)
 
-    def _translate(self, cpu: int, addr: int):
-        """Generator: TLB lookup, charging the software handler on a miss."""
-        if not self.tlbs[cpu].access(addr):
-            yield self.sim.timeout(
-                self.config.cycles(self.config.tlb_miss_cycles))
-            self.tracer.emit(self.sim.now, "tlb.miss")
+    def _tlb_miss(self):
+        """Generator: the software handler of a TLB miss.  Callers enter
+        it only when ``self.tlbs[cpu].access(addr)`` misses."""
+        yield self.config.cycles(self.config.tlb_miss_cycles)
+        self.tracer.emit(self.sim.now, "tlb.miss")
 
     # ------------------------------------------------------------------
     # fetch paths (internal generators)
@@ -229,26 +235,26 @@ class Machine:
     def _local_path(self, hn: int, home_fu: int, home_bank: int, lines: int = 1):
         """Crossbar + bank + fill within hypernode ``hn``."""
         cfg = self.config
-        yield self.sim.timeout(cfg.cycles(cfg.issue_cycles))
+        yield cfg.cycles(cfg.issue_cycles)
         yield self.net.crossbar(hn).traverse(home_fu)
         yield self.mem.bank(HomeLocation(hn, home_fu, home_bank)).service(lines)
-        yield self.sim.timeout(cfg.cycles(cfg.fill_cycles))
+        yield cfg.cycles(cfg.fill_cycles)
 
     def _remote_path(self, my_hn: int, home: HomeLocation, attach: bool):
         """Full SCI path to another hypernode's memory and back."""
         cfg = self.config
-        yield self.sim.timeout(cfg.cycles(cfg.issue_cycles))
+        yield cfg.cycles(cfg.issue_cycles)
         # hop to the local FU that fronts this line's ring
         yield self.net.crossbar(my_hn).traverse(home.fu)
-        yield self.sim.timeout(cfg.cycles(cfg.agent_cycles))
+        yield cfg.cycles(cfg.agent_cycles)
         yield self.net.transfer(home.ring, my_hn, home.hypernode)
-        yield self.sim.timeout(cfg.cycles(cfg.agent_cycles))
+        yield cfg.cycles(cfg.agent_cycles)
         yield self.net.crossbar(home.hypernode).traverse(home.fu)
         yield self.mem.bank(home).service()
         if attach:
-            yield self.sim.timeout(cfg.cycles(cfg.sci_update_cycles))
+            yield cfg.cycles(cfg.sci_update_cycles)
         yield self.net.transfer(home.ring, home.hypernode, my_hn)
-        yield self.sim.timeout(cfg.cycles(cfg.fill_cycles))
+        yield cfg.cycles(cfg.fill_cycles)
         self.tracer.emit(self.sim.now, "ring.round_trip", home.ring)
 
     def _fetch_line(self, cpu: int, line: int, loc, home: HomeLocation):
@@ -258,10 +264,10 @@ class Machine:
         my_dir = self.directories[my_hn]
         ms = self.memscope
         t_fetch = self.sim.now if ms is not None else 0.0
-        if home.hypernode != my_hn:
+        if self.faults is not None and home.hypernode != my_hn:
             yield from self._gate(cpu, home.hypernode)
         if home.hypernode == my_hn:
-            yield self.sim.timeout(cfg.cycles(cfg.dir_lookup_cycles))
+            yield cfg.cycles(cfg.dir_lookup_cycles)
             ent = my_dir.entry(line)
             if ent.dirty and ent.sharers and cpu not in ent.sharers:
                 # A local CPU owns it modified: one extra bank visit models
@@ -274,7 +280,7 @@ class Machine:
                 ms.miss(cpu, line, "local", home, 0,
                         self.sim.now - t_fetch, self.sim.now)
         else:
-            yield self.sim.timeout(cfg.cycles(cfg.gcb_lookup_cycles))
+            yield cfg.cycles(cfg.gcb_lookup_cycles)
             if my_dir.gcb_holds(line):
                 # Satisfied by this hypernode's global cache buffer, which
                 # physically sits in the memory of the FU on the line's ring.
@@ -308,8 +314,7 @@ class Machine:
                     yield self.mem.bank(victim_home).service()
                 else:
                     # dirty remote line drains through the agent/ring
-                    yield self.sim.timeout(
-                        cfg.cycles(cfg.agent_cycles))
+                    yield cfg.cycles(cfg.agent_cycles)
                     yield self.net.transfer(victim_home.ring,
                                             my_hn, victim_home.hypernode)
                 self.tracer.emit(self.sim.now, "cache.writeback")
@@ -324,9 +329,11 @@ class Machine:
         cfg = self.config
         line = self.line_of(addr)
         loc = self.topology.locate(cpu)
-        yield from self._gate(cpu)
-        yield self.sim.timeout(cfg.clock_ns)  # the access itself (1 cycle)
-        yield from self._translate(cpu, addr)
+        if self.faults is not None:
+            yield from self._gate(cpu)
+        yield cfg.clock_ns  # the access itself (1 cycle)
+        if not self.tlbs[cpu].access(addr):
+            yield from self._tlb_miss()
         if self.caches[cpu].access(line):
             self.tracer.emit(self.sim.now, "load.hit")
         else:
@@ -343,9 +350,11 @@ class Machine:
         my_hn = loc.hypernode
         my_dir = self.directories[my_hn]
         home = self._home(line, my_hn)
-        yield from self._gate(cpu)
-        yield self.sim.timeout(cfg.clock_ns)
-        yield from self._translate(cpu, addr)
+        if self.faults is not None:
+            yield from self._gate(cpu)
+        yield cfg.clock_ns
+        if not self.tlbs[cpu].access(addr):
+            yield from self._tlb_miss()
         hit = self.caches[cpu].access(line)
         if self.memscope is not None:
             # writer/word observation for the sharing-churn detector
@@ -388,7 +397,7 @@ class Machine:
 
         # 1. other CPUs in my own hypernode, one directory op each
         for other in my_dir.local_sharers(line, excluding=cpu):
-            yield self.sim.timeout(cfg.cycles(cfg.dir_inval_cycles))
+            yield cfg.cycles(cfg.dir_inval_cycles)
             self.caches[other].invalidate(line)
             my_dir.remove_sharer(line, other)
             self._wake_spinner(line, other)
@@ -405,18 +414,17 @@ class Machine:
             cursor = my_hn
             if home.hypernode != my_hn:
                 # reach the home directory first to start the purge
-                yield self.sim.timeout(cfg.cycles(cfg.agent_cycles))
+                yield cfg.cycles(cfg.agent_cycles)
                 yield self.net.transfer(home.ring, my_hn, home.hypernode)
                 cursor = home.hypernode
             for hn in targets:
                 yield self.net.transfer(home.ring, cursor, hn)
-                yield self.sim.timeout(
-                    cfg.cycles(cfg.agent_cycles + cfg.sci_update_cycles))
+                yield cfg.cycles(cfg.agent_cycles + cfg.sci_update_cycles)
                 cursor = hn
                 node_dir = self.directories[hn]
                 node_dir.gcb_drop(line)
                 for other in node_dir.clear_line(line):
-                    yield self.sim.timeout(cfg.cycles(cfg.dir_inval_cycles))
+                    yield cfg.cycles(cfg.dir_inval_cycles)
                     self.caches[other].invalidate(line)
                     self._wake_spinner(line, other)
                 self.tracer.emit(self.sim.now, "store.inval.remote", hn)
@@ -440,15 +448,17 @@ class Machine:
         bank; returns the old value."""
         cfg = self.config
         loc = self.topology.locate(cpu)
-        yield from self._gate(cpu)
-        yield from self._translate(cpu, addr)
+        if self.faults is not None:
+            yield from self._gate(cpu)
+        if not self.tlbs[cpu].access(addr):
+            yield from self._tlb_miss()
         line = self.line_of(addr)
         home = self._home(line, loc.hypernode)
-        if home.hypernode != loc.hypernode:
+        if self.faults is not None and home.hypernode != loc.hypernode:
             yield from self._gate(cpu, home.hypernode)
         if home.hypernode == loc.hypernode:
             overhead = max(0, cfg.uncached_local_cycles - cfg.bank_cycles)
-            yield self.sim.timeout(cfg.cycles(overhead))
+            yield cfg.cycles(overhead)
             yield self.mem.bank(home).service()
             self.tracer.emit(self.sim.now, "atomic.local")
         else:
@@ -476,7 +486,8 @@ class Machine:
             raise ValueError("block size must be positive")
         cfg = self.config
         loc = self.topology.locate(cpu)
-        yield from self._gate(cpu)
+        if self.faults is not None:
+            yield from self._gate(cpu)
         first_line = self.line_of(addr)
         last_line = self.line_of(addr + nbytes - 1)
         nlines = (last_line - first_line) // cfg.line_bytes + 1
@@ -491,7 +502,8 @@ class Machine:
         first_page = addr // cfg.page_bytes
         last_page = (addr + nbytes - 1) // cfg.page_bytes
         for page in range(first_page + 1, last_page + 1):
-            yield from self._translate(cpu, page * cfg.page_bytes)
+            if not self.tlbs[cpu].access(page * cfg.page_bytes):
+                yield from self._tlb_miss()
         if nlines > 1:
             per_line = cfg.stream_line_cycles * (
                 cfg.remote_stream_factor if remote else 1)
@@ -539,7 +551,7 @@ class Machine:
                     self.watchdog.clear(token)
             else:
                 yield ev
-            yield self.sim.timeout(cfg.cycles(cfg.spin_wakeup_cycles))
+            yield cfg.cycles(cfg.spin_wakeup_cycles)
 
     def _wake_spinner(self, line: int, cpu: int) -> None:
         waiters = self._spin_waiters.get(line)

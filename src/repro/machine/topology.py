@@ -29,15 +29,18 @@ class Topology:
 
     def __init__(self, config: MachineConfig):
         self.config = config
+        self._locations = tuple(
+            CpuLocation(hn, fu, slot)
+            for hn in range(config.n_hypernodes)
+            for fu in range(config.fus_per_hypernode)
+            for slot in range(config.cpus_per_fu))
 
     def locate(self, cpu: int) -> CpuLocation:
         """Global CPU id -> (hypernode, functional unit, slot)."""
-        cfg = self.config
-        if not 0 <= cpu < cfg.n_cpus:
-            raise ValueError(f"cpu {cpu} out of range 0..{cfg.n_cpus - 1}")
-        hn, rest = divmod(cpu, cfg.cpus_per_hypernode)
-        fu, slot = divmod(rest, cfg.cpus_per_fu)
-        return CpuLocation(hn, fu, slot)
+        if not 0 <= cpu < len(self._locations):
+            raise ValueError(
+                f"cpu {cpu} out of range 0..{len(self._locations) - 1}")
+        return self._locations[cpu]
 
     def cpu_id(self, hypernode: int, fu: int, slot: int) -> int:
         """(hypernode, functional unit, slot) -> global CPU id."""

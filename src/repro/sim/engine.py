@@ -194,6 +194,9 @@ class Simulator:
         self._tail: Optional[Event] = None
         #: the event the latest ``run(until=...)`` stops after
         self._until: Optional[Event] = None
+        #: the time ``run(until=<time>)`` stops at: a bare delay that
+        #: would end past it is queued, not taken inline
+        self._horizon = float("inf")
         #: optional :class:`~repro.sim.trace.Tracer` counting event
         #: dispatches under ``"sim.dispatch"``.  Left ``None`` by default
         #: so the hot loop pays nothing; the machine model attaches its
@@ -270,9 +273,10 @@ class Simulator:
     def step(self) -> None:
         """Dispatch exactly one event from the queue.
 
-        Its last callback may go on to run zero-delay wakes inline (see
-        :mod:`repro.sim.process`), so one step can run several generator
-        slices at the current instant.
+        Its last callback may go on to run zero-delay wakes and bare
+        delays inline (see :mod:`repro.sim.process`), so one step can run
+        several generator slices and advance the clock past the popped
+        event's time, never past the next queued event.
         """
         if self.hostscope is not None:
             self._step_profiled(self.hostscope)
@@ -362,8 +366,12 @@ class Simulator:
         horizon = float(until)
         if horizon < self._now:
             raise ValueError("cannot run backwards in time")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
+        outer, self._horizon = self._horizon, horizon
+        try:
+            while self._queue and self._queue[0][0] <= horizon:
+                self.step()
+        finally:
+            self._horizon = outer
         self._now = max(self._now, horizon)
         return None
 

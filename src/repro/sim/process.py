@@ -26,12 +26,33 @@ runs on the same process, and the yield evaluates to its return value
 A sub-operation keeps the event order of a child process exactly.  Where
 the child's start event and completion event took their heap slots, the
 sub-operation schedules a zero-delay *wake*; the completion wake carries
-the return value or exception.  A wake runs inline, without a heap
-round trip, only when the heap would dispatch it next anyway: nothing
-else is queued at the current instant, the running callback is the
-last one of its event, and that event is not the target of
-``run(until=...)``.  Inline wakes are not dispatches: they are missing
-from the ``sim.dispatch`` trace count and hostscope's event count.
+the return value or exception.
+
+Third, a generator may yield a ``float``: a **bare delay** of that many
+nanoseconds, which stands for ``yield sim.timeout(delay)``::
+
+    def op(sim):
+        yield 30.0                   # no Timeout object is built
+        return sim.now
+
+A negative delay throws the ``ValueError`` ``sim.timeout`` would raise
+into the generator.  Only a ``float`` is a delay: an ``int`` or a NumPy
+scalar is a non-event.  A bare delay is a process's own sleep; use
+``sim.timeout`` for an event other code can wait on.
+
+A wake or a bare delay runs inline, without an event or a heap round
+trip, exactly when the heap would dispatch its timeout next anyway.
+That timeout would be queued behind every entry, so this holds when
+three things do: the running callback is the last one of its event,
+and that event is not the target of ``run(until=...)``; the delay ends
+strictly before the earliest queued event (a tie goes to the older
+entry); and it does not end past a ``run(until=<time>)`` horizon.  The
+process then advances the clock itself and keeps running.  Otherwise
+it queues a real timeout, which :meth:`Process.interrupt` can cut
+short.  Inline wakes and delays are not dispatches: they are missing
+from the ``sim.dispatch`` trace count and hostscope's event and push
+counts, while hostscope's simulated time still counts every inline
+delay.
 """
 
 from __future__ import annotations
@@ -39,7 +60,7 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import Generator
 
-from .engine import Event, Simulator
+from .engine import Event, Simulator, Timeout
 from .errors import Interrupt, SimulationError
 
 __all__ = ["Process"]
@@ -129,6 +150,7 @@ class Process(Event):
         gen = self._generator
         stack = self._stack
         while True:
+            delay = 0.0
             if prof:
                 hs.enter("memory" if stack else self.region)
             try:
@@ -151,7 +173,16 @@ class Process(Event):
                     ok, value = False, exc
                     gen = self._generator = stack.pop()
                 else:
-                    if type(yielded) is GeneratorType:
+                    if type(yielded) is float:
+                        # bare delay: ``sim.timeout(yielded)`` with no
+                        # event unless one has to be queued
+                        if yielded < 0:
+                            ok, value = False, ValueError(
+                                f"negative timeout delay: {yielded}")
+                        else:
+                            delay = yielded
+                            ok, value = True, None
+                    elif type(yielded) is GeneratorType:
                         # sub-operation: start it with a wake
                         stack.append(gen)
                         gen = self._generator = yielded
@@ -181,18 +212,26 @@ class Process(Event):
                             return
                         ok, value = False, exc
                         gen = self._generator = stack.pop()
-                # Deliver (ok, value) to ``gen`` by a zero-delay wake.  It
-                # runs inline when the heap would dispatch it next anyway.
+                # Deliver (ok, value) to ``gen`` ``delay`` ns from now: a
+                # zero-delay wake or a bare delay.  Its timeout would be
+                # queued behind every entry, so it runs inline exactly
+                # when the heap would dispatch it next anyway.
+                now = sim._now
+                t = now + delay
                 queue = sim._queue
-                if sim._tail is event and (not queue
-                                           or queue[0][0] > sim._now):
+                if (sim._tail is event and t <= sim._horizon
+                        and (not queue or t < queue[0][0])):
+                    if t != now:
+                        if hs is not None:
+                            hs.sim_ns += t - now
+                        sim._now = t
                     continue
-                wake = Event(sim)
-                wake.callbacks.append(self._resume)
                 if ok:
-                    wake.succeed(value)
+                    wake = Timeout(sim, delay, value)
                 else:
+                    wake = Event(sim)
                     wake.fail(value)
+                wake.callbacks.append(self._resume)
                 self._target = wake
                 return
             finally:

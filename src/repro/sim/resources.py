@@ -38,6 +38,10 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
+        # what acquire() returns for a free slot: an event that has
+        # already succeeded and left the queue
+        self._granted = granted = Event(sim)
+        granted._ok, granted._value, granted.callbacks = True, None, None
 
     @property
     def in_use(self) -> int:
@@ -48,13 +52,22 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        """Return an event that succeeds when a slot is granted."""
-        ev = Event(self.sim)
+        """Return an event that succeeds when a slot is granted.
+
+        A free slot is granted at once: the event returned is one this
+        resource keeps for the purpose, already triggered and processed,
+        so no event is scheduled.  A process that yields it resumes
+        through a zero-delay wake, in the heap slot a freshly scheduled
+        grant would have taken, and runs on inline when nothing else is
+        due first (see :mod:`repro.sim.process`).  A busy resource
+        returns a new event that succeeds when :meth:`release` hands it
+        the slot, oldest waiter first.
+        """
         if self._in_use < self.capacity:
             self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
+            return self._granted
+        ev = Event(self.sim)
+        self._waiters.append(ev)
         return ev
 
     def release(self) -> None:

@@ -1,7 +1,12 @@
 """Unit tests for generator-based processes."""
 
-import pytest
+import itertools
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.obs.hostscope import HostScope, use_hostscope
 from repro.sim import Interrupt, Resource, SimulationError, Simulator, Tracer
 
 
@@ -291,9 +296,10 @@ def test_interrupt_is_thrown_into_the_innermost_generator():
     assert caught.value == "recovered" and escaped.value == "interrupted"
 
 
-def _grant_order(form):
+def _grant_order(form, bare=False):
     """A and B start at t=0, A first.  A acquires a resource inside an
-    operation started in ``form``; B acquires it directly."""
+    operation started in ``form``; B acquires it directly.  ``bare``
+    holds it for a bare delay instead of a timeout."""
     sim = Simulator()
     res = Resource(sim)
     granted = []
@@ -301,7 +307,7 @@ def _grant_order(form):
     def op(name):
         yield res.acquire()
         granted.append(name)
-        yield sim.timeout(1.0)
+        yield 1.0 if bare else sim.timeout(1.0)
         res.release()
 
     def a():
@@ -328,15 +334,16 @@ def test_same_instant_order_matches_a_child_process():
     assert _grant_order("yield from") == ["A", "B"]
 
 
-def _timeline(form):
-    """One process alone: every wake may run inline."""
+def _timeline(form, bare=False):
+    """One process alone: every wake may run inline, and with ``bare``
+    every delay too."""
     sim = Simulator()
     sim.tracer = Tracer()
     stamps = []
 
     def op(depth):
         stamps.append(("start", depth, sim.now))
-        yield sim.timeout(3.0)
+        yield 3.0 if bare else sim.timeout(3.0)
         if depth:
             yield (sim.process(op(depth - 1)) if form == "process"
                    else op(depth - 1))
@@ -361,14 +368,14 @@ def test_lone_process_gets_identical_timestamps_with_fewer_dispatches():
     assert dispatched_sub < dispatched_proc
 
 
-def _order_after_run_target(form):
+def _order_after_run_target(form, bare=False):
     sim = Simulator()
     gate = sim.event()
     log = []
 
     def op():
         log.append(("op", sim.now))
-        yield sim.timeout(1.0)
+        yield 1.0 if bare else sim.timeout(1.0)
 
     def waiter():
         yield gate
@@ -389,14 +396,14 @@ def test_run_until_target_does_not_run_wakes_inline():
         == ([("resumed", 2.0)], [("resumed", 2.0), ("op", 2.0)])
 
 
-def _order_with_two_waiters(form):
+def _order_with_two_waiters(form, bare=False):
     sim = Simulator()
     gate = sim.event()
     log = []
 
     def op(name):
         log.append((name, "op"))
-        yield sim.timeout(1.0)
+        yield 1.0 if bare else sim.timeout(1.0)
 
     def waiter(name):
         yield gate
@@ -415,3 +422,192 @@ def test_only_the_last_callback_of_an_event_runs_wakes_inline():
                 ("q", "op")]
     assert _order_with_two_waiters("process") == expected
     assert _order_with_two_waiters("sub-operation") == expected
+
+
+# -- bare delays: a yielded float sleeps like sim.timeout(float) ------------
+
+def test_bare_delays_keep_the_grant_order_of_timeouts():
+    assert _grant_order("process", bare=True) == ["B", "A"]
+    assert _grant_order("sub-operation", bare=True) == ["B", "A"]
+    assert _grant_order("yield from", bare=True) == ["A", "B"]
+
+
+def test_lone_process_gets_identical_timestamps_with_bare_delays():
+    stamps, dispatched = _timeline("sub-operation")
+    stamps_bare, dispatched_bare = _timeline("sub-operation", bare=True)
+    assert stamps_bare == stamps
+    # each delay ran inline instead of being queued
+    assert dispatched_bare < dispatched
+
+
+def test_bare_delays_keep_the_order_around_run_targets_and_waiters():
+    assert _order_after_run_target("sub-operation", bare=True) \
+        == _order_after_run_target("process")
+    assert _order_with_two_waiters("sub-operation", bare=True) \
+        == _order_with_two_waiters("process")
+
+
+def _tie(bare):
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        yield 2.0 if bare else sim.timeout(2.0)
+        log.append(("sleeper", sim.now))
+
+    sim.schedule_callback(2.0, lambda: log.append(("callback", sim.now)))
+    sim.process(sleeper())
+    sim.run()
+    return log
+
+
+def test_bare_delay_ending_on_a_queued_event_resumes_after_it():
+    # the queued callback is older than the sleeper's timeout would be
+    assert _tie(True) == _tie(False) == [("callback", 2.0),
+                                         ("sleeper", 2.0)]
+
+
+def _horizon(bare):
+    sim = Simulator()
+    log = []
+
+    def ticker():
+        for _ in range(4):
+            yield 3.0 if bare else sim.timeout(3.0)
+            log.append(sim.now)
+
+    sim.process(ticker())
+    sim.run(until=7.0)
+    first = (sim.now, list(log))
+    sim.run()
+    return first, (sim.now, log)
+
+
+def test_run_until_a_time_stops_bare_delays_at_the_horizon():
+    assert _horizon(True) == _horizon(False) == (
+        (7.0, [3.0, 6.0]), (12.0, [3.0, 6.0, 9.0, 12.0]))
+
+
+def test_negative_bare_delay_raises_value_error():
+    sim = Simulator()
+    caught = []
+
+    def careful():
+        try:
+            yield -1.0
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    def careless():
+        yield -1.0
+
+    sim.process(careful())
+    sim.run()
+    with pytest.raises(ValueError) as timeout_error:
+        sim.timeout(-1.0)
+    assert caught == [str(timeout_error.value)]
+    sim.process(careless())
+    with pytest.raises(ValueError, match="negative timeout delay"):
+        sim.run()
+
+
+@pytest.mark.parametrize("delay", [1, np.float64(1.0)])
+def test_only_a_python_float_is_a_bare_delay(delay):
+    sim = Simulator()
+
+    def p():
+        yield delay
+
+    proc = sim.process(p())
+    proc.defused = True
+    sim.run()
+    assert not proc.ok
+    assert f"non-event ({type(delay).__name__})" in str(proc.value)
+
+
+def test_free_resource_grant_is_already_processed():
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    first, second = res.acquire(), res.acquire()
+    assert first.triggered and first.processed and first.ok
+    assert second.triggered and second.processed
+    assert sim.peek() == float("inf")      # nothing was scheduled
+    assert not res.acquire().triggered
+
+
+def _hostscope_counts(bare):
+    hs = HostScope(detail=False)
+    with use_hostscope(hs):
+        _timeline("sub-operation", bare)
+    return hs.sim_ns, hs.events
+
+
+def test_bare_delays_advance_hostscope_sim_time_without_dispatches():
+    sim_ns, events = _hostscope_counts(False)
+    sim_ns_bare, events_bare = _hostscope_counts(True)
+    assert sim_ns_bare == sim_ns == 27.0
+    assert events_bare < events
+
+
+_DELAYS = st.sampled_from([0.0, 0.1, 0.2, 0.5, 1.0, 3.0])
+
+
+def _steps(depth):
+    step = st.one_of(
+        st.tuples(st.just("delay"), _DELAYS),
+        st.tuples(st.just("compute"), _DELAYS),
+        st.tuples(st.just("hold"), st.integers(0, 2), _DELAYS))
+    if depth:
+        step = st.one_of(step, st.tuples(st.just("sub"), _steps(depth - 1)))
+    return st.lists(step, max_size=5)
+
+
+_PROGRAMS = st.tuples(
+    st.lists(st.integers(1, 2), min_size=1, max_size=3),   # capacities
+    st.lists(_steps(2), min_size=1, max_size=6),           # processes
+    st.one_of(st.none(), st.sampled_from([0.0, 0.3, 1.0, 2.5])))
+
+
+def _run_program(program, bare):
+    """Run ``program`` with its delays as timeouts or as bare delays;
+    the log holds (time, process, step) for every step and grant."""
+    capacities, processes, horizon = program
+    sim = Simulator()
+    resources = [Resource(sim, capacity) for capacity in capacities]
+    log = []
+
+    def sleep(delay):
+        return delay if bare else sim.timeout(delay)
+
+    def run(pid, steps, counter):
+        for step in steps:
+            if step[0] == "delay":
+                yield sleep(step[1])
+            elif step[0] == "compute":
+                yield sim.timeout(step[1])
+            elif step[0] == "hold":
+                res = resources[step[1] % len(resources)]
+                yield res.acquire()
+                log.append((sim.now, pid, next(counter)))
+                try:
+                    yield sleep(step[2])
+                finally:
+                    res.release()
+            else:
+                yield run(pid, step[1], counter)
+            log.append((sim.now, pid, next(counter)))
+
+    for pid, steps in enumerate(processes):
+        sim.process(run(pid, steps, itertools.count()))
+    if horizon is not None:
+        sim.run(until=horizon)
+        log.append(("horizon", sim.now))
+    sim.run()
+    return log, sim.now
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PROGRAMS)
+def test_bare_delays_replay_timeout_programs_exactly(program):
+    assert _run_program(program, bare=True) == _run_program(program,
+                                                            bare=False)
