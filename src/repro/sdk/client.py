@@ -183,8 +183,10 @@ class Job:
 
     def cancel(self) -> None:
         """Ask the server to cancel this job (instant if still queued,
-        next unit boundary if running)."""
-        self._client._send({"kind": "cancel", "job": self.id})
+        next unit boundary if running).  A no-op once :meth:`result` or
+        :meth:`events` has seen the job finish."""
+        if self._terminal is None:
+            self._client._send({"kind": "cancel", "job": self.id})
 
     # -- plumbing ------------------------------------------------------
 
@@ -205,6 +207,9 @@ class Job:
                     self.coalesced += message["coalesced"]
                 return record
             self._terminal = message
+            # a finished job gets no more messages: stop routing to it,
+            # so the client does not keep every result it ever fetched
+            self._client._jobs.pop(self.id, None)
             self._ctx.add_span("await result", self._submitted_epoch,
                                time.time(), cat="client",
                                origin="client", outcome=message["kind"])
@@ -364,6 +369,10 @@ class Client:
         if job is not None:
             job._inbox.append(message)
             return None
+        if message.get("error") == "not_cancellable":
+            # a cancel that crossed its job's terminal message on the
+            # wire: the job has finished, which is all the cancel wanted
+            return None
         return message
 
     def _pump(self) -> None:
@@ -419,6 +428,7 @@ class AsyncJob:
                 yield record
             else:
                 self._terminal = message
+                self._client._jobs.pop(self.id, None)
                 self._ctx.add_span("await result", self._submitted_epoch,
                                    time.time(), cat="client",
                                    origin="client",
@@ -440,7 +450,9 @@ class AsyncJob:
         raise _job_failed(message)
 
     async def cancel(self) -> None:
-        await self._client._send({"kind": "cancel", "job": self.id})
+        """See :meth:`Job.cancel`."""
+        if self._terminal is None:
+            await self._client._send({"kind": "cancel", "job": self.id})
 
 
 class AsyncClient:

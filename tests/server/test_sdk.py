@@ -2,10 +2,12 @@
 cancellation, backpressure, and the asyncio client."""
 
 import asyncio
+import gc
 import json
 import socket
 import threading
 import time
+import weakref
 from contextlib import ExitStack
 
 import pytest
@@ -192,6 +194,48 @@ def test_cancel_queued_job_is_instant():
         srv.stop(drain=False)
 
 
+# -- finished jobs -------------------------------------------------------
+
+
+def test_client_releases_finished_jobs(server):
+    """A job leaves the client once its terminal message is consumed, so
+    a long-lived client does not keep every result it fetched.  The
+    cyclic collector is off: nothing but reference counts frees them."""
+    gc.disable()
+    try:
+        client = Client(server.host, server.port)
+        refs = []
+        for _ in range(5):
+            job = client.submit("_srv_fast", quick=True)
+            assert job.result().data["vals"]
+            refs.append(weakref.ref(job))
+        del job
+        assert client._jobs == {}
+        assert [ref() for ref in refs] == [None] * 5
+        # cancelling a finished job sends nothing the next call trips on
+        done = client.submit("_srv_fast", quick=True)
+        done.result()
+        done.cancel()
+        assert client.submit("_srv_fast", quick=True).result().data["vals"]
+        client.close()
+    finally:
+        gc.enable()
+
+
+def test_cancel_that_crosses_the_result_is_ignored(server):
+    """A cancel sent after the result arrived but before it was read is
+    answered with "already finished" once the job is released; that
+    reply must not surface in the next call."""
+    client = Client(server.host, server.port)
+    job = client.submit("_srv_fast", quick=True)
+    while not any(m["kind"] == "result" for m in job._inbox):
+        client._pump()
+    job.cancel()
+    job.result()
+    assert client.submit("_srv_fast", quick=True).result().data["vals"]
+    client.close()
+
+
 # -- backpressure (integration) -----------------------------------------
 
 
@@ -267,6 +311,9 @@ def test_async_client_round_trip(server):
             kinds.append(validate_event(record))
         result = await job.result()
         assert kinds[0] == "start" and kinds[-1] == "done"
+        # the finished job is released; cancelling it is a no-op
+        assert client._jobs == {}
+        await job.cancel()
         catalog = await client.list()
         assert catalog["_srv_fast"]["servable_sweep"] is True
         await client.ping()
