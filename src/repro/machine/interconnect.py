@@ -81,8 +81,10 @@ class Ring:
         """
         cfg = self.config
         hops = (dst_hn - src_hn) % cfg.n_hypernodes
-        hold = (cfg.cycles(cfg.ring_hop_cycles) * max(hops, 1)
-                + cfg.cycles(extra_cycles))
+        # a bare delay must be a Python float; hypernode ids derived from
+        # NumPy addresses are NumPy integers
+        hold = float(cfg.cycles(cfg.ring_hop_cycles) * max(hops, 1)
+                     + cfg.cycles(extra_cycles))
         yield self._bus.acquire()
         ms = self.memscope
         start = self.sim.now if ms is not None else 0.0

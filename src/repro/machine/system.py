@@ -507,7 +507,8 @@ class Machine:
         if nlines > 1:
             per_line = cfg.stream_line_cycles * (
                 cfg.remote_stream_factor if remote else 1)
-            stream_ns = cfg.cycles(per_line * (nlines - 1))
+            # float(): ``addr`` or ``nbytes`` may be a NumPy integer
+            stream_ns = float(cfg.cycles(per_line * (nlines - 1)))
             # The bank streams in page mode: it is held for the pipelined
             # duration, not the random-access per-line latency.
             yield self.mem.bank(home).occupy(stream_ns, lines=nlines - 1)

@@ -327,6 +327,30 @@ def test_block_read_scales_sublinearly(machine):
     assert t_big < 32 * t_small
 
 
+@pytest.mark.parametrize("mclass", [MemClass.NEAR_SHARED,
+                                    MemClass.FAR_SHARED])
+def test_numpy_addresses_cost_what_python_ints_cost(mclass):
+    """Latencies derived from the address (ring hops, block length) stay
+    Python floats when the address and size are NumPy integers."""
+    np = pytest.importorskip("numpy")
+    elapsed = []
+    for to_int in (int, np.int64):
+        machine = Machine(spp1000(n_hypernodes=2))
+        region = machine.alloc(1 << 16, mclass, home_hypernode=1)
+        addr = to_int(region.addr(3 * 4096))
+
+        def prog():
+            yield machine.load(0, addr)
+            yield machine.store(0, addr, 1)
+            yield machine.fetch_add(0, addr + to_int(8))
+            yield machine.read_block(0, addr, to_int(8192))
+            yield machine.write_block(0, addr, to_int(8192))
+
+        run(machine, prog())
+        elapsed.append(machine.sim.now)
+    assert elapsed[0] == elapsed[1] > 0
+
+
 def test_block_rejects_nonpositive_size(machine):
     region = machine.alloc(4096, MemClass.NEAR_SHARED, home_hypernode=0)
 
