@@ -7,7 +7,6 @@ Examples::
     python -m repro all                       # regenerate everything (slow)
     python -m repro scale128 --jobs 4         # fan the sweep out to 4 procs
     python -m repro fig7 --cache-stats        # show result-cache hit rates
-    python -m repro bench --quick --jobs 2    # serial/parallel/cached bench
     python -m repro fig3 --trace t.json       # capture a Perfetto trace
     python -m repro fig3 --metrics m.json     # write a metrics manifest
     python -m repro fig6 --profile            # print counter/span profile
@@ -23,11 +22,10 @@ Examples::
     python -m repro hostscope fig2 --json     # ... as JSON
     python -m repro fig3 --hostscope --metrics m.json  # fold into manifest
     python -m repro fig3 --jobs 4 --progress  # live JSONL sweep telemetry
-    python -m repro bench --compare benchmarks/BENCH_baseline.json
     python -m repro fig3 --no-cache --journal j.jsonl  # rerun to resume
     python -m repro fig3 --jobs 4 --unit-timeout 60 --retries 3
     python -m repro fig3 --jobs 4 --chaos examples/chaos/kill_and_corrupt.json
-    python -m repro bench --quick --ledger     # append to the perf ledger
+    python -m repro ledger record .bench_work/des-seed1.json  # e2e run
     python -m repro ledger trend               # sparkline trajectory
     python -m repro ledger gate --window 5     # windowed regression gate
 """
@@ -55,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                           for name, scope in SCOPES.items())
     parser.add_argument(
         "experiment", nargs="?", default=None,
-        help="experiment id (fig2, fig3, ...), 'list', 'all', 'bench' "
-             "(serial vs parallel vs cached wall-clock benchmark), "
+        help="experiment id (fig2, fig3, ...), 'list', 'all', "
              "'timeline' (ASCII Gantt view of a trace), or a profiler "
              f"command: {profilers}")
     parser.add_argument(
@@ -113,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for unit-aware experiments (default: 1, "
-             "serial in-process; 'bench' defaults to 2)")
+             "serial in-process)")
     parser.add_argument(
         "--cache-dir", metavar="PATH", default=None,
         help="result-cache directory (default: $REPRO_CACHE_DIR, else "
@@ -125,32 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-stats", action="store_true",
         help="print an execution summary (units, cache hits, workers) "
              "after each experiment")
-    parser.add_argument(
-        "--bench-out", metavar="PATH", default="BENCH_exec.json",
-        help="with 'bench': where to write the benchmark JSON "
-             "(default: BENCH_exec.json)")
-    parser.add_argument(
-        "--bench-experiments", metavar="IDS", default=None,
-        help="with 'bench': comma-separated experiment ids to benchmark "
-             "(default: every unit-aware experiment)")
-    parser.add_argument(
-        "--compare", metavar="PATH", default=None,
-        help="with 'bench': baseline BENCH_exec.json to diff the fresh "
-             "measurements against; exits 1 when any experiment's serial "
-             "path regressed past the noise threshold or a fidelity "
-             "anchor is out of tolerance")
-    parser.add_argument(
-        "--bench-diff-out", metavar="PATH", default=None,
-        help="with 'bench --compare': also write a markdown regression "
-             "report to PATH")
-    parser.add_argument(
-        "--ledger", nargs="?", const="benchmarks/LEDGER.jsonl",
-        default=None, metavar="PATH",
-        help="append one checksummed record (timings, throughput, "
-             "fidelity residuals, git provenance) to the longitudinal "
-             "performance ledger at PATH (bare --ledger uses "
-             "benchmarks/LEDGER.jsonl); works with 'bench' and with "
-             "--metrics runs; inspect with 'python -m repro ledger'")
     for name, scope in SCOPES.items():
         parser.add_argument(
             f"--{name}", action="store_true",
@@ -196,7 +167,7 @@ def _unknown_experiment(exp_id: str) -> int:
         "timeline": "ASCII Gantt view of a trace",
         **{name: scope.summary for name, scope in SCOPES.items()},
         "serve": "run the simulation job server (repro.sdk clients)",
-        "ledger": "longitudinal performance-and-fidelity ledger",
+        "ledger": "history of benchmarks/e2e run records",
     }
     for name, title in commands.items():
         print(f"  {name:10s} {title}", file=sys.stderr)
@@ -204,11 +175,13 @@ def _unknown_experiment(exp_id: str) -> int:
 
 
 def _suffixed(path: str, exp_id: str, multi: bool) -> str:
-    """Per-experiment output path when running more than one target."""
+    """Per-experiment output path when running more than one target:
+    the id goes before the file name's extension, never into a
+    directory name."""
     if not multi:
         return path
-    stem, dot, ext = path.rpartition(".")
-    return f"{stem}.{exp_id}.{ext}" if dot else f"{path}.{exp_id}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}.{exp_id}{ext}"
 
 
 def _resolve_output(path: str, default_name: str) -> str:
@@ -352,8 +325,7 @@ def _main(argv: List[str], command=None) -> int:
         return _scope_command(command, args, config)
     if args.experiment is None:
         commands = ", ".join(f"'{name}'" for name in (
-            "list", "all", "bench", "timeline", *SCOPES, "serve",
-            "ledger"))
+            "list", "all", "timeline", *SCOPES, "serve", "ledger"))
         print(f"an experiment id (or {commands}) is required; try "
               "'python -m repro list'", file=sys.stderr)
         return 2
@@ -371,8 +343,6 @@ def _main(argv: List[str], command=None) -> int:
         return 0
     if args.experiment == "timeline":
         return _timeline(args)
-    if args.experiment == "bench":
-        return _bench(args, config)
 
     targets = (list(list_experiments()) if args.experiment == "all"
                else [args.experiment])
@@ -403,10 +373,6 @@ def _main(argv: List[str], command=None) -> int:
                  if getattr(args, scope.name)]
     observing = bool(args.trace or args.metrics or args.profile
                      or profiling)
-    if args.ledger and not args.metrics:
-        print("note: for experiment runs --ledger folds the --metrics "
-              "manifest; add --metrics PATH (or use 'bench --ledger')",
-              file=sys.stderr)
     if args.trace:
         args.trace = _resolve_output(args.trace, "trace.json")
     if args.metrics:
@@ -530,9 +496,6 @@ def _main(argv: List[str], command=None) -> int:
                        if scope.has_report(profiler)})
                 write_metrics(manifest, path)
                 print(f"metrics manifest written to {path}")
-                if args.ledger:
-                    _ledger_append(args.ledger, manifest,
-                                   source="metrics")
         else:
             try:
                 with faults_ctx:
@@ -594,105 +557,6 @@ def _build_cache(args):
 
     return ResultCache(args.cache_dir or default_cache_root(),
                        code_fingerprint())
-
-
-def _ledger_append(path: str, doc, *, source=None) -> None:
-    """Best-effort fold of ``doc`` into the ledger at ``path`` — an
-    append failure warns but never fails the run that produced the
-    measurements (the ledger observes, it does not gate here)."""
-    from .obs.ledger import Ledger, LedgerError, fold_document
-
-    try:
-        record = Ledger(path).append(fold_document(doc, source=source))
-        print(f"ledger record appended to {path} "
-              f"(sha256 {record['sha256'][:12]}…)")
-    except (LedgerError, OSError) as exc:
-        print(f"ledger: could not append to {path}: {exc}",
-              file=sys.stderr)
-
-
-def _warn_stale_artifact(path: str) -> None:
-    """One stderr line when an existing bench artifact at ``path`` was
-    produced by a different tree (satellite of the ledger issue)."""
-    import json as _json
-
-    from .exec.bench import stale_artifact_warning
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            artifact = _json.load(fh)
-    except (OSError, ValueError):
-        return
-    warning = stale_artifact_warning(artifact, path)
-    if warning:
-        print(warning, file=sys.stderr)
-
-
-def _bench(args, config) -> int:
-    """``python -m repro bench``: the serial/parallel/cached trajectory."""
-    from .exec import ProgressStream
-    from .exec.bench import render_bench, run_bench, write_bench
-
-    jobs = args.jobs if args.jobs is not None else 2
-    only = (args.bench_experiments.split(",")
-            if args.bench_experiments else None)
-    ok, chaos_plan = _load_chaos(args)
-    if not ok:
-        return 2
-    if os.path.exists(args.bench_out):
-        _warn_stale_artifact(args.bench_out)
-    progress = ProgressStream(args.progress) if args.progress else None
-    try:
-        doc = run_bench(config, jobs=jobs, quick=args.quick,
-                        experiment_ids=only, progress=progress,
-                        chaos=chaos_plan)
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if progress is not None:
-            progress.close()
-    print(render_bench(doc))
-    write_bench(doc, args.bench_out)
-    print(f"\nbenchmark written to {args.bench_out}")
-    if args.ledger:
-        _ledger_append(args.ledger, doc, source="bench")
-    if not args.compare:
-        return 0
-    return _bench_compare(doc, args)
-
-
-def _bench_compare(doc, args) -> int:
-    """Judge a fresh bench document against ``--compare BASELINE``."""
-    import json as _json
-
-    from .exec.bench import markdown_compare, stale_artifact_warning
-    from .obs.ledger import judge, record_from_bench, render_verdict
-
-    try:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            baseline = _json.load(fh)
-    except OSError as exc:
-        reason = exc.strerror or str(exc)
-        print(f"cannot read bench baseline {args.compare}: {reason}",
-              file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"cannot parse bench baseline {args.compare}: {exc}; "
-              "expected a BENCH_exec.json written by 'python -m repro "
-              "bench'", file=sys.stderr)
-        return 2
-    warning = stale_artifact_warning(baseline, args.compare)
-    if warning:
-        print(warning, file=sys.stderr)
-    report = judge(record_from_bench(doc), [record_from_bench(baseline)])
-    print()
-    print(render_verdict(report))
-    if args.bench_diff_out:
-        with open(args.bench_diff_out, "w", encoding="utf-8") as fh:
-            fh.write(markdown_compare(report, doc))
-        print(f"\nregression report written to {args.bench_diff_out}")
-    return 0 if report["pass"] else 1
 
 
 def _run(exp_id: str, **kwargs):

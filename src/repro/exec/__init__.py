@@ -16,9 +16,7 @@ exploits that three ways:
 * :mod:`repro.exec.cache` — a **content-addressed result cache** keyed
   by canonical unit config + machine parameters + a code fingerprint
   (:mod:`repro.exec.fingerprint`), with per-entry payload checksums
-  verified on read, so re-runs are incremental and bit-rot is caught;
-* :mod:`repro.exec.bench` — ``python -m repro bench``: the wall-clock
-  serial/parallel/cached trajectory, written to ``BENCH_exec.json``.
+  verified on read, so re-runs are incremental and bit-rot is caught.
 
 Plus the robustness layer: :mod:`repro.exec.journal` appends every unit
 completion to a crash-safe JSONL journal bound to its run, so an

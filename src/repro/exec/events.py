@@ -31,7 +31,6 @@ Kinds (``EVENT_KINDS``):
 ``hung_worker``      a worker blew ``--unit-timeout`` and was replaced
 ``serial_fallback``  the pool collapsed; a unit runs in-process
 ``quarantine``       a unit exhausted every attempt (poison)
-``bench_pass``       bench marker: serial/parallel/cached pass begins
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ EVENT_KINDS: Dict[str, frozenset] = {
     "hung_worker": frozenset({"key", "pid", "elapsed_s", "timeout_s"}),
     "serial_fallback": frozenset({"key", "reason"}),
     "quarantine": frozenset({"key", "attempts", "error"}),
-    "bench_pass": frozenset({"experiment", "pass", "jobs"}),
 }
 
 

@@ -20,7 +20,7 @@ PAPERS.md), so the fabric treats those as expected events:
   sink the results of the rest (they are journaled/cached and a rerun
   skips them);
 * :class:`ResilienceStats` — the counter block surfaced in execution
-  reports, metrics manifests, and ``BENCH_exec.json``.
+  reports and metrics manifests.
 
 The pinned contract: none of this machinery may change *results*.  A
 retried, replayed, or serially-degraded unit recomputes the same pure

@@ -38,12 +38,11 @@ first-class measurement subsystem for the simulated machine:
   exec-pool unit progress, and stitched with the simulated Chrome
   trace into a single client → server → worker → simulated-time file
   (see ``docs/service.md``);
-* :mod:`repro.obs.ledger` — the longitudinal performance-and-fidelity
-  ledger (``python -m repro ledger``): append-only checksummed JSONL
-  records of bench timings/throughput/provenance plus the Fig 2-8
-  fidelity residuals of :mod:`repro.obs.fidelity`, with trend
-  sparklines and a windowed median/MAD regression gate (see
-  ``docs/ledger.md``).
+* :mod:`repro.obs.ledger` — the longitudinal ledger (``python -m repro
+  ledger``): append-only checksummed JSONL records of
+  ``benchmarks/e2e`` runs (host-scaled end-to-end metrics, golden-digest
+  checks, git provenance), with per-workload trend sparklines and a
+  windowed median/MAD regression gate (see ``docs/ledger.md``).
 
 Zero-cost contract: tracing never advances simulated time, and a fully
 disabled tracer (``Tracer(counting=False)``) costs one no-op call per
@@ -80,8 +79,7 @@ from .ledger import (
     LedgerError,
     fold_document,
     record_checksum,
-    record_from_bench,
-    record_from_manifest,
+    record_from_e2e,
 )
 from .memscope import (
     MemScope,
@@ -119,7 +117,7 @@ __all__ = [
     "hostscope_from_trace", "SCOPES", "Scope",
     "FIDELITY_EXPERIMENTS", "fidelity_residuals",
     "Ledger", "LedgerError", "DEFAULT_LEDGER_PATH", "record_checksum",
-    "record_from_bench", "record_from_manifest", "fold_document",
+    "record_from_e2e", "fold_document",
     "TraceContext", "active_tracectx", "use_tracectx", "mint_trace_id",
     "stitch_chrome_trace", "write_chrome_json",
 ]

@@ -4,8 +4,9 @@ The repository's bit-identity suites guarantee that *refactors* cannot
 change simulated results, but intentional model changes (a calibration
 constant, a coherence-cost fix) legitimately move the Fig 2-8 curves.
 This module quantifies each move against **golden expectations** so the
-performance ledger (:mod:`repro.obs.ledger`) can track accuracy the
-same way it tracks speed: every anchor is one scalar derived from an
+benchmark (``benchmarks/e2e``, metric ``fidelity_max_rel_err``) and the
+ledger of its runs (:mod:`repro.obs.ledger`) can track accuracy the
+same way they track speed: every anchor is one scalar derived from an
 experiment's headline data — a slope, a ratio, a rate — compared
 against either a number the paper states outright (``source:
 "paper"``, e.g. the ~10 us/pair fork-join slope of §4.1) or, where the
@@ -16,9 +17,9 @@ The residual is the signed relative error ``(measured - expected) /
 expected``.  Tolerances are deliberately wide for paper-sourced anchors
 (a reproduction is not the hardware) and tight for reproduction-pinned
 ones (the simulator is deterministic, so any motion there is a real
-model change).  ``repro ledger gate`` treats an out-of-tolerance anchor
-in the newest record as a regression — speed refactors cannot silently
-drift accuracy.
+model change).  ``repro ledger gate --metric fidelity_max_rel_err``
+flags a worst residual that grew past its band — speed refactors
+cannot silently drift accuracy.
 
 Extractors are defensive: an anchor whose inputs are missing (a
 smaller ``--hypernodes`` machine never reaches 16 CPUs, a sweep was

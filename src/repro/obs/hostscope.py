@@ -33,11 +33,6 @@ advances simulated time, so results and final simulated clocks are
 bit-identical with hostscope on or off (asserted by tests).  Install
 via :func:`use_hostscope`; :class:`~repro.sim.engine.Simulator`
 instances created inside the scope adopt it.
-
-Light mode (``detail=False``) keeps only the integer counters (events,
-simulated ns, heap churn) with no clock reads per region transition —
-cheap enough that ``bench`` derives its throughput columns from the
-timed serial pass without perturbing it.
 """
 
 from __future__ import annotations
@@ -94,16 +89,14 @@ class _Region:
 class HostScope:
     """Region-stack host-time profiler with throughput counters.
 
-    ``detail=True`` (default) times every region transition with
-    ``perf_counter_ns``; ``detail=False`` keeps only the counters.
-    One instance may observe any number of simulators/machines (an
+    Every region transition is timed with ``perf_counter_ns``.  One
+    instance may observe any number of simulators/machines (an
     experiment's repeats all fold into the same totals).
     """
 
-    def __init__(self, config=None, detail: bool = True):
+    def __init__(self, config=None):
         self.config = config
-        self.detail = detail
-        # region accounting (detail mode)
+        # region accounting
         self._self_ns: Dict[str, int] = {}
         self._cum_ns: Dict[str, int] = {}
         self._enters: Dict[str, int] = {}
@@ -112,7 +105,7 @@ class HostScope:
         self._mark = 0
         self._t_start: Optional[int] = None
         self._t_stop: Optional[int] = None
-        # counters (kept in both modes)
+        # counters
         self.events = 0          #: events dispatched (heap pops)
         self.pushes = 0          #: heap pushes
         self.depth_sum = 0       #: sum of heap depth sampled at each pop
@@ -131,7 +124,7 @@ class HostScope:
     def clock_ns(self) -> float:
         return self.config.clock_ns if self.config is not None else 10.0
 
-    # -- region stack (hot path when detail) ------------------------------
+    # -- region stack (hot path) -------------------------------------------
     def enter(self, name: str) -> None:
         now = perf_counter_ns()
         stack = self._stack
@@ -164,7 +157,7 @@ class HostScope:
         """``with hs.region("pvm"): ...`` — a balanced enter/exit pair."""
         return _Region(self, name)
 
-    # -- event-loop counters (hot path in both modes) ---------------------
+    # -- event-loop counters (hot path) ------------------------------------
     def note_push(self, depth: int) -> None:
         """Called by the simulator after each heap push."""
         self.pushes += 1
@@ -237,7 +230,6 @@ class HostScope:
             }
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "detail": self.detail,
             "clock_ns": self.clock_ns,
             "wall_s": round(wall_s, 6),
             "regions": regions,
@@ -266,8 +258,6 @@ class HostScope:
                width: int = 36) -> str:
         doc = self.to_dict(top=top)
         parts = [f"== {title} =="]
-        if not self.detail:
-            parts.append("(light mode: counters only, no region timing)")
         regions = doc["regions"]
         if regions:
             rt = Table(
@@ -319,10 +309,10 @@ use_hostscope = _HOSTSCOPE.use
 def host_region(hs: Optional[HostScope], name: str):
     """A ``with``-context attributing the block's host time to ``name``.
 
-    Returns a shared null context when ``hs`` is None or in light mode,
-    so library code can bracket pure-Python sections unconditionally.
+    Returns a shared null context when ``hs`` is None, so library code
+    can bracket pure-Python sections unconditionally.
     """
-    if hs is None or not hs.detail:
+    if hs is None:
         return _NULL_CTX
     return _Region(hs, name)
 

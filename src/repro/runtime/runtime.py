@@ -29,7 +29,7 @@ def _host_region(sim, name: str):
     executes inside another process's slice; a shared null context when
     no profiler is installed (one attribute check + one None check)."""
     hs = sim.hostscope
-    if hs is None or not hs.detail:
+    if hs is None:
         return _NULL_CTX
     return hs.region(name)
 

@@ -302,16 +302,12 @@ class Simulator:
 
     def _step_profiled(self, hs) -> None:
         """:meth:`step` with host-time accounting (hostscope installed)."""
-        detail = hs.detail
         queue = self._queue
         hs.events += 1
         hs.depth_sum += len(queue)
-        if detail:
-            hs.enter("event_heap")
-            time, _seq, event = heapq.heappop(queue)
-            hs.exit()
-        else:
-            time, _seq, event = heapq.heappop(queue)
+        hs.enter("event_heap")
+        time, _seq, event = heapq.heappop(queue)
+        hs.exit()
         if time < self._now - 1e-12:
             raise SimulationError("event scheduled in the past")
         if time > self._now:
@@ -320,8 +316,7 @@ class Simulator:
         if self.tracer is not None:
             self.tracer.emit(time, "sim.dispatch")
         callbacks, event.callbacks = event.callbacks, None
-        if detail:
-            hs.enter("dispatch")
+        hs.enter("dispatch")
         try:
             if callbacks:
                 last = callbacks.pop()
@@ -331,8 +326,7 @@ class Simulator:
                     self._tail = event
                 last(event)
         finally:
-            if detail:
-                hs.exit()
+            hs.exit()
         if not event._ok and not event.defused:
             raise event._value
 

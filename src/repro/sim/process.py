@@ -141,7 +141,6 @@ class Process(Event):
         # slice.
         sim = self.sim
         hs = sim.hostscope
-        prof = hs is not None and hs.detail
         self._target = None
         ok = event._ok
         value = event._value
@@ -151,7 +150,7 @@ class Process(Event):
         stack = self._stack
         while True:
             delay = 0.0
-            if prof:
+            if hs is not None:
                 hs.enter("memory" if stack else self.region)
             try:
                 try:
@@ -235,7 +234,7 @@ class Process(Event):
                 self._target = wake
                 return
             finally:
-                if prof:
+                if hs is not None:
                     hs.exit()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -36,7 +36,7 @@ def test_jobs4_is_bit_identical_to_serial(exp_id):
     assert report.fallback_points == serial_report.fallback_points
 
 
-@pytest.mark.parametrize("exp_id", ["fig3", "table2"])
+@pytest.mark.parametrize("exp_id", unit_experiments())
 def test_warm_cache_recomputes_nothing(exp_id, tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
     cold, cold_report = execute(exp_id, CONFIG, jobs=2, quick=True,
@@ -44,6 +44,7 @@ def test_warm_cache_recomputes_nothing(exp_id, tmp_path):
     warm, warm_report = execute(exp_id, CONFIG, jobs=2, quick=True,
                                 cache=cache)
     assert canonical_json(cold.data) == canonical_json(warm.data)
+    assert canonical_json(warm.data) == serial_data(exp_id)[0]
     assert warm_report.computed == 0
     assert warm_report.cache_hits == warm_report.units_planned
     assert warm_report.cache_misses == 0

@@ -129,26 +129,8 @@ def test_execute_emits_start_units_done(config, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# bench v2: throughput columns, host block, resolution floor
+# the host block of benchmark run records
 # ---------------------------------------------------------------------------
-
-def test_bench_rows_carry_throughput_and_breakdown(config):
-    from repro.exec.bench import BENCH_SCHEMA, run_bench
-
-    doc = run_bench(config, jobs=2, quick=True, experiment_ids=["fig3"])
-    assert doc["schema_version"] == BENCH_SCHEMA == 2
-    row = doc["experiments"]["fig3"]
-    assert row["units_per_s"] > 0
-    assert row["sim_mcycles"] > 0
-    assert row["sim_mcycles_per_s"] > 0
-    assert row["events"] > 0
-    assert row["events_per_s"] > 0
-    assert "cached_speedup_resolution_limited" in row
-    breakdown = row["parallel_breakdown"]
-    assert breakdown["pool_s"] >= 0
-    assert breakdown["unit_run_s"] > 0
-    assert "cached_speedup_resolution_limited" in doc["totals"]
-
 
 def test_bench_host_block_is_enriched(config):
     from repro.exec.bench import host_info
@@ -159,55 +141,6 @@ def test_bench_host_block_is_enriched(config):
     assert "cpu_model" in host and "physical_cpus" in host
     assert "loadavg_1m" in host
     assert host["calibration_miters_s"] > 0
-
-
-def test_bench_progress_streams_pass_markers(config, tmp_path):
-    """bench --progress: a bench_pass marker per pass, then that pass's
-    start/unit/done records with per-unit host timings -- the serial
-    (where=local) vs parallel (where=worker) decomposition."""
-    from repro.exec.bench import run_bench
-
-    out = tmp_path / "bench.jsonl"
-    with ProgressStream(str(out)) as stream:
-        run_bench(config, jobs=2, quick=True, experiment_ids=["table2"],
-                  progress=stream)
-    records = [json.loads(line) for line in out.read_text().splitlines()]
-    passes = [r for r in records if r["event"] == "bench_pass"]
-    assert [p["pass"] for p in passes] == ["serial", "parallel", "cached"]
-    assert passes[0]["jobs"] == 1 and passes[1]["jobs"] == 2
-    units = [r for r in records if r["event"] == "unit"]
-    assert units, "no unit heartbeats"
-    assert {u["where"] for u in units} == {"local", "worker"}
-    assert all(u["run_s"] >= 0 for u in units)
-
-def test_cached_speedup_clamped_at_resolution_floor():
-    from repro.exec.bench import _RESOLUTION_FLOOR_S
-
-    # a 0.004 s warm pass against a 1 s serial pass must not report a
-    # 250x speedup: the clamp caps it at serial / floor
-    assert 1.0 / max(0.004, _RESOLUTION_FLOOR_S) \
-        == 1.0 / _RESOLUTION_FLOOR_S
-    assert _RESOLUTION_FLOOR_S == 0.05
-
-
-def test_render_bench_notes_resolution_limited():
-    from repro.exec.bench import render_bench
-
-    doc = {
-        "schema_version": 2, "jobs": 2, "host": {"cpu_count": 4},
-        "experiments": {
-            "fig3": {"units": 16, "serial_s": 1.0, "parallel_s": 0.6,
-                     "cached_s": 0.004, "speedup": 1.67,
-                     "cached_speedup": 20.0,
-                     "cached_speedup_resolution_limited": True,
-                     "units_per_s": 16.0, "sim_mcycles_per_s": 1.0,
-                     "cache_hit_rate": 1.0, "identical": True}},
-        "totals": {"serial_s": 1.0, "parallel_s": 0.6, "cached_s": 0.004,
-                   "speedup": 1.67},
-    }
-    text = render_bench(doc)
-    assert "units/s" in text and "Mcyc/s" in text
-    assert "timer-resolution floor" in text
 
 
 # ---------------------------------------------------------------------------

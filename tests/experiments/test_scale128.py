@@ -32,6 +32,7 @@ def test_ppm_scales_best_pic_worst(scale):
     assert at_128["PPM 480x960"] > 90.0
     assert at_128["PIC 64x64x32"] < at_128["N-body 2M"] \
         < at_128["PPM 480x960"]
+    assert at_128["PIC 64x64x32"] > 10.0
 
 
 def test_single_hypernode_efficiency_high_everywhere(scale):

@@ -65,7 +65,7 @@ def test_analyzer_adds_no_event():
     cfg = spp1000(2)
     counts = []
     for cs in (None, CritScope(cfg)):
-        hs = HostScope(detail=False)
+        hs = HostScope()
         with use_hostscope(hs), use_critscope(cs):
             barrier_workload(cfg)
         counts.append((hs.events, hs.pushes))

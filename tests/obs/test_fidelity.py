@@ -75,7 +75,7 @@ def test_fidelity_covers_the_fig2_to_fig8_suite():
 @pytest.mark.parametrize("fig", sorted(FIDELITY_EXPERIMENTS))
 def test_reproduction_is_within_tolerance(fig):
     """The live simulator's curves must sit inside every golden
-    tolerance — otherwise the ledger gate would fail every bench run."""
+    tolerance."""
     from repro.experiments import get_experiment
 
     result = get_experiment(fig)(spp1000())

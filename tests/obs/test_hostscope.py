@@ -74,19 +74,6 @@ def test_results_and_clocks_bit_identical_on_off():
     assert hs.events > 0
 
 
-def test_light_mode_is_also_bit_identical():
-    plain_results, plain_now = run_forkjoin()
-    hs = HostScope(detail=False)
-    with use_hostscope(hs):
-        light_results, light_now = run_forkjoin()
-    assert light_results == plain_results
-    assert light_now == plain_now
-    assert hs.events > 0
-    assert hs.sim_cycles > 0
-    # light mode never touches the region stack
-    assert all(v == 0 for v in hs._self_ns.values())
-
-
 # ---------------------------------------------------------------------------
 # region accounting
 # ---------------------------------------------------------------------------
@@ -178,8 +165,6 @@ def test_host_region_helper_null_when_off():
         hostscope = None
 
     assert isinstance(host_region(None, "pvm"), nullcontext)
-    light = HostScope(detail=False)
-    assert isinstance(host_region(light, "pvm"), nullcontext)
     full = HostScope()
     full.start()
     with host_region(full, "pvm"):
@@ -198,7 +183,6 @@ def test_to_dict_shape_and_throughput():
         run_forkjoin()
     doc = hs.to_dict()
     assert doc["schema_version"] == 1
-    assert doc["detail"] is True
     assert doc["wall_s"] > 0
     assert 0.95 <= doc["coverage"] <= 1.0
     shares = [row["share"] for row in doc["regions"].values()]

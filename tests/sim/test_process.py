@@ -536,7 +536,7 @@ def test_free_resource_grant_is_already_processed():
 
 
 def _hostscope_counts(bare):
-    hs = HostScope(detail=False)
+    hs = HostScope()
     with use_hostscope(hs):
         _timeline("sub-operation", bare)
     return hs.sim_ns, hs.events

@@ -228,29 +228,11 @@ def test_parallel_run_matches_serial(capsys):
     assert parallel_out == serial_out
 
 
-def test_bench_quick_writes_json(tmp_path, capsys):
-    import json
-
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--jobs", "2", "--bench-out",
-                 str(out), "--bench-experiments", "table1,table2"]) == 0
-    stdout = capsys.readouterr().out
-    assert "Execution trajectory" in stdout
-    doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 2
-    assert doc["jobs"] == 2
-    rows = doc["experiments"]
-    assert rows
-    for exp_id, row in rows.items():
-        assert row["identical"], exp_id
-        assert row["units_resimulated_warm"] == 0, exp_id
-
-
 def test_cache_stats_report_fields_are_pinned(tmp_path):
     """The --cache-stats contract: to_dict keys and the render() shape.
 
-    Downstream tooling (manifests' ``execution`` block, the bench
-    observatory) reads these fields by name; renames are breaking.
+    Downstream tooling (manifests' ``execution`` block, the job
+    server's results) reads these fields by name; renames are breaking.
     """
     from repro.core import spp1000
     from repro.exec import ResultCache, execute
@@ -440,55 +422,22 @@ def test_chaos_run_is_bit_identical_to_clean_serial(tmp_path, capsys):
     assert "chaos faults injected" in out
 
 
-# -- the longitudinal ledger (python -m repro ledger / bench --ledger) ----
+# -- the longitudinal ledger (python -m repro ledger) ---------------------
 
 
-def test_bench_ledger_flag_appends_record(tmp_path, capsys, monkeypatch):
-    from repro.obs.ledger import Ledger
-
-    monkeypatch.chdir(tmp_path)
-    out = tmp_path / "bench.json"
-    ledger = tmp_path / "LEDGER.jsonl"
-    assert main(["bench", "--quick", "--jobs", "2",
-                 "--bench-out", str(out),
-                 "--bench-experiments", "table1,table2",
-                 "--ledger", str(ledger)]) == 0
-    stdout = capsys.readouterr().out
-    assert "ledger record appended to" in stdout
-    records, skipped = Ledger(str(ledger)).read()
-    assert (len(records), skipped) == (1, 0)
-    rec = records[0]
-    assert rec["kind"] == "bench"
-    assert set(rec["experiments"]) == {"table1", "table2"}
-    assert rec["git_dirty"] in (True, False, None)
-
-
-def test_bench_without_ledger_flag_writes_no_ledger(tmp_path,
-                                                    monkeypatch, capsys):
-    """Zero-cost when off: no --ledger, no ledger file anywhere."""
-    monkeypatch.chdir(tmp_path)
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--jobs", "2",
-                 "--bench-out", str(out),
-                 "--bench-experiments", "table1"]) == 0
-    capsys.readouterr()
-    assert not list(tmp_path.rglob("*.jsonl"))
-    assert not (tmp_path / "benchmarks").exists()
-
-
-def test_bench_warns_when_existing_artifact_is_stale(tmp_path, capsys):
+def write_run_record(path):
+    """A ``benchmarks/e2e/run.py`` run record (``--seconds 1``)."""
     import json as _json
 
-    out = tmp_path / "bench.json"
-    out.write_text(_json.dumps({
-        "schema_version": 2, "generator": "repro.exec.bench",
-        "code_fingerprint": "f" * 16, "git_sha": "c" * 40,
-        "experiments": {}, "totals": {}}))
-    assert main(["bench", "--quick", "--jobs", "2",
-                 "--bench-out", str(out),
-                 "--bench-experiments", "table1"]) == 0
-    err = capsys.readouterr().err
-    assert "stale" in err and str(out) in err and "regenerate" in err
+    path.write_text(_json.dumps({
+        "workload": "des", "seconds": 1.0, "trace": False, "correct": True,
+        "attempted": 15, "failed": 0,
+        "metrics": {"run_s": {"value": 0.3255, "unit": "s"}},
+        "failures": [], "detail": {},
+        "provenance": {"seed": 1, "git_sha": None, "git_dirty": None,
+                       "code_fingerprint": "e9189de1ee202e2f",
+                       "host": {}}}))
+    return path
 
 
 def test_ledger_verb_dispatches(tmp_path, capsys, monkeypatch):
@@ -496,20 +445,18 @@ def test_ledger_verb_dispatches(tmp_path, capsys, monkeypatch):
     # empty ledger: actionable error, exit 2, names the feeder commands
     assert main(["ledger", "show"]) == 2
     err = capsys.readouterr().err
-    assert "bench --quick --ledger" in err
+    assert "benchmarks/e2e/run.py" in err and "ledger record" in err
 
-    out = tmp_path / "bench.json"
+    record = write_run_record(tmp_path / "des-seed1.json")
     ledger = tmp_path / "LEDGER.jsonl"
-    assert main(["bench", "--quick", "--jobs", "2",
-                 "--bench-out", str(out),
-                 "--bench-experiments", "table1,table2",
+    assert main(["ledger", "record", str(record),
                  "--ledger", str(ledger)]) == 0
-    capsys.readouterr()
+    assert "appended e2e record (#1" in capsys.readouterr().out
     assert main(["ledger", "show", "--ledger", str(ledger)]) == 0
-    assert "kind=bench" in capsys.readouterr().out
+    assert "kind=e2e workload=des" in capsys.readouterr().out
     assert main(["ledger", "trend", "--ledger", str(ledger),
-                 "--metric", "serial_s"]) == 0
-    assert "serial_s" in capsys.readouterr().out
+                 "--metric", "run_s"]) == 0
+    assert "run_s" in capsys.readouterr().out
     # one record: gate has no history -> trivial pass
     assert main(["ledger", "gate", "--ledger", str(ledger),
                  "--window", "5"]) == 0
@@ -517,15 +464,27 @@ def test_ledger_verb_dispatches(tmp_path, capsys, monkeypatch):
 
 
 def test_ledger_record_verb_folds_bench_json(tmp_path, capsys):
-    out = tmp_path / "bench.json"
+    """The benchmark's JSON run record folds, once per ``record``."""
+    out = write_run_record(tmp_path / "des-seed1.json")
     ledger = tmp_path / "LEDGER.jsonl"
-    assert main(["bench", "--quick", "--jobs", "2",
-                 "--bench-out", str(out),
-                 "--bench-experiments", "table1"]) == 0
-    capsys.readouterr()
     assert main(["ledger", "record", str(out),
                  "--ledger", str(ledger)]) == 0
-    assert "appended bench record" in capsys.readouterr().out
+    assert "appended e2e record" in capsys.readouterr().out
     assert main(["ledger", "record", str(out),
                  "--ledger", str(ledger)]) == 0
     assert "#2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path,expected", [
+    ("/tmp/run.d/j", "/tmp/run.d/j.fig2"),
+    ("/root/.cache/j", "/root/.cache/j.fig2"),
+    ("out/trace.json", "out/trace.fig2.json"),
+    ("m.json", "m.fig2.json"),
+    ("journal", "journal.fig2"),
+], ids=["dotted-dir", "hidden-dir", "extension", "bare-extension",
+        "no-extension"])
+def test_multi_experiment_outputs_stay_in_their_directory(path, expected):
+    from repro.cli import _suffixed
+
+    assert _suffixed(path, "fig2", multi=True) == expected
+    assert _suffixed(path, "fig2", multi=False) == path

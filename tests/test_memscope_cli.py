@@ -1,4 +1,4 @@
-"""CLI tests for memscope, trace-file errors, and bench --compare."""
+"""CLI tests for memscope and trace-file errors."""
 
 import json
 
@@ -67,7 +67,8 @@ def test_memscope_sample_must_be_positive(capsys):
 def test_bare_invocation_names_the_commands(capsys):
     assert main([]) == 2
     err = capsys.readouterr().err
-    assert "memscope" in err and "bench" in err
+    assert "memscope" in err and "ledger" in err
+    assert "bench" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -139,75 +140,9 @@ def test_parser_has_memscope_and_compare_flags():
     from repro.cli import build_parser
 
     text = build_parser().format_help()
-    for flag in ("--memscope", "--memscope-sample", "--json", "--top",
-                 "--compare", "--bench-diff-out"):
+    for flag in ("--memscope", "--memscope-sample", "--json", "--top"):
         assert flag in text, f"missing {flag}"
-
-
-# ---------------------------------------------------------------------------
-# bench --compare: the acceptance fixtures
-# ---------------------------------------------------------------------------
-
-def run_quick_bench(tmp_path, capsys, *extra):
-    out = tmp_path / "B.json"
-    code = main(["bench", "--quick", "--bench-experiments", "fig2",
-                 "--bench-out", str(out), *extra])
-    return code, out, capsys.readouterr()
-
-
-def test_bench_self_compare_exits_zero(tmp_path, capsys):
-    out = tmp_path / "B.json"
-    code = main(["bench", "--quick", "--bench-experiments", "fig2",
-                 "--bench-out", str(out), "--compare", str(out)])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert "PASS: no serial_s regressions" in captured.out
-
-
-def fixed_bench_doc(serial_s):
-    """A bench document as run_bench returns it, with fixed timings."""
-    row = {"units": 18, "serial_s": serial_s, "parallel_s": serial_s,
-           "cached_s": 0.01, "speedup": 1.0, "cached_speedup": 20.0,
-           "units_per_s": 18 / serial_s, "sim_mcycles_per_s": 1.0,
-           "cache_hit_rate": 1.0, "identical": True}
-    return {"schema_version": 2, "generator": "repro.exec.bench",
-            "jobs": 1, "quick": True,
-            "host": {"cpu_count": 1, "calibration_miters_s": 9.0},
-            "experiments": {"fig2": row},
-            "totals": {"serial_s": serial_s, "parallel_s": serial_s,
-                       "cached_s": 0.01, "speedup": 1.0}}
-
-
-def test_bench_compare_flags_2x_slowdown(tmp_path, capsys, monkeypatch):
-    # fixed documents, not timed runs: the verdict must not depend on
-    # how fast this host happens to be between two measurements
-    monkeypatch.setattr("repro.exec.bench.run_bench",
-                        lambda *args, **kwargs: fixed_bench_doc(0.4))
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(fixed_bench_doc(0.2)))
-    diff_md = tmp_path / "diff.md"
-    code = main(["bench", "--quick", "--bench-experiments", "fig2",
-                 "--bench-out", str(tmp_path / "B.json"),
-                 "--compare", str(baseline),
-                 "--bench-diff-out", str(diff_md)])
-    captured = capsys.readouterr()
-    assert code == 1, captured.out
-    assert "REGRESSION" in captured.out
-    md = diff_md.read_text()
-    assert "**FAIL**" in md and "**REGRESSION**" in md
-
-
-def test_bench_compare_missing_baseline(tmp_path, capsys):
-    code, _, captured = run_quick_bench(
-        tmp_path, capsys, "--compare", str(tmp_path / "nope.json"))
-    assert code == 2
-    assert "cannot read bench baseline" in captured.err
-
-
-def test_bench_compare_corrupt_baseline(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    code, _, captured = run_quick_bench(tmp_path, capsys,
-                                        "--compare", str(bad))
-    assert code == 2
-    assert "cannot parse bench baseline" in captured.err
+    # the bench command and its flags are gone
+    for flag in ("--compare", "--bench-out", "--bench-experiments",
+                 "--bench-diff-out", "--ledger"):
+        assert flag not in text, f"stale {flag}"
