@@ -79,7 +79,6 @@ from .ledger import (
     LedgerError,
     fold_document,
     record_checksum,
-    record_from_e2e,
 )
 from .memscope import (
     MemScope,
@@ -117,7 +116,7 @@ __all__ = [
     "hostscope_from_trace", "SCOPES", "Scope",
     "FIDELITY_EXPERIMENTS", "fidelity_residuals",
     "Ledger", "LedgerError", "DEFAULT_LEDGER_PATH", "record_checksum",
-    "record_from_e2e", "fold_document",
+    "fold_document",
     "TraceContext", "active_tracectx", "use_tracectx", "mint_trace_id",
     "stitch_chrome_trace", "write_chrome_json",
 ]

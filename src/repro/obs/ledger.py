@@ -54,9 +54,9 @@ from ..core.jsonl import checksum as record_checksum
 from ..core.tables import Table
 
 __all__ = ["LEDGER_SCHEMA", "DEFAULT_LEDGER_PATH", "E2E_METRICS", "Ledger",
-           "LedgerError", "record_checksum", "record_from_e2e",
-           "fold_document", "trend", "render_trend", "judge",
-           "render_verdict", "gate", "ledger_main"]
+           "LedgerError", "record_checksum", "fold_document", "trend",
+           "render_trend", "judge", "render_verdict", "gate",
+           "ledger_main"]
 
 LEDGER_SCHEMA = 1
 
@@ -100,36 +100,31 @@ class Ledger:
 
 # -- the record ------------------------------------------------------------
 
-def record_from_e2e(doc: Dict) -> Dict:
-    """Fold one ``benchmarks/e2e/run.py`` run record into a ledger
-    record: its metric values, checks and provenance, without the
-    per-pass detail, failure texts or spans."""
-    prov = doc.get("provenance") or {}
-    return {
-        "kind": "e2e",
-        "workload": doc["workload"],
-        "seed": prov.get("seed"),
-        "trace": bool(doc.get("trace")),
-        "metrics": {name: entry["value"]
-                    for name, entry in doc["metrics"].items()},
-        "attempted": doc.get("attempted"),
-        "failed": doc.get("failed"),
-        "git_sha": prov.get("git_sha"),
-        "git_dirty": prov.get("git_dirty"),
-        "code_fingerprint": prov.get("code_fingerprint"),
-        "host": prov.get("host"),
-    }
-
-
 def fold_document(doc: Dict) -> Dict:
-    """The ledger record of a run record; any other document is refused."""
+    """The ledger record of one ``benchmarks/e2e/run.py`` run record: its
+    metric values, checks and provenance, without the per-pass detail,
+    failure texts or spans.  Any other document is refused."""
     if not isinstance(doc, dict):
         raise LedgerError(
             "ledger: expected a JSON object (a benchmarks/e2e/run.py run "
             f"record), got {type(doc).__name__}")
     if "workload" in doc and "metrics" in doc:
         try:
-            return record_from_e2e(doc)
+            prov = doc.get("provenance") or {}
+            return {
+                "kind": "e2e",
+                "workload": doc["workload"],
+                "seed": prov.get("seed"),
+                "trace": bool(doc.get("trace")),
+                "metrics": {name: entry["value"]
+                            for name, entry in doc["metrics"].items()},
+                "attempted": doc.get("attempted"),
+                "failed": doc.get("failed"),
+                "git_sha": prov.get("git_sha"),
+                "git_dirty": prov.get("git_dirty"),
+                "code_fingerprint": prov.get("code_fingerprint"),
+                "host": prov.get("host"),
+            }
         except (AttributeError, KeyError, TypeError):
             pass
     raise LedgerError(
@@ -140,21 +135,31 @@ def fold_document(doc: Dict) -> Dict:
 
 # -- trajectory analysis ---------------------------------------------------
 
-def _by_workload(records: List[Dict],
-                 window: Optional[int] = None) -> Dict[str, List[Dict]]:
-    """The e2e records of each workload in ledger order, cut to the last
-    ``window`` of each."""
-    if window is not None and window < 1:
-        raise LedgerError(
-            f"ledger: --window must be >= 1 (got {window}); it counts "
-            "the last N records of each workload")
+def _by_workload(records: List[Dict]) -> Dict[str, List[Dict]]:
+    """The e2e records of each workload, in ledger order."""
     groups: Dict[str, List[Dict]] = {}
     for rec in records:
         if rec.get("kind") == "e2e":
             groups.setdefault(rec.get("workload"), []).append(rec)
-    if window is not None:
-        groups = {name: recs[-window:] for name, recs in groups.items()}
     return groups
+
+
+def _check_window(window: Optional[int]) -> None:
+    if window is not None and window < 1:
+        raise LedgerError(
+            f"ledger: --window must be >= 1 (got {window}); it counts "
+            "the last N records of each workload that carry the metric")
+
+
+def _measured(recs: List[Dict], metric: str,
+              window: Optional[int]) -> List[Dict]:
+    """The last ``window`` of ``recs`` that carry a value for ``metric``.
+
+    A record without one — a traced run carries only the per-layer
+    metrics — takes no window slot and is never the candidate.
+    """
+    measured = [rec for rec in recs if _value(rec, metric) is not None]
+    return measured if window is None else measured[-window:]
 
 
 def _value(record: Dict, metric: str) -> Optional[float]:
@@ -186,10 +191,11 @@ def trend(records: List[Dict], *, metric: str = "run_s",
 
     Any metric the records carry can be plotted: the end-to-end ones,
     or the per-layer ones of traced records.  A record without a value
-    for ``metric`` is left out of its series (``request_p50_ms`` is
-    ``None`` when every submit was refused).
+    for ``metric`` is left out of its series and of its ``window``
+    (``request_p50_ms`` is ``None`` when every submit was refused).
     """
-    groups = _by_workload(records, window)
+    _check_window(window)
+    groups = _by_workload(records)
     if workload is not None:
         if workload not in groups:
             raise LedgerError(
@@ -204,8 +210,8 @@ def trend(records: List[Dict], *, metric: str = "run_s",
             + ", ".join(carried))
     workloads: Dict[str, Dict] = {}
     for name, recs in groups.items():
-        values = [value for value in (_value(rec, metric) for rec in recs)
-                  if value is not None]
+        values = [_value(rec, metric)
+                  for rec in _measured(recs, metric, window)]
         if values:
             workloads[name] = {
                 "values": values,
@@ -216,7 +222,7 @@ def trend(records: List[Dict], *, metric: str = "run_s",
             }
     return {
         "metric": metric,
-        "records": sum(len(recs) for recs in groups.values()),
+        "records": sum(len(row["values"]) for row in workloads.values()),
         "workloads": workloads,
     }
 
@@ -341,21 +347,32 @@ def render_verdict(report: Dict) -> str:
 def gate(records: List[Dict], *, window: int = 10,
          threshold: float = 0.25, metric: str = "run_s") -> Dict:
     """Windowed regression check: per workload, :func:`judge` on the
-    newest of its last ``window`` e2e records, with the rest as history.
+    newest of its last ``window`` e2e records that carry ``metric``,
+    with the rest as history.
 
     Fewer than 2 history records is a trivial timing pass — one point
     is a baseline, not a trajectory — though failed checks in the
-    newest record still fail.
+    newest record still fail.  A newer record without the metric (a
+    traced run) is judged on its checks alone.
     """
+    _check_window(window)
     pairs = []
     notes = []
-    for name, recs in _by_workload(records, window).items():
-        history = recs[:-1]
+    for name, recs in _by_workload(records).items():
+        newest = recs[-1]
+        measured = _measured(recs, metric, window)
+        # a newest record without the metric is judged on its checks
+        if not measured or (newest is not measured[-1]
+                            and newest.get("failed")):
+            pairs.append((newest, []))
+        if not measured:
+            continue
+        history = measured[:-1]
         if len(history) < 2:
             notes.append(f"{name}: insufficient history ({len(history)} "
                          "prior records, need 2): trivial pass")
             history = []
-        pairs.append((recs[-1], history))
+        pairs.append((measured[-1], history))
     if not pairs:
         notes.append("no e2e records in ledger")
     report = _verdict(pairs, threshold=threshold, metric=metric)
@@ -421,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict to one workload")
     p.add_argument("--window", type=int, default=None,
                    help="only the last N records of each workload "
-                        "(default: all)")
+                        "that carry --metric (default: all)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
 
@@ -443,8 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "or failed checks)")
     _common(p)
     p.add_argument("--window", type=int, default=10,
-                   help="records of each workload considered "
-                        "(default: %(default)s)")
+                   help="last N records of each workload that carry "
+                        "--metric (default: %(default)s)")
     p.add_argument("--threshold", type=float, default=0.25,
                    help="regression threshold vs history median "
                         "(default: %(default)s)")

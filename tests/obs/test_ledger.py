@@ -205,7 +205,7 @@ def test_trend_follows_each_workload(tmp_path):
     assert (len(records), skipped) == (8, 0)
 
     report = trend(records)
-    assert report["metric"] == "run_s" and report["records"] == 6
+    assert report["metric"] == "run_s" and report["records"] == 5
     assert report["workloads"]["des"]["values"] == [
         0.32, 0.3232, 0.3168, 0.3264]
     assert report["workloads"]["model"]["values"] == [0.048]
@@ -216,10 +216,11 @@ def test_trend_follows_each_workload(tmp_path):
     assert shares["workloads"] == {"des": {
         "values": [0.4675], "latest": 0.4675, "min": 0.4675,
         "max": 0.4675, "spark": "▁"}}
+    # the traced record takes no window slot
     assert trend(records, window=2)["workloads"]["des"]["values"] == [
-        0.3264]
+        0.3168, 0.3264]
     text = render_trend(report)
-    assert "des" in text and "model" in text and "6 e2e records" in text
+    assert "des" in text and "model" in text and "5 e2e records" in text
 
 
 def test_trend_fidelity_metric_and_unknown_metric(tmp_path):
@@ -281,6 +282,39 @@ def test_gate_fails_on_fidelity_breach_even_when_fast(tmp_path):
     assert report["regressions"] == []
     assert report["failures"] == ["des: 2/60 checks failed"]
     assert gate(records[-2:], window=5)["pass"] is False
+
+
+def test_gate_looks_past_a_traced_record(tmp_path, capsys):
+    """A traced record carries only the per-layer metrics: it neither
+    hides the slow record before it from the gate nor takes a window
+    slot."""
+    ledger = filled_ledger(tmp_path / "L.jsonl",
+                           scales=(1.0, 1.01, 0.99, 1.3))
+    ledger.append(fold_document(traced_record()))
+    records, _ = ledger.read()
+    report = gate(records, window=3)
+    assert report["regressions"] == ["des: run_s"]
+    assert report["workloads"]["des"]["history_n"] == 2
+    assert report["notes"] == []
+    assert ledger_main(["gate", "--ledger", ledger.path,
+                        "--window", "5"]) == 1
+    assert "des: run_s" in capsys.readouterr().out
+
+
+def test_gate_fails_on_a_traced_record_with_failed_checks(tmp_path):
+    ledger = filled_ledger(tmp_path / "L.jsonl")
+    broken = traced_record()
+    broken["failed"] = 1
+    ledger.append(fold_document(broken))
+    records, _ = ledger.read()
+    report = gate(records, window=5)
+    assert report["pass"] is False
+    assert report["failures"] == ["des: 1/60 checks failed"]
+    assert report["workloads"]["des"]["status"] == "ok"
+    # a workload of traced records alone is judged on its checks alone
+    report = gate(records[-1:], window=5)
+    assert report["pass"] is False and report["workloads"] == {}
+    assert report["notes"] == ["des: the newest record has no run_s value"]
 
 
 def test_gate_window_limits_history(tmp_path):
