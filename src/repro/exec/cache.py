@@ -179,6 +179,8 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
+            if not isinstance(entry, dict):
+                raise ValueError("entry is not a JSON object")
             if entry.get("schema") != CACHE_SCHEMA:
                 raise ValueError("schema mismatch")
             value = entry["value"]
@@ -187,8 +189,8 @@ class ResultCache:
             self.misses += 1
             raise KeyError(digest) from None
         except (OSError, ValueError, KeyError):
-            # structurally unreadable (truncated/foreign/no checksum):
-            # drop it, treat as a miss
+            # structurally unreadable (truncated/not an object/foreign/
+            # no checksum): drop it, treat as a miss
             try:
                 os.remove(path)
             except OSError:

@@ -137,6 +137,9 @@ class AddressSpace:
         self.config = config
         self._next = config.page_bytes  # keep address 0 unmapped
         self._regions: list = []
+        # (addr, accessor_hn) -> home; the allocator only appends
+        # regions, so an address's home never changes once computed
+        self._homes: dict = {}
 
     @property
     def allocated_bytes(self) -> int:
@@ -215,8 +218,14 @@ class AddressSpace:
         raise KeyError(f"address {addr:#x} is not mapped")
 
     def home_of(self, addr: int, accessor_hn: Optional[int] = None) -> HomeLocation:
-        """Home of the line containing ``addr``."""
-        return self.region_of(addr).home_of(addr, accessor_hn)
+        """Home of the line containing ``addr`` (memoised; an unmapped
+        address raises :class:`KeyError` every time)."""
+        key = (addr, accessor_hn)
+        home = self._homes.get(key)
+        if home is None:
+            home = self._homes[key] = \
+                self.region_of(addr).home_of(addr, accessor_hn)
+        return home
 
     @property
     def regions(self) -> tuple:

@@ -47,7 +47,8 @@ class DirectMappedCache:
 
     def access(self, line: int) -> bool:
         """Tag check that records a hit or miss; True on hit."""
-        if self.contains(line):
+        if self._tags.get((line // self.config.line_bytes)
+                          % self.n_sets) == line:
             self.hits += 1
             if self.memscope is not None:
                 self.memscope.cache_hit(self.cpu, line)

@@ -39,22 +39,22 @@ class Crossbar:
         }
         self.ports[self.IO_PORT] = Resource(sim)
         self.traversals = 0
+        #: how long one traversal holds its port, in ns
+        self.hold_ns = config.cycles(config.crossbar_cycles)
 
     def traverse(self, dst_fu: int):
         """Sub-operation: one traversal to functional unit ``dst_fu``."""
         port = self.ports[dst_fu]
-        cfg = self.config
         yield port.acquire()
         ms = self.memscope
-        start = self.sim.now if ms is not None else 0.0
+        start = self.sim._now if ms is not None else 0.0
         try:
-            yield cfg.cycles(cfg.crossbar_cycles)
+            yield self.hold_ns
         finally:
             port.release()
         self.traversals += 1
         if ms is not None:
-            ms.crossbar_busy(self.hypernode, dst_fu, start,
-                             cfg.cycles(cfg.crossbar_cycles))
+            ms.crossbar_busy(self.hypernode, dst_fu, start, self.hold_ns)
 
 
 class Ring:
@@ -71,6 +71,8 @@ class Ring:
         self._bus = Resource(sim)
         self.transfers = 0
         self.busy_ns = 0.0
+        #: how long one hop holds the ring, in ns
+        self.hop_ns = config.cycles(config.ring_hop_cycles)
 
     def transfer(self, src_hn: int, dst_hn: int, extra_cycles: float = 0.0):
         """Sub-operation: move one packet from ``src_hn`` to ``dst_hn``.
@@ -83,11 +85,10 @@ class Ring:
         hops = (dst_hn - src_hn) % cfg.n_hypernodes
         # a bare delay must be a Python float; hypernode ids derived from
         # NumPy addresses are NumPy integers
-        hold = float(cfg.cycles(cfg.ring_hop_cycles) * max(hops, 1)
-                     + cfg.cycles(extra_cycles))
+        hold = float(self.hop_ns * max(hops, 1) + cfg.cycles(extra_cycles))
         yield self._bus.acquire()
         ms = self.memscope
-        start = self.sim.now if ms is not None else 0.0
+        start = self.sim._now if ms is not None else 0.0
         try:
             yield hold
         finally:

@@ -32,12 +32,13 @@ class MemoryBank:
         self.home = home
         self._port = Resource(sim)
         self.accesses = 0
+        #: how long serving one line holds the bank, in ns
+        self.line_ns = config.cycles(config.bank_cycles)
 
     def service(self, lines: int = 1):
         """Sub-operation: occupy the bank long enough to read/write
         ``lines``."""
-        cfg = self.config
-        return self.occupy(cfg.cycles(cfg.bank_cycles) * lines, lines)
+        return self.occupy(self.line_ns * lines, lines)
 
     def occupy(self, hold_ns: float, lines: int = 1):
         """Sub-operation: hold the bank port for an explicit duration.
@@ -47,7 +48,7 @@ class MemoryBank:
         """
         yield self._port.acquire()
         ms = self.memscope
-        start = self.sim.now if ms is not None else 0.0
+        start = self.sim._now if ms is not None else 0.0
         try:
             yield hold_ns
         finally:
@@ -72,6 +73,11 @@ class MemorySubsystem:
 
     def bank(self, home: HomeLocation) -> MemoryBank:
         return self._banks[(home.hypernode, home.fu, home.bank)]
+
+    def bank_at(self, hypernode: int, fu: int, bank: int) -> MemoryBank:
+        """The bank at ``(hypernode, fu, bank)``, without building a
+        :class:`HomeLocation`."""
+        return self._banks[(hypernode, fu, bank)]
 
     @property
     def banks(self) -> tuple:

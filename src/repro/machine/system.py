@@ -28,6 +28,13 @@ whenever nothing else is due first, and free crossbar, bank and ring
 ports are granted without an event.  The healthy path enters no
 generator for the fault gate or for a TLB hit.
 
+Fixed latencies are converted to nanoseconds once, when the machine,
+its crossbars, rings and banks are built, each by the expression its
+yield site used to evaluate, so a config with fractional cycles keeps
+every bit.  A line fetch walks its local, global-cache-buffer or remote
+path in one generator, and each line's home is memoised by the address
+space.
+
 Coherence protocol summary (two levels, as in the paper):
 
 * Within a hypernode, a directory entry per line tracks which local CPUs
@@ -106,6 +113,23 @@ class Machine:
         self.sci = SCIDirectory()
         self.net = Interconnect(self.sim, self.config)
         self.mem = MemorySubsystem(self.sim, self.config)
+        # Fixed latencies in ns, each the exact expression its yield
+        # site would evaluate, so fractional-cycle configs keep every bit.
+        cfg = self.config
+        self._issue_ns = cfg.cycles(cfg.issue_cycles)
+        self._fill_ns = cfg.cycles(cfg.fill_cycles)
+        self._agent_ns = cfg.cycles(cfg.agent_cycles)
+        self._sci_update_ns = cfg.cycles(cfg.sci_update_cycles)
+        self._agent_sci_update_ns = cfg.cycles(cfg.agent_cycles
+                                               + cfg.sci_update_cycles)
+        self._dir_lookup_ns = cfg.cycles(cfg.dir_lookup_cycles)
+        self._dir_inval_ns = cfg.cycles(cfg.dir_inval_cycles)
+        self._gcb_lookup_ns = cfg.cycles(cfg.gcb_lookup_cycles)
+        self._spin_wakeup_ns = cfg.cycles(cfg.spin_wakeup_cycles)
+        self._tlb_miss_ns = cfg.cycles(cfg.tlb_miss_cycles)
+        self._uncached_overhead_ns = cfg.cycles(
+            max(0, cfg.uncached_local_cycles - cfg.bank_cycles))
+        self._timer_ns = cfg.cycles(cfg.timer_overhead_cycles)
         self._values: Dict[int, object] = {}
         # line -> {cpu: wake event} for spin-waiters
         self._spin_waiters: Dict[int, Dict[int, Event]] = {}
@@ -214,110 +238,110 @@ class Machine:
         Costs ``timer_overhead_cycles``, mirroring the intrusion the
         paper's methodology corrects for.
         """
-        yield self.config.cycles(self.config.timer_overhead_cycles)
+        yield self._timer_ns
         # Counted so reports can correct for timer intrusion (§4):
         # total overhead = count("timer.read") * timer_overhead_ns.
-        self.tracer.emit(self.sim.now, "timer.read", cpu)
-        return self.sim.now
-
-    def _home(self, line: int, accessor_hn: int) -> HomeLocation:
-        return self.space.home_of(line, accessor_hn)
+        self.tracer.emit(self.sim._now, "timer.read", cpu)
+        return self.sim._now
 
     def _tlb_miss(self):
         """Generator: the software handler of a TLB miss.  Callers enter
         it only when ``self.tlbs[cpu].access(addr)`` misses."""
-        yield self.config.cycles(self.config.tlb_miss_cycles)
-        self.tracer.emit(self.sim.now, "tlb.miss")
+        yield self._tlb_miss_ns
+        self.tracer.emit(self.sim._now, "tlb.miss")
 
     # ------------------------------------------------------------------
-    # fetch paths (internal generators)
+    # line fetch (internal generator)
     # ------------------------------------------------------------------
-    def _local_path(self, hn: int, home_fu: int, home_bank: int, lines: int = 1):
-        """Crossbar + bank + fill within hypernode ``hn``."""
-        cfg = self.config
-        yield cfg.cycles(cfg.issue_cycles)
-        yield self.net.crossbar(hn).traverse(home_fu)
-        yield self.mem.bank(HomeLocation(hn, home_fu, home_bank)).service(lines)
-        yield cfg.cycles(cfg.fill_cycles)
+    def _fetch_line(self, cpu: int, line: int, my_hn: int,
+                    home: HomeLocation):
+        """Bring ``line`` into ``cpu``'s cache (shared); charges full cost.
 
-    def _remote_path(self, my_hn: int, home: HomeLocation, attach: bool):
-        """Full SCI path to another hypernode's memory and back."""
-        cfg = self.config
-        yield cfg.cycles(cfg.issue_cycles)
-        # hop to the local FU that fronts this line's ring
-        yield self.net.crossbar(my_hn).traverse(home.fu)
-        yield cfg.cycles(cfg.agent_cycles)
-        yield self.net.transfer(home.ring, my_hn, home.hypernode)
-        yield cfg.cycles(cfg.agent_cycles)
-        yield self.net.crossbar(home.hypernode).traverse(home.fu)
-        yield self.mem.bank(home).service()
-        if attach:
-            yield cfg.cycles(cfg.sci_update_cycles)
-        yield self.net.transfer(home.ring, home.hypernode, my_hn)
-        yield cfg.cycles(cfg.fill_cycles)
-        self.tracer.emit(self.sim.now, "ring.round_trip", home.ring)
-
-    def _fetch_line(self, cpu: int, line: int, loc, home: HomeLocation):
-        """Bring ``line`` into ``cpu``'s cache (shared); charges full cost."""
-        cfg = self.config
-        my_hn = loc.hypernode
+        A local walk is issue, crossbar, bank and fill within this
+        hypernode.  A remote walk crosses the SCI ring to the home's
+        memory and back, through an agent on each side.
+        """
+        sim = self.sim
+        net = self.net
         my_dir = self.directories[my_hn]
         ms = self.memscope
-        t_fetch = self.sim.now if ms is not None else 0.0
-        if self.faults is not None and home.hypernode != my_hn:
-            yield from self._gate(cpu, home.hypernode)
-        if home.hypernode == my_hn:
-            yield cfg.cycles(cfg.dir_lookup_cycles)
+        t_fetch = sim._now if ms is not None else 0.0
+        home_hn = home.hypernode
+        if home_hn == my_hn:
+            yield self._dir_lookup_ns
+            bank = self.mem.bank(home)
             ent = my_dir.entry(line)
             if ent.dirty and ent.sharers and cpu not in ent.sharers:
                 # A local CPU owns it modified: one extra bank visit models
                 # the writeback/downgrade before our copy is supplied.
-                yield self.mem.bank(home).service()
+                yield bank.service()
                 ent.dirty = False
-            yield from self._local_path(my_hn, home.fu, home.bank)
-            self.tracer.emit(self.sim.now, "load.miss.local")
+            yield self._issue_ns
+            yield net.crossbars[my_hn].traverse(home.fu)
+            yield bank.service()
+            yield self._fill_ns
+            self.tracer.emit(sim._now, "load.miss.local")
             if ms is not None:
                 ms.miss(cpu, line, "local", home, 0,
-                        self.sim.now - t_fetch, self.sim.now)
+                        sim._now - t_fetch, sim._now)
         else:
-            yield cfg.cycles(cfg.gcb_lookup_cycles)
+            if self.faults is not None:
+                yield from self._gate(cpu, home_hn)
+            yield self._gcb_lookup_ns
             if my_dir.gcb_holds(line):
                 # Satisfied by this hypernode's global cache buffer, which
-                # physically sits in the memory of the FU on the line's ring.
-                yield from self._local_path(my_hn, home.fu, home.bank)
-                self.tracer.emit(self.sim.now, "load.miss.gcb")
+                # physically sits in the memory of the FU on the line's
+                # ring: the walk is local, to this hypernode's bank.
+                yield self._issue_ns
+                yield net.crossbars[my_hn].traverse(home.fu)
+                yield self.mem.bank_at(my_hn, home.fu, home.bank).service()
+                yield self._fill_ns
+                self.tracer.emit(sim._now, "load.miss.gcb")
                 if ms is not None:
                     ms.miss(cpu, line, "gcb", home, 0,
-                            self.sim.now - t_fetch, self.sim.now)
+                            sim._now - t_fetch, sim._now)
             else:
-                sci_list = self.sci.list_for(line, home.hypernode)
-                yield from self._remote_path(my_hn, home,
-                                             attach=my_hn not in sci_list)
+                sci_list = self.sci.list_for(line, home_hn)
+                attach = my_hn not in sci_list
+                ring = home.ring
+                yield self._issue_ns
+                # hop to the local FU that fronts this line's ring
+                yield net.crossbars[my_hn].traverse(home.fu)
+                yield self._agent_ns
+                yield net.transfer(ring, my_hn, home_hn)
+                yield self._agent_ns
+                yield net.crossbars[home_hn].traverse(home.fu)
+                yield self.mem.bank(home).service()
+                if attach:
+                    yield self._sci_update_ns
+                yield net.transfer(ring, home_hn, my_hn)
+                yield self._fill_ns
+                self.tracer.emit(sim._now, "ring.round_trip", ring)
                 # Re-check after the ring round trip: a sibling CPU of this
                 # hypernode may have attached while our fetch was in flight.
                 if my_hn not in sci_list:
                     sci_list.attach(my_hn)
                 my_dir.gcb_insert(line)
-                self.tracer.emit(self.sim.now, "load.miss.remote")
+                self.tracer.emit(sim._now, "load.miss.remote")
                 if ms is not None:
                     # outbound ring distance on the unidirectional SCI ring
-                    hops = (home.hypernode - my_hn) % cfg.n_hypernodes
+                    hops = (home_hn - my_hn) % self.config.n_hypernodes
                     ms.miss(cpu, line, "remote", home, hops,
-                            self.sim.now - t_fetch, self.sim.now)
+                            sim._now - t_fetch, sim._now)
         victim = self.caches[cpu].insert(line)
         if victim is not None:
             victim_entry = my_dir.peek(victim)
             if victim_entry.dirty and victim_entry.sharers == {cpu}:
                 # sole modified owner evicted: write the line back
-                victim_home = self._home(victim, my_hn)
+                victim_home = self.space.home_of(victim, my_hn)
                 if victim_home.hypernode == my_hn:
                     yield self.mem.bank(victim_home).service()
                 else:
                     # dirty remote line drains through the agent/ring
-                    yield cfg.cycles(cfg.agent_cycles)
-                    yield self.net.transfer(victim_home.ring,
-                                            my_hn, victim_home.hypernode)
-                self.tracer.emit(self.sim.now, "cache.writeback")
+                    yield self._agent_ns
+                    yield net.transfer(victim_home.ring,
+                                       my_hn, victim_home.hypernode)
+                self.tracer.emit(sim._now, "cache.writeback")
             my_dir.remove_sharer(victim, cpu)
         my_dir.add_sharer(line, cpu)
 
@@ -326,30 +350,28 @@ class Machine:
     # ------------------------------------------------------------------
     def load(self, cpu: int, addr: int):
         """Sub-operation: coherent load; returns the word's value."""
-        cfg = self.config
-        line = self.line_of(addr)
-        loc = self.topology.locate(cpu)
+        line = addr - addr % self.config.line_bytes
+        my_hn = self.topology.locate(cpu).hypernode
         if self.faults is not None:
             yield from self._gate(cpu)
-        yield cfg.clock_ns  # the access itself (1 cycle)
+        yield self.config.clock_ns  # the access itself (1 cycle)
         if not self.tlbs[cpu].access(addr):
             yield from self._tlb_miss()
         if self.caches[cpu].access(line):
-            self.tracer.emit(self.sim.now, "load.hit")
+            self.tracer.emit(self.sim._now, "load.hit")
         else:
-            home = self._home(line, loc.hypernode)
-            yield from self._fetch_line(cpu, line, loc, home)
+            home = self.space.home_of(line, my_hn)
+            yield from self._fetch_line(cpu, line, my_hn, home)
         return self._values.get(addr - addr % _WORD)
 
     def store(self, cpu: int, addr: int, value):
         """Sub-operation: coherent store; completes when all copies are
         invalid."""
         cfg = self.config
-        line = self.line_of(addr)
-        loc = self.topology.locate(cpu)
-        my_hn = loc.hypernode
+        line = addr - addr % cfg.line_bytes
+        my_hn = self.topology.locate(cpu).hypernode
         my_dir = self.directories[my_hn]
-        home = self._home(line, my_hn)
+        home = self.space.home_of(line, my_hn)
         if self.faults is not None:
             yield from self._gate(cpu)
         yield cfg.clock_ns
@@ -363,16 +385,16 @@ class Machine:
         exclusive = (hit and ent.dirty and ent.sharers == {cpu}
                      and not self._shared_beyond(line, home, my_hn))
         if exclusive:
-            self.tracer.emit(self.sim.now, "store.hit.exclusive")
+            self.tracer.emit(self.sim._now, "store.hit.exclusive")
             self._values[addr - addr % _WORD] = value
         else:
             if not hit:
-                yield from self._fetch_line(cpu, line, loc, home)
+                yield from self._fetch_line(cpu, line, my_hn, home)
             # Commit the value at ownership acquisition, *before* walking
             # the invalidation chain: a spinner woken mid-walk must re-read
             # the new value, or it would re-subscribe and sleep forever.
             self._values[addr - addr % _WORD] = value
-            yield from self._invalidate_others(cpu, line, loc, home)
+            yield from self._invalidate_others(cpu, line, my_hn, home)
             my_dir.entry(line).dirty = True
         # Spinners not reached by an invalidation (same-CPU waiters, or
         # waiters whose copy was evicted earlier) still observe the new
@@ -389,19 +411,19 @@ class Machine:
         # line homed remotely: home's own CPUs may cache it
         return bool(self.directories[home.hypernode].peek(line).sharers)
 
-    def _invalidate_others(self, cpu: int, line: int, loc, home: HomeLocation):
+    def _invalidate_others(self, cpu: int, line: int, my_hn: int,
+                           home: HomeLocation):
         """Invalidate every other copy of ``line``, charging real traversals."""
-        cfg = self.config
-        my_hn = loc.hypernode
+        sim = self.sim
         my_dir = self.directories[my_hn]
 
         # 1. other CPUs in my own hypernode, one directory op each
         for other in my_dir.local_sharers(line, excluding=cpu):
-            yield cfg.cycles(cfg.dir_inval_cycles)
+            yield self._dir_inval_ns
             self.caches[other].invalidate(line)
             my_dir.remove_sharer(line, other)
             self._wake_spinner(line, other)
-            self.tracer.emit(self.sim.now, "store.inval.local")
+            self.tracer.emit(sim._now, "store.inval.local")
 
         # 2. other hypernodes along the SCI list
         sci_list = self.sci.list_for(line, home.hypernode)
@@ -414,20 +436,20 @@ class Machine:
             cursor = my_hn
             if home.hypernode != my_hn:
                 # reach the home directory first to start the purge
-                yield cfg.cycles(cfg.agent_cycles)
+                yield self._agent_ns
                 yield self.net.transfer(home.ring, my_hn, home.hypernode)
                 cursor = home.hypernode
             for hn in targets:
                 yield self.net.transfer(home.ring, cursor, hn)
-                yield cfg.cycles(cfg.agent_cycles + cfg.sci_update_cycles)
+                yield self._agent_sci_update_ns
                 cursor = hn
                 node_dir = self.directories[hn]
                 node_dir.gcb_drop(line)
                 for other in node_dir.clear_line(line):
-                    yield cfg.cycles(cfg.dir_inval_cycles)
+                    yield self._dir_inval_ns
                     self.caches[other].invalidate(line)
                     self._wake_spinner(line, other)
-                self.tracer.emit(self.sim.now, "store.inval.remote", hn)
+                self.tracer.emit(sim._now, "store.inval.remote", hn)
             if cursor != my_hn:
                 yield self.net.transfer(home.ring, cursor, my_hn)
             # rebuild the sharing list: only the writer remains
@@ -445,25 +467,36 @@ class Machine:
     # ------------------------------------------------------------------
     def fetch_add(self, cpu: int, addr: int, delta=1):
         """Sub-operation: uncached atomic fetch-and-add at the word's home
-        bank; returns the old value."""
-        cfg = self.config
-        loc = self.topology.locate(cpu)
+        bank; returns the old value.  A remote one walks the SCI path of
+        a remote line fetch, without attaching to the sharing list."""
+        my_hn = self.topology.locate(cpu).hypernode
         if self.faults is not None:
             yield from self._gate(cpu)
         if not self.tlbs[cpu].access(addr):
             yield from self._tlb_miss()
-        line = self.line_of(addr)
-        home = self._home(line, loc.hypernode)
-        if self.faults is not None and home.hypernode != loc.hypernode:
-            yield from self._gate(cpu, home.hypernode)
-        if home.hypernode == loc.hypernode:
-            overhead = max(0, cfg.uncached_local_cycles - cfg.bank_cycles)
-            yield cfg.cycles(overhead)
+        line = addr - addr % self.config.line_bytes
+        home = self.space.home_of(line, my_hn)
+        home_hn = home.hypernode
+        if home_hn == my_hn:
+            yield self._uncached_overhead_ns
             yield self.mem.bank(home).service()
-            self.tracer.emit(self.sim.now, "atomic.local")
+            self.tracer.emit(self.sim._now, "atomic.local")
         else:
-            yield from self._remote_path(loc.hypernode, home, attach=False)
-            self.tracer.emit(self.sim.now, "atomic.remote")
+            if self.faults is not None:
+                yield from self._gate(cpu, home_hn)
+            net = self.net
+            ring = home.ring
+            yield self._issue_ns
+            yield net.crossbars[my_hn].traverse(home.fu)
+            yield self._agent_ns
+            yield net.transfer(ring, my_hn, home_hn)
+            yield self._agent_ns
+            yield net.crossbars[home_hn].traverse(home.fu)
+            yield self.mem.bank(home).service()
+            yield net.transfer(ring, home_hn, my_hn)
+            yield self._fill_ns
+            self.tracer.emit(self.sim._now, "ring.round_trip", ring)
+            self.tracer.emit(self.sim._now, "atomic.remote")
         word = addr - addr % _WORD
         old = self._values.get(word, 0)
         self._values[word] = old + delta
@@ -491,7 +524,7 @@ class Machine:
         first_line = self.line_of(addr)
         last_line = self.line_of(addr + nbytes - 1)
         nlines = (last_line - first_line) // cfg.line_bytes + 1
-        home = self._home(first_line, loc.hypernode)
+        home = self.space.home_of(first_line, loc.hypernode)
         remote = home.hypernode != loc.hypernode
         # leading line pays the full latency
         if kind == "read":
@@ -512,7 +545,7 @@ class Machine:
             # The bank streams in page mode: it is held for the pipelined
             # duration, not the random-access per-line latency.
             yield self.mem.bank(home).occupy(stream_ns, lines=nlines - 1)
-        self.tracer.emit(self.sim.now, f"block.{kind}", nlines,
+        self.tracer.emit(self.sim._now, f"block.{kind}", nlines,
                          "remote" if remote else "local")
 
     # ------------------------------------------------------------------
@@ -532,7 +565,6 @@ class Machine:
         ``info`` names what is being waited on (e.g. which barrier) for
         the watchdog's stall report.
         """
-        cfg = self.config
         line = self.line_of(addr)
         while True:
             value = yield from self.load(cpu, addr)
@@ -552,7 +584,7 @@ class Machine:
                     self.watchdog.clear(token)
             else:
                 yield ev
-            yield cfg.cycles(cfg.spin_wakeup_cycles)
+            yield self._spin_wakeup_ns
 
     def _wake_spinner(self, line: int, cpu: int) -> None:
         waiters = self._spin_waiters.get(line)

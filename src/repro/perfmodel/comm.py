@@ -20,8 +20,8 @@ __all__ = ["barrier_ns", "pvm_oneway_ns", "remote_miss_cycles",
 def remote_miss_cycles(config: MachineConfig) -> float:
     """Latency of one remote (cross-hypernode) miss, in cycles.
 
-    Mirrors :meth:`Machine._remote_path` for the uncontended
-    two-hypernode case (one hop out, one hop back).
+    Mirrors the remote walk of :meth:`Machine._fetch_line` for the
+    uncontended two-hypernode case (one hop out, one hop back).
     """
     return (config.issue_cycles + 2 * config.crossbar_cycles
             + 2 * config.agent_cycles + 2 * config.ring_hop_cycles

@@ -53,6 +53,13 @@ short.  Inline wakes and delays are not dispatches: they are missing
 from the ``sim.dispatch`` trace count and hostscope's event and push
 counts, while hostscope's simulated time still counts every inline
 delay.
+
+Two loops apply this one rule.  :meth:`Process._resume` reads
+``sim.hostscope`` once per call; without a profiler it runs a loop
+that does no per-slice profiler work.  With one it hands the event to
+``_resume_profiled``, the same loop with host-time accounting, as
+:meth:`~repro.sim.engine.Simulator.step` hands off to
+``_step_profiled``.  Both loops yield the same event order.
 """
 
 from __future__ import annotations
@@ -135,12 +142,99 @@ class Process(Event):
 
     # -- internal -------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        # Host-time attribution: each generator slice bills to the
-        # process's hostscope region (``memory`` inside a sub-operation).
-        # Off path (no profiler): one None check and a try/finally per
-        # slice.
+        # Off path (no profiler): one hostscope read per call, and no
+        # per-slice profiler work in the loop (see the module docstring).
         sim = self.sim
         hs = sim.hostscope
+        if hs is not None:
+            self._resume_profiled(event, hs)
+            return
+        self._target = None
+        ok = event._ok
+        value = event._value
+        if not ok:
+            event.defused = True
+        gen = self._generator
+        stack = self._stack
+        queue = sim._queue
+        while True:
+            delay = 0.0
+            try:
+                if ok:
+                    yielded = gen.send(value)
+                else:
+                    yielded = gen.throw(value)
+            except StopIteration as stop:
+                if not stack:
+                    self.succeed(stop.value)
+                    return
+                # sub-operation returned: wake its caller with the value
+                ok, value = True, stop.value
+                gen = self._generator = stack.pop()
+            except BaseException as exc:
+                if not stack:
+                    self.fail(exc)
+                    return
+                ok, value = False, exc
+                gen = self._generator = stack.pop()
+            else:
+                if type(yielded) is float:
+                    # bare delay: ``sim.timeout(yielded)`` with no event
+                    # unless one has to be queued
+                    if yielded < 0:
+                        ok, value = False, ValueError(
+                            f"negative timeout delay: {yielded}")
+                    else:
+                        delay = yielded
+                        ok, value = True, None
+                elif type(yielded) is GeneratorType:
+                    # sub-operation: start it with a wake
+                    stack.append(gen)
+                    gen = self._generator = yielded
+                    ok, value = True, None
+                elif isinstance(yielded, Event) and yielded.sim is sim:
+                    callbacks = yielded.callbacks
+                    if callbacks is not None:
+                        callbacks.append(self._resume)
+                        self._target = yielded
+                        return
+                    # already processed: resume with its outcome, at the
+                    # current instant, so ordering stays FIFO
+                    ok, value = yielded._ok, yielded._value
+                    if not ok:
+                        yielded.defused = True
+                else:
+                    exc = self._bad_yield(gen, yielded)
+                    if not stack:
+                        self.fail(exc)
+                        return
+                    ok, value = False, exc
+                    gen = self._generator = stack.pop()
+            # Deliver (ok, value) to ``gen`` ``delay`` ns from now: a
+            # zero-delay wake or a bare delay, inline when the heap would
+            # dispatch its timeout next anyway.
+            t = sim._now + delay
+            if (sim._tail is event and t <= sim._horizon
+                    and (not queue or t < queue[0][0])):
+                sim._now = t
+                continue
+            if ok:
+                wake = Timeout(sim, delay, value)
+            else:
+                wake = Event(sim)
+                wake.fail(value)
+            wake.callbacks.append(self._resume)
+            self._target = wake
+            return
+
+    def _resume_profiled(self, event: Event, hs) -> None:
+        """:meth:`_resume` with host-time accounting (hostscope installed).
+
+        Each generator slice bills to the process's hostscope region
+        (``memory`` inside a sub-operation), and every inline delay adds
+        to hostscope's simulated time.
+        """
+        sim = self.sim
         self._target = None
         ok = event._ok
         value = event._value
@@ -150,8 +244,7 @@ class Process(Event):
         stack = self._stack
         while True:
             delay = 0.0
-            if hs is not None:
-                hs.enter("memory" if stack else self.region)
+            hs.enter("memory" if stack else self.region)
             try:
                 try:
                     if ok:
@@ -162,7 +255,6 @@ class Process(Event):
                     if not stack:
                         self.succeed(stop.value)
                         return
-                    # sub-operation returned: wake its caller with the value
                     ok, value = True, stop.value
                     gen = self._generator = stack.pop()
                 except BaseException as exc:
@@ -173,8 +265,6 @@ class Process(Event):
                     gen = self._generator = stack.pop()
                 else:
                     if type(yielded) is float:
-                        # bare delay: ``sim.timeout(yielded)`` with no
-                        # event unless one has to be queued
                         if yielded < 0:
                             ok, value = False, ValueError(
                                 f"negative timeout delay: {yielded}")
@@ -182,7 +272,6 @@ class Process(Event):
                             delay = yielded
                             ok, value = True, None
                     elif type(yielded) is GeneratorType:
-                        # sub-operation: start it with a wake
                         stack.append(gen)
                         gen = self._generator = yielded
                         ok, value = True, None
@@ -192,37 +281,23 @@ class Process(Event):
                             callbacks.append(self._resume)
                             self._target = yielded
                             return
-                        # already processed: resume with its outcome, at
-                        # the current instant, so ordering stays FIFO
                         ok, value = yielded._ok, yielded._value
                         if not ok:
                             yielded.defused = True
                     else:
-                        gen.close()
-                        if isinstance(yielded, Event):
-                            problem = "an event from another simulator"
-                        else:
-                            problem = (f"a non-event "
-                                       f"({type(yielded).__name__})")
-                        exc = SimulationError(
-                            f"process {self.name!r} yielded {problem}")
+                        exc = self._bad_yield(gen, yielded)
                         if not stack:
                             self.fail(exc)
                             return
                         ok, value = False, exc
                         gen = self._generator = stack.pop()
-                # Deliver (ok, value) to ``gen`` ``delay`` ns from now: a
-                # zero-delay wake or a bare delay.  Its timeout would be
-                # queued behind every entry, so it runs inline exactly
-                # when the heap would dispatch it next anyway.
                 now = sim._now
                 t = now + delay
                 queue = sim._queue
                 if (sim._tail is event and t <= sim._horizon
                         and (not queue or t < queue[0][0])):
                     if t != now:
-                        if hs is not None:
-                            hs.sim_ns += t - now
+                        hs.sim_ns += t - now
                         sim._now = t
                     continue
                 if ok:
@@ -234,8 +309,18 @@ class Process(Event):
                 self._target = wake
                 return
             finally:
-                if hs is not None:
-                    hs.exit()
+                hs.exit()
+
+    def _bad_yield(self, gen, yielded) -> SimulationError:
+        """Close ``gen``, which yielded something other than an event of
+        this simulator, a generator or a ``float``; the error to raise
+        in its caller."""
+        gen.close()
+        if isinstance(yielded, Event):
+            problem = "an event from another simulator"
+        else:
+            problem = f"a non-event ({type(yielded).__name__})"
+        return SimulationError(f"process {self.name!r} yielded {problem}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"

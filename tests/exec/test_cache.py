@@ -59,16 +59,22 @@ def test_digest_depends_on_fault_plan(tmp_path):
                         fault_plan=ring_loss_plan(1)) == with_faults
 
 
-def test_corrupt_entry_reads_as_miss_and_is_removed(tmp_path):
+@pytest.mark.parametrize(
+    "text", ["{truncated", "null", "[1, 2]", '"text"'],
+    ids=["truncated", "null", "list", "string"])
+def test_corrupt_entry_reads_as_miss_and_is_removed(tmp_path, text):
+    """A truncated entry, or valid JSON that is not an object, is
+    structurally unreadable: removed, and counted as a miss."""
     cache = make_cache(tmp_path)
     digest = cache.digest(UNIT, spp1000())
     cache.put(digest, 1, UNIT)
     path = cache._path(digest)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{truncated")
+        fh.write(text)
     with pytest.raises(KeyError):
         cache.get(digest)
     assert not os.path.exists(path)
+    assert cache.stats()["misses"] == 1
 
 
 def test_foreign_schema_entry_is_a_miss(tmp_path):

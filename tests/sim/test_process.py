@@ -568,9 +568,13 @@ _PROGRAMS = st.tuples(
     st.one_of(st.none(), st.sampled_from([0.0, 0.3, 1.0, 2.5])))
 
 
-def _run_program(program, bare):
-    """Run ``program`` with its delays as timeouts or as bare delays;
-    the log holds (time, process, step) for every step and grant."""
+def _run_program(program, bare, profiled=False):
+    """Run ``program`` with its delays as timeouts or as bare delays,
+    under a hostscope when ``profiled`` (the profiled resume loop); the
+    log holds (time, process, step) for every step and grant."""
+    if profiled:
+        with use_hostscope(HostScope()):
+            return _run_program(program, bare)
     capacities, processes, horizon = program
     sim = Simulator()
     resources = [Resource(sim, capacity) for capacity in capacities]
@@ -609,5 +613,8 @@ def _run_program(program, bare):
 @settings(max_examples=200, deadline=None)
 @given(_PROGRAMS)
 def test_bare_delays_replay_timeout_programs_exactly(program):
-    assert _run_program(program, bare=True) == _run_program(program,
-                                                            bare=False)
+    """Bare delays or timeouts, each with the profiled or the unprofiled
+    resume loop: all four runs log the same steps at the same times."""
+    logs = [_run_program(program, bare, profiled)
+            for bare in (False, True) for profiled in (False, True)]
+    assert logs[1] == logs[2] == logs[3] == logs[0]

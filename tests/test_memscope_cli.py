@@ -1,5 +1,6 @@
 """CLI tests for memscope and trace-file errors."""
 
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,30 @@ def test_memscope_machine_experiment_renders_tables(capsys):
     assert "miss-class breakdown" in out
     assert "source: machine" in out
     assert "ring occupancy" in out
+
+
+#: sha256 of the stdout of ``python -m repro memscope <exp> --quick
+#: --no-cache --json`` at 2 hypernodes.  Result digests miss a walk that
+#: serves a line from the wrong bank; these catch it, because the JSON
+#: carries bank, ring and crossbar occupancy, miss classes and hop
+#: latencies.  Only a change that alters memscope's output or the machine
+#: model on purpose may re-pin them.
+MEMSCOPE_JSON_SHA256 = {
+    "fig2": "d950d3bedbf6670a53a7cadd9540dc48f3a4c28d7c4f3ac8a53c0f4fb70335e1",
+    "fig3": "4f143a0ce1cf4d98c8a8f10d3cac087aabe527dfdea026868222a3f39360b5e2",
+    "fig4": "ca05e7ddee0ab522fcdcc2c49d33123fa3e3a8020d7dacb65d01e29d29f29902",
+    "contention":
+        "8e7576b470268ea6ec54e59e7f1c0d3fb4b883fa6a137a6468b25335f0af987d",
+    "degraded":
+        "8d9d58849f52194624cd301e4a29046cbb24b3c570b8ed9e7de074f51dd5bbda",
+}
+
+
+@pytest.mark.parametrize("exp", sorted(MEMSCOPE_JSON_SHA256))
+def test_memscope_json_of_des_experiments_is_pinned(capsys, exp):
+    assert main(["memscope", exp, "--quick", "--no-cache", "--json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == MEMSCOPE_JSON_SHA256[exp]
 
 
 def test_memscope_unknown_experiment(capsys):
