@@ -74,11 +74,6 @@ class MemorySubsystem:
     def bank(self, home: HomeLocation) -> MemoryBank:
         return self._banks[(home.hypernode, home.fu, home.bank)]
 
-    def bank_at(self, hypernode: int, fu: int, bank: int) -> MemoryBank:
-        """The bank at ``(hypernode, fu, bank)``, without building a
-        :class:`HomeLocation`."""
-        return self._banks[(hypernode, fu, bank)]
-
     @property
     def banks(self) -> tuple:
         return tuple(self._banks.values())

@@ -294,7 +294,8 @@ class Machine:
                 # ring: the walk is local, to this hypernode's bank.
                 yield self._issue_ns
                 yield net.crossbars[my_hn].traverse(home.fu)
-                yield self.mem.bank_at(my_hn, home.fu, home.bank).service()
+                yield self.mem.bank(
+                    HomeLocation(my_hn, home.fu, home.bank)).service()
                 yield self._fill_ns
                 self.tracer.emit(sim._now, "load.miss.gcb")
                 if ms is not None:
