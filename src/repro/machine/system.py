@@ -351,7 +351,7 @@ class Machine:
     # ------------------------------------------------------------------
     def load(self, cpu: int, addr: int):
         """Sub-operation: coherent load; returns the word's value."""
-        line = addr - addr % self.config.line_bytes
+        line = self.line_of(addr)
         my_hn = self.topology.locate(cpu).hypernode
         if self.faults is not None:
             yield from self._gate(cpu)
@@ -369,7 +369,7 @@ class Machine:
         """Sub-operation: coherent store; completes when all copies are
         invalid."""
         cfg = self.config
-        line = addr - addr % cfg.line_bytes
+        line = self.line_of(addr)
         my_hn = self.topology.locate(cpu).hypernode
         my_dir = self.directories[my_hn]
         home = self.space.home_of(line, my_hn)
@@ -475,7 +475,7 @@ class Machine:
             yield from self._gate(cpu)
         if not self.tlbs[cpu].access(addr):
             yield from self._tlb_miss()
-        line = addr - addr % self.config.line_bytes
+        line = self.line_of(addr)
         home = self.space.home_of(line, my_hn)
         home_hn = home.hypernode
         if home_hn == my_hn:
