@@ -29,11 +29,11 @@ ports are granted without an event.  The healthy path enters no
 generator for the fault gate or for a TLB hit.
 
 Fixed latencies are converted to nanoseconds once, when the machine,
-its crossbars, rings and banks are built, each by the expression its
-yield site used to evaluate, so a config with fractional cycles keeps
-every bit.  A line fetch walks its local, global-cache-buffer or remote
-path in one generator, and each line's home is memoised by the address
-space.
+its crossbars, rings and banks are built.  Each conversion keeps the
+arithmetic of converting at the yield, so a config with fractional
+cycles gives bit-identical times.  A line fetch walks its local,
+global-cache-buffer or remote path in one generator, and each line's
+home is memoised by the address space.
 
 Coherence protocol summary (two levels, as in the paper):
 
@@ -113,8 +113,9 @@ class Machine:
         self.sci = SCIDirectory()
         self.net = Interconnect(self.sim, self.config)
         self.mem = MemorySubsystem(self.sim, self.config)
-        # Fixed latencies in ns, each the exact expression its yield
-        # site would evaluate, so fractional-cycle configs keep every bit.
+        # Fixed latencies in ns.  Each is converted as one expression
+        # (agent + SCI update is one sum), so a config with fractional
+        # cycles yields the same floats as converting at every yield.
         cfg = self.config
         self._issue_ns = cfg.cycles(cfg.issue_cycles)
         self._fill_ns = cfg.cycles(cfg.fill_cycles)
