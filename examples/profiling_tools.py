@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""The paper's observability story: hpm counters, CXpa profiling, and
-the model-vs-machine audit.
+"""The paper's observability story on the simulated machine: spans with
+counter deltas, the critical path, and host-time profiling.
 
 Section 6 credits hardware counters and the CXpa profiler for making
 optimisation tractable ("If vendors are going to insist on gambling
@@ -13,13 +13,11 @@ example reproduces that workflow on the simulated machine.
 
 import json
 
-from repro.apps.fem import FEMWorkload, small1_problem
 from repro.core import spp1000
 from repro.machine import Machine
 from repro.obs import (
     CritScope,
     HostScope,
-    PhaseAttributor,
     build_manifest,
     render_timeline,
     scaled_config,
@@ -28,55 +26,14 @@ from repro.obs import (
     use_hostscope,
     use_tracer,
 )
-from repro.perfmodel import TeamSpec
-from repro.pvm import PvmSystem
 from repro.runtime import Barrier, Placement, Runtime
 from repro.sim import Tracer
-from repro.tools import CxpaProfiler, hpm, render_validation, validate_primitives
-
-
-def hpm_demo() -> None:
-    print("=== hpm: counters from a cross-hypernode ping-pong ===")
-    machine = Machine(spp1000(2))
-    before = hpm.collect(machine)
-    pvm = PvmSystem(Runtime(machine))
-
-    def body(task, tid):
-        for step in range(5):
-            peer = 1 - tid
-            yield from task.send(peer, float(tid), 8, tag=step)
-            yield from task.recv(peer, tag=step)
-        return None
-
-    pvm.run_tasks(2, body, Placement.UNIFORM)
-    print(hpm.render(hpm.diff(before, hpm.collect(machine))))
-    print()
-
-
-def cxpa_demo() -> None:
-    print("=== CXpa: where does the FEM step spend its time? ===")
-    config = spp1000(2)
-    profiler = CxpaProfiler(config)
-    workload = FEMWorkload(small1_problem(), config)
-    for n in (8, 9):
-        team = TeamSpec(config, n, Placement.HIGH_LOCALITY)
-        report = profiler.profile(workload.step(team), team)
-        print(report.render())
-        top = report.hotspots(1)[0]
-        print(f"hotspot: {top.name}\n")
-    print("comparing the 8- and 9-thread profiles shows the Figure 7 "
-          "dip: the same phases, but remote traffic appears.\n")
-
-
-def validation_demo() -> None:
-    print("=== audit: analytic model vs simulated machine ===")
-    print(render_validation(validate_primitives()))
 
 
 def span_demo() -> None:
-    """The repro.obs workflow end-to-end: ambient tracer, span API,
-    per-phase counter attribution, metrics manifest, ASCII timeline."""
-    print("=== repro.obs: spans, phase attribution, metrics manifest ===")
+    """The repro.obs workflow end-to-end: ambient tracer, span API with
+    counter deltas, metrics manifest, ASCII timeline."""
+    print("=== repro.obs: spans, counter deltas, metrics manifest ===")
     config = spp1000(2)
     tracer = Tracer(enabled=True)
     with use_tracer(tracer):
@@ -85,7 +42,6 @@ def span_demo() -> None:
         # uses.  The runtime then emits fork/join and barrier events.
         machine = Machine(config)
         runtime = Runtime(machine)
-        attributor = PhaseAttributor(machine)
         barrier = Barrier(runtime, n_threads=4)
 
         def child(env, tid):
@@ -98,8 +54,7 @@ def span_demo() -> None:
             results = yield from env.fork_join(4, child, Placement.UNIFORM)
             return results
 
-        with attributor.phase("barrier rounds"):
-            runtime.run(main)
+        runtime.run(main)
 
         # Explicit spans bracket ad-hoc work; begin() snapshots the
         # protocol counters and end() attributes the deltas.
@@ -109,12 +64,12 @@ def span_demo() -> None:
         with tracer.span(lambda: machine.sim.now, "epilogue", "demo"):
             machine.sim.run(until=machine.sim.process(epilogue()))
 
-    print(attributor.render())
     print(render_timeline(timeline_from_tracer(tracer), width=64))
-    manifest = build_manifest(tracer=tracer, config=config,
-                              phases=attributor.manifest())
+    manifest = build_manifest(tracer=tracer, config=config)
     fork_join = manifest["phases"]["fork_join"]
     print("manifest phases:", ", ".join(sorted(manifest["phases"])))
+    print("epilogue counter deltas:",
+          manifest["phases"]["epilogue"].get("counters", {}))
     print("fork_join imbalance: "
           f"{fork_join['imbalance']:.2f} over {fork_join['tracks']} tracks")
     print("instrumentation:",
@@ -202,9 +157,6 @@ def hostscope_demo() -> None:
 
 
 if __name__ == "__main__":
-    hpm_demo()
-    cxpa_demo()
-    validation_demo()
     span_demo()
     critscope_demo()
     hostscope_demo()

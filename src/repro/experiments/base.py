@@ -54,8 +54,8 @@ class ExperimentResult:
             parts.append(self.notes)
         return "\n\n".join(parts)
 
-    def manifest(self, *, config=None, tracer=None, phases=None,
-                 execution=None, extra=None, **scopes) -> Dict:
+    def manifest(self, *, config=None, tracer=None, execution=None,
+                 extra=None, **scopes) -> Dict:
         """The run's ``metrics.json`` manifest (see :mod:`repro.obs`).
 
         Every experiment gets this for free: headline data from
@@ -68,8 +68,7 @@ class ExperimentResult:
         from ..obs.metrics import build_manifest
 
         return build_manifest(self, config=config, tracer=tracer,
-                              phases=phases, execution=execution,
-                              extra=extra, **scopes)
+                              execution=execution, extra=extra, **scopes)
 
 
 _REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {}

@@ -11,7 +11,8 @@ Pieces:
 * :mod:`repro.faults.plan` — :class:`FaultPlan`: a JSON-loadable,
   seedable schedule of fault events (ring link failures/recoveries,
   CPU/hypernode failures, probabilistic PVM message loss/corruption)
-  plus PVM retry and watchdog policies, with strict validation.
+  plus PVM retry and watchdog policies, with strict validation
+  (:func:`validate_fault_plan` checks a plan file).
 * :mod:`repro.faults.state` — :class:`FaultState`: the per-machine
   injector that replays a plan at its simulated timestamps, reroutes
   SCI traffic around failed rings, and purges coherence state held by
@@ -37,6 +38,7 @@ from .plan import (
     plan_from_dict,
     ring_loss_plan,
     use_faults,
+    validate_fault_plan,
     validate_plan_dict,
 )
 from .state import FaultState, NetworkPartitionedError
@@ -46,6 +48,7 @@ __all__ = [
     "FaultEvent", "FaultPlan", "FaultPlanError", "PvmPolicy",
     "WatchdogPolicy", "active_fault_plan", "load_plan", "plan_from_dict",
     "ring_loss_plan", "use_faults", "validate_plan_dict",
+    "validate_fault_plan",
     "FaultState", "NetworkPartitionedError",
     "Watchdog", "StallError",
 ]

@@ -24,10 +24,11 @@ loss/corruption, so a faulted run is exactly reproducible.  A
 resets to 0), so ``{"kind": "pvm_loss"...}`` with only ``"p"`` given
 clears any earlier corruption window.
 
-Validation (:func:`validate_plan_dict`) is strict and actionable:
-unknown keys, out-of-range ring/CPU/hypernode ids, non-monotonic
-timestamps, and out-of-range probabilities are all reported with every
-problem listed, not just the first.
+Validation (:func:`validate_plan_dict`, or :func:`validate_fault_plan`
+for a file) is strict and actionable: unknown keys, out-of-range
+ring/CPU/hypernode ids, non-monotonic timestamps, and out-of-range
+probabilities are all reported with every problem listed, not just the
+first.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.ambient import Slot
+from ..core.config import spp1000
 
 __all__ = [
     "FaultEvent", "FaultPlan", "FaultPlanError", "PvmPolicy",
     "WatchdogPolicy", "validate_plan_dict", "plan_from_dict", "load_plan",
-    "ring_loss_plan", "active_fault_plan", "use_faults",
+    "validate_fault_plan", "ring_loss_plan", "active_fault_plan",
+    "use_faults",
 ]
 
 
@@ -285,8 +288,8 @@ def plan_from_dict(data: Dict, config=None) -> FaultPlan:
         )
         for ev in data.get("events", []))
     pvm = PvmPolicy(**{k: data["pvm"][k] for k in _PVM_KEYS
-                       if k in data.get("pvm", {})}) \
-        if "pvm" in data else PvmPolicy()
+                       if k in data["pvm"]}) \
+        if data.get("pvm") is not None else PvmPolicy()
     watchdog = WatchdogPolicy(**{k: data["watchdog"][k] for k in _WD_KEYS
                                  if k in data["watchdog"]}) \
         if data.get("watchdog") is not None else None
@@ -303,6 +306,23 @@ def load_plan(path: str, config=None) -> FaultPlan:
     except json.JSONDecodeError as exc:
         raise FaultPlanError(f"{path} is not valid JSON: {exc}") from exc
     return plan_from_dict(data, config)
+
+
+def validate_fault_plan(path: str, config=None) -> List[str]:
+    """Every problem with a fault-plan JSON file, as actionable messages
+    ([] = valid).
+
+    ``config`` defaults to the paper's 2-hypernode machine, which bounds
+    the ring/CPU/hypernode id ranges.  File-level problems (unreadable,
+    not JSON) are reported the same way instead of raising.
+    """
+    try:
+        load_plan(path, config or spp1000())
+    except OSError as exc:
+        return [f"cannot read {path}: {exc}"]
+    except FaultPlanError as exc:
+        return str(exc).split("\n")
+    return []
 
 
 def ring_loss_plan(n_rings_failed: int, t_us: float = 0.0,

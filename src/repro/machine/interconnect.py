@@ -74,18 +74,17 @@ class Ring:
         #: how long one hop holds the ring, in ns
         self.hop_ns = config.cycles(config.ring_hop_cycles)
 
-    def transfer(self, src_hn: int, dst_hn: int, extra_cycles: float = 0.0):
+    def transfer(self, src_hn: int, dst_hn: int, extra_ns: float = 0.0):
         """Sub-operation: move one packet from ``src_hn`` to ``dst_hn``.
 
-        ``extra_cycles`` adds a per-packet detour cost (degraded-mode
+        ``extra_ns`` adds a per-packet detour cost (degraded-mode
         rerouting around a failed ring charges it here so the surviving
         ring's occupancy reflects the extra load).
         """
-        cfg = self.config
-        hops = (dst_hn - src_hn) % cfg.n_hypernodes
+        hops = (dst_hn - src_hn) % self.config.n_hypernodes
         # a bare delay must be a Python float; hypernode ids derived from
         # NumPy addresses are NumPy integers
-        hold = float(self.hop_ns * max(hops, 1) + cfg.cycles(extra_cycles))
+        hold = float(self.hop_ns * max(hops, 1) + extra_ns)
         yield self._bus.acquire()
         ms = self.memscope
         start = self.sim._now if ms is not None else 0.0
@@ -134,5 +133,5 @@ class Interconnect:
         if self.faults is None:
             return self.rings[ring_id].transfer(src_hn, dst_hn)
         actual, extra = self.faults.route(ring_id)
-        return self.rings[actual].transfer(src_hn, dst_hn,
-                                           extra_cycles=extra)
+        return self.rings[actual].transfer(
+            src_hn, dst_hn, extra_ns=self.config.cycles(extra))

@@ -13,9 +13,6 @@ first-class measurement subsystem for the simulated machine:
 * :mod:`repro.obs.metrics` — per-run ``metrics.json`` manifests:
   headline experiment data, per-phase span times, counter deltas,
   imbalance factors, instrumentation-overhead accounting;
-* :mod:`repro.obs.phases` — automatic per-phase hpm counter
-  attribution (:class:`PhaseAttributor` drives ``tools.hpm.diff`` at
-  phase boundaries);
 * :mod:`repro.obs.timeline` — ASCII Gantt rendering of traces
   (``python -m repro timeline``);
 * :mod:`repro.obs.memscope` — the memory-system profiler: per-access
@@ -89,7 +86,6 @@ from .memscope import (
 )
 from .metrics import build_manifest, provenance_stamp, span_summary, \
     write_metrics
-from .phases import PhaseAttributor, PhaseCounters
 from .scopes import SCOPES, Scope
 from .timeline import render_timeline, timeline_from_tracer
 from .tracectx import (
@@ -108,7 +104,6 @@ __all__ = [
     "CritScope", "active_critscope", "use_critscope", "scaled_config",
     "critscope_from_trace",
     "build_manifest", "provenance_stamp", "span_summary", "write_metrics",
-    "PhaseAttributor", "PhaseCounters",
     "render_timeline", "timeline_from_tracer",
     "MemScope", "active_memscope", "use_memscope", "placement_probe",
     "memscope_from_trace",

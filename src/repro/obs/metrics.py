@@ -15,7 +15,7 @@ X extra remote misses".
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core.config import MachineConfig
 from ..sim.trace import Tracer
@@ -109,17 +109,15 @@ def span_summary(tracer: Tracer) -> Dict[str, Dict]:
 
 def build_manifest(result=None, *, tracer: Optional[Tracer] = None,
                    config: Optional[MachineConfig] = None,
-                   phases: Optional[List[Dict]] = None,
                    execution: Optional[Dict] = None,
                    extra: Optional[Dict] = None, **scopes) -> Dict:
     """Assemble a ``metrics.json`` manifest.
 
     ``result`` is an :class:`~repro.experiments.base.ExperimentResult`
-    (or None for ad-hoc runs); ``phases`` is an optional list of
-    per-phase hpm rows from :class:`~repro.obs.phases.PhaseAttributor`;
-    ``execution`` is an :class:`~repro.exec.ExecutionReport` dict (jobs,
-    cache hits, units) recorded when the run went through the execution
-    fabric.  One keyword per profiler of :data:`~repro.obs.scopes.SCOPES`
+    (or None for ad-hoc runs); ``execution`` is an
+    :class:`~repro.exec.ExecutionReport` dict (jobs, cache hits, units)
+    recorded when the run went through the execution fabric.  One
+    keyword per profiler of :data:`~repro.obs.scopes.SCOPES`
     (``memscope=``, ``critscope=``, ``hostscope=``) folds that profiler,
     or its ``to_dict()``, in as a block of the same name.  Every
     manifest is stamped with :func:`provenance_stamp`.
@@ -166,8 +164,6 @@ def build_manifest(result=None, *, tracer: Optional[Tracer] = None,
             "events": len(tracer.events),
             "records": len(tracer.records),
         }
-    if phases:
-        manifest["hpm_phases"] = _jsonable(phases)
     if execution:
         manifest["execution"] = _jsonable(execution)
     for name in SCOPES:

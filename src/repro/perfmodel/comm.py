@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from ..core.config import MachineConfig
 
-__all__ = ["barrier_ns", "pvm_oneway_ns", "remote_miss_cycles",
-           "forkjoin_ns"]
+__all__ = ["barrier_ns", "pvm_oneway_ns", "remote_miss_cycles"]
 
 
 def remote_miss_cycles(config: MachineConfig) -> float:
@@ -59,25 +58,6 @@ def barrier_ns(config: MachineConfig, n_threads: int,
         remote_threads = max(0, n_threads - cfg.cpus_per_hypernode)
     cycles += cfg.barrier_release_per_thread_cycles * (n_threads - 1)
     cycles += cfg.remote_release_extra_cycles * remote_threads
-    return config.cycles(cycles)
-
-
-def forkjoin_ns(config: MachineConfig, n_threads: int,
-                n_hypernodes_used: int, include_setup: bool = False) -> float:
-    """Fork-join cost for an ``n_threads`` team (steady state by default)."""
-    cfg = config
-    local_threads = min(n_threads, cfg.cpus_per_hypernode)
-    remote_threads = n_threads - local_threads
-    cycles = local_threads * (cfg.spawn_local_cycles
-                              + cfg.miss_local_cycles)
-    cycles += remote_threads * (cfg.spawn_local_cycles
-                                + cfg.spawn_remote_extra_cycles
-                                + remote_miss_cycles(cfg))
-    cycles += n_threads * cfg.join_per_thread_cycles
-    cycles += cfg.uncached_local_cycles * n_threads      # join counter
-    cycles += cfg.spin_wakeup_cycles + cfg.miss_local_cycles
-    if include_setup and n_hypernodes_used > 1:
-        cycles += cfg.cross_node_setup_cycles * (n_hypernodes_used - 1)
     return config.cycles(cycles)
 
 

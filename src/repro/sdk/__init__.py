@@ -1,13 +1,11 @@
 """Typed client SDK for the :mod:`repro.server` job server.
 
-Two clients over the same NDJSON protocol:
+:class:`Client` is a typed sync client over the NDJSON protocol: plain
+sockets, stdlib only, for scripts, tests and notebooks.  One
+connection carries many jobs at once, and an asyncio caller can run
+its calls under ``asyncio.to_thread``.
 
-* :class:`Client` — synchronous, plain sockets; for scripts, tests,
-  and notebooks.
-* :class:`AsyncClient` — asyncio streams; for event-driven consumers
-  that want to interleave many jobs' telemetry.
-
-Both return :class:`JobResult` objects whose ``data`` is the
+It returns :class:`JobResult` objects whose ``data`` is the
 canonical-JSON form of the experiment's result — byte-identical to what
 the one-shot CLI computes for the same request — plus the fabric's
 execution report (cache hits, per-unit timings) and any requested
@@ -34,8 +32,6 @@ Quickstart::
 """
 
 from .client import (
-    AsyncClient,
-    AsyncJob,
     Client,
     Job,
     JobCancelledError,
@@ -43,9 +39,7 @@ from .client import (
     JobResult,
     RateLimited,
     ServerError,
-    read_events_jsonl,
 )
 
-__all__ = ["Client", "AsyncClient", "Job", "AsyncJob", "JobResult",
-           "ServerError", "RateLimited", "JobFailed",
-           "JobCancelledError", "read_events_jsonl"]
+__all__ = ["Client", "Job", "JobResult", "ServerError", "RateLimited",
+           "JobFailed", "JobCancelledError"]

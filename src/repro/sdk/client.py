@@ -1,11 +1,12 @@
-"""Sync and async clients for the repro.server NDJSON protocol.
+"""The client for the repro.server NDJSON protocol.
 
-Both clients multiplex: one connection can have many jobs in flight,
-and the server interleaves their ``event`` streams.  The demultiplexer
-is the same on both sides of the sync/async split — messages carrying a
-``job`` id route to that job's inbox; replies to a ``submit`` are
+The client multiplexes: one connection can have many jobs in flight,
+and the server interleaves their ``event`` streams.  Messages carrying
+a ``job`` id route to that job's inbox; replies to a ``submit`` are
 matched by ``tag`` (the SDK auto-tags submits it sends untagged);
-anything else is a connection-level error and raises.
+anything else is a connection-level error and raises.  The client is
+synchronous; an asyncio caller can run its calls under
+``asyncio.to_thread``.
 
 Every submit mints an end-to-end trace ID
 (:func:`repro.obs.tracectx.mint_trace_id`) that the server carries
@@ -17,7 +18,6 @@ one Chrome trace covering client → server → pool → simulated time.
 
 from __future__ import annotations
 
-import json
 import socket
 import time
 from collections import deque
@@ -31,15 +31,13 @@ from ..server.protocol import (
     DEFAULT_PORT,
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
-    ProtocolError,
     decode,
     encode,
     validate_message,
 )
 
-__all__ = ["Client", "AsyncClient", "Job", "AsyncJob", "JobResult",
-           "ServerError", "RateLimited", "JobFailed",
-           "JobCancelledError"]
+__all__ = ["Client", "Job", "JobResult", "ServerError", "RateLimited",
+           "JobFailed", "JobCancelledError"]
 
 
 class ServerError(RuntimeError):
@@ -390,249 +388,3 @@ class Client:
             stray = self._route(message)
             if stray is not None and stray["kind"] == "error":
                 raise _error_from(stray)
-
-
-# ---------------------------------------------------------------------
-# asyncio client
-# ---------------------------------------------------------------------
-
-class AsyncJob:
-    """Handle for one submitted job on an :class:`AsyncClient`."""
-
-    def __init__(self, client: "AsyncClient", job_id: str,
-                 experiment: str, ctx: Optional[TraceContext] = None):
-        import asyncio
-
-        self.id = job_id
-        self.experiment = experiment
-        self.trace_id = ctx.trace_id if ctx is not None else None
-        self.coalesced = 0
-        self._ctx = ctx if ctx is not None else TraceContext(
-            job_id=job_id, origin="client")
-        self._submitted_epoch = time.time()
-        self._client = client
-        self._inbox: "asyncio.Queue" = asyncio.Queue()
-        self._terminal: Optional[Dict] = None
-
-    async def events(self):
-        """Async-iterate telemetry records until the terminal message."""
-        while True:
-            if self._terminal is not None:
-                return
-            message = await self._inbox.get()
-            if message["kind"] == "event":
-                record = dict(message["record"])
-                if "coalesced" in message:
-                    record["coalesced"] = message["coalesced"]
-                    self.coalesced += message["coalesced"]
-                yield record
-            else:
-                self._terminal = message
-                self._client._jobs.pop(self.id, None)
-                self._ctx.add_span("await result", self._submitted_epoch,
-                                   time.time(), cat="client",
-                                   origin="client",
-                                   outcome=message["kind"])
-                return
-
-    write_trace = Job.write_trace  # same stitching, sync file write
-
-    async def result(self) -> JobResult:
-        async for _ in self.events():
-            pass
-        message = self._terminal
-        if message["kind"] == "result":
-            return _result_from(message)
-        if message["kind"] == "cancelled":
-            raise JobCancelledError(
-                "cancelled", f"job {self.id} was cancelled in the "
-                f"{message['where']}")
-        raise _job_failed(message)
-
-    async def cancel(self) -> None:
-        """See :meth:`Job.cancel`."""
-        if self._terminal is None:
-            await self._client._send({"kind": "cancel", "job": self.id})
-
-
-class AsyncClient:
-    """Asyncio SDK client; create with :meth:`connect`."""
-
-    def __init__(self):
-        self._reader = None
-        self._writer = None
-        self._jobs: Dict[str, AsyncJob] = {}
-        self._pending: Dict[str, "object"] = {}
-        self._waiters: Dict[str, List] = {}
-        self._tag_seq = 0
-        self._reader_task = None
-        self.closed = False
-        self.experiments: Dict[str, Dict] = {}
-        self.server = ""
-
-    @classmethod
-    async def connect(cls, host: str = "127.0.0.1",
-                      port: int = DEFAULT_PORT) -> "AsyncClient":
-        import asyncio
-
-        self = cls()
-        self._reader, self._writer = await asyncio.open_connection(
-            host, port, limit=MAX_LINE_BYTES)
-        await self._send({"kind": "hello", "protocol": PROTOCOL_VERSION,
-                          "client": "repro.sdk/1"})
-        line = await self._reader.readline()
-        if not line:
-            raise ServerError("closed", "server closed the connection "
-                              "during the handshake")
-        welcome = decode(line)
-        validate_message(welcome, side="server")
-        if welcome["kind"] == "error":
-            raise _error_from(welcome)
-        self.experiments = welcome["experiments"]
-        self.server = welcome["server"]
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop())
-        return self
-
-    async def submit(self, experiment: str, *, quick: bool = False,
-                     jobs: int = 1, seed: Optional[int] = None,
-                     hypernodes: int = 2, priority: int = 0,
-                     telemetry: Tuple[str, ...] = (),
-                     tag: Optional[str] = None) -> AsyncJob:
-        import asyncio
-
-        self._tag_seq += 1
-        wire_tag = tag if tag is not None else f"_sdk{self._tag_seq}"
-        ctx = TraceContext(origin="client")
-        future = asyncio.get_running_loop().create_future()
-        self._pending[wire_tag] = (future, ctx)
-        t_submit = time.time()
-        await self._send(_submit_message(
-            experiment, quick=quick, jobs=jobs, seed=seed,
-            hypernodes=hypernodes, priority=priority,
-            telemetry=tuple(telemetry), tag=wire_tag,
-            trace=ctx.to_wire()))
-        reply = await future
-        if reply["kind"] == "error":
-            raise _error_from(reply)
-        ctx.add_span("submit", t_submit, time.time(), cat="client",
-                     experiment=experiment)
-        return self._jobs[reply["job"]]
-
-    async def list(self) -> Dict[str, Dict]:
-        return (await self._request("list", "experiments"))["experiments"]
-
-    async def stats(self) -> Dict[str, object]:
-        """Live server stats (see :meth:`Client.stats`)."""
-        return (await self._request("stats", "stats"))["stats"]
-
-    async def ping(self) -> None:
-        await self._request("ping", "pong")
-
-    async def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except Exception:
-                pass
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (OSError, ConnectionError):
-            pass
-
-    async def __aenter__(self) -> "AsyncClient":
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.close()
-
-    # -- plumbing ------------------------------------------------------
-
-    async def _send(self, message: Dict) -> None:
-        if self.closed:
-            raise ServerError("closed", "connection is closed; "
-                              "reconnect with AsyncClient.connect")
-        self._writer.write(encode(message))
-        await self._writer.drain()
-
-    async def _request(self, kind: str, reply_kind: str) -> Dict:
-        import asyncio
-
-        future = asyncio.get_running_loop().create_future()
-        self._waiters.setdefault(reply_kind, []).append(future)
-        await self._send({"kind": kind})
-        return await future
-
-    async def _read_loop(self) -> None:
-        import asyncio
-
-        try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                try:
-                    message = decode(line)
-                    validate_message(message, side="server")
-                except ProtocolError:
-                    continue
-                self._dispatch(message)
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            pass
-        finally:
-            self.closed = True
-            self._fail_waiters()
-
-    def _dispatch(self, message: Dict) -> None:
-        kind = message["kind"]
-        waiters = self._waiters.get(kind)
-        if waiters:
-            future = waiters.pop(0)
-            if not future.done():
-                future.set_result(message)
-            return
-        tag = message.get("tag")
-        if tag in self._pending and kind in ("accepted", "error"):
-            future, ctx = self._pending.pop(tag)
-            if kind == "accepted":
-                # register the job before the next line is dispatched:
-                # its first events can arrive before submit() resumes
-                ctx.job_id = message["job"]
-                self._jobs[ctx.job_id] = AsyncJob(
-                    self, ctx.job_id, message["experiment"], ctx)
-            if not future.done():
-                future.set_result(message)
-            return
-        job = self._jobs.get(message.get("job"))
-        if job is not None:
-            job._inbox.put_nowait(message)
-
-    def _fail_waiters(self) -> None:
-        closed = {"kind": "error", "error": "closed",
-                  "detail": "server closed the connection"}
-        for waiters in self._waiters.values():
-            for future in waiters:
-                if not future.done():
-                    future.set_result(closed)
-        for future, _ctx in self._pending.values():
-            if not future.done():
-                future.set_result(closed)
-        for job in self._jobs.values():
-            if job._terminal is None:
-                job._inbox.put_nowait(dict(closed, job=job.id))
-
-
-def read_events_jsonl(path: str) -> List[Dict]:
-    """Parse a ``--progress`` JSONL file into its records (test helper
-    shared between the SDK examples and CI smoke checks)."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records

@@ -9,7 +9,7 @@ from repro.core import spp1000
 from repro.faults import (FaultEvent, FaultPlan, FaultPlanError, PvmPolicy,
                           WatchdogPolicy, active_fault_plan, load_plan,
                           plan_from_dict, ring_loss_plan, use_faults,
-                          validate_plan_dict)
+                          validate_fault_plan, validate_plan_dict)
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                        "examples", "faults", "ring_loss.json")
@@ -183,11 +183,46 @@ def test_default_policies():
     assert plan.watchdog is None
     wd = plan_from_dict({"watchdog": {"interval_us": 10, "timeout_us": 20}})
     assert wd.watchdog == WatchdogPolicy(interval_us=10, timeout_us=20)
+    # a null policy validates, so it must load as the default
+    nulls = plan_from_dict({"pvm": None, "watchdog": None})
+    assert nulls.pvm == PvmPolicy() and nulls.watchdog is None
 
 
 def test_event_to_dict_emits_microseconds():
     ev = FaultEvent(t_ns=1500.0, kind="ring_fail", ring=2)
     assert ev.to_dict() == {"t_us": 1.5, "kind": "ring_fail", "ring": 2}
+
+
+# ---------------------------------------------------------------------------
+# fault-plan file validation
+# ---------------------------------------------------------------------------
+
+def test_fault_plan_example_file_is_valid():
+    example = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "examples", "faults", "ring_loss.json")
+    assert validate_fault_plan(example) == []
+
+
+def test_fault_plan_missing_file_is_reported_not_raised(tmp_path):
+    [err] = validate_fault_plan(str(tmp_path / "absent.json"))
+    assert "cannot read" in err
+
+
+def test_fault_plan_bad_json_is_reported(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{]")
+    [err] = validate_fault_plan(str(path))
+    assert "not valid JSON" in err
+
+
+def test_fault_plan_semantic_errors_are_actionable(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({
+        "events": [{"t_us": 0, "kind": "ring_fail", "ring": 9}],
+        "pvm": {"timeout_us": -5}}))
+    errs = validate_fault_plan(str(path))
+    assert any("ring 9 out of range" in e for e in errs)
+    assert any("timeout_us" in e for e in errs)
 
 
 # ---------------------------------------------------------------------------

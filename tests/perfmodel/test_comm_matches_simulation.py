@@ -10,11 +10,10 @@ simulated counterpart.
 import pytest
 
 from repro.core import spp1000
-from repro.experiments.fig2_forkjoin import forkjoin_time_us
 from repro.experiments.fig3_barrier import barrier_metrics_us
 from repro.experiments.fig4_message import round_trip_us
 from repro.core.units import to_us
-from repro.perfmodel import barrier_ns, forkjoin_ns, pvm_oneway_ns
+from repro.perfmodel import barrier_ns, pvm_oneway_ns
 from repro.runtime import Placement
 
 CFG = spp1000()
@@ -31,18 +30,6 @@ def test_barrier_formula_tracks_simulation(n, placement, hns):
     sim_lilo = simulated["last_in_last_out"]
     assert 0.5 <= analytic / sim_lilo <= 2.0, (
         f"analytic {analytic:.1f} us vs simulated {sim_lilo:.1f} us")
-
-
-@pytest.mark.parametrize("n,placement,hns", [
-    (4, Placement.HIGH_LOCALITY, 1),
-    (8, Placement.HIGH_LOCALITY, 1),
-    (16, Placement.UNIFORM, 2),
-])
-def test_forkjoin_formula_tracks_simulation(n, placement, hns):
-    simulated = forkjoin_time_us(n, placement, CFG, repeats=2)
-    analytic = to_us(forkjoin_ns(CFG, n, hns, include_setup=True))
-    assert 0.5 <= analytic / simulated <= 2.0, (
-        f"analytic {analytic:.1f} us vs simulated {simulated:.1f} us")
 
 
 @pytest.mark.parametrize("nbytes", [64, 1024, 8192, 65536])

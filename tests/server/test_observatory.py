@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.sdk import AsyncClient, Client
+from repro.sdk import Client
 
 
 # -- the stats verb -------------------------------------------------------
@@ -30,24 +30,6 @@ def test_stats_verb_returns_service_state(server):
     assert recent[-1]["status"] == "done"
     assert recent[-1]["trace_id"] == job.trace_id
     assert recent[-1]["wall_s"] is not None
-
-
-def test_stats_verb_on_async_client(server):
-    import asyncio
-
-    async def scenario():
-        client = await AsyncClient.connect(server.host, server.port)
-        try:
-            job = await client.submit("_srv_fast", quick=True)
-            await job.result()
-            return await client.stats(), job.trace_id
-        finally:
-            await client.close()
-
-    stats, trace_id = asyncio.run(scenario())
-    assert stats["jobs"].get("done", 0) >= 1
-    assert any(row["trace_id"] == trace_id
-               for row in stats["recent_jobs"])
 
 
 # -- trace propagation ----------------------------------------------------

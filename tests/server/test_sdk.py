@@ -1,7 +1,6 @@
 """SDK end-to-end tests: concurrency, bit-identity, warm cache,
-cancellation, backpressure, and the asyncio client."""
+cancellation and backpressure."""
 
-import asyncio
 import gc
 import json
 import socket
@@ -16,11 +15,7 @@ from repro.core import spp1000
 from repro.core.canon import canonical_json
 from repro.exec import execute
 from repro.exec.events import validate_event
-from repro.sdk import (
-    AsyncClient,
-    Client,
-    JobCancelledError,
-)
+from repro.sdk import Client, JobCancelledError
 from repro.server import ServerThread
 from repro.server.protocol import PROTOCOL_VERSION, decode, encode
 
@@ -97,6 +92,8 @@ def test_event_stream_matches_progress_schema(server):
     assert kinds[0] == "start"
     assert kinds[-1] == "done"
     assert kinds.count("unit") + result.execution["cache_hits"] >= 6
+    assert client.list()["_srv_fast"]["servable_sweep"] is True
+    assert client.ping() is None
     client.close()
 
 
@@ -296,44 +293,3 @@ async def _stats_async(server):
 
 def _stats(srv):
     return _stats_async(srv.server)
-
-
-# -- asyncio client ------------------------------------------------------
-
-
-def test_async_client_round_trip(server):
-    async def go():
-        client = await AsyncClient.connect(server.host, server.port)
-        assert "fig3" in client.experiments
-        job = await client.submit("_srv_fast", quick=True)
-        kinds = []
-        async for record in job.events():
-            kinds.append(validate_event(record))
-        result = await job.result()
-        assert kinds[0] == "start" and kinds[-1] == "done"
-        # the finished job is released; cancelling it is a no-op
-        assert client._jobs == {}
-        await job.cancel()
-        catalog = await client.list()
-        assert catalog["_srv_fast"]["servable_sweep"] is True
-        await client.ping()
-        await client.close()
-        return result
-
-    result = asyncio.run(go())
-    assert canonical_json(result.data) == _serial_reference(
-        "_srv_fast", True)
-
-
-def test_async_client_interleaves_two_jobs(server):
-    async def go():
-        client = await AsyncClient.connect(server.host, server.port)
-        a = await client.submit("_srv_fast", quick=True)
-        b = await client.submit("_srv_fast", quick=False)
-        ra, rb = await asyncio.gather(a.result(), b.result())
-        await client.close()
-        return ra, rb
-
-    ra, rb = asyncio.run(go())
-    assert len(ra.data["vals"]) == 6
-    assert len(rb.data["vals"]) == 12
