@@ -303,7 +303,7 @@ def load_plan(path: str, config=None) -> FaultPlan:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FaultPlanError(f"{path} is not valid JSON: {exc}") from exc
     return plan_from_dict(data, config)
 

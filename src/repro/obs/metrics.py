@@ -114,10 +114,10 @@ def build_manifest(result=None, *, tracer: Optional[Tracer] = None,
     """Assemble a ``metrics.json`` manifest.
 
     ``result`` is an :class:`~repro.experiments.base.ExperimentResult`
-    (or None for ad-hoc runs); ``execution`` is an
-    :class:`~repro.exec.ExecutionReport` dict (jobs, cache hits, units)
-    recorded when the run went through the execution fabric.  One
-    keyword per profiler of :data:`~repro.obs.scopes.SCOPES`
+    (or None for ad-hoc runs);
+    ``execution`` is an :class:`~repro.exec.ExecutionReport` dict (jobs,
+    cache hits, units) recorded when the run went through the execution
+    fabric.  One keyword per profiler of :data:`~repro.obs.scopes.SCOPES`
     (``memscope=``, ``critscope=``, ``hostscope=``) folds that profiler,
     or its ``to_dict()``, in as a block of the same name.  Every
     manifest is stamped with :func:`provenance_stamp`.

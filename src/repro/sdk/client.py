@@ -4,9 +4,7 @@ The client multiplexes: one connection can have many jobs in flight,
 and the server interleaves their ``event`` streams.  Messages carrying
 a ``job`` id route to that job's inbox; replies to a ``submit`` are
 matched by ``tag`` (the SDK auto-tags submits it sends untagged);
-anything else is a connection-level error and raises.  The client is
-synchronous; an asyncio caller can run its calls under
-``asyncio.to_thread``.
+anything else is a connection-level error and raises.
 
 Every submit mints an end-to-end trace ID
 (:func:`repro.obs.tracectx.mint_trace_id`) that the server carries

@@ -153,6 +153,9 @@ def test_load_plan_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(FaultPlanError, match="not valid JSON"):
         load_plan(str(path))
+    path.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    with pytest.raises(FaultPlanError, match="not valid JSON"):
+        load_plan(str(path))
 
 
 def test_to_dict_round_trips(tmp_path):
