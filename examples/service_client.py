@@ -20,9 +20,7 @@ def main() -> None:
         with ServerThread(workers=2, cache_dir=cache_dir) as srv:
             print(f"server on {srv.host}:{srv.port}")
             with Client(srv.host, srv.port) as client:
-                sweeps = [e for e, row in client.experiments.items()
-                          if row["servable_sweep"]]
-                print(f"servable sweeps: {', '.join(sweeps)}\n")
+                print(f"experiments: {', '.join(client.experiments)}\n")
 
                 print("cold run (streaming telemetry):")
                 job = client.submit("fig3", quick=True, priority=1)

@@ -90,10 +90,11 @@ def shared_heat(initial: np.ndarray, n_steps: int, n_threads: int,
     final = buf_a if n_steps % 2 == 0 else buf_b
     field = np.array([machine.peek(final.addr(i * _WORD_STRIDE))
                       for i in range(n)])
-    stats = machine.cache_stats()
+    count = machine.tracer.count
     return SharedHeatResult(
         field=field,
         time_ns=max(finish.values()),
-        cache_misses=stats["misses"],
-        remote_misses=machine.tracer.count("load.miss.remote"),
+        cache_misses=sum(count(f"load.miss.{where}")
+                         for where in ("local", "gcb", "remote")),
+        remote_misses=count("load.miss.remote"),
     )

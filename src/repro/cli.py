@@ -90,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
              "unit completion to PATH (JSONL, fsync-ed); rerunning the "
              "same sweep with the same PATH replays it and computes only "
              "the missing units. A journal of another run, or a file "
-             "that is not a journal, exits 2 and is left untouched. "
-             "Fabric experiments only")
+             "that is not a journal, exits 2 and is left untouched")
     parser.add_argument(
         "--unit-timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock limit per work-unit attempt; a worker that "
@@ -109,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
              "machinery; $REPRO_CHAOS sets a default")
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for unit-aware experiments (default: 1, "
-             "serial in-process)")
+        help="worker processes for the work units (default: 1, serial "
+             "in-process)")
     parser.add_argument(
         "--cache-dir", metavar="PATH", default=None,
         help="result-cache directory (default: $REPRO_CACHE_DIR, else "
@@ -133,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", nargs="?", const="-", default=None, metavar="PATH",
         help="stream live JSONL sweep telemetry (unit completions with "
              "host timings, ETA, cache hit-rate, worker occupancy) to "
-             "PATH, or to stderr when PATH is omitted; fabric "
-             "experiments only")
+             "PATH, or to stderr when PATH is omitted")
     parser.add_argument(
         "--json", action="store_true",
         help="with a profiler command: print the profile as a JSON "
@@ -244,7 +242,7 @@ def _timeline(args) -> int:
     return 0
 
 
-def _scope_command(scope, args, config) -> int:
+def _scope_command(scope, args, config, fault_plan) -> int:
     """``python -m repro <scope> <experiment>`` (or ``--trace PATH``):
     one profiler's view of a live run, or of a saved trace."""
     import json as _json
@@ -263,15 +261,18 @@ def _scope_command(scope, args, config) -> int:
         print(f"{scope.name} needs an experiment id (e.g. 'python -m repro "
               f"{scope.name} fig3') or --trace PATH", file=sys.stderr)
         return 2
+    from .exec import execute
     from .experiments import resolve_experiment_id
+    from .faults import use_faults
 
     try:
         exp_id = resolve_experiment_id(args.experiment)
     except KeyError:
         return _unknown_experiment(args.experiment)
     profiler = scope.build(config, args)
-    with scope.install(profiler):
-        _run(exp_id, config=config, quick=args.quick)
+    with use_faults(fault_plan), scope.install(profiler):
+        execute(exp_id, config, quick=args.quick, fault_plan=fault_plan,
+                observed=True)
     if scope.probe is not None:
         scope.probe(config, profiler)
     if not scope.has_report(profiler):
@@ -321,53 +322,37 @@ def _main(argv: List[str], command=None) -> int:
     if args.seed is not None:
         _seed_rngs(args.seed)
     config = spp1000(n_hypernodes=args.hypernodes)
-    if command is not None:
-        return _scope_command(command, args, config)
-    if args.experiment is None:
-        commands = ", ".join(f"'{name}'" for name in (
-            "list", "all", "timeline", *SCOPES, "serve", "ledger"))
-        print(f"an experiment id (or {commands}) is required; try "
-              "'python -m repro list'", file=sys.stderr)
+    if command is None:
+        if args.experiment is None:
+            commands = ", ".join(f"'{name}'" for name in (
+                "list", "all", "timeline", *SCOPES, "serve", "ledger"))
+            print(f"an experiment id (or {commands}) is required; try "
+                  "'python -m repro list'", file=sys.stderr)
+            return 2
+        if args.experiment == "list":
+            from .exec import plan_units
+
+            for exp_id, title in list_experiments().items():
+                count = len(plan_units(exp_id, config, quick=args.quick))
+                print(f"{exp_id:10s} {count:4d} units  {title}")
+            return 0
+        if args.experiment == "timeline":
+            return _timeline(args)
+        if (args.experiment != "all"
+                and args.experiment not in list_experiments()):
+            return _unknown_experiment(args.experiment)
+
+    ok, fault_plan = _load_faults(args, config)
+    if not ok:
         return 2
-    if args.experiment == "list":
-        from .exec import unit_count
-
-        for exp_id, title in list_experiments().items():
-            count = unit_count(exp_id, config, quick=args.quick)
-            units = (f"{count:3d} units" if count is not None
-                     else "in-process")
-            print(f"{exp_id:10s} {units:>10s}  {title}")
-        print("experiments with units are servable as streaming sweep "
-              "jobs via 'python -m repro serve' (repro.sdk clients); "
-              "in-process experiments run whole per job")
-        return 0
-    if args.experiment == "timeline":
-        return _timeline(args)
-
-    targets = (list(list_experiments()) if args.experiment == "all"
-               else [args.experiment])
-    if args.experiment != "all" and args.experiment not in list_experiments():
-        return _unknown_experiment(args.experiment)
-
-    fault_plan = None
-    if args.faults:
-        from .faults import FaultPlanError, load_plan
-
-        try:
-            fault_plan = load_plan(args.faults, config)
-        except OSError as exc:
-            print(f"cannot read fault plan: {exc}", file=sys.stderr)
-            return 2
-        except FaultPlanError as exc:
-            print(f"invalid fault plan {args.faults}:", file=sys.stderr)
-            for line in str(exc).splitlines():
-                print(f"  {line}", file=sys.stderr)
-            return 2
-
+    if command is not None:
+        return _scope_command(command, args, config, fault_plan)
     ok, chaos_plan = _load_chaos(args)
     if not ok:
         return 2
 
+    targets = (list(list_experiments()) if args.experiment == "all"
+               else [args.experiment])
     multi = len(targets) > 1
     profiling = [scope for scope in SCOPES.values()
                  if getattr(args, scope.name)]
@@ -385,13 +370,24 @@ def _main(argv: List[str], command=None) -> int:
                 print(f"output directory does not exist: {parent}",
                       file=sys.stderr)
                 return 2
-    from .exec import JournalError, UnitExecutionError, has_units
+    from contextlib import ExitStack
 
-    jobs = args.jobs or 1
+    from .exec import (
+        CacheRootError,
+        JournalError,
+        ProgressStream,
+        ResiliencePolicy,
+        SweepJournal,
+        UnitExecutionError,
+        execute,
+    )
+    from .exec.resilience import DEFAULT_MAX_RETRIES
+    from .faults import use_faults
+    from .obs import use_tracer, write_chrome_trace, write_metrics
+    from .sim import Tracer
+
     cache = _build_cache(args)
-    if cache is not None and any(has_units(t) for t in targets):
-        from .exec import CacheRootError
-
+    if cache is not None:
         try:
             cache.check_root()
         except CacheRootError as exc:
@@ -399,119 +395,79 @@ def _main(argv: List[str], command=None) -> int:
             return 2
     policy = None
     if args.unit_timeout is not None or args.retries is not None:
-        from .exec import ResiliencePolicy
-        from .exec.resilience import DEFAULT_MAX_RETRIES
-
         policy = ResiliencePolicy(
             unit_timeout_s=args.unit_timeout,
             max_retries=(args.retries if args.retries is not None
                          else DEFAULT_MAX_RETRIES))
-    progress = None
-    if args.progress:
-        from .exec import ProgressStream
-
-        progress = ProgressStream(args.progress)
+    progress = ProgressStream(args.progress) if args.progress else None
     for exp_id in targets:
-        fabric = has_units(exp_id)
-        report = None
-        kwargs = {"config": config}
-        if args.quick:
-            kwargs["quick"] = True
-        if not fabric and jobs > 1:
-            print(f"note: experiment {exp_id!r} has no work-unit planner; "
-                  "running in-process (--jobs ignored)", file=sys.stderr)
-        if fault_plan is not None:
-            from .faults import use_faults
-
-            faults_ctx = use_faults(fault_plan)
-        else:
-            from contextlib import nullcontext
-
-            faults_ctx = nullcontext()
-
-        if progress is not None and not fabric:
-            print(f"note: experiment {exp_id!r} has no work-unit planner; "
-                  "--progress emits nothing for in-process runs",
-                  file=sys.stderr)
-        if not fabric and (args.journal or chaos_plan is not None):
-            print(f"note: experiment {exp_id!r} has no work-unit planner; "
-                  "--journal/--chaos apply to fabric experiments only",
-                  file=sys.stderr)
-        journal = None
-        if args.journal and fabric:
-            from .exec import SweepJournal
-
-            journal = SweepJournal(_suffixed(args.journal, exp_id, multi))
-
-        def run_target():
-            if fabric:
-                from .exec import execute
-
-                result, rep = execute(
-                    exp_id, config, jobs=jobs, quick=args.quick,
+        journal = (SweepJournal(_suffixed(args.journal, exp_id, multi))
+                   if args.journal else None)
+        tracer = Tracer(enabled=True) if observing else None
+        profilers = [(scope, scope.build(config, args))
+                     for scope in profiling]
+        try:
+            with ExitStack() as stack:
+                stack.enter_context(use_faults(fault_plan))
+                if tracer is not None:
+                    stack.enter_context(use_tracer(tracer))
+                for scope, profiler in profilers:
+                    stack.enter_context(scope.install(profiler))
+                result, report = execute(
+                    exp_id, config, jobs=args.jobs or 1, quick=args.quick,
                     cache=cache, fault_plan=fault_plan, seed=args.seed,
                     observed=observing, progress=progress,
                     policy=policy, chaos=chaos_plan, journal=journal)
-                return result, rep
-            return _run(exp_id, **kwargs), None
-
-        if observing:
-            from contextlib import ExitStack
-
-            from .obs import use_tracer, write_chrome_trace, write_metrics
-            from .sim import Tracer
-
-            tracer = Tracer(enabled=True)
-            profilers = [(scope, scope.build(config, args))
-                         for scope in profiling]
-            try:
-                with ExitStack() as stack:
-                    stack.enter_context(use_tracer(tracer))
-                    for scope, profiler in profilers:
-                        stack.enter_context(scope.install(profiler))
-                    stack.enter_context(faults_ctx)
-                    result, report = run_target()
-            except (JournalError, UnitExecutionError) as exc:
-                return _execution_failed(exc, progress)
-            print(result.render())
-            if args.profile:
-                print()
-                print(_render_profile(tracer))
-            for scope, profiler in profilers:
-                print()
-                print(scope.render(profiler, f"{scope.name}: {exp_id}", args)
-                      if scope.has_report(profiler)
-                      else scope.flag_empty.format(exp_id=exp_id))
-            if args.trace:
-                path = _suffixed(args.trace, exp_id, multi)
-                write_chrome_trace(tracer, path, config)
-                print(f"\ntrace written to {path}")
-            if args.metrics:
-                path = _suffixed(args.metrics, exp_id, multi)
-                manifest = result.manifest(
-                    config=config, tracer=tracer,
-                    execution=report.to_dict() if report else None,
-                    **{scope.name: scope.block(profiler, args)
-                       for scope, profiler in profilers
-                       if scope.has_report(profiler)})
-                write_metrics(manifest, path)
-                print(f"metrics manifest written to {path}")
-        else:
-            try:
-                with faults_ctx:
-                    result, report = run_target()
-            except (JournalError, UnitExecutionError) as exc:
-                return _execution_failed(exc, progress)
-            print(result.render())
+        except (JournalError, UnitExecutionError) as exc:
+            return _execution_failed(exc, progress)
+        print(result.render())
+        if args.profile:
+            print()
+            print(_render_profile(tracer))
+        for scope, profiler in profilers:
+            print()
+            print(scope.render(profiler, f"{scope.name}: {exp_id}", args)
+                  if scope.has_report(profiler)
+                  else scope.flag_empty.format(exp_id=exp_id))
+        if args.trace:
+            path = _suffixed(args.trace, exp_id, multi)
+            write_chrome_trace(tracer, path, config)
+            print(f"\ntrace written to {path}")
+        if args.metrics:
+            path = _suffixed(args.metrics, exp_id, multi)
+            manifest = result.manifest(
+                config=config, tracer=tracer, execution=report.to_dict(),
+                **{scope.name: scope.block(profiler, args)
+                   for scope, profiler in profilers
+                   if scope.has_report(profiler)})
+            write_metrics(manifest, path)
+            print(f"metrics manifest written to {path}")
         if args.cache_stats:
             print()
-            print(report.render() if report is not None
-                  else f"[exec {exp_id}] ran in-process (no work-unit "
-                       "planner); no cache involved")
+            print(report.render())
         print()
     if progress is not None:
         progress.close()
     return 0
+
+
+def _load_faults(args, config):
+    """``(ok, plan)`` for ``--faults`` (``(True, None)`` when no plan is
+    requested); prints every validation problem."""
+    if not args.faults:
+        return True, None
+    from .faults import FaultPlanError, load_plan
+
+    try:
+        return True, load_plan(args.faults, config)
+    except OSError as exc:
+        print(f"cannot read fault plan: {exc}", file=sys.stderr)
+        return False, None
+    except FaultPlanError as exc:
+        print(f"invalid fault plan {args.faults}:", file=sys.stderr)
+        for line in str(exc).splitlines():
+            print(f"  {line}", file=sys.stderr)
+        return False, None
 
 
 def _load_chaos(args):
@@ -557,18 +513,6 @@ def _build_cache(args):
 
     return ResultCache(args.cache_dir or default_cache_root(),
                        code_fingerprint())
-
-
-def _run(exp_id: str, **kwargs):
-    """Run an experiment, dropping kwargs its signature does not take."""
-    import inspect
-
-    from .experiments import get_experiment
-
-    fn = get_experiment(exp_id)
-    accepted = inspect.signature(fn).parameters
-    usable = {k: v for k, v in kwargs.items() if k in accepted}
-    return fn(**usable)
 
 
 def _delegate(module: str, function: str):

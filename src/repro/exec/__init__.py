@@ -76,17 +76,15 @@ from .resilience import (
 from .units import (
     PointStore,
     WorkUnit,
-    has_units,
     plan_units,
     register_units,
     run_unit,
-    unit_count,
     unit_experiments,
 )
 
 __all__ = [
-    "WorkUnit", "register_units", "has_units", "plan_units", "unit_count",
-    "run_unit", "unit_experiments", "PointStore",
+    "WorkUnit", "register_units", "plan_units", "run_unit",
+    "unit_experiments", "PointStore",
     "WorkerPool", "PoolStats", "ProgressStream",
     "ResultCache", "default_cache_root", "CACHE_SCHEMA", "CacheRootError",
     "ResiliencePolicy", "ResilienceStats", "UnitFailure",

@@ -2,8 +2,8 @@
 
 An experiment's sweep decomposes into **work units** — one per
 ``(experiment_id, point-config)`` — each an independent, deterministic
-function of its parameters and the machine configuration.  Experiments
-opt in by registering two module-level callables:
+function of its parameters and the machine configuration.  Every
+experiment registers two module-level callables:
 
 * a **planner** ``plan(config, quick=False) -> [WorkUnit, ...]`` that
   enumerates the sweep exactly as the experiment's ``run()`` will walk
@@ -22,12 +22,12 @@ and only its per-point computations move into the registered runner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..core.canon import canonical, canonical_json
 
-__all__ = ["WorkUnit", "register_units", "has_units", "plan_units",
-           "unit_count", "run_unit", "unit_experiments", "PointStore"]
+__all__ = ["WorkUnit", "register_units", "plan_units", "run_unit",
+           "unit_experiments", "PointStore"]
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,6 @@ def register_units(experiment_id: str,
     _UNITS[experiment_id] = (planner, runner)
 
 
-def has_units(experiment_id: str) -> bool:
-    """Whether the experiment decomposes into work units."""
-    return experiment_id in _UNITS
-
-
 def unit_experiments() -> List[str]:
     """Experiment ids with registered unit planners, registration order.
 
@@ -89,8 +84,8 @@ def plan_units(experiment_id: str, config, quick: bool = False
         planner, _runner = _UNITS[experiment_id]
     except KeyError:
         raise KeyError(
-            f"experiment {experiment_id!r} has no registered work units; "
-            f"unit-aware experiments: {', '.join(sorted(_UNITS))}") from None
+            f"unknown experiment {experiment_id!r}; known: "
+            f"{', '.join(sorted(unit_experiments()))}") from None
     units = list(planner(config, quick=quick))
     seen = set()
     for unit in units:
@@ -104,14 +99,6 @@ def plan_units(experiment_id: str, config, quick: bool = False
                 f"key {unit.key!r}")
         seen.add(unit.key)
     return units
-
-
-def unit_count(experiment_id: str, config, quick: bool = False
-               ) -> Optional[int]:
-    """How many units the experiment would plan (None if not unit-aware)."""
-    if experiment_id not in _UNITS:
-        return None
-    return len(plan_units(experiment_id, config, quick=quick))
 
 
 def run_unit(experiment_id: str, params: Dict, config):

@@ -13,6 +13,11 @@ to a numbered figure; this experiment reproduces each:
 * **ring-latency sensitivity** — how strongly application scaling
   depends on the SCI path cost (the architecture-evolution question the
   discussion raises).
+
+Each measurement is one work unit.  A machine with one hypernode has no
+remote CPU and too few for the 15/16-thread or 16-CPU runs, so it
+measures only the hit and local-miss latencies and the cache residency;
+its data has no remote ratio, OS overhead or ring sensitivity.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Optional
 from ..apps.nbody import NBodyWorkload, problem_256k
 from ..core import MachineConfig, Table, spp1000
 from ..core.units import MIB, to_us
+from ..exec.units import WorkUnit, register_units
 from ..machine import Machine, MemClass
 from ..perfmodel import (
     Access,
@@ -31,16 +37,27 @@ from ..perfmodel import (
     TeamSpec,
 )
 from ..runtime import Placement
-from .base import ExperimentResult, register
+from .base import ExperimentResult, point_runner, register
 
-__all__ = ["run", "measured_miss_latencies_us", "cache_residency_ratio",
-           "os_interference_overhead", "ring_sensitivity"]
+__all__ = ["run", "plan_units", "measured_miss_latencies_us",
+           "cache_residency_ratio", "os_interference_overhead"]
+
+#: SCI path-cost scale factors of the ring-sensitivity rows
+RING_FACTORS = (0.5, 1.0, 2.0)
+
+
+def _two_hypernodes(config) -> bool:
+    """Whether the machine has the remote CPUs and the 16 CPUs that the
+    remote latencies, the OS row and the ring rows need."""
+    return config.n_hypernodes >= 2
 
 
 def measured_miss_latencies_us(config: Optional[MachineConfig] = None):
     """Measure hit/local-miss/remote-miss latencies on the simulated
-    machine (the quantities §2.6 and §6 quote)."""
+    machine (the quantities §2.6 and §6 quote); one hypernode has no
+    remote or GCB latency."""
     config = config or spp1000()
+    remote = _two_hypernodes(config)
     machine = Machine(config)
     region = machine.alloc(4096, MemClass.NEAR_SHARED, home_hypernode=0)
     addr = region.addr(0)
@@ -49,7 +66,7 @@ def measured_miss_latencies_us(config: Optional[MachineConfig] = None):
     def prog():
         # warm each measuring CPU's TLB with a different line of the page,
         # so the timings isolate the memory-path latencies
-        for cpu in (0, 8, 9):
+        for cpu in ((0, 8, 9) if remote else (0,)):
             yield machine.load(cpu, addr + 64)
         t0 = machine.sim.now
         yield machine.load(0, addr)
@@ -57,6 +74,8 @@ def measured_miss_latencies_us(config: Optional[MachineConfig] = None):
         t0 = machine.sim.now
         yield machine.load(0, addr)
         samples["hit"] = machine.sim.now - t0
+        if not remote:
+            return
         t0 = machine.sim.now
         yield machine.load(8, addr)          # other hypernode
         samples["remote_miss"] = machine.sim.now - t0
@@ -103,55 +122,95 @@ def os_interference_overhead(config: Optional[MachineConfig] = None) -> float:
     return run(16) / expected_16 - 1.0
 
 
-def ring_sensitivity(config: Optional[MachineConfig] = None):
-    """16-CPU N-body efficiency as the SCI path cost scales 0.5x/1x/2x."""
-    config = config or spp1000()
-    rows = []
-    for factor in (0.5, 1.0, 2.0):
-        cfg = config.with_(
-            agent_cycles=int(config.agent_cycles * factor),
-            ring_hop_cycles=max(1, int(config.ring_hop_cycles * factor)))
-        workload = NBodyWorkload(problem_256k(), cfg)
-        t1 = workload.run_shared(1).time_ns
-        t16 = workload.run_shared(16, Placement.UNIFORM).time_ns
-        rows.append((factor, t1 / t16 / 16.0))
-    return rows
+def _ring_efficiency(config: MachineConfig, factor: float) -> float:
+    """16-CPU N-body efficiency with the SCI path cost scaled by
+    ``factor``."""
+    cfg = config.with_(
+        agent_cycles=int(config.agent_cycles * factor),
+        ring_hop_cycles=max(1, int(config.ring_hop_cycles * factor)))
+    workload = NBodyWorkload(problem_256k(), cfg)
+    t1 = workload.run_shared(1).time_ns
+    t16 = workload.run_shared(16, Placement.UNIFORM).time_ns
+    return t1 / t16 / 16.0
+
+
+def _unit(params, config):
+    """One work unit: one of the four §6 measurements (one ring factor
+    for the ring-sensitivity row)."""
+    kind = params["kind"]
+    if kind == "latencies":
+        return measured_miss_latencies_us(config)
+    if kind == "residency":
+        return cache_residency_ratio(config)
+    if kind == "os":
+        return os_interference_overhead(config)
+    return _ring_efficiency(config, params["factor"])
+
+
+def _plan(config):
+    """Unit key -> params, in plan order."""
+    plan = {"latencies": {"kind": "latencies"},
+            "residency": {"kind": "residency"}}
+    if _two_hypernodes(config):
+        plan["os"] = {"kind": "os"}
+        for factor in RING_FACTORS:
+            plan[f"ring:{factor}"] = {"kind": "ring", "factor": factor}
+    return plan
+
+
+def plan_units(config, quick: bool = False):
+    return [WorkUnit("ablations", key, params)
+            for key, params in _plan(config).items()]
 
 
 @register("ablations", "Section 6 quantitative observations")
-def run(config: Optional[MachineConfig] = None) -> ExperimentResult:
+def run(config: Optional[MachineConfig] = None,
+        points=None) -> ExperimentResult:
     """Regenerate the §6 observations."""
     config = config or spp1000()
+    point = point_runner(points)
+    values = {key: point(key, lambda p=params: _unit(p, config))
+              for key, params in _plan(config).items()}
 
-    lat = measured_miss_latencies_us(config)
+    lat = values["latencies"]
     t_lat = Table("Measured access latencies (simulated machine)",
                   ["access", "microseconds"])
     for key in ("hit", "local_miss", "gcb_hit", "remote_miss"):
-        t_lat.add_row(key, lat[key])
-    miss_ratio = lat["remote_miss"] / lat["local_miss"]
-
-    ratio = cache_residency_ratio(config)
-    os_overhead = os_interference_overhead(config)
-    rows = ring_sensitivity(config)
-    t_ring = Table("16-CPU N-body efficiency vs SCI path cost",
-                   ["SCI cost factor", "efficiency"])
-    for factor, eff in rows:
-        t_ring.add_row(factor, eff)
-
+        if key in lat:
+            t_lat.add_row(key, lat[key])
+    ratio = values["residency"]
     t_summary = Table("Section 6 claims", ["claim", "paper", "measured"])
     t_summary.add_row("in-memory / in-cache time", "~3x", f"{ratio:.1f}x")
-    t_summary.add_row("remote / local miss", "~8x", f"{miss_ratio:.1f}x")
-    t_summary.add_row("machine-full OS overhead", "observed",
-                      f"{os_overhead:.1%}")
+    tables = [t_summary, t_lat]
+    miss_ratio = os_overhead = rows = None
+    if _two_hypernodes(config):
+        miss_ratio = lat["remote_miss"] / lat["local_miss"]
+        os_overhead = values["os"]
+        rows = [(factor, values[f"ring:{factor}"])
+                for factor in RING_FACTORS]
+        t_summary.add_row("remote / local miss", "~8x",
+                          f"{miss_ratio:.1f}x")
+        t_summary.add_row("machine-full OS overhead", "observed",
+                          f"{os_overhead:.1%}")
+        t_ring = Table("16-CPU N-body efficiency vs SCI path cost",
+                       ["SCI cost factor", "efficiency"])
+        for factor, eff in rows:
+            t_ring.add_row(factor, eff)
+        tables.append(t_ring)
 
+    data = {
+        "latencies_us": lat,
+        "remote_local_miss_ratio": miss_ratio,
+        "cache_residency_ratio": ratio,
+        "os_interference_overhead": os_overhead,
+        "ring_sensitivity": rows,
+    }
     return ExperimentResult(
         "ablations", "Section 6 quantitative observations",
-        tables=[t_summary, t_lat, t_ring],
-        data={
-            "latencies_us": lat,
-            "remote_local_miss_ratio": miss_ratio,
-            "cache_residency_ratio": ratio,
-            "os_interference_overhead": os_overhead,
-            "ring_sensitivity": rows,
-        },
+        tables=tables,
+        data={key: value for key, value in data.items()
+              if value is not None},
     )
+
+
+register_units("ablations", plan_units, _unit)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 from ..core.tables import Series, Table, render_series
+from ..exec.units import PointStore
 
 __all__ = ["ExperimentResult", "register", "get_experiment",
            "list_experiments", "resolve_experiment_id", "run_experiment",
@@ -21,13 +22,12 @@ def point_runner(store):
     """The per-point memoisation hook shared by every sweep experiment.
 
     ``store`` is the :class:`~repro.exec.units.PointStore` the
-    execution fabric passes as ``run(points=...)``, or None, and the
-    returned ``point(key, fn)`` either serves the precomputed value or
-    computes ``fn()`` in place.
+    execution fabric passes as ``run(points=...)``, or None for a fresh
+    empty one, and the returned ``point(key, fn)`` either serves the
+    stored value or computes ``fn()`` once and stores it.  So a direct
+    ``run()`` computes each key once, as the fabric does.
     """
-    if store is None:
-        return lambda key, fn: fn()
-    return store.point
+    return (store if store is not None else PointStore({})).point
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Per-CPU direct-mapped data cache (1 MB, 32-byte lines on the PA-7100).
 
 Only tags are modelled — data values live in the machine's word store.
-The cache answers hit/miss, performs direct-mapped replacement, and keeps
-the miss/hit/eviction counters that the paper's hardware instrumentation
-exposed (§6 praises exactly these counters).
+The cache answers hit/miss and performs direct-mapped replacement.  The
+hit and miss counts that the paper's hardware instrumentation exposed
+(§6 praises exactly these counters) are the machine tracer's ``load.*``
+counters and memscope's miss classes.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ class DirectMappedCache:
         self.config = config
         self.n_sets = config.dcache_lines
         self._tags: Dict[int, int] = {}   # set index -> line address
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     def line_of(self, addr: int) -> int:
         """Line-aligned address containing ``addr``."""
@@ -42,20 +39,18 @@ class DirectMappedCache:
         return (line // self.config.line_bytes) % self.n_sets
 
     def contains(self, line: int) -> bool:
-        """Tag check without touching statistics."""
+        """Tag check that reports nothing to memscope."""
         return self._tags.get(self.set_of(line)) == line
 
     def access(self, line: int) -> bool:
-        """Tag check that records a hit or miss; True on hit."""
+        """Tag check that reports a hit to memscope; True on hit."""
         if self._tags.get((line // self.config.line_bytes)
                           % self.n_sets) == line:
-            self.hits += 1
             if self.memscope is not None:
                 self.memscope.cache_hit(self.cpu, line)
             return True
         # misses are classified (local/GCB/remote) by the fetch path in
-        # :mod:`repro.machine.system`, not counted here
-        self.misses += 1
+        # :mod:`repro.machine.system`
         return False
 
     def insert(self, line: int) -> Optional[int]:
@@ -66,8 +61,6 @@ class DirectMappedCache:
         victim = self._tags.get(idx)
         if victim == line:
             return None
-        if victim is not None:
-            self.evictions += 1
         self._tags[idx] = line
         return victim
 
@@ -76,7 +69,6 @@ class DirectMappedCache:
         idx = self.set_of(line)
         if self._tags.get(idx) == line:
             del self._tags[idx]
-            self.invalidations += 1
             if self.memscope is not None:
                 self.memscope.cache_invalidated(self.cpu, line)
             return True

@@ -38,7 +38,6 @@ class Crossbar:
             fu: Resource(sim) for fu in range(config.fus_per_hypernode)
         }
         self.ports[self.IO_PORT] = Resource(sim)
-        self.traversals = 0
         #: how long one traversal holds its port, in ns
         self.hold_ns = config.cycles(config.crossbar_cycles)
 
@@ -52,7 +51,6 @@ class Crossbar:
             yield self.hold_ns
         finally:
             port.release()
-        self.traversals += 1
         if ms is not None:
             ms.crossbar_busy(self.hypernode, dst_fu, start, self.hold_ns)
 
@@ -69,8 +67,6 @@ class Ring:
         self.config = config
         self.ring_id = ring_id
         self._bus = Resource(sim)
-        self.transfers = 0
-        self.busy_ns = 0.0
         #: how long one hop holds the ring, in ns
         self.hop_ns = config.cycles(config.ring_hop_cycles)
 
@@ -92,8 +88,6 @@ class Ring:
             yield hold
         finally:
             self._bus.release()
-        self.transfers += 1
-        self.busy_ns += hold
         if ms is not None:
             ms.ring_busy(self.ring_id, start, hold, hops)
 

@@ -31,7 +31,6 @@ class MemoryBank:
         self.config = config
         self.home = home
         self._port = Resource(sim)
-        self.accesses = 0
         #: how long serving one line holds the bank, in ns
         self.line_ns = config.cycles(config.bank_cycles)
 
@@ -53,7 +52,6 @@ class MemoryBank:
             yield hold_ns
         finally:
             self._port.release()
-        self.accesses += lines
         if ms is not None:
             ms.bank_busy(self.home, start, hold_ns, lines)
 

@@ -605,16 +605,6 @@ class Machine:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-    def cache_stats(self) -> Dict[str, int]:
-        """Aggregate hit/miss/eviction/invalidation counters over all CPUs."""
-        totals = {"hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
-        for cache in self.caches:
-            totals["hits"] += cache.hits
-            totals["misses"] += cache.misses
-            totals["evictions"] += cache.evictions
-            totals["invalidations"] += cache.invalidations
-        return totals
-
     def check_coherence_invariants(self) -> None:
         """Assert cross-structure consistency (used by property tests).
 

@@ -26,8 +26,6 @@ class TLB:
         self.config = config
         self.entries = config.tlb_entries
         self._pages: "OrderedDict[int, None]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def page_of(self, addr: int) -> int:
         return addr // self.config.page_bytes
@@ -37,16 +35,14 @@ class TLB:
         page = self.page_of(addr)
         if page in self._pages:
             self._pages.move_to_end(page)
-            self.hits += 1
             return True
-        self.misses += 1
         self._pages[page] = None
         if len(self._pages) > self.entries:
             self._pages.popitem(last=False)
         return False
 
     def contains(self, addr: int) -> bool:
-        """Tag check without statistics or replacement."""
+        """Tag check without replacement."""
         return self.page_of(addr) in self._pages
 
     def flush(self) -> None:

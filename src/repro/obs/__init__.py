@@ -41,10 +41,9 @@ first-class measurement subsystem for the simulated machine:
   checks, git provenance), with per-workload trend sparklines and a
   windowed median/MAD regression gate (see ``docs/ledger.md``).
 
-Zero-cost contract: tracing never advances simulated time, and a fully
-disabled tracer (``Tracer(counting=False)``) costs one no-op call per
-emission point in host time.  See :mod:`repro.sim.trace` for the
-overhead-correction story mirroring the paper's §4 methodology.
+Zero-cost contract: tracing never advances simulated time.  See
+:mod:`repro.sim.trace` for the overhead-correction story mirroring the
+paper's §4 methodology.
 """
 
 from ..sim.trace import TraceEvent, Tracer, active_tracer, use_tracer

@@ -20,13 +20,16 @@ Client -> server:
             "trace"?}`` — ``trace`` is ``{"trace_id": ...}``, normally
             minted by the SDK for end-to-end trace stitching
 ``cancel``  ``{"kind", "job"}`` — queued or running job
-``list``    ``{"kind"}`` — the servable experiment catalog
+``list``    ``{"kind"}`` — the experiment catalog
 ``stats``   ``{"kind"}`` — live server stats
 ``ping``    ``{"kind"}``
 
 Server -> client:
 
-``welcome``      ``{"kind", "protocol", "server", "experiments"}``
+``welcome``      ``{"kind", "protocol", "server", "experiments"}`` —
+                 ``experiments`` maps each experiment id to its
+                 ``{"title", "units"}`` (units planned at the default
+                 machine)
 ``accepted``     ``{"kind", "job", "tag"?, "experiment", "priority",
                  "queued", "trace"?}`` — ``trace`` echoes the job's
                  trace/job IDs (server-minted when the submit had none)

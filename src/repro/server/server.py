@@ -25,7 +25,7 @@ Scheduling and fairness:
   terminal messages (results, errors) evict progress records instead of
   queueing behind them.  TCP backpressure (``drain()``) throttles the
   writer underneath.
-* **Cancellation** — queued jobs cancel instantly; running fabric jobs
+* **Cancellation** — queued jobs cancel instantly; running jobs
   cancel at the next unit boundary (the progress hook raises
   :class:`JobCancelled`, which the pool machinery never swallows).
 * **Graceful drain** — ``shutdown(drain=True)`` stops accepting,
@@ -61,8 +61,7 @@ from ..exec import (
     code_fingerprint,
     default_cache_root,
     execute,
-    has_units,
-    unit_count,
+    plan_units,
 )
 from ..obs.scopes import SCOPES
 from ..obs.tracectx import TraceContext, use_tracectx
@@ -344,17 +343,14 @@ class ReproServer:
     # -- the catalog ---------------------------------------------------
 
     def catalog(self) -> Dict[str, Dict]:
-        """Servable-experiment catalog: title, unit count, servability."""
+        """Experiment catalog: each id's title and unit count."""
         if self._catalog is None:
             from ..experiments import list_experiments
 
             config = spp1000()
             self._catalog = {
-                exp_id: {
-                    "title": title,
-                    "units": unit_count(exp_id, config),
-                    "servable_sweep": has_units(exp_id),
-                }
+                exp_id: {"title": title,
+                         "units": len(plan_units(exp_id, config))}
                 for exp_id, title in list_experiments().items()}
         return self._catalog
 
@@ -490,12 +486,10 @@ class ReproServer:
         exp_id = message.get("experiment")
         catalog = self.catalog()
         if exp_id not in catalog:
-            servable = ", ".join(e for e, row in catalog.items()
-                                 if row["servable_sweep"])
             self._reject(
                 conn, "unknown_experiment",
-                f"unknown experiment {exp_id!r}; servable sweep "
-                f"experiments: {servable}", tag)
+                f"unknown experiment {exp_id!r}; experiments: "
+                f"{', '.join(catalog)}", tag)
             return
         try:
             spec = self._parse_spec(exp_id, message, tag)
@@ -628,10 +622,7 @@ class ReproServer:
             if job.cancel_event.is_set():
                 return ("cancelled", None)
             config = spp1000(n_hypernodes=spec.hypernodes)
-            if has_units(spec.experiment):
-                payload = self._run_fabric_job(job, config, bridge)
-            else:
-                payload = self._run_inprocess_job(job, config)
+            payload = self._execute_job(job, config, bridge)
             payload["experiment"] = spec.experiment
             payload["tag"] = spec.tag
             payload["wall_s"] = round(time.perf_counter() - t0, 4)
@@ -647,7 +638,7 @@ class ReproServer:
             job.ctx.add_span("run", t0_epoch, time.time(),
                              cat="server.job", experiment=spec.experiment)
 
-    def _run_fabric_job(self, job: Job, config, bridge) -> Dict:
+    def _execute_job(self, job: Job, config, bridge) -> Dict:
         from contextlib import ExitStack
 
         from ..sim.trace import Tracer, use_tracer
@@ -686,28 +677,6 @@ class ReproServer:
         if blocks:
             payload["blocks"] = blocks
         return payload
-
-    def _run_inprocess_job(self, job: Job, config) -> Dict:
-        """A non-sweep ("simulate") experiment: no planner, no cache."""
-        import inspect
-
-        from ..experiments import get_experiment
-
-        spec = job.spec
-        fn = get_experiment(spec.experiment)
-        accepted = inspect.signature(fn).parameters
-        kwargs = {}
-        if "config" in accepted:
-            kwargs["config"] = config
-        if spec.quick and "quick" in accepted:
-            kwargs["quick"] = True
-        result = fn(**kwargs)
-        return {
-            "data": canonical(result.data),
-            "execution": {"experiment_id": spec.experiment,
-                          "in_process": True},
-            "manifest": result.manifest(config=config),
-        }
 
     # -- stats ---------------------------------------------------------
 

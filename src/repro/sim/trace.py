@@ -23,22 +23,16 @@ from explicit clock reads (``ThreadEnv.timestamp``), which cost
 ``"timer.read"`` category so reports can correct for them, exactly as
 the paper subtracts timestamp cost from its measurements.
 
-Host-time fast path (``counting``)
-----------------------------------
-By default a disabled tracer still counts every :meth:`emit` so that
-``count()`` works without recording (the hpm counters are "always on" on
-the real machine too).  Constructing with ``counting=False`` while
-disabled rebinds :meth:`emit` to a true no-op — zero dict work per
-event — at the documented price that ``count()`` then returns 0 for
-everything.  This is the knob for hot batch runs that want the machine
-model at full host speed.
+A disabled tracer still counts every :meth:`emit`, so ``count()`` works
+without recording (the hpm counters are "always on" on the real machine
+too).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.ambient import Slot
 
@@ -79,43 +73,24 @@ class TraceEvent:
 class Tracer:
     """Collects counters, :class:`TraceRecord`, and :class:`TraceEvent`."""
 
-    def __init__(self, enabled: bool = False,
-                 categories: Optional[Iterable[str]] = None,
-                 counting: bool = True):
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        self.counting = counting
-        self.categories = frozenset(categories) if categories else None
         self.records: List[TraceRecord] = []
         self.events: List[TraceEvent] = []
         self._counters: Dict[str, int] = {}
         # (pid, tid) -> stack of (name, begin_ts, counter snapshot)
         self._open_spans: Dict[Tuple[int, int], List[tuple]] = {}
-        if not counting and not enabled:
-            # Zero-cost fast path: one attribute lookup + no-op call per
-            # emit, no dict work.  count() is documented to return 0.
-            self.emit = self._emit_noop  # type: ignore[method-assign]
 
     # -- legacy counter interface -----------------------------------------
-    def _emit_noop(self, time: float, category: str, *payload) -> None:
-        """Fast path bound over :meth:`emit` when fully disabled."""
-
     def emit(self, time: float, category: str, *payload) -> None:
-        """Record an occurrence (cheap no-op when disabled)."""
-        if self.counting:
-            self._counters[category] = self._counters.get(category, 0) + 1
-        if not self.enabled:
-            return
-        if self.categories is not None and category not in self.categories:
-            return
-        self.records.append(TraceRecord(time, category, payload))
+        """Count an occurrence, and record it when enabled."""
+        self._counters[category] = self._counters.get(category, 0) + 1
+        if self.enabled:
+            self.records.append(TraceRecord(time, category, payload))
 
     def count(self, category: str) -> int:
-        """Occurrences of ``category``.
-
-        Counted even when recording is disabled, *unless* the tracer was
-        built with ``counting=False`` (the zero-cost fast path), in
-        which case this is always 0.
-        """
+        """Occurrences of ``category``, counted even when recording is
+        disabled."""
         return self._counters.get(category, 0)
 
     @property

@@ -7,13 +7,12 @@ from repro.core import spp1000
 from repro.exec.units import (
     PointStore,
     WorkUnit,
-    has_units,
     plan_units,
     register_units,
     run_unit,
-    unit_count,
     unit_experiments,
 )
+from repro.experiments import list_experiments
 
 
 def test_every_registered_experiment_plans_unique_keys():
@@ -27,20 +26,17 @@ def test_every_registered_experiment_plans_unique_keys():
             assert unit.experiment_id == exp_id
 
 
-def test_ablations_is_not_unit_aware():
-    assert not has_units("ablations")
-    assert unit_count("ablations", spp1000()) is None
-
-
-def test_unit_count_matches_plan():
-    config = spp1000()
-    assert unit_count("table1", config) == 2
-    assert unit_count("fig3", config) == len(plan_units("fig3", config))
+def test_every_experiment_has_a_planner():
+    # one way to run an experiment: every public id plans work units
+    public = [exp_id for exp_id in list_experiments()
+              if not exp_id.startswith("_")]
+    assert unit_experiments() == public
 
 
 def test_plan_units_unknown_experiment_lists_known_ones():
     with pytest.raises(KeyError) as exc:
         plan_units("nope", spp1000())
+    assert "unknown experiment 'nope'" in str(exc.value)
     assert "fig3" in str(exc.value)
 
 

@@ -1,7 +1,12 @@
 """Tests for the §6 ablation experiment."""
 
+import json
+
 import pytest
 
+from repro.cli import main
+from repro.core import spp1000
+from repro.exec import plan_units
 from repro.experiments import run_experiment
 from repro.experiments.ablations import (
     cache_residency_ratio,
@@ -47,3 +52,18 @@ def test_direct_helpers_match_experiment(ablations):
         ablations.data["cache_residency_ratio"]
     assert os_interference_overhead() == \
         ablations.data["os_interference_overhead"]
+
+
+def test_one_hypernode_measures_the_local_rows_only(tmp_path):
+    """One hypernode has no remote CPU and too few for the OS and ring
+    rows: it plans the latencies and the residency, and its data leaves
+    the other rows out."""
+    keys = [u.key for u in plan_units("ablations", spp1000(n_hypernodes=1))]
+    assert keys == ["latencies", "residency"]
+    metrics = tmp_path / "m.json"
+    assert main(["ablations", "--hypernodes", "1", "--no-cache",
+                 "--metrics", str(metrics)]) == 0
+    data = json.loads(metrics.read_text())["headline"]
+    assert "remote_local_miss_ratio" not in data
+    assert set(data) == {"latencies_us", "cache_residency_ratio"}
+    assert set(data["latencies_us"]) == {"hit", "local_miss"}

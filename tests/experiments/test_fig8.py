@@ -64,3 +64,19 @@ def test_one_hypernode_runs_only_the_one_node_series():
     for d in result.data.values():
         assert set(d) == {"one_node_speedup", "single_cpu_mflops",
                           "c90_mflops"}
+
+
+def test_direct_run_computes_each_key_once(monkeypatch):
+    """A run() without the fabric memoises its points as the fabric
+    does: fig8 looks up 51 points over its 27 planned keys."""
+    from repro.experiments import fig8_nbody
+
+    calls = []
+
+    def fake_unit(params, config):
+        calls.append(params)
+        return 100.0 if params.get("style") == "c90" else [1e9, 1e9]
+
+    monkeypatch.setattr(fig8_nbody, "_unit", fake_unit)
+    run_experiment("fig8")
+    assert len(calls) == len(plan_units("fig8", spp1000())) == 27

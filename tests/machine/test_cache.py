@@ -23,7 +23,6 @@ def test_miss_then_hit(cache):
     assert not cache.access(line)
     cache.insert(line)
     assert cache.access(line)
-    assert cache.hits == 1 and cache.misses == 1
 
 
 def test_line_of_alignment(cache):
@@ -45,13 +44,12 @@ def test_direct_mapped_conflict_evicts(cache):
     assert victim == a
     assert not cache.contains(a)
     assert cache.contains(b)
-    assert cache.evictions == 1
 
 
 def test_reinserting_same_line_is_noop(cache):
-    cache.insert(0x40)
-    assert cache.insert(0x40) is None
-    assert cache.evictions == 0
+    assert cache.insert(0x40) is None   # empty set: no victim
+    assert cache.insert(0x40) is None   # same line: no eviction
+    assert cache.contains(0x40)
 
 
 def test_distinct_sets_coexist(cache):
@@ -67,7 +65,6 @@ def test_invalidate(cache):
     assert cache.invalidate(0x80)
     assert not cache.contains(0x80)
     assert not cache.invalidate(0x80)  # second time: no copy
-    assert cache.invalidations == 1
 
 
 def test_invalidate_does_not_touch_conflicting_line(cache):

@@ -7,6 +7,7 @@ from repro.machine import Machine, MemClass
 from repro.machine.interconnect import Crossbar, Interconnect, Ring
 from repro.machine.memory import MemorySubsystem
 from repro.machine.address import HomeLocation
+from repro.obs import MemScope, use_memscope
 from repro.sim import Simulator
 
 CFG = spp1000(2)
@@ -23,10 +24,12 @@ def test_interconnect_inventory():
 def test_crossbar_traversal_takes_configured_cycles():
     sim = Simulator()
     xbar = Crossbar(sim, CFG, hypernode=0)
+    xbar.memscope = ms = MemScope(CFG)
     proc = sim.process(xbar.traverse(2))
     sim.run(until=proc)
     assert sim.now == CFG.cycles(CFG.crossbar_cycles)
-    assert xbar.traversals == 1
+    [port] = ms.to_dict()["crossbar_ports"]
+    assert (port["port"], port["traversals"]) == ("2", 1)
 
 
 def test_crossbar_ports_contend_independently():
@@ -46,14 +49,16 @@ def test_ring_transfer_time_scales_with_hops():
     cfg = spp1000(4)
     sim = Simulator()
     ring = Ring(sim, cfg, ring_id=0)
+    ring.memscope = ms = MemScope(cfg)
     one_hop = sim.process(ring.transfer(0, 1))
     sim.run(until=one_hop)
     t1 = sim.now
     three_hops = sim.process(ring.transfer(1, 0))  # unidirectional: 3 hops
     sim.run(until=three_hops)
     assert (sim.now - t1) == pytest.approx(3 * t1)
-    assert ring.transfers == 2
-    assert ring.busy_ns == pytest.approx(4 * t1)
+    row = ms.to_dict()["rings"]["0"]
+    assert row["transfers"] == 2
+    assert row["busy_ns"] == pytest.approx(4 * t1)
 
 
 def test_ring_serialises_transfers():
@@ -69,10 +74,13 @@ def test_bank_contention_serialises_same_bank():
     sim = Simulator()
     mem = MemorySubsystem(sim, CFG)
     bank = mem.bank(HomeLocation(0, 0, 0))
+    bank.memscope = ms = MemScope(CFG)
     procs = [sim.process(bank.service()) for _ in range(4)]
     sim.run()
+    assert all(p.triggered for p in procs)
     assert sim.now == pytest.approx(4 * CFG.cycles(CFG.bank_cycles))
-    assert bank.accesses == 4
+    [row] = ms.to_dict()["banks"]
+    assert row["accesses"] == 4
 
 
 def test_distinct_banks_run_in_parallel():
@@ -118,7 +126,9 @@ def test_same_bank_loads_queue_on_the_machine():
 def test_four_rings_carry_traffic_independently():
     """Far-shared pages interleave over FUs, so concurrent remote misses
     to different pages use different rings."""
-    machine = Machine(CFG)
+    ms = MemScope()
+    with use_memscope(ms):
+        machine = Machine(CFG)
     region = machine.alloc(8 * CFG.page_bytes, MemClass.FAR_SHARED)
     # pages homed at hypernode 0, FUs 0..3 (ring 0..3)
     addrs = [region.addr(p * CFG.page_bytes) for p in (0, 2, 4, 6)]
@@ -129,5 +139,6 @@ def test_four_rings_carry_traffic_independently():
     procs = [machine.sim.process(one(8 + i, addr))
              for i, addr in enumerate(addrs)]
     machine.sim.run(until=machine.sim.all_of(procs))
-    used_rings = [r for r in machine.net.rings if r.transfers > 0]
-    assert len(used_rings) == 4
+    rings = ms.to_dict()["rings"]
+    assert sorted(rings) == ["0", "1", "2", "3"]
+    assert all(row["transfers"] > 0 for row in rings.values())

@@ -16,7 +16,7 @@ def test_first_access_misses_then_hits():
     assert tlb.access(0x1000)
     assert tlb.access(0x1fff)     # same 4 KB page
     assert not tlb.access(0x2000)  # next page
-    assert tlb.hits == 2 and tlb.misses == 2
+    assert tlb.occupancy == 2
 
 
 def test_lru_eviction():
@@ -91,4 +91,4 @@ def test_block_transfer_translates_every_page():
         yield machine.read_block(0, region.addr(0), 8 * CFG.page_bytes)
 
     machine.sim.run(until=machine.sim.process(prog()))
-    assert machine.tlbs[0].misses == 8
+    assert machine.tracer.count("tlb.miss") == 8

@@ -58,15 +58,6 @@ def test_disabled_tracer_emits_no_structured_events():
     assert t.events == []
 
 
-def test_counting_false_is_a_true_noop_fast_path():
-    t = Tracer(enabled=False, counting=False)
-    # emit is rebound to a no-op: no dict work, documented count()==0
-    assert t.emit.__func__ is Tracer._emit_noop
-    t.emit(1.0, "miss")
-    assert t.count("miss") == 0
-    assert t.counters == {}
-
-
 def test_default_tracer_still_counts_when_disabled():
     t = Tracer(enabled=False)
     t.emit(1.0, "miss")

@@ -92,7 +92,8 @@ def test_event_stream_matches_progress_schema(server):
     assert kinds[0] == "start"
     assert kinds[-1] == "done"
     assert kinds.count("unit") + result.execution["cache_hits"] >= 6
-    assert client.list()["_srv_fast"]["servable_sweep"] is True
+    assert client.list()["_srv_fast"] == {
+        "title": "synthetic fast sweep", "units": 12}
     assert client.ping() is None
     client.close()
 
@@ -104,6 +105,14 @@ def test_telemetry_blocks_ride_along(server):
     assert "hostscope" in result.blocks
     assert result.manifest is not None
     client.close()
+
+
+def test_ablations_job_carries_its_telemetry(server):
+    client = Client(server.host, server.port)
+    result = client.submit("ablations", telemetry=("memscope",)).result()
+    client.close()
+    assert result.blocks["memscope"]["breakdown"]["total_accesses"] > 0
+    assert result.execution["units_planned"] == 6
 
 
 def _observed_reference(experiment, telemetry):

@@ -178,8 +178,9 @@ def test_handshake_and_catalog(server):
     sock, fh, welcome = _raw_connect(server)
     assert welcome["kind"] == "welcome"
     assert welcome["protocol"] == PROTOCOL_VERSION
-    assert welcome["experiments"]["fig3"]["servable_sweep"] is True
-    assert welcome["experiments"]["ablations"]["servable_sweep"] is False
+    assert welcome["experiments"]["fig3"] == {
+        "title": "Cost of barrier synchronisation", "units": 16}
+    assert welcome["experiments"]["ablations"]["units"] == 6
     sock.close()
 
 

@@ -23,14 +23,6 @@ def test_records_collected_when_enabled():
     assert recs[0].payload == (0xdead, "fu0")
 
 
-def test_category_filter():
-    t = Tracer(enabled=True, categories=["ring"])
-    t.emit(1.0, "ring")
-    t.emit(2.0, "miss")
-    assert len(t.records) == 1
-    assert t.count("miss") == 1  # counted but not recorded
-
-
 def test_clear_resets_everything():
     t = Tracer(enabled=True)
     t.emit(1.0, "x")

@@ -170,14 +170,13 @@ def test_jobs_zero_fails_with_actionable_message(capsys):
     assert "--jobs 1" in err  # tells the user what to type instead
 
 
-def test_list_shows_unit_counts(capsys):
+def test_list_shows_units_per_experiment(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for line in out.splitlines():
-        if line.startswith("ablations"):
-            assert "in-process" in line
-        else:
-            assert "units" in line
+    lines = capsys.readouterr().out.splitlines()
+    for line in lines:
+        assert "units" in line
+    assert any(line.startswith("ablations") and " 6 units" in line
+               for line in lines)
 
 
 def test_dashdash_list_alias(capsys):
@@ -210,14 +209,8 @@ def test_no_cache_disables_caching(tmp_path, capsys):
     assert not cache.exists()
 
 
-def test_cache_stats_notes_in_process_experiments(capsys):
-    assert main(["ablations", "--cache-stats"]) == 0
-    assert "ran in-process" in capsys.readouterr().out
-
-
-def test_jobs_note_for_in_process_experiment(capsys):
-    assert main(["ablations", "--jobs", "4"]) == 0
-    assert "no work-unit planner" in capsys.readouterr().err
+def test_every_experiment_runs_on_one_hypernode():
+    assert main(["all", "--quick", "--no-cache", "--hypernodes", "1"]) == 0
 
 
 def test_parallel_run_matches_serial(capsys):

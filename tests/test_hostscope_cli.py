@@ -179,15 +179,3 @@ def test_progress_warm_cache_run_emits_no_units(tmp_path, capsys):
     assert records[0]["to_compute"] == 0
     assert records[-1]["event"] == "done"
     assert records[-1]["cache_hit_rate"] == 1.0
-
-
-def test_progress_non_fabric_experiment_notes_and_runs(capsys):
-    # ablations runs in-process (no unit planner): --progress must say
-    # why it will stay silent rather than silently emitting nothing
-    from repro.exec import has_units
-
-    if has_units("ablations"):
-        pytest.skip("ablations grew a unit planner; pick another target")
-    assert main(["ablations", "--quick", "--progress"]) == 0
-    err = capsys.readouterr().err
-    assert "no work-unit planner" in err

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+RING_LOSS = (Path(__file__).resolve().parents[1]
+             / "examples" / "faults" / "ring_loss.json")
 
 
 @pytest.fixture(autouse=True)
@@ -76,6 +80,27 @@ def test_memscope_json_of_des_experiments_is_pinned(capsys, exp):
 def test_memscope_unknown_experiment(capsys):
     assert main(["memscope", "not-an-experiment"]) == 2
     assert "unknown experiment" in capsys.readouterr().err
+
+
+def test_memscope_command_reads_the_fault_plan(tmp_path, capsys):
+    assert main(["memscope", "fig3", "--quick", "--no-cache", "--faults",
+                 str(tmp_path / "missing.json")]) == 2
+    assert "cannot read fault plan" in capsys.readouterr().err
+    clean = memscope_json(capsys, "fig3")
+    faulted = memscope_json(capsys, "fig3", "--faults", str(RING_LOSS))
+    assert faulted["rings"] != clean["rings"]
+
+
+def test_memscope_command_matches_the_flag(tmp_path, capsys):
+    """The command and ``--memscope`` observe one run of the fabric:
+    fig8's model phases are counted once per work unit by both."""
+    doc = memscope_json(capsys, "fig8", "--no-cache")
+    metrics = tmp_path / "m.json"
+    assert main(["fig8", "--quick", "--no-cache", "--memscope",
+                 "--metrics", str(metrics)]) == 0
+    block = json.loads(metrics.read_text())["memscope"]
+    assert doc["model"] == block["model"]
+    assert doc["model"]["phases"]
 
 
 def test_memscope_without_experiment_or_trace(capsys):
