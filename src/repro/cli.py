@@ -39,7 +39,7 @@ import sys
 from typing import List, Optional
 
 from .core import spp1000
-from .experiments import list_experiments
+from .experiments import list_experiments, resolve_experiment_id
 from .obs.scopes import SCOPES
 
 
@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="reduced repetitions / problem sizes for a fast run")
     parser.add_argument(
         "--seed", type=int, default=None,
-        help="seed python/numpy RNGs for reproducible workload generation")
+        help="seed recorded in the run's cache keys and journal; results "
+             "do not depend on it, as every workload RNG is seeded locally")
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write a Chrome trace-event JSON of the run to PATH (open in "
@@ -143,18 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
              "critical-path spans or host-time regions to report "
              "(default: 10)")
     return parser
-
-
-def _seed_rngs(seed: int) -> None:
-    import random
-
-    random.seed(seed)
-    try:
-        import numpy
-
-        numpy.random.seed(seed)
-    except ImportError:  # pragma: no cover - numpy is a core dependency
-        pass
 
 
 def _unknown_experiment(exp_id: str) -> int:
@@ -262,7 +251,6 @@ def _scope_command(scope, args, config, fault_plan) -> int:
               f"{scope.name} fig3') or --trace PATH", file=sys.stderr)
         return 2
     from .exec import execute
-    from .experiments import resolve_experiment_id
     from .faults import use_faults
 
     try:
@@ -319,8 +307,6 @@ def _main(argv: List[str], command=None) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.seed is not None:
-        _seed_rngs(args.seed)
     config = spp1000(n_hypernodes=args.hypernodes)
     if command is None:
         if args.experiment is None:

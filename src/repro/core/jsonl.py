@@ -6,8 +6,10 @@ ledger (:mod:`repro.obs.ledger`).
 
 Writing — :func:`append` stamps ``sha256`` = :func:`checksum` of the
 object (the :func:`~repro.core.canon.stable_hash` of everything except
-``sha256`` itself), writes it as one sorted-key JSON line, then flushes
-and ``fsync``-s: the line is durable when the call returns.  A crash
+``sha256`` itself), writes it as one JSON line with every dict's keys
+in the order they were built (the checksum is over canonical, sorted
+JSON, so it does not depend on that order), then flushes and
+``fsync``-s: the line is durable when the call returns.  A crash
 mid-append leaves a torn, newline-less tail; the next append starts on
 a fresh line, so the torn line stays one skipped line instead of
 swallowing the object written after it.
@@ -42,7 +44,7 @@ def append(path: str, obj: Dict) -> Dict:
     """
     stamped = dict(obj)
     stamped["sha256"] = checksum(stamped)
-    line = json.dumps(stamped, sort_keys=True, separators=(",", ":")) + "\n"
+    line = json.dumps(stamped, separators=(",", ":")) + "\n"
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -2,11 +2,11 @@
 
 Every experiment sweep in the reproduction is embarrassingly parallel:
 each point is a deterministic function of its parameters, the machine
-configuration, and (optionally) a fault plan and seed.  This package
+configuration, and (optionally) a fault plan.  This package
 exploits that three ways:
 
-* :mod:`repro.exec.units` — a work-graph **planner**: registered
-  experiments decompose into independent, hashable work units, one per
+* :mod:`repro.exec.units` — a work-graph **planner**: every
+  experiment decomposes into independent, hashable work units, one per
   ``(experiment_id, point-config)``;
 * :mod:`repro.exec.pool` — a **supervised worker pool** (``--jobs N``)
   with deterministic result merging, per-unit timeouts, heartbeat-based
@@ -40,6 +40,7 @@ import time
 from typing import Dict, Optional
 
 from ..core.canon import stable_hash
+from ..experiments.base import get_experiment
 from .cache import (
     CACHE_SCHEMA,
     CacheRootError,
@@ -236,7 +237,6 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
     units (:class:`UnitExecutionError`, raised once the rest drained) —
     every unit already reported is stored.
     """
-    from ..experiments import get_experiment
     from ..obs.tracectx import active_tracectx
 
     # Ambient trace context (one check per run): when a TraceContext is
@@ -374,7 +374,7 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
             t_phase = time.perf_counter()
             try:
                 computed = pool.map_units(
-                    remaining, config, fault_plan=fault_plan, seed=seed,
+                    remaining, config, fault_plan=fault_plan,
                     stats=stats, on_complete=complete,
                     on_progress=heartbeat
                     if (progress is not None or ctx is not None) else None,

@@ -22,16 +22,18 @@ sweep keeps every unit it finished and its rerun computes only the
 rest.
 
 Layout: ``<root>/objects/<aa>/<digest>.json``, each file a small JSON
-document holding the value, a ``sha256`` **payload checksum** of the
-value's canonical JSON, and enough metadata to audit it.  Writes are
-atomic (temp file + ``os.replace``).  Reads verify the checksum: an
-entry whose payload does not hash to its recorded checksum — silent
-bit-rot, a torn write from a killed process, a hostile edit — is
-**quarantined** (moved to ``<root>/quarantine/``) and reads as a miss,
-so the unit is simply re-executed; ``corrupt``/``quarantined``
-counters surface the event in ``--cache-stats`` and manifests.  A
-structurally unreadable entry (truncated JSON, foreign schema) is
-removed and reads as a miss, as before.
+document holding the value (its dict keys in the order the unit built
+them, so a warm run assembles the same ``data`` as a cold one), a
+``sha256`` **payload checksum** of the value's canonical JSON, and
+enough metadata to audit it.  Writes are atomic (temp file +
+``os.replace``).  Reads verify the checksum: an entry whose payload
+does not hash to its recorded checksum — silent bit-rot, a torn write
+from a killed process, a hostile edit — is **quarantined** (moved to
+``<root>/quarantine/``) and reads as a miss, so the unit is simply
+re-executed; ``corrupt``/``quarantined`` counters surface the event in
+``--cache-stats`` and manifests.  A structurally unreadable entry
+(truncated JSON, foreign schema) is removed and reads as a miss, as
+before.
 
 The default root is ``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/
 repro``, else ``~/.cache/repro``.  :meth:`ResultCache.check_root`
@@ -234,7 +236,7 @@ class ResultCache:
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True)
+                json.dump(entry, fh)
                 fh.write("\n")
             os.replace(tmp, path)
         except BaseException:

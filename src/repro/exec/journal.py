@@ -11,9 +11,9 @@ cache it is a second copy of the units the run computed.
 Format (one self-checksummed JSON object per line, written and read by
 :mod:`repro.core.jsonl`)::
 
-    {"experiment_id": "fig3", "journal": 3, "run": "...", "sha256": "..."}
-    {"key": "uniform:1", "sha256": "...", "value": ...}
-    {"key": "uniform:2", "sha256": "...", "value": ...}
+    {"journal": 3, "experiment_id": "fig3", "run": "...", "sha256": "..."}
+    {"key": "uniform:1", "value": ..., "sha256": "..."}
+    {"key": "uniform:2", "value": ..., "sha256": "..."}
 
 The first line binds the journal to one run: its experiment and
 ``run``, a hash of the planned units and of

@@ -5,11 +5,14 @@ plan order, under whatever ambient contexts (tracer, fault plan) the
 caller installed — byte-for-byte the legacy serial behaviour.
 
 ``--jobs N`` fans units out to ``N`` **supervised** worker processes.
-Each worker is initialised with the run's fault plan and seed so
-``--faults`` and ``--seed`` runs stay bit-identical to serial (unit
-runners are pure functions of their parameters, the machine
-configuration, and those two ambients).  Results merge into plan order
-regardless of completion order, so output is deterministic.
+Each worker is initialised with the run's fault plan, so ``--faults``
+runs stay bit-identical to serial (unit runners are pure functions of
+their parameters, the machine configuration, and that ambient plan;
+every RNG they use is seeded locally, so no global generator is
+reseeded).  A worker resolves each unit's runner through the experiment
+table, importing the experiment's module on first use, under ``fork``
+and ``spawn`` alike.  Results merge into plan order regardless of
+completion order, so output is deterministic.
 
 On either path each finished unit goes to the caller's ``on_complete``
 hook the moment it arrives, so the caller can store it before the
@@ -102,24 +105,12 @@ class PoolStats:
 
 # -- worker-process side ----------------------------------------------------
 
-def _seed_worker(seed: int) -> None:
-    import random
-
-    random.seed(seed)
-    try:
-        import numpy
-
-        numpy.random.seed(seed)
-    except ImportError:  # pragma: no cover - numpy is a core dependency
-        pass
-
-
 class _ChaosDropReturn(Exception):
     """Chaos: the unit computed fine but its result was dropped on the
     return path (a lost pipe write); retried like any worker failure."""
 
 
-def _worker_main(task_q, result_q, config, fault_plan, seed,
+def _worker_main(task_q, result_q, config, fault_plan,
                  chaos_spec: Dict[str, List[Dict]]) -> None:
     """One worker process: drain tasks until the ``None`` sentinel.
 
@@ -129,14 +120,8 @@ def _worker_main(task_q, result_q, config, fault_plan, seed,
     ``os._exit``-s mid-unit leaves the supervisor knowing exactly which
     unit died where.
     """
-    try:  # spawn start method: re-populate the unit-planner registry
-        from .. import experiments  # noqa: F401
-    except Exception:  # pragma: no cover - synthetic registries in tests
-        pass
     from ..faults import use_faults
 
-    if seed is not None:
-        _seed_worker(seed)
     pid = os.getpid()
     while True:
         task = task_q.get()
@@ -202,8 +187,7 @@ class WorkerPool:
         self.policy = policy if policy is not None else ResiliencePolicy()
 
     def map_units(self, units: List[WorkUnit], config, *,
-                  fault_plan=None, seed: Optional[int] = None,
-                  stats: Optional[PoolStats] = None,
+                  fault_plan=None, stats: Optional[PoolStats] = None,
                   on_progress: Optional[Callable[[WorkUnit, Dict],
                                                  None]] = None,
                   on_event: Optional[Callable[[Dict], None]] = None,
@@ -236,9 +220,9 @@ class WorkerPool:
                                       on_progress, on_event, on_complete,
                                       chaos_spec)
         else:
-            values = self._run_parallel(units, config, fault_plan, seed,
-                                        stats, on_progress, on_event,
-                                        on_complete, chaos_spec)
+            values = self._run_parallel(units, config, fault_plan, stats,
+                                        on_progress, on_event, on_complete,
+                                        chaos_spec)
         ordered = {u.key: values[u.key] for u in units if u.key in values}
         if stats.resilience.quarantined:
             raise self._quarantine_error(units, stats)
@@ -352,7 +336,7 @@ class WorkerPool:
 
     # -- parallel path --------------------------------------------------
 
-    def _run_parallel(self, units, config, fault_plan, seed, stats,
+    def _run_parallel(self, units, config, fault_plan, stats,
                       on_progress=None, on_event=None, on_complete=None,
                       chaos_spec=None) -> Dict[str, object]:
         import multiprocessing as mp
@@ -369,7 +353,7 @@ class WorkerPool:
 
         try:
             self._supervise(context, units, tasks, config, fault_plan,
-                            seed, stats, values, exhausted, unresolved,
+                            stats, values, exhausted, unresolved,
                             chaos_spec, on_progress, on_event, on_complete)
         except (UnitExecutionError, KeyboardInterrupt):
             raise
@@ -443,7 +427,7 @@ class WorkerPool:
         if on_progress is not None:
             on_progress(task.unit, timing)
 
-    def _supervise(self, context, units, tasks, config, fault_plan, seed,
+    def _supervise(self, context, units, tasks, config, fault_plan,
                    stats, values, exhausted, unresolved, chaos_spec,
                    on_progress, on_event, on_complete) -> None:
         """The supervisor loop: feed tasks, drain heartbeats/results,
@@ -465,8 +449,7 @@ class WorkerPool:
                 stats.resilience.workers_replaced += 1
             proc = context.Process(
                 target=_worker_main,
-                args=(task_q, result_q, config, fault_plan, seed,
-                      chaos_spec),
+                args=(task_q, result_q, config, fault_plan, chaos_spec),
                 daemon=True)
             proc.start()
             workers[proc.pid] = proc

@@ -1,22 +1,29 @@
-"""Work units: the planner registry behind the execution fabric.
+"""Work units: planning and running the points of an experiment's sweep.
 
 An experiment's sweep decomposes into **work units** — one per
 ``(experiment_id, point-config)`` — each an independent, deterministic
 function of its parameters and the machine configuration.  Every
-experiment registers two module-level callables:
+experiment is one row of the table
+:data:`repro.experiments.base.EXPERIMENTS`, and its module defines two
+module-level callables besides ``run()``:
 
-* a **planner** ``plan(config, quick=False) -> [WorkUnit, ...]`` that
-  enumerates the sweep exactly as the experiment's ``run()`` will walk
-  it (same keys, same parameters);
-* a **runner** ``run_unit(params, config) -> value`` that computes one
-  unit.  It must be a module-level function (worker processes import it
-  by reference) and must return plain JSON-able data (the cache stores
+* a **planner** ``plan_units(config, quick=False) -> [WorkUnit, ...]``
+  that enumerates the sweep exactly as the experiment's ``run()`` will
+  walk it (same keys, same parameters);
+* a **runner** ``_unit(params, config) -> value`` that computes one
+  unit from scratch and returns plain JSON-able data (the cache stores
   it verbatim).
+
+:func:`plan_units` and :func:`run_unit` find both through the table and
+import the module on first use, so a worker process — forked or
+spawned — needs no registry of its own.  :func:`register_units` adds a
+synthetic planner and runner under an id the table does not name (the
+test suite's ``_``-prefixed experiments).
 
 ``run(points=...)`` itself consumes precomputed units through the
 ``point(key, fn)`` protocol: the fabric hands it a :class:`PointStore`
 seeded with every unit's value, so the experiment keeps its structure
-and only its per-point computations move into the registered runner.
+and only its per-point computations move into the runner.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 from ..core.canon import canonical, canonical_json
+from ..experiments.base import EXPERIMENTS, experiment_module
 
 __all__ = ["WorkUnit", "register_units", "plan_units", "run_unit",
            "unit_experiments", "PointStore"]
@@ -54,38 +62,46 @@ class WorkUnit:
                      canonical_json(self.params)))
 
 
-#: experiment id -> (planner, runner)
+#: synthetic experiment id -> (planner, runner); see register_units
 _UNITS: Dict[str, tuple] = {}
 
 
 def register_units(experiment_id: str,
                    planner: Callable[..., List[WorkUnit]],
                    runner: Callable) -> None:
-    """Register an experiment's sweep planner and unit runner."""
-    if experiment_id in _UNITS:
+    """Register a synthetic experiment's planner and unit runner.
+
+    The test suite's ``_``-prefixed experiments use this hook; an id
+    the experiment table names is rejected, imported or not.
+    """
+    if experiment_id in EXPERIMENTS or experiment_id in _UNITS:
         raise ValueError(f"duplicate unit registration {experiment_id!r}")
     _UNITS[experiment_id] = (planner, runner)
 
 
 def unit_experiments() -> List[str]:
-    """Experiment ids with registered unit planners, registration order.
+    """Every experiment id of the table, in listing order.
 
-    Ids starting with ``_`` are private (synthetic planners registered
-    by the test suite) and are not enumerated — they remain runnable
-    through :func:`plan_units`/:func:`run_unit` by explicit id.
+    Synthetic experiments (:func:`register_units`) are not enumerated;
+    they remain runnable through :func:`plan_units`/:func:`run_unit` by
+    explicit id.
     """
-    return [exp_id for exp_id in _UNITS if not exp_id.startswith("_")]
+    return list(EXPERIMENTS)
+
+
+def _callables(experiment_id: str) -> tuple:
+    """``(planner, runner)``: a synthetic registration, else the table
+    module's ``plan_units`` and ``_unit`` (imported on first use)."""
+    if experiment_id in _UNITS:
+        return _UNITS[experiment_id]
+    module = experiment_module(experiment_id)
+    return module.plan_units, module._unit
 
 
 def plan_units(experiment_id: str, config, quick: bool = False
                ) -> List[WorkUnit]:
     """Enumerate the experiment's work units (validated for unique keys)."""
-    try:
-        planner, _runner = _UNITS[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: "
-            f"{', '.join(sorted(unit_experiments()))}") from None
+    planner, _runner = _callables(experiment_id)
     units = list(planner(config, quick=quick))
     seen = set()
     for unit in units:
@@ -102,8 +118,8 @@ def plan_units(experiment_id: str, config, quick: bool = False
 
 
 def run_unit(experiment_id: str, params: Dict, config):
-    """Compute one work unit in this process (the registered runner)."""
-    _planner, runner = _UNITS[experiment_id]
+    """Compute one work unit in this process (the experiment's runner)."""
+    _planner, runner = _callables(experiment_id)
     return runner(params, config)
 
 

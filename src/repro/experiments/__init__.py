@@ -1,11 +1,20 @@
 """Experiments: one module per table/figure of the paper.
 
-Importing this package registers every experiment; use
+:data:`~repro.experiments.base.EXPERIMENTS` is the table of every
+experiment: id -> (module stem, title), in listing order.  Importing
+this package imports no experiment module; each is imported the first
+time its experiment is planned, run or assembled.  Use
 :func:`run_experiment`/:func:`list_experiments`, or the CLI
 (``python -m repro <id>``).
+
+To add an experiment, add one row to the table and a module here that
+defines ``run(config=None, ..., points=None)``, its work-unit planner
+``plan_units(config, quick=False)`` and the unit runner
+``_unit(params, config)`` (see :mod:`repro.exec.units`).
 """
 
 from .base import (
+    EXPERIMENTS,
     ExperimentResult,
     get_experiment,
     list_experiments,
@@ -13,13 +22,8 @@ from .base import (
     resolve_experiment_id,
     run_experiment,
 )
-from . import fig2_forkjoin, fig3_barrier, fig4_message
-from . import ablations, contention, degraded, fig6_pic, fig7_fem
-from . import fig8_nbody, memclass, scale128, table1_pic_c90, table2_ppm
 
 __all__ = [
-    "ExperimentResult", "register", "get_experiment", "list_experiments",
-    "resolve_experiment_id", "run_experiment",
-    "fig2_forkjoin", "fig3_barrier", "fig4_message",
-    "fig6_pic", "table1_pic_c90", "degraded",
+    "EXPERIMENTS", "ExperimentResult", "register", "get_experiment",
+    "list_experiments", "resolve_experiment_id", "run_experiment",
 ]

@@ -27,7 +27,7 @@ from typing import Optional
 from ..apps.nbody import NBodyWorkload, problem_256k
 from ..core import MachineConfig, Table, spp1000
 from ..core.units import MIB, to_us
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..machine import Machine, MemClass
 from ..perfmodel import (
     Access,
@@ -37,7 +37,7 @@ from ..perfmodel import (
     TeamSpec,
 )
 from ..runtime import Placement
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "plan_units", "measured_miss_latencies_us",
            "cache_residency_ratio", "os_interference_overhead"]
@@ -163,7 +163,6 @@ def plan_units(config, quick: bool = False):
             for key, params in _plan(config).items()]
 
 
-@register("ablations", "Section 6 quantitative observations")
 def run(config: Optional[MachineConfig] = None,
         points=None) -> ExperimentResult:
     """Regenerate the §6 observations."""
@@ -211,6 +210,3 @@ def run(config: Optional[MachineConfig] = None,
         data={key: value for key, value in data.items()
               if value is not None},
     )
-
-
-register_units("ablations", plan_units, _unit)

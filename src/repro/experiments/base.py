@@ -1,21 +1,27 @@
-"""Experiment framework: structured results and a registry.
+"""Experiment framework: structured results and the experiment table.
 
 Every table/figure of the paper has one module here exposing ``run()``;
 results carry both machine-readable data and renderable tables/series so
 ``python -m repro fig4`` prints the same rows the paper plots.
+
+:data:`EXPERIMENTS` names every experiment with its module and title.
+Listing, resolving and the CLI's help read only the table; a module is
+imported when its experiment is first planned, run or assembled, so a
+run of the discrete-event experiments never imports the application
+models (or NumPy).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from importlib import import_module
+from typing import Callable, Dict, List, Tuple
 
 from ..core.tables import Series, Table, render_series
-from ..exec.units import PointStore
 
-__all__ = ["ExperimentResult", "register", "get_experiment",
-           "list_experiments", "resolve_experiment_id", "run_experiment",
-           "point_runner"]
+__all__ = ["EXPERIMENTS", "ExperimentResult", "register",
+           "get_experiment", "experiment_module", "list_experiments",
+           "resolve_experiment_id", "run_experiment", "point_runner"]
 
 
 def point_runner(store):
@@ -27,6 +33,8 @@ def point_runner(store):
     stored value or computes ``fn()`` once and stores it.  So a direct
     ``run()`` computes each key once, as the fabric does.
     """
+    from ..exec.units import PointStore
+
     return (store if store is not None else PointStore({})).point
 
 
@@ -71,51 +79,89 @@ class ExperimentResult:
                               execution=execution, extra=extra, **scopes)
 
 
-_REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {}
-_TITLES: Dict[str, str] = {}
+#: experiment id -> (module stem, title), in listing order.  This is
+#: the one place a real experiment is named: its module under
+#: ``repro/experiments/`` defines ``run``, ``plan_units`` and ``_unit``,
+#: and is imported the first time the experiment is planned, run or
+#: assembled.
+EXPERIMENTS: Dict[str, Tuple[str, str]] = {
+    "fig2": ("fig2_forkjoin", "Cost of fork-join"),
+    "fig3": ("fig3_barrier", "Cost of barrier synchronisation"),
+    "fig4": ("fig4_message", "Cost of round-trip message passing"),
+    "ablations": ("ablations", "Section 6 quantitative observations"),
+    "contention": ("contention",
+                   "Message-traffic contention (ref [24] observation)"),
+    "degraded": ("degraded",
+                 "Barrier and message costs under failed SCI rings"),
+    "fig6": ("fig6_pic", "PIC time to solution and speed-up"),
+    "fig7": ("fig7_fem", "FEM performance on small and large data sets"),
+    "fig8": ("fig8_nbody", "N-body performance scaling"),
+    "memclass": ("memclass",
+                 "Memory-class placement ablation (beyond the paper)"),
+    "scale128": ("scale128",
+                 "Predicted scaling to 128 processors (future work)"),
+    "table1": ("table1_pic_c90", "PIC performance on 1 C90 processor"),
+    "table2": ("table2_ppm", "PPM performance"),
+}
+
+#: id -> (title, run) of the synthetic experiments :func:`register` adds
+_REGISTRY: Dict[str, Tuple[str, Callable[..., ExperimentResult]]] = {}
 
 
 def register(experiment_id: str, title: str):
-    """Decorator: register ``run()`` under an experiment id (e.g. 'fig2')."""
+    """Decorator: register a synthetic ``run()`` (the test suite's
+    ``_``-prefixed experiments) under an id :data:`EXPERIMENTS` does
+    not name."""
     def deco(fn: Callable[..., ExperimentResult]):
-        if experiment_id in _REGISTRY:
+        if experiment_id in EXPERIMENTS or experiment_id in _REGISTRY:
             raise ValueError(f"duplicate experiment id {experiment_id!r}")
-        _REGISTRY[experiment_id] = fn
-        _TITLES[experiment_id] = title
+        _REGISTRY[experiment_id] = (title, fn)
         return fn
     return deco
 
 
-def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
+def _unknown(name: str) -> KeyError:
+    known = ", ".join(sorted([*EXPERIMENTS, *_REGISTRY]))
+    return KeyError(f"unknown experiment {name!r}; known: {known}")
+
+
+def experiment_module(experiment_id: str):
+    """The module of a table experiment, imported on first use."""
     try:
-        return _REGISTRY[experiment_id]
+        stem, _title = EXPERIMENTS[experiment_id]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: {known}") from None
+        raise _unknown(experiment_id) from None
+    return import_module(f"{__package__}.{stem}")
+
+
+def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
+    """The experiment's ``run``, read from its module on every call."""
+    if experiment_id in _REGISTRY:
+        return _REGISTRY[experiment_id][1]
+    return experiment_module(experiment_id).run
 
 
 def list_experiments() -> Dict[str, str]:
-    """Mapping of experiment id -> title, in registration order."""
-    return dict(_TITLES)
+    """Mapping of experiment id -> title: the table in listing order,
+    then any registered synthetic experiments."""
+    return {**{exp_id: title for exp_id, (_stem, title)
+               in EXPERIMENTS.items()},
+            **{exp_id: title for exp_id, (title, _fn) in _REGISTRY.items()}}
 
 
 def resolve_experiment_id(name: str) -> str:
-    """Map ``name`` to a registered experiment id.
+    """Map ``name`` to an experiment id.
 
-    Accepts the registered id itself (``fig6``) or the defining module's
-    stem (``fig6_pic``), so CLI subcommands can take either spelling.
+    Accepts the id itself (``fig6``) or its module's stem
+    (``fig6_pic``), so CLI subcommands can take either spelling.
     Raises :class:`KeyError` (with the known ids) when neither matches.
     """
-    if name in _REGISTRY:
+    if name in EXPERIMENTS or name in _REGISTRY:
         return name
-    for exp_id, fn in _REGISTRY.items():
-        module = getattr(fn, "__module__", "")
-        if module.rsplit(".", 1)[-1] == name:
+    for exp_id, (stem, _title) in EXPERIMENTS.items():
+        if stem == name:
             return exp_id
-    known = ", ".join(sorted(_REGISTRY))
-    raise KeyError(
-        f"unknown experiment {name!r}; known: {known}") from None
+    raise _unknown(name)
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:

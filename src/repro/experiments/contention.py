@@ -15,11 +15,11 @@ from typing import Dict, List, Optional
 
 from ..core import MachineConfig, Series, spp1000, summarize
 from ..core.units import to_us
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..machine import Machine
 from ..pvm import PvmSystem
 from ..runtime import Placement, Runtime
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "contended_round_trip_us", "plan_units"]
 
@@ -81,7 +81,6 @@ def plan_units(config, quick: bool = False):
             for n in pairs]
 
 
-@register("contention", "Message-traffic contention (ref [24] observation)")
 def run(config: Optional[MachineConfig] = None,
         max_pairs: int = MAX_PAIRS, points=None) -> ExperimentResult:
     """Per-pair round trip vs number of simultaneous pairs."""
@@ -113,6 +112,3 @@ def run(config: Optional[MachineConfig] = None,
                f"{data['local_degradation']:.0%} (paper [24]: 'little "
                f"degradation'); cross-ring: {data['cross_degradation']:.0%}"),
     )
-
-
-register_units("contention", plan_units, _unit)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core import MachineConfig, Series, Table, spp1000
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..faults import (
     active_fault_plan,
     plan_from_dict,
@@ -27,7 +27,7 @@ from ..faults import (
     use_faults,
 )
 from ..runtime import Placement
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 from .fig3_barrier import barrier_metrics_us
 from .fig4_message import round_trip_us
 
@@ -93,7 +93,6 @@ def plan_units(config, quick: bool = False):
     return units
 
 
-@register("degraded", "Barrier and message costs under failed SCI rings")
 def run(config: Optional[MachineConfig] = None, quick: bool = False,
         points=None) -> ExperimentResult:
     """Measure Fig. 3 barrier and Fig. 4 message curves per fault scenario."""
@@ -151,6 +150,3 @@ def run(config: Optional[MachineConfig] = None, quick: bool = False,
                "absorb the detoured traffic (serialisation per ring) and "
                "every detoured packet pays the reroute penalty."),
     )
-
-
-register_units("degraded", plan_units, _unit)

@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 
 from ..core import MachineConfig, Series, spp1000, summarize
 from ..core.units import to_us
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..machine import Machine
 from ..runtime import Placement, Runtime
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "forkjoin_time_us", "plan_units"]
 
@@ -77,7 +77,6 @@ def plan_units(config, quick: bool = False):
             for key, params in _points(counts, repeats=3)]
 
 
-@register("fig2", "Cost of fork-join")
 def run(config: Optional[MachineConfig] = None,
         thread_counts: Optional[Sequence[int]] = None,
         repeats: int = 3, points=None) -> ExperimentResult:
@@ -109,6 +108,3 @@ def run(config: Optional[MachineConfig] = None,
                "across two, ~50 us one-time penalty at the crossing."),
     )
     return result
-
-
-register_units("fig2", plan_units, _unit)

@@ -18,10 +18,10 @@ from typing import Dict, Optional, Sequence
 
 from ..core import MachineConfig, Series, corrected, spp1000
 from ..core.units import to_us
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..machine import Machine
 from ..runtime import Barrier, Placement, Runtime
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "barrier_metrics_us", "plan_units"]
 
@@ -87,7 +87,6 @@ def plan_units(config, quick: bool = False):
             for key, params in _points(counts, rounds=12)]
 
 
-@register("fig3", "Cost of barrier synchronisation")
 def run(config: Optional[MachineConfig] = None,
         thread_counts: Optional[Sequence[int]] = None,
         rounds: int = 12, points=None) -> ExperimentResult:
@@ -123,6 +122,3 @@ def run(config: Optional[MachineConfig] = None,
         notes=("Paper: LIFO ~3.5 us on one hypernode (+~1 us with a second); "
                "LILO grows ~2 us per thread beyond the second."),
     )
-
-
-register_units("fig3", plan_units, _unit)

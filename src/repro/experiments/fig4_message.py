@@ -13,11 +13,11 @@ from typing import Optional, Sequence
 
 from ..core import MachineConfig, Series, spp1000
 from ..core.units import to_us
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..machine import Machine
 from ..pvm import PvmSystem
 from ..runtime import Placement, Runtime
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "round_trip_us", "plan_units"]
 
@@ -71,7 +71,6 @@ def plan_units(config, quick: bool = False):
             for key, params in _points(SIZES, repeats=4)]
 
 
-@register("fig4", "Cost of round-trip message passing")
 def run(config: Optional[MachineConfig] = None,
         sizes: Optional[Sequence[int]] = None,
         repeats: int = 4, points=None) -> ExperimentResult:
@@ -106,6 +105,3 @@ def run(config: Optional[MachineConfig] = None,
         notes=(f"Measured global/local ratio below 8 KB: {ratio:.2f} "
                "(paper: 2.3).  Knee at 8 KB = 2-page PVM fast buffer."),
     )
-
-
-register_units("fig4", plan_units, _unit)

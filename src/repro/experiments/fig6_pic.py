@@ -15,9 +15,9 @@ from typing import Dict, Optional, Sequence
 from ..apps.pic import PICWorkload, large_problem, small_problem
 from ..core import MachineConfig, Series, spp1000
 from ..core.units import to_seconds
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..perfmodel.sweep import scaling_study
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "plan_units"]
 
@@ -51,7 +51,6 @@ def plan_units(config, quick: bool = False):
     return units
 
 
-@register("fig6", "PIC time to solution and speed-up")
 def run(config: Optional[MachineConfig] = None,
         processor_counts: Optional[Sequence[int]] = None,
         points=None) -> ExperimentResult:
@@ -96,6 +95,3 @@ def run(config: Optional[MachineConfig] = None,
                "flat line: one C90 head.  Shared memory consistently "
                "outperforms PVM."),
     )
-
-
-register_units("fig6", plan_units, _unit)

@@ -20,9 +20,9 @@ from ..apps.fem import (
 )
 from ..core import MachineConfig, Series, spp1000
 from ..core.units import to_seconds
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..perfmodel.sweep import scaling_study
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "plan_units"]
 
@@ -54,7 +54,6 @@ def plan_units(config, quick: bool = False):
     return units
 
 
-@register("fig7", "FEM performance on small and large data sets")
 def run(config: Optional[MachineConfig] = None,
         processor_counts: Optional[Sequence[int]] = None,
         points=None) -> ExperimentResult:
@@ -93,6 +92,3 @@ def run(config: Optional[MachineConfig] = None,
                "processors (first spill onto the second hypernode) that "
                "the paper reports as under investigation."),
     )
-
-
-register_units("fig7", plan_units, _unit)

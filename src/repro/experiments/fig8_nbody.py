@@ -26,9 +26,9 @@ from ..apps.nbody import (
 from ..core import MachineConfig, Series, spp1000
 from ..core.metrics import mflops
 from ..core.units import to_seconds
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..runtime import Placement
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "plan_units"]
 
@@ -74,7 +74,6 @@ def plan_units(config, quick: bool = False):
     return units
 
 
-@register("fig8", "N-body performance scaling")
 def run(config: Optional[MachineConfig] = None,
         include_2m: bool = True, points=None) -> ExperimentResult:
     """Regenerate Figure 8."""
@@ -134,6 +133,3 @@ def run(config: Optional[MachineConfig] = None,
                "2-7% degradation across two hypernodes; vectorised C90 "
                "tree code 120 MFLOP/s."),
     )
-
-
-register_units("fig8", plan_units, _unit)

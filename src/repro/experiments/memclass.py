@@ -15,9 +15,9 @@ from typing import Dict, Optional
 
 from ..apps.fem import FEMWorkload, large_problem
 from ..core import MachineConfig, Series, Table, spp1000
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..runtime import Placement
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "plan_units"]
 
@@ -43,7 +43,6 @@ def plan_units(config, quick: bool = False):
             for p in _processor_counts(config)]
 
 
-@register("memclass", "Memory-class placement ablation (beyond the paper)")
 def run(config: Optional[MachineConfig] = None,
         points=None) -> ExperimentResult:
     """FEM large under far-shared / near-shared / block-shared placement."""
@@ -74,6 +73,3 @@ def run(config: Optional[MachineConfig] = None,
                "the Figure 7 dip at 9 CPUs; near_shared hosting on one "
                "hypernode collapses once threads spill past it."),
     )
-
-
-register_units("memclass", plan_units, _unit)

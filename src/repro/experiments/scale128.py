@@ -25,9 +25,9 @@ from ..apps.pic import PICWorkload
 from ..apps.pic import large_problem as pic_large
 from ..apps.ppm import PPMProblem, PPMWorkload
 from ..core import MachineConfig, Series, Table, spp1000
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..runtime import Placement
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "HYPERNODE_COUNTS", "plan_units"]
 
@@ -74,7 +74,6 @@ def plan_units(config, quick: bool = False):
     return units
 
 
-@register("scale128", "Predicted scaling to 128 processors (future work)")
 def run(config: Optional[MachineConfig] = None,
         points=None) -> ExperimentResult:
     """Extrapolate every application to the 16-hypernode machine.
@@ -127,6 +126,3 @@ def run(config: Optional[MachineConfig] = None,
                "the same effect the paper engineered for its small data "
                "set at 16 CPUs."),
     )
-
-
-register_units("scale128", plan_units, _unit)

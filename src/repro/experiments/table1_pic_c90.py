@@ -19,9 +19,9 @@ from typing import Optional
 from ..apps.pic import PICWorkload, large_problem, small_problem
 from ..core import MachineConfig, Table, spp1000
 from ..core.units import to_seconds
-from ..exec.units import WorkUnit, register_units
+from ..exec.units import WorkUnit
 from ..perfmodel import C90Model
-from .base import ExperimentResult, point_runner, register
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "plan_units"]
 
@@ -51,7 +51,6 @@ def plan_units(config, quick: bool = False):
             for label in _PROBLEMS]
 
 
-@register("table1", "PIC performance on 1 C90 processor")
 def run(config: Optional[MachineConfig] = None,
         points=None) -> ExperimentResult:
     """Regenerate Table 1."""
@@ -79,6 +78,3 @@ def run(config: Optional[MachineConfig] = None,
                "scale with our per-particle flop count (TSC ledger) rather "
                "than the authors' hpm count."),
     )
-
-
-register_units("table1", plan_units, _unit)

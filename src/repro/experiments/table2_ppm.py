@@ -25,8 +25,8 @@ from typing import Optional
 
 from ..apps.ppm import PPMProblem, PPMWorkload
 from ..core import MachineConfig, Table, spp1000
-from ..exec.units import WorkUnit, register_units
-from .base import ExperimentResult, point_runner, register
+from ..exec.units import WorkUnit
+from .base import ExperimentResult, point_runner
 
 __all__ = ["run", "PAPER_ROWS", "plan_units"]
 
@@ -62,7 +62,6 @@ def plan_units(config, quick: bool = False):
             for (nx, ny), (tx, ty), procs, _ in PAPER_ROWS]
 
 
-@register("table2", "PPM performance")
 def run(config: Optional[MachineConfig] = None,
         points=None) -> ExperimentResult:
     """Regenerate Table 2."""
@@ -90,6 +89,3 @@ def run(config: Optional[MachineConfig] = None,
                "overhead; the rate is insensitive to grid size because a "
                "tile, not the grid, is the cache working set."),
     )
-
-
-register_units("table2", plan_units, _unit)

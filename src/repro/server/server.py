@@ -63,6 +63,7 @@ from ..exec import (
     execute,
     plan_units,
 )
+from ..experiments import list_experiments
 from ..obs.scopes import SCOPES
 from ..obs.tracectx import TraceContext, use_tracectx
 from .protocol import (
@@ -291,8 +292,6 @@ class ReproServer:
 
     async def start(self) -> Tuple[str, int]:
         """Bind, start workers, return ``(host, port)`` actually bound."""
-        from .. import experiments  # noqa: F401 -- populate registries
-
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.PriorityQueue()
         self._executor = ThreadPoolExecutor(
@@ -345,8 +344,6 @@ class ReproServer:
     def catalog(self) -> Dict[str, Dict]:
         """Experiment catalog: each id's title and unit count."""
         if self._catalog is None:
-            from ..experiments import list_experiments
-
             config = spp1000()
             self._catalog = {
                 exp_id: {"title": title,

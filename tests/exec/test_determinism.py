@@ -1,15 +1,18 @@
 """The fabric's bit-identity contract.
 
-Acceptance criteria from the execution-fabric issue: every registered
-experiment run with ``--jobs 4`` produces byte-identical ``.data`` to
-the serial run — including under a fault plan and when resuming a
-half-finished journal — and a warm-cache re-run re-simulates nothing.
-A sweep stopped partway keeps every unit it reported as finished.
+Acceptance criteria from the execution-fabric issue: every experiment
+run with ``--jobs 4`` produces byte-identical ``.data`` to the serial
+run — including under a fault plan and when resuming a half-finished
+journal — and a warm-cache re-run re-simulates nothing.  A warm cache
+and a replayed journal hand back each value with its keys in the order
+the unit built them, so even ``json.dumps(data)`` matches the serial
+run.  A sweep stopped partway keeps every unit it reported as finished.
 """
+
+import json
 
 import pytest
 
-import repro.experiments  # noqa: F401
 from repro.core import spp1000
 from repro.core.canon import canonical_json
 from repro.exec import ResultCache, SweepJournal, execute, unit_experiments
@@ -21,9 +24,19 @@ _serial_cache = {}
 
 def serial_data(exp_id):
     """Canonical serial-run .data per experiment, computed once."""
+    return _serial_run(exp_id)[:2]
+
+
+def serial_dumps(exp_id):
+    """The serial run's ``json.dumps(.data)``: key order included."""
+    return _serial_run(exp_id)[2]
+
+
+def _serial_run(exp_id):
     if exp_id not in _serial_cache:
         result, report = execute(exp_id, CONFIG, jobs=1, quick=True)
-        _serial_cache[exp_id] = (canonical_json(result.data), report)
+        _serial_cache[exp_id] = (canonical_json(result.data), report,
+                                 json.dumps(result.data))
     return _serial_cache[exp_id]
 
 
@@ -32,6 +45,7 @@ def test_jobs4_is_bit_identical_to_serial(exp_id):
     expected, serial_report = serial_data(exp_id)
     result, report = execute(exp_id, CONFIG, jobs=4, quick=True)
     assert canonical_json(result.data) == expected
+    assert json.dumps(result.data) == serial_dumps(exp_id)
     assert report.units_planned == serial_report.units_planned
     assert report.fallback_points == serial_report.fallback_points
 
@@ -45,9 +59,21 @@ def test_warm_cache_recomputes_nothing(exp_id, tmp_path):
                                 cache=cache)
     assert canonical_json(cold.data) == canonical_json(warm.data)
     assert canonical_json(warm.data) == serial_data(exp_id)[0]
+    assert json.dumps(warm.data) == serial_dumps(exp_id)
     assert warm_report.computed == 0
     assert warm_report.cache_hits == warm_report.units_planned
     assert warm_report.cache_misses == 0
+
+
+@pytest.mark.parametrize("exp_id", unit_experiments())
+def test_replayed_journal_is_bit_identical(exp_id, tmp_path):
+    path = str(tmp_path / "sweep.jsonl")
+    execute(exp_id, CONFIG, jobs=1, quick=True, journal=SweepJournal(path))
+    replayed, report = execute(exp_id, CONFIG, jobs=1, quick=True,
+                               journal=SweepJournal(path))
+    assert report.computed == 0
+    assert report.from_journal == report.units_planned
+    assert json.dumps(replayed.data) == serial_dumps(exp_id)
 
 
 def test_parallel_under_fault_plan_is_bit_identical():

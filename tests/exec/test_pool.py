@@ -101,3 +101,19 @@ def test_no_fault_plan_means_clean_workers():
         values = WorkerPool(jobs).map_units(
             _plan_faulty(None), spp1000())
         assert values["probe"] is None, f"jobs={jobs}"
+
+
+def test_spawned_workers_resolve_experiments_from_the_table(monkeypatch):
+    """Under ``spawn`` a worker starts from a fresh interpreter: it
+    finds fig3's runner through the experiment table on its own."""
+    from repro.core.canon import stable_hash
+    from repro.exec import execute
+
+    serial, _ = execute("fig3", spp1000(), quick=True)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    spawned, report = execute("fig3", spp1000(), quick=True, jobs=2)
+    assert report.retried_in_process == 0
+    assert report.computed == 16
+    assert {t["where"] for t in report.unit_timings} == {"worker"}
+    assert stable_hash(spawned.data) == stable_hash(serial.data)

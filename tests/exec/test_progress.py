@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-import repro.experiments  # noqa: F401  (registers every planner)
 from repro.core import spp1000
 from repro.exec import PoolStats, ProgressStream, WorkerPool, execute
 from repro.exec.units import plan_units

@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.experiments  # noqa: F401  (registers every planner)
 from repro.core import spp1000
 from repro.exec.units import (
     PointStore,

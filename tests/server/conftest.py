@@ -2,7 +2,8 @@
 
 The synthetic experiments are registered at module level (module-level
 functions so ``--jobs N`` workers could resolve them) under ``_``
-prefixes, which keeps them out of ``unit_experiments()``.  Each one is
+prefixes; ``unit_experiments()`` lists only the experiment table, so
+they stay out of it.  Each one is
 registered BOTH as a unit planner (``register_units``) and as an
 experiment (``@register``) because the fabric's assemble step looks the
 experiment up by id.

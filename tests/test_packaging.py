@@ -1,6 +1,9 @@
 """Package-level hygiene: imports, exports, versioning."""
 
 import importlib
+import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -29,17 +32,87 @@ def test_all_exports_resolve(name):
         assert hasattr(module, symbol), f"{name}.{symbol} missing"
 
 
-def test_obs_import_loads_neither_numpy_nor_experiments():
-    """The observability layer stays importable without the experiment
-    registry, whose application modules pull in NumPy."""
-    import pathlib
+SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
-    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import repro.obs; "
-            "print(sorted({'numpy', 'repro.experiments'} & set(sys.modules)))")
+#: the experiment table as ``python -m repro list`` shows it
+LISTING = [
+    ("fig2", "Cost of fork-join"),
+    ("fig3", "Cost of barrier synchronisation"),
+    ("fig4", "Cost of round-trip message passing"),
+    ("ablations", "Section 6 quantitative observations"),
+    ("contention", "Message-traffic contention (ref [24] observation)"),
+    ("degraded", "Barrier and message costs under failed SCI rings"),
+    ("fig6", "PIC time to solution and speed-up"),
+    ("fig7", "FEM performance on small and large data sets"),
+    ("fig8", "N-body performance scaling"),
+    ("memclass", "Memory-class placement ablation (beyond the paper)"),
+    ("scale128", "Predicted scaling to 128 processors (future work)"),
+    ("table1", "PIC performance on 1 C90 processor"),
+    ("table2", "PPM performance"),
+]
+
+#: what a run of the discrete-event experiments must not import
+MODEL_SIDE = ("numpy", "repro.apps", "repro.perfmodel")
+
+
+def _fresh(code: str):
+    """Run ``code`` in a fresh interpreter; its last stdout line, as
+    JSON."""
+    code = f"import json, sys; sys.path.insert(0, {SRC!r})\n{code}"
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return json.loads(out.splitlines()[-1])
+
+
+def _loaded(modules, prefixes):
+    return sorted(name for name in modules
+                  if any(name == p or name.startswith(p + ".")
+                         for p in prefixes))
+
+
+def test_obs_import_loads_neither_numpy_nor_experiments():
+    """The observability layer stays importable without the experiment
+    table, whose application modules pull in NumPy."""
+    loaded = _fresh("import repro.obs; print(json.dumps(list(sys.modules)))")
+    assert _loaded(loaded, ("numpy", "repro.experiments")) == []
+
+
+def test_experiments_import_loads_no_experiment_module():
+    listing, loaded = _fresh(
+        "import repro.experiments as e\n"
+        "print(json.dumps([list(e.list_experiments().items()), "
+        "list(sys.modules)]))")
+    assert [tuple(row) for row in listing] == LISTING
+    assert _loaded(loaded, ("repro.experiments",)) == [
+        "repro.experiments", "repro.experiments.base"]
+    assert _loaded(loaded, MODEL_SIDE) == []
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "7"]])
+def test_des_run_imports_its_module_and_no_model(seed):
+    """``python -m repro fig2 --quick --no-cache`` imports fig2's module
+    and neither NumPy nor the application models."""
+    loaded = _fresh(
+        "import runpy\n"
+        f"sys.argv = ['repro', 'fig2', '--quick', '--no-cache', *{seed!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as stop:\n"
+        "    assert not stop.code, stop.code\n"
+        "print(json.dumps(list(sys.modules)))")
+    assert "repro.experiments.fig2_forkjoin" in loaded
+    assert _loaded(loaded, MODEL_SIDE) == []
+
+
+def test_planning_the_des_experiments_loads_no_numpy():
+    loaded = _fresh(
+        "from repro.core import spp1000\n"
+        "from repro.exec import plan_units\n"
+        "for exp in ('fig2', 'fig3', 'fig4', 'contention', 'degraded'):\n"
+        "    plan_units(exp, spp1000(), quick=True)\n"
+        "print(json.dumps(list(sys.modules)))")
+    assert "repro.experiments.degraded" in loaded
+    assert _loaded(loaded, MODEL_SIDE) == []
 
 
 def test_version_string():
