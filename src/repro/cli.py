@@ -39,7 +39,7 @@ import sys
 from typing import List, Optional
 
 from .core import spp1000
-from .experiments import list_experiments, resolve_experiment_id
+from .experiments import EXPERIMENTS, list_experiments, resolve_experiment_id
 from .obs.scopes import SCOPES
 
 
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="host-chaos plan JSON (see docs/robustness.md): "
              "deterministically kill workers, delay units, corrupt cache "
              "entries, and drop results to exercise the resilience "
-             "machinery; $REPRO_CHAOS sets a default")
+             "machinery")
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for the work units (default: 1, serial "
@@ -337,7 +337,7 @@ def _main(argv: List[str], command=None) -> int:
     if not ok:
         return 2
 
-    targets = (list(list_experiments()) if args.experiment == "all"
+    targets = (list(EXPERIMENTS) if args.experiment == "all"
                else [args.experiment])
     multi = len(targets) > 1
     profiling = [scope for scope in SCOPES.values()
@@ -457,20 +457,19 @@ def _load_faults(args, config):
 
 
 def _load_chaos(args):
-    """``(ok, plan)`` for ``--chaos``/``$REPRO_CHAOS`` (``(True, None)``
-    when no plan is requested); prints every validation problem."""
-    chaos_source = args.chaos or os.environ.get("REPRO_CHAOS") or None
-    if not chaos_source:
+    """``(ok, plan)`` for ``--chaos`` (``(True, None)`` when no plan is
+    requested); prints every validation problem."""
+    if not args.chaos:
         return True, None
     from .exec import ChaosPlanError, load_chaos_plan
 
     try:
-        return True, load_chaos_plan(chaos_source)
+        return True, load_chaos_plan(args.chaos)
     except OSError as exc:
         print(f"cannot read chaos plan: {exc}", file=sys.stderr)
         return False, None
     except ChaosPlanError as exc:
-        print(f"invalid chaos plan {chaos_source}:", file=sys.stderr)
+        print(f"invalid chaos plan {args.chaos}:", file=sys.stderr)
         for line in str(exc).splitlines():
             print(f"  {line}", file=sys.stderr)
         return False, None

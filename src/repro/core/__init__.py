@@ -2,7 +2,7 @@
 
 from .canon import canonical, canonical_json, config_dict, stable_hash
 from .config import MachineConfig, spp1000
-from .metrics import ScalingCurve, ScalingPoint, efficiency, mflops, speedup
+from .metrics import mflops
 from .stats import Measurement, corrected, summarize
 from .tables import Series, Table, render_series
 from . import units
@@ -10,7 +10,7 @@ from . import units
 __all__ = [
     "MachineConfig", "spp1000",
     "canonical", "canonical_json", "config_dict", "stable_hash",
-    "mflops", "speedup", "efficiency", "ScalingPoint", "ScalingCurve",
+    "mflops",
     "Measurement", "corrected", "summarize",
     "Table", "Series", "render_series",
     "units",

@@ -1,17 +1,14 @@
 """Performance metrics used throughout the evaluation.
 
-These mirror the quantities the paper reports: MFLOP/s, parallel speed-up
-relative to a one-processor run, and parallel efficiency.
+:func:`mflops` is the sustained rate the paper reports for every
+application.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 from .units import to_seconds
 
-__all__ = ["mflops", "speedup", "efficiency", "ScalingPoint", "ScalingCurve"]
+__all__ = ["mflops"]
 
 
 def mflops(flops: float, time_ns: float) -> float:
@@ -19,60 +16,3 @@ def mflops(flops: float, time_ns: float) -> float:
     if time_ns <= 0:
         raise ValueError("time must be positive")
     return flops / to_seconds(time_ns) / 1e6
-
-
-def speedup(t1_ns: float, tp_ns: float) -> float:
-    """Classic speed-up: one-processor time over p-processor time."""
-    if t1_ns <= 0 or tp_ns <= 0:
-        raise ValueError("times must be positive")
-    return t1_ns / tp_ns
-
-
-def efficiency(t1_ns: float, tp_ns: float, p: int) -> float:
-    """Parallel efficiency: speed-up divided by processor count."""
-    if p < 1:
-        raise ValueError("processor count must be >= 1")
-    return speedup(t1_ns, tp_ns) / p
-
-
-@dataclass(frozen=True)
-class ScalingPoint:
-    """One point of a scaling study: p processors -> time (and flops)."""
-
-    processors: int
-    time_ns: float
-    flops: float = 0.0
-
-    @property
-    def mflops(self) -> float:
-        return mflops(self.flops, self.time_ns) if self.flops else 0.0
-
-
-@dataclass(frozen=True)
-class ScalingCurve:
-    """A labelled series of :class:`ScalingPoint`, e.g. one line of Fig 6."""
-
-    label: str
-    points: tuple
-
-    def __init__(self, label: str, points: Sequence[ScalingPoint]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(
-            self, "points", tuple(sorted(points, key=lambda p: p.processors)))
-
-    def time_at(self, p: int) -> float:
-        for pt in self.points:
-            if pt.processors == p:
-                return pt.time_ns
-        raise KeyError(f"no point at p={p} in curve {self.label!r}")
-
-    def speedups(self, baseline_ns: float | None = None) -> list:
-        """Speed-ups vs the 1-processor point (or an explicit baseline)."""
-        if baseline_ns is None:
-            baseline_ns = self.time_at(1)
-        return [(pt.processors, speedup(baseline_ns, pt.time_ns))
-                for pt in self.points]
-
-    @property
-    def processors(self) -> list:
-        return [pt.processors for pt in self.points]

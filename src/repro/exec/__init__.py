@@ -29,13 +29,13 @@ that none of it changes results.
 journal and the cache, fan the rest out to the pool — storing each
 unit in the cache and the journal the moment it completes, so a killed
 or cancelled sweep keeps every unit it finished — then hand the
-experiment's ``run()`` a :class:`~repro.exec.units.PointStore` so it
-assembles its tables and series without re-simulating anything.
+experiment's ``run(values, config, quick)`` the value of every planned
+unit, from which it assembles its tables and series without simulating
+anything.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
 from typing import Dict, Optional
 
@@ -49,7 +49,6 @@ from .cache import (
     run_material,
 )
 from .chaos import (
-    CHAOS_ENV,
     WORKER_KINDS,
     ChaosPlan,
     ChaosPlanError,
@@ -74,24 +73,15 @@ from .resilience import (
     UnitExecutionError,
     UnitFailure,
 )
-from .units import (
-    PointStore,
-    WorkUnit,
-    plan_units,
-    register_units,
-    run_unit,
-    unit_experiments,
-)
+from .units import WorkUnit, plan_units, run_unit, unit_experiments
 
 __all__ = [
-    "WorkUnit", "register_units", "plan_units", "run_unit",
-    "unit_experiments", "PointStore",
+    "WorkUnit", "plan_units", "run_unit", "unit_experiments",
     "WorkerPool", "PoolStats", "ProgressStream",
     "ResultCache", "default_cache_root", "CACHE_SCHEMA", "CacheRootError",
     "ResiliencePolicy", "ResilienceStats", "UnitFailure",
     "UnitExecutionError",
     "ChaosPlan", "ChaosPlanError", "chaos_from_dict", "load_chaos_plan",
-    "CHAOS_ENV",
     "SweepJournal", "JournalError",
     "EVENT_SCHEMA", "EVENT_KINDS", "EventSchemaError", "make_event",
     "validate_event",
@@ -115,7 +105,6 @@ class ExecutionReport:
         self.cache_quarantined = 0   #: corrupt entries preserved this run
         self.computed = 0
         self.retried_in_process = 0
-        self.fallback_points = 0     #: run() points outside the plan
         self.wall_seconds = 0.0
         self.cache_root: Optional[str] = None
         #: host-time split of the fabric's own phases (seconds):
@@ -144,7 +133,6 @@ class ExecutionReport:
             "cache_hit_rate": self.cache_hit_rate,
             "computed": self.computed,
             "retried_in_process": self.retried_in_process,
-            "fallback_points": self.fallback_points,
             "wall_seconds": self.wall_seconds,
             "cache_root": self.cache_root,
             "host_timing": self.host_timing,
@@ -395,17 +383,8 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
             report.journal = journal.stats()
 
     t_phase = time.perf_counter()
-    store = PointStore(values)
-    fn = get_experiment(experiment_id)
-    accepted = inspect.signature(fn).parameters
-    kwargs = {"points": store}
-    if "config" in accepted:
-        kwargs["config"] = config
-    if quick and "quick" in accepted:
-        kwargs["quick"] = True
-    result = fn(**kwargs)
+    result = get_experiment(experiment_id)(values, config, quick=quick)
     timing["assemble_s"] = round(time.perf_counter() - t_phase, 6)
-    report.fallback_points = store.computed
     report.wall_seconds = time.perf_counter() - t0
     if progress is not None:
         progress.emit(stamp(make_event(

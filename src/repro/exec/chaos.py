@@ -46,8 +46,8 @@ fault plan, seed).
 
 Validation follows the :mod:`repro.faults.plan` conventions: strict,
 actionable, and exhaustive — every problem in the plan is reported,
-not just the first.  ``python -m repro <exp> --chaos PLAN.json`` or
-``REPRO_CHAOS=PLAN.json`` activates a plan.
+not just the first.  ``python -m repro <exp> --chaos PLAN.json``
+activates a plan.
 """
 
 from __future__ import annotations
@@ -58,10 +58,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 __all__ = ["ChaosFault", "ChaosPlan", "ChaosPlanError", "CHAOS_KINDS",
-           "CHAOS_ENV", "validate_chaos_dict", "chaos_from_dict",
+           "validate_chaos_dict", "chaos_from_dict",
            "load_chaos_plan", "corrupt_cache_entry"]
-
-CHAOS_ENV = "REPRO_CHAOS"
 
 #: kinds injected inside worker processes (resolved spec ships to workers)
 WORKER_KINDS = ("kill_worker", "delay_unit", "drop_return")

@@ -440,7 +440,6 @@ class WorkerPool:
         workers: Dict[int, object] = {}
         in_flight: Dict[int, Dict] = {}  # pid -> {key, attempt, start_t}
         pending = deque((u.key, 1, 0.0) for u in units)
-        sentinels_sent = 0
 
         def spawn(initial: bool = False) -> bool:
             if not initial:
@@ -607,8 +606,6 @@ class WorkerPool:
                     info = in_flight.pop(pid, None)
                     if proc.exitcode == _CHAOS_EXIT:
                         stats.resilience.count_chaos("kill_worker")
-                    if sentinels_sent and info is None:
-                        continue  # normal exit during shutdown
                     progressed = True
                     if info is not None:
                         fail_attempt(

@@ -8,9 +8,11 @@ time its experiment is planned, run or assembled.  Use
 (``python -m repro <id>``).
 
 To add an experiment, add one row to the table and a module here that
-defines ``run(config=None, ..., points=None)``, its work-unit planner
-``plan_units(config, quick=False)`` and the unit runner
-``_unit(params, config)`` (see :mod:`repro.exec.units`).
+defines its work-unit planner ``plan_units(config, quick=False)`` (the
+one place its sweep is named), the unit runner ``_unit(params, config)``
+and the assembly ``run(values, config, quick=False)``, which builds the
+:class:`ExperimentResult` from the value of every planned key and
+computes nothing (see :mod:`repro.exec.units`).
 """
 
 from .base import (

@@ -37,7 +37,7 @@ from ..perfmodel import (
     TeamSpec,
 )
 from ..runtime import Placement
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "plan_units", "measured_miss_latencies_us",
            "cache_residency_ratio", "os_interference_overhead"]
@@ -163,14 +163,9 @@ def plan_units(config, quick: bool = False):
             for key, params in _plan(config).items()]
 
 
-def run(config: Optional[MachineConfig] = None,
-        points=None) -> ExperimentResult:
-    """Regenerate the §6 observations."""
-    config = config or spp1000()
-    point = point_runner(points)
-    values = {key: point(key, lambda p=params: _unit(p, config))
-              for key, params in _plan(config).items()}
-
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
+    """Assemble the §6 observations from their planned units."""
     lat = values["latencies"]
     t_lat = Table("Measured access latencies (simulated machine)",
                   ["access", "microseconds"])

@@ -1,8 +1,12 @@
 """Experiment framework: structured results and the experiment table.
 
-Every table/figure of the paper has one module here exposing ``run()``;
-results carry both machine-readable data and renderable tables/series so
-``python -m repro fig4`` prints the same rows the paper plots.
+Every table/figure of the paper has one module here.  Its sweep is named
+once, by ``plan_units(config, quick=False)``; ``_unit(params, config)``
+computes one planned unit, and ``run(values, config, quick=False)``
+assembles the :class:`ExperimentResult` from ``values``, the value of
+every planned key.  Results carry both machine-readable data and
+renderable tables/series so ``python -m repro fig4`` prints the same
+rows the paper plots.
 
 :data:`EXPERIMENTS` names every experiment with its module and title.
 Listing, resolving and the CLI's help read only the table; a module is
@@ -21,21 +25,7 @@ from ..core.tables import Series, Table, render_series
 
 __all__ = ["EXPERIMENTS", "ExperimentResult", "register",
            "get_experiment", "experiment_module", "list_experiments",
-           "resolve_experiment_id", "run_experiment", "point_runner"]
-
-
-def point_runner(store):
-    """The per-point memoisation hook shared by every sweep experiment.
-
-    ``store`` is the :class:`~repro.exec.units.PointStore` the
-    execution fabric passes as ``run(points=...)``, or None for a fresh
-    empty one, and the returned ``point(key, fn)`` either serves the
-    stored value or computes ``fn()`` once and stores it.  So a direct
-    ``run()`` computes each key once, as the fabric does.
-    """
-    from ..exec.units import PointStore
-
-    return (store if store is not None else PointStore({})).point
+           "resolve_experiment_id", "run_experiment"]
 
 
 @dataclass
@@ -104,20 +94,32 @@ EXPERIMENTS: Dict[str, Tuple[str, str]] = {
     "table2": ("table2_ppm", "PPM performance"),
 }
 
-#: id -> (title, run) of the synthetic experiments :func:`register` adds
-_REGISTRY: Dict[str, Tuple[str, Callable[..., ExperimentResult]]] = {}
+
+@dataclass(frozen=True)
+class _Synthetic:
+    """A registered synthetic experiment: the three callables of a table
+    module, so it stands in for one."""
+
+    title: str
+    run: Callable[..., ExperimentResult]
+    plan_units: Callable
+    _unit: Callable
 
 
-def register(experiment_id: str, title: str):
-    """Decorator: register a synthetic ``run()`` (the test suite's
-    ``_``-prefixed experiments) under an id :data:`EXPERIMENTS` does
-    not name."""
-    def deco(fn: Callable[..., ExperimentResult]):
-        if experiment_id in EXPERIMENTS or experiment_id in _REGISTRY:
-            raise ValueError(f"duplicate experiment id {experiment_id!r}")
-        _REGISTRY[experiment_id] = (title, fn)
-        return fn
-    return deco
+#: id -> the synthetic experiments :func:`register` adds
+_REGISTRY: Dict[str, _Synthetic] = {}
+
+
+def register(experiment_id: str, title: str, *, run: Callable,
+             plan_units: Callable, unit: Callable) -> None:
+    """Register a synthetic experiment (the test suite's ``_``-prefixed
+    ones) under an id :data:`EXPERIMENTS` does not name: its assembly
+    ``run``, planner ``plan_units`` and unit runner ``unit``, the
+    callables a table module defines as ``run``, ``plan_units`` and
+    ``_unit``."""
+    if experiment_id in EXPERIMENTS or experiment_id in _REGISTRY:
+        raise ValueError(f"duplicate experiment id {experiment_id!r}")
+    _REGISTRY[experiment_id] = _Synthetic(title, run, plan_units, unit)
 
 
 def _unknown(name: str) -> KeyError:
@@ -126,7 +128,10 @@ def _unknown(name: str) -> KeyError:
 
 
 def experiment_module(experiment_id: str):
-    """The module of a table experiment, imported on first use."""
+    """The module of an experiment: a table experiment's, imported on
+    first use, or a synthetic registration."""
+    if experiment_id in _REGISTRY:
+        return _REGISTRY[experiment_id]
     try:
         stem, _title = EXPERIMENTS[experiment_id]
     except KeyError:
@@ -136,8 +141,6 @@ def experiment_module(experiment_id: str):
 
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
     """The experiment's ``run``, read from its module on every call."""
-    if experiment_id in _REGISTRY:
-        return _REGISTRY[experiment_id][1]
     return experiment_module(experiment_id).run
 
 
@@ -146,7 +149,8 @@ def list_experiments() -> Dict[str, str]:
     then any registered synthetic experiments."""
     return {**{exp_id: title for exp_id, (_stem, title)
                in EXPERIMENTS.items()},
-            **{exp_id: title for exp_id, (title, _fn) in _REGISTRY.items()}}
+            **{exp_id: synthetic.title
+               for exp_id, synthetic in _REGISTRY.items()}}
 
 
 def resolve_experiment_id(name: str) -> str:
@@ -164,5 +168,11 @@ def resolve_experiment_id(name: str) -> str:
     raise _unknown(name)
 
 
-def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
-    return get_experiment(experiment_id)(**kwargs)
+def run_experiment(experiment_id: str, config=None,
+                   quick: bool = False) -> ExperimentResult:
+    """Run one experiment serially, without a cache, on ``config``
+    (default: the paper's 2-hypernode machine)."""
+    from ..core import spp1000
+    from ..exec import execute
+
+    return execute(experiment_id, config or spp1000(), quick=quick)[0]

@@ -19,7 +19,7 @@ from ..exec.units import WorkUnit
 from ..machine import Machine
 from ..pvm import PvmSystem
 from ..runtime import Placement, Runtime
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "contended_round_trip_us", "plan_units"]
 
@@ -72,29 +72,23 @@ def _unit(params, config):
                                    config)
 
 
+def _pair_counts(config):
+    return [n for n in range(1, MAX_PAIRS + 1) if 2 * n <= config.n_cpus]
+
+
 def plan_units(config, quick: bool = False):
-    pairs = [n for n in range(1, MAX_PAIRS + 1)
-             if 2 * n <= config.n_cpus]
     return [WorkUnit("contention", f"{tag}:{n}",
                      {"n_pairs": n, "cross": cross})
             for cross, tag in ((False, "local"), (True, "cross"))
-            for n in pairs]
+            for n in _pair_counts(config)]
 
 
-def run(config: Optional[MachineConfig] = None,
-        max_pairs: int = MAX_PAIRS, points=None) -> ExperimentResult:
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
     """Per-pair round trip vs number of simultaneous pairs."""
-    config = config or spp1000()
-    point = point_runner(points)
-
-    pair_counts = list(range(1, max_pairs + 1))
-    local = [point(f"local:{n}",
-                   lambda n=n: _unit({"n_pairs": n, "cross": False}, config))
-             for n in pair_counts]
-    crossed = [point(f"cross:{n}",
-                     lambda n=n: _unit({"n_pairs": n, "cross": True},
-                                       config))
-               for n in pair_counts]
+    pair_counts = _pair_counts(config)
+    local = [values[f"local:{n}"] for n in pair_counts]
+    crossed = [values[f"cross:{n}"] for n in pair_counts]
     data: Dict = {
         "pairs": pair_counts,
         "local_us": local,
@@ -108,7 +102,7 @@ def run(config: Optional[MachineConfig] = None,
                 Series("across hypernodes", pair_counts, crossed)],
         series_axes=("pairs", "round-trip us"),
         data=data,
-        notes=(f"local degradation at {max_pairs} pairs: "
+        notes=(f"local degradation at {pair_counts[-1]} pairs: "
                f"{data['local_degradation']:.0%} (paper [24]: 'little "
                f"degradation'); cross-ring: {data['cross_degradation']:.0%}"),
     )

@@ -16,9 +16,9 @@ recorded in the result data (and therefore in the metrics manifest).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..core import MachineConfig, Series, Table, spp1000
+from ..core import MachineConfig, Series, Table
 from ..exec.units import WorkUnit
 from ..faults import (
     active_fault_plan,
@@ -27,7 +27,7 @@ from ..faults import (
     use_faults,
 )
 from ..runtime import Placement
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 from .fig3_barrier import barrier_metrics_us
 from .fig4_message import round_trip_us
 
@@ -59,8 +59,8 @@ def _unit(params, config):
 
     The scenario's fault plan travels inside ``params`` (as its dict
     form) so the unit is self-contained: ``use_faults`` is entered even
-    for the clean scenario, masking any ambient plan exactly as the
-    in-process ``run()`` does.
+    for the clean scenario, so an ambient ``--faults`` plan cannot leak
+    into the baseline.
     """
     plan = (plan_from_dict(params["plan"], config)
             if params["plan"] is not None else None)
@@ -93,16 +93,12 @@ def plan_units(config, quick: bool = False):
     return units
 
 
-def run(config: Optional[MachineConfig] = None, quick: bool = False,
-        points=None) -> ExperimentResult:
-    """Measure Fig. 3 barrier and Fig. 4 message curves per fault scenario."""
-    config = config or spp1000()
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
+    """Assemble the Fig. 3 barrier and Fig. 4 message curves per fault
+    scenario from their planned units."""
     thread_counts, sizes = _sweep_lists(config, quick)
-    rounds = 3 if quick else 8
-    repeats = 2 if quick else 4
-
     scenarios = _scenarios()
-    point = point_runner(points)
 
     series: List[Series] = []
     msg_table = Table(
@@ -112,18 +108,8 @@ def run(config: Optional[MachineConfig] = None, quick: bool = False,
     data: Dict = {"thread_counts": list(thread_counts),
                   "sizes": list(sizes), "scenarios": [], "fault_events": []}
     for label, plan in scenarios:
-        # ``use_faults(None)`` explicitly masks any ambient plan, so the
-        # baseline scenario stays clean even under a CLI-level --faults.
-        with use_faults(plan):
-            lilo = [point(f"{label}:barrier:{n}",
-                          lambda n=n: barrier_metrics_us(
-                              n, Placement.UNIFORM, config,
-                              rounds)["last_in_last_out"])
-                    for n in thread_counts]
-            rt = [point(f"{label}:message:{s}",
-                        lambda s=s: round_trip_us(
-                            s, Placement.UNIFORM, config, repeats))
-                  for s in sizes]
+        lilo = [values[f"{label}:barrier:{n}"] for n in thread_counts]
+        rt = [values[f"{label}:message:{s}"] for s in sizes]
         series.append(Series(f"barrier LILO, {label}",
                              list(thread_counts), lilo))
         msg_columns[label] = rt

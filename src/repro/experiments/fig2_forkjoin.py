@@ -11,14 +11,14 @@ time in microseconds.  Expected shape (paper §4.1):
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core import MachineConfig, Series, spp1000, summarize
 from ..core.units import to_us
 from ..exec.units import WorkUnit
 from ..machine import Machine
 from ..runtime import Placement, Runtime
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "forkjoin_time_us", "plan_units"]
 
@@ -65,30 +65,22 @@ def _unit(params, config):
                             params["repeats"])
 
 
-def _points(thread_counts, repeats):
-    return [(f"{tag}:{n}", {"placement": placement.value, "n_threads": n,
-                            "repeats": repeats})
-            for placement, tag in _PLACEMENTS for n in thread_counts]
+def _thread_counts(config):
+    return [n for n in THREAD_COUNTS if n <= config.n_cpus]
 
 
 def plan_units(config, quick: bool = False):
-    counts = [n for n in THREAD_COUNTS if n <= config.n_cpus]
-    return [WorkUnit("fig2", key, params)
-            for key, params in _points(counts, repeats=3)]
+    return [WorkUnit("fig2", f"{tag}:{n}",
+                     {"placement": placement.value, "n_threads": n,
+                      "repeats": 3})
+            for placement, tag in _PLACEMENTS
+            for n in _thread_counts(config)]
 
 
-def run(config: Optional[MachineConfig] = None,
-        thread_counts: Optional[Sequence[int]] = None,
-        repeats: int = 3, points=None) -> ExperimentResult:
-    """Regenerate Figure 2."""
-    config = config or spp1000()
-    if thread_counts is None:
-        thread_counts = THREAD_COUNTS
-    thread_counts = [n for n in thread_counts if n <= config.n_cpus]
-    point = point_runner(points)
-
-    values = {key: point(key, lambda p=params: _unit(p, config))
-              for key, params in _points(thread_counts, repeats)}
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
+    """Assemble Figure 2 from its planned units."""
+    thread_counts = _thread_counts(config)
     high = [values[f"high locality:{n}"] for n in thread_counts]
     uniform = [values[f"uniform:{n}"] for n in thread_counts]
 

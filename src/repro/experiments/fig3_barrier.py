@@ -14,14 +14,14 @@ Both are measured under high-locality and uniform placement.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..core import MachineConfig, Series, corrected, spp1000
 from ..core.units import to_us
 from ..exec.units import WorkUnit
 from ..machine import Machine
 from ..runtime import Barrier, Placement, Runtime
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "barrier_metrics_us", "plan_units"]
 
@@ -75,40 +75,28 @@ def _unit(params, config):
                               params["rounds"])
 
 
-def _points(thread_counts, rounds):
-    return [(f"{tag}:{n}", {"placement": placement.value, "n_threads": n,
-                            "rounds": rounds})
-            for placement, tag in _PLACEMENTS for n in thread_counts]
+def _thread_counts(config):
+    return [n for n in THREAD_COUNTS if n <= config.n_cpus]
 
 
 def plan_units(config, quick: bool = False):
-    counts = [n for n in THREAD_COUNTS if n <= config.n_cpus]
-    return [WorkUnit("fig3", key, params)
-            for key, params in _points(counts, rounds=12)]
+    return [WorkUnit("fig3", f"{tag}:{n}",
+                     {"placement": placement.value, "n_threads": n,
+                      "rounds": 12})
+            for placement, tag in _PLACEMENTS
+            for n in _thread_counts(config)]
 
 
-def run(config: Optional[MachineConfig] = None,
-        thread_counts: Optional[Sequence[int]] = None,
-        rounds: int = 12, points=None) -> ExperimentResult:
-    """Regenerate Figure 3."""
-    config = config or spp1000()
-    if thread_counts is None:
-        thread_counts = THREAD_COUNTS
-    thread_counts = [n for n in thread_counts if n <= config.n_cpus]
-    point = point_runner(points)
-
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
+    """Assemble Figure 3 from its planned units."""
+    thread_counts = _thread_counts(config)
     data: Dict[str, list] = {"thread_counts": list(thread_counts)}
     series = []
-    for placement, tag in _PLACEMENTS:
-        lifo, lilo = [], []
-        for n in thread_counts:
-            metrics = point(
-                f"{tag}:{n}",
-                lambda n=n, p=placement: _unit(
-                    {"placement": p.value, "n_threads": n,
-                     "rounds": rounds}, config))
-            lifo.append(metrics["last_in_first_out"])
-            lilo.append(metrics["last_in_last_out"])
+    for _placement, tag in _PLACEMENTS:
+        metrics = [values[f"{tag}:{n}"] for n in thread_counts]
+        lifo = [m["last_in_first_out"] for m in metrics]
+        lilo = [m["last_in_last_out"] for m in metrics]
         series.append(Series(f"LIFO {tag}", list(thread_counts), lifo))
         series.append(Series(f"LILO {tag}", list(thread_counts), lilo))
         data[f"lifo_{tag.replace(' ', '_')}_us"] = lifo

@@ -9,7 +9,7 @@ below 8 KB, with a substantial super-linear rise beyond (page effects).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core import MachineConfig, Series, spp1000
 from ..core.units import to_us
@@ -17,7 +17,7 @@ from ..exec.units import WorkUnit
 from ..machine import Machine
 from ..pvm import PvmSystem
 from ..runtime import Placement, Runtime
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "round_trip_us", "plan_units"]
 
@@ -60,44 +60,32 @@ def _unit(params, config):
                          config, params["repeats"])
 
 
-def _points(sizes, repeats):
-    return [(f"{tag}:{s}", {"placement": placement.value, "nbytes": s,
-                            "repeats": repeats})
-            for placement, tag in _PLACEMENTS for s in sizes]
-
-
 def plan_units(config, quick: bool = False):
-    return [WorkUnit("fig4", key, params)
-            for key, params in _points(SIZES, repeats=4)]
+    return [WorkUnit("fig4", f"{tag}:{s}",
+                     {"placement": placement.value, "nbytes": s,
+                      "repeats": 4})
+            for placement, tag in _PLACEMENTS for s in SIZES]
 
 
-def run(config: Optional[MachineConfig] = None,
-        sizes: Optional[Sequence[int]] = None,
-        repeats: int = 4, points=None) -> ExperimentResult:
-    """Regenerate Figure 4."""
-    config = config or spp1000()
-    if sizes is None:
-        sizes = SIZES
-    point = point_runner(points)
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
+    """Assemble Figure 4 from its planned units."""
+    local = [values[f"local:{s}"] for s in SIZES]
+    globl = [values[f"global:{s}"] for s in SIZES]
 
-    values = {key: point(key, lambda p=params: _unit(p, config))
-              for key, params in _points(sizes, repeats)}
-    local = [values[f"local:{s}"] for s in sizes]
-    globl = [values[f"global:{s}"] for s in sizes]
-
-    small = [i for i, s in enumerate(sizes) if s <= 8192]
-    ratio = (sum(globl[i] for i in small) / sum(local[i] for i in small)
-             if small else float("nan"))
+    small = [i for i, s in enumerate(SIZES) if s <= 8192]
+    ratio = (sum(globl[i] for i in small)
+             / sum(local[i] for i in small))
 
     return ExperimentResult(
         "fig4", "Round-trip message passing time (us) vs message size",
         series=[
-            Series("local (one hypernode)", list(sizes), local),
-            Series("global (two hypernodes)", list(sizes), globl),
+            Series("local (one hypernode)", list(SIZES), local),
+            Series("global (two hypernodes)", list(SIZES), globl),
         ],
         series_axes=("bytes", "round-trip us"),
         data={
-            "sizes": list(sizes),
+            "sizes": list(SIZES),
             "local_us": local,
             "global_us": globl,
             "small_message_global_local_ratio": ratio,

@@ -10,14 +10,13 @@ line sits between the single-processor and full-machine times.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from ..apps.pic import PICWorkload, large_problem, small_problem
-from ..core import MachineConfig, Series, spp1000
+from ..core import MachineConfig, Series
 from ..core.units import to_seconds
 from ..exec.units import WorkUnit
-from ..perfmodel.sweep import scaling_study
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "plan_units"]
 
@@ -37,8 +36,12 @@ def _unit(params, config):
     return [result.time_ns, result.flops]
 
 
+def _processor_counts(config):
+    return [p for p in PROCESSOR_COUNTS if p <= config.n_cpus]
+
+
 def plan_units(config, quick: bool = False):
-    counts = [p for p in PROCESSOR_COUNTS if p <= config.n_cpus]
+    counts = _processor_counts(config)
     units = []
     for label in _PROBLEMS:
         for style in ("shared", "pvm"):
@@ -51,35 +54,26 @@ def plan_units(config, quick: bool = False):
     return units
 
 
-def run(config: Optional[MachineConfig] = None,
-        processor_counts: Optional[Sequence[int]] = None,
-        points=None) -> ExperimentResult:
-    """Regenerate Figure 6."""
-    config = config or spp1000()
-    if processor_counts is None:
-        processor_counts = PROCESSOR_COUNTS
-    processor_counts = [p for p in processor_counts if p <= config.n_cpus]
-    point = point_runner(points)
-
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
+    """Assemble Figure 6 from its planned units."""
+    processor_counts = _processor_counts(config)
     series = []
     data: Dict = {"processors": list(processor_counts)}
-    for problem in (small_problem(), large_problem()):
-        workload = PICWorkload(problem, config)
-        shared = scaling_study(workload.run_shared, processor_counts,
-                               label=f"shared:{problem.label}", point=point)
-        pvm = scaling_study(workload.run_pvm, processor_counts,
-                            label=f"pvm:{problem.label}", point=point)
-        shared_t = [to_seconds(shared.time_at(p)) for p in processor_counts]
-        pvm_t = [to_seconds(pvm.time_at(p)) for p in processor_counts]
-        c90_t = to_seconds(point(f"c90:{problem.label}", workload.run_c90))
-        series.append(Series(f"shared {problem.label}",
+    for label in _PROBLEMS:
+        shared_t = [to_seconds(values[f"shared:{label}:{p}"][0])
+                    for p in processor_counts]
+        pvm_t = [to_seconds(values[f"pvm:{label}:{p}"][0])
+                 for p in processor_counts]
+        c90_t = to_seconds(values[f"c90:{label}"])
+        series.append(Series(f"shared {label}",
                              list(processor_counts), shared_t))
-        series.append(Series(f"pvm {problem.label}",
+        series.append(Series(f"pvm {label}",
                              list(processor_counts), pvm_t))
-        series.append(Series(f"C90 {problem.label}",
+        series.append(Series(f"C90 {label}",
                              list(processor_counts),
                              [c90_t] * len(processor_counts)))
-        data[problem.label] = {
+        data[label] = {
             "shared_seconds": shared_t,
             "pvm_seconds": pvm_t,
             "c90_seconds": c90_t,

@@ -10,7 +10,7 @@ reproduce.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from ..apps.fem import (
     FEMWorkload,
@@ -18,11 +18,11 @@ from ..apps.fem import (
     small1_problem,
     small2_problem,
 )
-from ..core import MachineConfig, Series, spp1000
+from ..core import MachineConfig, Series
+from ..core.metrics import mflops
 from ..core.units import to_seconds
 from ..exec.units import WorkUnit
-from ..perfmodel.sweep import scaling_study
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "plan_units"]
 
@@ -42,8 +42,12 @@ def _unit(params, config):
     return [result.time_ns, result.flops]
 
 
+def _processor_counts(config):
+    return [p for p in PROCESSOR_COUNTS if p <= config.n_cpus]
+
+
 def plan_units(config, quick: bool = False):
-    counts = [p for p in PROCESSOR_COUNTS if p <= config.n_cpus]
+    counts = _processor_counts(config)
     units = []
     for name in _PROBLEMS:
         units.extend(WorkUnit("fig7", f"fem:{name}:{p}",
@@ -54,31 +58,20 @@ def plan_units(config, quick: bool = False):
     return units
 
 
-def run(config: Optional[MachineConfig] = None,
-        processor_counts: Optional[Sequence[int]] = None,
-        points=None) -> ExperimentResult:
-    """Regenerate Figure 7."""
-    config = config or spp1000()
-    if processor_counts is None:
-        processor_counts = PROCESSOR_COUNTS
-    processor_counts = [p for p in processor_counts if p <= config.n_cpus]
-    point = point_runner(points)
-
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
+    """Assemble Figure 7 from its planned units."""
+    processor_counts = _processor_counts(config)
     series = []
     data: Dict = {"processors": list(processor_counts)}
-    c90_rate = None
-    for name, factory in _PROBLEMS.items():
-        problem = factory()
-        workload = FEMWorkload(problem, config)
-        curve = scaling_study(workload.run, processor_counts,
-                              label=f"fem:{name}", point=point)
-        rates = [pt.mflops for pt in curve.points]
-        series.append(Series(problem.label, list(processor_counts), rates))
-        data[problem.label] = {"mflops": rates}
-        if c90_rate is None:
-            c90_rate = point(
-                "c90", lambda: _unit({"problem": "small1", "style": "c90"},
-                                     config))
+    for name in _PROBLEMS:
+        rates = []
+        for p in processor_counts:
+            time_ns, flops = values[f"fem:{name}:{p}"]
+            rates.append(mflops(flops, time_ns) if flops else 0.0)
+        series.append(Series(name, list(processor_counts), rates))
+        data[name] = {"mflops": rates}
+    c90_rate = values["c90"]
     series.append(Series("C90 (1 head)", list(processor_counts),
                          [c90_rate] * len(processor_counts)))
     data["c90_mflops"] = c90_rate

@@ -15,7 +15,7 @@ or degradation.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..apps.nbody import (
     NBodyWorkload,
@@ -23,12 +23,12 @@ from ..apps.nbody import (
     problem_32k,
     problem_256k,
 )
-from ..core import MachineConfig, Series, spp1000
+from ..core import MachineConfig, Series
 from ..core.metrics import mflops
 from ..core.units import to_seconds
 from ..exec.units import WorkUnit
 from ..runtime import Placement
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "plan_units"]
 
@@ -74,35 +74,28 @@ def plan_units(config, quick: bool = False):
     return units
 
 
-def run(config: Optional[MachineConfig] = None,
-        include_2m: bool = True, points=None) -> ExperimentResult:
-    """Regenerate Figure 8."""
-    config = config or spp1000()
-    point = point_runner(points)
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
+    """Assemble Figure 8 from its planned units."""
     two_hypernodes = _two_hypernodes(config)
 
     series = []
     data: Dict = {}
     for name, factory in _PROBLEMS.items():
-        if name == "2m" and not include_2m:
-            continue
-        problem = factory()
+        label = factory().label
 
         def shared(placement, p, name=name):
-            return point(f"{name}:{placement}:{p}",
-                         lambda: _unit({"problem": name,
-                                        "placement": placement, "p": p},
-                                       config))
+            return values[f"{name}:{placement}:{p}"]
 
         base_t, base_f = shared("high", 1)
         one_node = [base_t / shared("high", p)[0] for p in ONE_NODE_COUNTS]
-        series.append(Series(f"{problem.label} 1-hypernode",
+        series.append(Series(f"{label} 1-hypernode",
                              ONE_NODE_COUNTS, one_node))
         two_node = mflops_16 = degradation = None
         if two_hypernodes:
             two_node = [base_t / shared("uniform", p)[0]
                         for p in TWO_NODE_COUNTS]
-            series.append(Series(f"{problem.label} 2-hypernodes",
+            series.append(Series(f"{label} 2-hypernodes",
                                  TWO_NODE_COUNTS, two_node))
             t16, f16 = shared("uniform", 16)
             mflops_16 = mflops(f16, t16) if f16 else 0.0
@@ -117,13 +110,10 @@ def run(config: Optional[MachineConfig] = None,
             "single_cpu_mflops": mflops(base_f, base_t) if base_f else 0.0,
             "mflops_16": mflops_16,
             "degradation": degradation,
-            "c90_mflops": point(f"{name}:c90",
-                                lambda n=name: _unit(
-                                    {"problem": n, "style": "c90"},
-                                    config)),
+            "c90_mflops": values[f"{name}:c90"],
         }
-        data[problem.label] = {key: value for key, value in row.items()
-                               if value is not None}
+        data[label] = {key: value for key, value in row.items()
+                       if value is not None}
 
     return ExperimentResult(
         "fig8", "N-body parallel speed-up vs processors",

@@ -11,13 +11,13 @@ have hurt).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..apps.fem import FEMWorkload, large_problem
-from ..core import MachineConfig, Series, Table, spp1000
+from ..core import MachineConfig, Series, Table
 from ..exec.units import WorkUnit
 from ..runtime import Placement
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "plan_units"]
 
@@ -43,12 +43,9 @@ def plan_units(config, quick: bool = False):
             for p in _processor_counts(config)]
 
 
-def run(config: Optional[MachineConfig] = None,
-        points=None) -> ExperimentResult:
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
     """FEM large under far-shared / near-shared / block-shared placement."""
-    config = config or spp1000()
-    point = point_runner(points)
-
     counts = _processor_counts(config)
     series = []
     data: Dict = {"processors": counts}
@@ -56,10 +53,7 @@ def run(config: Optional[MachineConfig] = None,
         "FEM large: useful MFLOP/s by data placement",
         ["placement"] + [f"{p} CPUs" for p in counts])
     for placement in FEMWorkload.PLACEMENTS:
-        rates = [point(f"{placement}:{p}",
-                       lambda pl=placement, p=p: _unit(
-                           {"placement": pl, "p": p}, config))
-                 for p in counts]
+        rates = [values[f"{placement}:{p}"] for p in counts]
         series.append(Series(placement, counts, rates))
         table.add_row(placement, *[f"{r:.0f}" for r in rates])
         data[placement] = rates

@@ -16,7 +16,7 @@ walks, and the machine-full OS interference applies at every size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..apps.fem import FEMWorkload
 from ..apps.fem import large_problem as fem_large
@@ -27,7 +27,7 @@ from ..apps.ppm import PPMProblem, PPMWorkload
 from ..core import MachineConfig, Series, Table, spp1000
 from ..exec.units import WorkUnit
 from ..runtime import Placement
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "HYPERNODE_COUNTS", "plan_units"]
 
@@ -74,20 +74,11 @@ def plan_units(config, quick: bool = False):
     return units
 
 
-def run(config: Optional[MachineConfig] = None,
-        points=None) -> ExperimentResult:
-    """Extrapolate every application to the 16-hypernode machine.
-
-    ``points`` (the execution fabric's
-    :class:`~repro.exec.units.PointStore`) serves every sweep point the
-    fabric already computed, from workers, the cache or a journal.
-    """
-    del config  # machine size is the swept variable here
-    point = point_runner(points)
-
-    baselines = {name: point(f"baseline:{name}",
-                             lambda name=name: _time_ns(name, 1, 1))
-                 for name in _APPS}
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
+    """Assemble the extrapolation of every application to the
+    16-hypernode machine from its planned units."""
+    baselines = {name: values[f"baseline:{name}"] for name in _APPS}
 
     series: List[Series] = []
     data: Dict = {"cpus": []}
@@ -97,10 +88,7 @@ def run(config: Optional[MachineConfig] = None,
         n_cpus = spp1000(n_hypernodes=hns).n_cpus
         cpus_axis.append(n_cpus)
         for name in _APPS:
-            time_ns = point(
-                f"{name}:{hns}",
-                lambda name=name, hns=hns, n=n_cpus: _time_ns(name, hns, n))
-            per_app[name].append(baselines[name] / time_ns)
+            per_app[name].append(baselines[name] / values[f"{name}:{hns}"])
     data["cpus"] = cpus_axis
 
     table = Table("Predicted speed-up (vs 1 CPU) at full machine sizes",

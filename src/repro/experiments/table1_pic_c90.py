@@ -14,14 +14,12 @@ MFLOP/s — the architecture statement — is the comparable quantity.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..apps.pic import PICWorkload, large_problem, small_problem
-from ..core import MachineConfig, Table, spp1000
+from ..core import MachineConfig, Table
 from ..core.units import to_seconds
 from ..exec.units import WorkUnit
 from ..perfmodel import C90Model
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "plan_units"]
 
@@ -51,18 +49,15 @@ def plan_units(config, quick: bool = False):
             for label in _PROBLEMS]
 
 
-def run(config: Optional[MachineConfig] = None,
-        points=None) -> ExperimentResult:
-    """Regenerate Table 1."""
-    config = config or spp1000()
-    point = point_runner(points)
-
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
+    """Assemble Table 1 from its planned units."""
     table = Table(
         "Table 1: PIC on one C90 head (paper values in parentheses)",
         ["Mesh", "Particles", "Mflop/s", "Total CPU time (s)"])
     data = {}
     for label in _PROBLEMS:
-        row = point(label, lambda l=label: _unit({"problem": l}, config))
+        row = values[label]
         paper = PAPER_ROWS[label]
         table.add_row(
             label,

@@ -21,12 +21,10 @@ processor count.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..apps.ppm import PPMProblem, PPMWorkload
-from ..core import MachineConfig, Table, spp1000
+from ..core import MachineConfig, Table
 from ..exec.units import WorkUnit
-from .base import ExperimentResult, point_runner
+from .base import ExperimentResult
 
 __all__ = ["run", "PAPER_ROWS", "plan_units"]
 
@@ -62,19 +60,14 @@ def plan_units(config, quick: bool = False):
             for (nx, ny), (tx, ty), procs, _ in PAPER_ROWS]
 
 
-def run(config: Optional[MachineConfig] = None,
-        points=None) -> ExperimentResult:
-    """Regenerate Table 2."""
-    config = config or spp1000()
-    point = point_runner(points)
-
+def run(values, config: MachineConfig,
+        quick: bool = False) -> ExperimentResult:
+    """Assemble Table 2 from its planned units."""
     table = Table("Table 2: PPM performance (paper values in parentheses)",
                   ["Grid Size", "No. of Tiles", "No. of Procs", "Mflop/s"])
     rows = []
     for (nx, ny), (tx, ty), procs, paper_mflops in PAPER_ROWS:
-        rate = point(_key(nx, ny, tx, ty, procs),
-                     lambda p={"nx": nx, "ny": ny, "tx": tx, "ty": ty,
-                               "procs": procs}: _unit(p, config))
+        rate = values[_key(nx, ny, tx, ty, procs)]
         table.add_row(f"{nx}x{ny}", f"{tx}x{ty}", procs,
                       f"{rate:.1f} ({paper_mflops})")
         rows.append({

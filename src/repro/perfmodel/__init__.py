@@ -15,12 +15,10 @@ from .c90 import C90Model, C90Profile
 from .comm import barrier_ns, pvm_oneway_ns, remote_miss_cycles
 from .model import PerformanceModel, RunResult
 from .phase import Access, LocalityMix, Msg, Phase, StepWork, TeamSpec
-from .sweep import efficiency_table, scaling_study
 
 __all__ = [
     "Phase", "StepWork", "LocalityMix", "Msg", "Access", "TeamSpec",
     "PerformanceModel", "RunResult",
     "barrier_ns", "pvm_oneway_ns", "remote_miss_cycles",
     "C90Model", "C90Profile",
-    "scaling_study", "efficiency_table",
 ]

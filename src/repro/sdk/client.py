@@ -258,7 +258,7 @@ class Client:
         welcome = self._read_message()
         if welcome["kind"] == "error":
             raise _error_from(welcome)
-        #: the server's experiment catalog (id -> title/units)
+        #: the server's experiment catalog (id -> {"title": ...})
         self.experiments = welcome["experiments"]
         self.server = welcome["server"]
 

@@ -28,8 +28,7 @@ Server -> client:
 
 ``welcome``      ``{"kind", "protocol", "server", "experiments"}`` —
                  ``experiments`` maps each experiment id to its
-                 ``{"title", "units"}`` (units planned at the default
-                 machine)
+                 ``{"title"}``
 ``accepted``     ``{"kind", "job", "tag"?, "experiment", "priority",
                  "queued", "trace"?}`` — ``trace`` echoes the job's
                  trace/job IDs (server-minted when the submit had none)

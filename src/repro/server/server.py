@@ -61,7 +61,6 @@ from ..exec import (
     code_fingerprint,
     default_cache_root,
     execute,
-    plan_units,
 )
 from ..experiments import list_experiments
 from ..obs.scopes import SCOPES
@@ -285,7 +284,6 @@ class ReproServer:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._seq = 0
-        self._catalog: Optional[Dict[str, Dict]] = None
         self._started_t = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------
@@ -342,14 +340,10 @@ class ReproServer:
     # -- the catalog ---------------------------------------------------
 
     def catalog(self) -> Dict[str, Dict]:
-        """Experiment catalog: each id's title and unit count."""
-        if self._catalog is None:
-            config = spp1000()
-            self._catalog = {
-                exp_id: {"title": title,
-                         "units": len(plan_units(exp_id, config))}
+        """Experiment catalog: each listed id's title.  Listing imports
+        no experiment module, so a handshake stays cheap."""
+        return {exp_id: {"title": title}
                 for exp_id, title in list_experiments().items()}
-        return self._catalog
 
     # -- connection handling -------------------------------------------
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ScalingCurve, ScalingPoint, efficiency, mflops, speedup
+from repro.core import mflops
 from repro.core.units import seconds
 
 
@@ -14,34 +14,3 @@ def test_mflops():
 def test_mflops_rejects_nonpositive_time():
     with pytest.raises(ValueError):
         mflops(1e6, 0.0)
-
-
-def test_speedup_and_efficiency():
-    assert speedup(100.0, 25.0) == 4.0
-    assert efficiency(100.0, 25.0, 8) == 0.5
-    with pytest.raises(ValueError):
-        speedup(0.0, 1.0)
-    with pytest.raises(ValueError):
-        efficiency(1.0, 1.0, 0)
-
-
-def test_scaling_point_mflops():
-    pt = ScalingPoint(processors=4, time_ns=seconds(2.0), flops=8e8)
-    assert pt.mflops == pytest.approx(400.0)
-    assert ScalingPoint(1, 100.0).mflops == 0.0
-
-
-def test_scaling_curve_sorts_and_queries():
-    curve = ScalingCurve("shared", [
-        ScalingPoint(4, 25.0), ScalingPoint(1, 100.0), ScalingPoint(2, 50.0),
-    ])
-    assert curve.processors == [1, 2, 4]
-    assert curve.time_at(2) == 50.0
-    with pytest.raises(KeyError):
-        curve.time_at(8)
-
-
-def test_scaling_curve_speedups():
-    curve = ScalingCurve("x", [ScalingPoint(1, 100.0), ScalingPoint(4, 25.0)])
-    assert curve.speedups() == [(1, 1.0), (4, 4.0)]
-    assert curve.speedups(baseline_ns=200.0) == [(1, 2.0), (4, 8.0)]

@@ -15,7 +15,8 @@ from repro.exec.chaos import (
 )
 from repro.exec.pool import PoolStats, WorkerPool
 from repro.exec.resilience import ResiliencePolicy
-from repro.exec.units import WorkUnit, register_units
+from repro.exec.units import WorkUnit
+from repro.experiments.base import ExperimentResult, register
 
 # -- synthetic experiment (module-level so workers can resolve it) ----------
 
@@ -29,7 +30,13 @@ def _run_victim(params, config):
     return {"i": params["i"], "sq": params["i"] ** 2}
 
 
-register_units("_chaos_victim", _plan_victim, _run_victim)
+def _assemble_victim(values, config, quick=False):
+    return ExperimentResult("_chaos_victim", "synthetic chaos victim",
+                            data=dict(values))
+
+
+register("_chaos_victim", "synthetic chaos victim", run=_assemble_victim,
+         plan_units=_plan_victim, unit=_run_victim)
 
 
 # -- validation: every problem reported, faults/plan.py style ---------------

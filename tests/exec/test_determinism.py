@@ -47,7 +47,6 @@ def test_jobs4_is_bit_identical_to_serial(exp_id):
     assert canonical_json(result.data) == expected
     assert json.dumps(result.data) == serial_dumps(exp_id)
     assert report.units_planned == serial_report.units_planned
-    assert report.fallback_points == serial_report.fallback_points
 
 
 @pytest.mark.parametrize("exp_id", unit_experiments())

@@ -14,7 +14,8 @@ from repro.exec.journal import (
     journal_record,
 )
 from repro.exec.pool import WorkerPool
-from repro.exec.units import WorkUnit, register_units
+from repro.exec.units import WorkUnit
+from repro.experiments.base import ExperimentResult, register
 
 
 def _plan_journal(config, quick=False):
@@ -25,7 +26,13 @@ def _run_journal(params, config):
     return {"sq": params["i"] ** 2}
 
 
-register_units("_journal_sq", _plan_journal, _run_journal)
+def _assemble_journal(values, config, quick=False):
+    return ExperimentResult("_journal_sq", "synthetic journal squares",
+                            data=dict(values))
+
+
+register("_journal_sq", "synthetic journal squares", run=_assemble_journal,
+         plan_units=_plan_journal, unit=_run_journal)
 
 
 def test_journal_roundtrip(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core import spp1000
 from repro.exec.pool import PoolStats, WorkerPool
-from repro.exec.units import WorkUnit, register_units
+from repro.exec.units import WorkUnit
+from repro.experiments.base import ExperimentResult, register
 
 # -- synthetic experiments registered for pool testing ----------------------
 # Runners must be module-level so worker processes can resolve them.
@@ -44,9 +45,17 @@ def _run_faulty(params, config):
     return None if plan is None else plan.to_dict()["events"]
 
 
-register_units("_pool_square", _plan_square, _run_square)
-register_units("_pool_crashy", _plan_crashy, _run_crashy)
-register_units("_pool_faulty", _plan_faulty, _run_faulty)
+def _assemble(values, config, quick=False):
+    return ExperimentResult("_pool", "synthetic pool sweep",
+                            data=dict(values))
+
+
+register("_pool_square", "synthetic squares", run=_assemble,
+         plan_units=_plan_square, unit=_run_square)
+register("_pool_crashy", "synthetic worker crash", run=_assemble,
+         plan_units=_plan_crashy, unit=_run_crashy)
+register("_pool_faulty", "synthetic fault-plan probe", run=_assemble,
+         plan_units=_plan_faulty, unit=_run_faulty)
 
 
 def test_serial_pool_runs_in_plan_order():

@@ -15,7 +15,8 @@ from repro.exec.resilience import (
     UnitExecutionError,
     UnitFailure,
 )
-from repro.exec.units import WorkUnit, register_units
+from repro.exec.units import WorkUnit
+from repro.experiments.base import ExperimentResult, register
 
 # -- synthetic experiments (module-level so workers can resolve them) -------
 
@@ -58,9 +59,17 @@ def _run_flaky(params, config):
     return params["i"]
 
 
-register_units("_resil_poison", _plan_poison, _run_poison)
-register_units("_resil_hang", _plan_hang, _run_hang)
-register_units("_resil_flaky", _plan_flaky, _run_flaky)
+def _assemble(values, config, quick=False):
+    return ExperimentResult("_resil", "synthetic resilience sweep",
+                            data=dict(values))
+
+
+register("_resil_poison", "synthetic poison unit", run=_assemble,
+         plan_units=_plan_poison, unit=_run_poison)
+register("_resil_hang", "synthetic hung worker", run=_assemble,
+         plan_units=_plan_hang, unit=_run_hang)
+register("_resil_flaky", "synthetic transient failure", run=_assemble,
+         plan_units=_plan_flaky, unit=_run_flaky)
 
 
 # -- policy ------------------------------------------------------------------

@@ -1,17 +1,11 @@
-"""Tests for work-unit planning and the PointStore protocol."""
+"""Tests for work-unit planning and for assembly from planned units."""
 
 import pytest
 
 from repro.core import spp1000
-from repro.exec.units import (
-    PointStore,
-    WorkUnit,
-    plan_units,
-    register_units,
-    run_unit,
-    unit_experiments,
-)
-from repro.experiments import list_experiments
+from repro.exec.pool import WorkerPool
+from repro.exec.units import WorkUnit, plan_units, run_unit, unit_experiments
+from repro.experiments import get_experiment, list_experiments
 
 
 def test_every_registered_experiment_plans_unique_keys():
@@ -60,17 +54,27 @@ def test_run_unit_computes_point():
     assert isinstance(value, float) and value > 0
 
 
-def test_register_units_rejects_duplicates():
-    with pytest.raises(ValueError):
-        register_units("fig3", lambda config, quick=False: [],
-                       lambda params, config: None)
+class _RecordingValues(dict):
+    """Planned unit values that record every key read from them."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
-def test_point_store_serves_and_falls_back():
-    store = PointStore({"a": 1})
-    assert store.point("a", lambda: 99) == 1
-    assert store.point("b", lambda: 2) == 2
-    assert store.hits == 1
-    assert store.computed == 1
-    # the fallback value is memoised for subsequent lookups
-    assert store.point("b", lambda: 3) == 2
+@pytest.mark.parametrize(
+    "exp_id, hypernodes, quick",
+    [(exp_id, hypernodes, True) for exp_id in unit_experiments()
+     for hypernodes in (1, 2)] + [("degraded", 2, False)])
+def test_assembly_reads_exactly_the_planned_keys(exp_id, hypernodes, quick):
+    """A planned unit that assembly never reads is wasted compute, and a
+    key it reads that the plan lacks is a KeyError."""
+    config = spp1000(n_hypernodes=hypernodes)
+    units = plan_units(exp_id, config, quick=quick)
+    values = _RecordingValues(WorkerPool(1).map_units(units, config))
+    get_experiment(exp_id)(values, config, quick=quick)
+    assert values.read == {unit.key for unit in units}

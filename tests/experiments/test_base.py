@@ -28,9 +28,9 @@ def test_get_unknown_experiment_raises_with_listing():
 
 def test_duplicate_registration_rejected():
     with pytest.raises(ValueError):
-        @register("fig2", "dup")
-        def run():  # pragma: no cover
-            pass
+        register("fig2", "dup", run=lambda values, config, quick=False: None,
+                 plan_units=lambda config, quick=False: [],
+                 unit=lambda params, config: None)
 
 
 def test_result_render_includes_everything():

@@ -7,8 +7,7 @@ from repro.experiments import run_experiment
 
 @pytest.fixture(scope="module")
 def fig2():
-    return run_experiment("fig2", thread_counts=[2, 4, 6, 8, 10, 12, 16],
-                          repeats=2)
+    return run_experiment("fig2")
 
 
 def test_result_has_both_placements(fig2):

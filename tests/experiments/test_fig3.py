@@ -7,8 +7,7 @@ from repro.experiments import run_experiment
 
 @pytest.fixture(scope="module")
 def fig3():
-    return run_experiment("fig3", thread_counts=[2, 4, 8, 10, 12, 16],
-                          rounds=8)
+    return run_experiment("fig3")
 
 
 def series_map(fig3):

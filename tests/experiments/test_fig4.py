@@ -7,8 +7,7 @@ from repro.experiments import run_experiment
 
 @pytest.fixture(scope="module")
 def fig4():
-    return run_experiment(
-        "fig4", sizes=[64, 1024, 4096, 8192, 16384, 65536], repeats=3)
+    return run_experiment("fig4")
 
 
 def curves(fig4):

@@ -76,9 +76,9 @@ def test_fidelity_covers_the_fig2_to_fig8_suite():
 def test_reproduction_is_within_tolerance(fig):
     """The live simulator's curves must sit inside every golden
     tolerance."""
-    from repro.experiments import get_experiment
+    from repro.experiments import run_experiment
 
-    result = get_experiment(fig)(spp1000())
+    result = run_experiment(fig, spp1000())
     fid = fidelity_residuals(fig, result.data)
     assert fid is not None, f"{fig}: no anchor computed"
     assert len(fid["metrics"]) == len(GOLDEN_ANCHORS[fig])
@@ -104,7 +104,7 @@ def test_reproduction_anchors_are_pinned_exactly():
 
 
 def test_fig6_anchors_skip_a_machine_below_16_cpus():
-    from repro.experiments import get_experiment
+    from repro.experiments import run_experiment
 
-    result = get_experiment("fig6")(spp1000(n_hypernodes=1))
+    result = run_experiment("fig6", spp1000(n_hypernodes=1))
     assert fidelity_residuals("fig6", result.data) is None

@@ -46,14 +46,14 @@ def test_span_summary_sums_counters_and_breakdown():
 def test_experiment_manifest_end_to_end():
     tracer = Tracer(enabled=True)
     with use_tracer(tracer):
-        result = run_experiment("fig3", config=CFG,
-                                thread_counts=[2, 4], rounds=2)
+        result = run_experiment("fig3", config=CFG)
     manifest = result.manifest(config=CFG, tracer=tracer)
     # must be pure-JSON serializable
     round_trip = json.loads(json.dumps(manifest))
     assert round_trip["experiment"]["id"] == "fig3"
     assert round_trip["machine"]["n_cpus"] == 16
-    assert round_trip["headline"]["thread_counts"] == [2, 4]
+    assert round_trip["headline"]["thread_counts"] == [
+        2, 4, 6, 8, 10, 12, 14, 16]
     # per-phase counter deltas: the fork_join span saw protocol events
     fork = round_trip["phases"]["fork_join"]
     assert fork["count"] > 0

@@ -1,81 +1,13 @@
-"""Tests for the scaling-study helpers."""
-
-import pytest
+"""Processor-count sweeps of the performance model."""
 
 from repro.apps.ppm import PPMWorkload, TABLE2_PROBLEMS
 from repro.core import spp1000
-from repro.perfmodel import RunResult, efficiency_table, scaling_study
-
-
-def fake_run(p):
-    # perfectly scalable 1e9-flop workload
-    return RunResult(time_ns=1e9 / p, flops=1e9, n_threads=p)
-
-
-def test_scaling_study_builds_curve():
-    curve = scaling_study(fake_run, [1, 2, 4], label="fake")
-    assert curve.label == "fake"
-    assert curve.processors == [1, 2, 4]
-    assert curve.time_at(4) == pytest.approx(2.5e8)
-
-
-def test_scaling_study_rejects_empty():
-    with pytest.raises(ValueError):
-        scaling_study(fake_run, [])
-
-
-def test_efficiency_table_ideal_case():
-    curve = scaling_study(fake_run, [1, 2, 8])
-    rows = efficiency_table(curve)
-    for p, speedup, eff in rows:
-        assert speedup == pytest.approx(p)
-        assert eff == pytest.approx(1.0)
-
-
-def test_efficiency_table_zero_baseline_names_curve():
-    curve = scaling_study(
-        lambda p: RunResult(time_ns=0.0, flops=1e9, n_threads=p),
-        [1, 2], label="degenerate")
-    with pytest.raises(ValueError) as exc:
-        efficiency_table(curve)
-    assert "degenerate" in str(exc.value)
-    assert "p=1" in str(exc.value)
-
-
-def test_efficiency_table_zero_point_names_processor_count():
-    curve = scaling_study(
-        lambda p: RunResult(time_ns=0.0 if p == 4 else 1e9 / p,
-                            flops=1e9, n_threads=p),
-        [1, 2, 4], label="spiky")
-    with pytest.raises(ValueError) as exc:
-        efficiency_table(curve)
-    assert "spiky" in str(exc.value)
-    assert "p=4" in str(exc.value)
-
-
-def test_scaling_study_point_hook_memoises():
-    seen = {}
-
-    def point(key, fn):
-        if key not in seen:
-            seen[key] = fn()
-        return seen[key]
-
-    curve = scaling_study(fake_run, [1, 2, 4], label="fake", point=point)
-    assert set(seen) == {"fake:1", "fake:2", "fake:4"}
-    # a second sweep through the same hook computes nothing new
-    calls = []
-    scaling_study(lambda p: calls.append(p) or fake_run(p),
-                  [1, 2, 4], label="fake", point=point)
-    assert calls == []
-    assert curve.time_at(4) == pytest.approx(2.5e8)
 
 
 def test_efficiency_table_on_real_workload():
     workload = PPMWorkload(TABLE2_PROBLEMS["120x480 / 4x16"], spp1000())
-    curve = scaling_study(workload.run, [1, 2, 4, 8], label="ppm")
-    rows = efficiency_table(curve)
-    effs = [eff for _p, _s, eff in rows]
-    assert effs[0] == pytest.approx(1.0)
+    t1 = workload.run(1).time_ns
+    effs = [t1 / workload.run(p).time_ns / p for p in (1, 2, 4, 8)]
+    assert effs[0] == 1.0
     assert all(e > 0.85 for e in effs)      # Table 2's near-linear scaling
     assert effs == sorted(effs, reverse=True)

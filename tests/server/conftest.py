@@ -3,17 +3,16 @@
 The synthetic experiments are registered at module level (module-level
 functions so ``--jobs N`` workers could resolve them) under ``_``
 prefixes; ``unit_experiments()`` lists only the experiment table, so
-they stay out of it.  Each one is
-registered BOTH as a unit planner (``register_units``) and as an
-experiment (``@register``) because the fabric's assemble step looks the
-experiment up by id.
+they stay out of it.  Each one registers, in one ``register`` call, the
+three callables a table module defines: its planner, its unit runner
+and its assembly, which reads the planned values by key.
 """
 
 import time
 
 import pytest
 
-from repro.exec.units import WorkUnit, register_units
+from repro.exec.units import WorkUnit
 from repro.experiments.base import ExperimentResult, register
 from repro.server import ServerThread
 
@@ -32,10 +31,8 @@ def _run_fast(params, config):
     return {"i": i, "value": i * i + 7 * i + config.n_hypernodes}
 
 
-def _assemble_fast(config=None, quick=False, points=None):
-    vals = [points.point(f"f:{i}",
-                             lambda i=i: _run_fast({"i": i}, config))
-            for i in range(FAST_N[quick])]
+def _assemble_fast(values, config, quick=False):
+    vals = [values[f"f:{i}"] for i in range(FAST_N[quick])]
     return ExperimentResult(experiment_id="_srv_fast",
                             title="synthetic fast sweep",
                             data={"vals": vals})
@@ -56,10 +53,8 @@ def _run_slow(params, config):
     return {"i": params["i"]}
 
 
-def _assemble_slow(config=None, quick=False, points=None):
-    vals = [points.point(f"s:{i}",
-                             lambda i=i: _run_slow({"i": i}, config))
-            for i in range(SLOW_N)]
+def _assemble_slow(values, config, quick=False):
+    vals = [values[f"s:{i}"] for i in range(SLOW_N)]
     return ExperimentResult(experiment_id="_srv_slow",
                             title="synthetic slow sweep",
                             data={"vals": vals})
@@ -79,10 +74,8 @@ def _run_many(params, config):
     return params["i"]
 
 
-def _assemble_many(config=None, quick=False, points=None):
-    vals = [points.point(f"m:{i}",
-                             lambda i=i: _run_many({"i": i}, config))
-            for i in range(MANY_N)]
+def _assemble_many(values, config, quick=False):
+    vals = [values[f"m:{i}"] for i in range(MANY_N)]
     return ExperimentResult(experiment_id="_srv_many",
                             title="synthetic many-unit sweep",
                             data={"total": sum(vals)})
@@ -100,22 +93,21 @@ def _run_stamp(params, config):
     return {"ran_at": time.monotonic()}
 
 
-def _assemble_stamp(config=None, quick=False, points=None):
-    val = points.point("t:0", lambda: _run_stamp({"i": 0}, config))
+def _assemble_stamp(values, config, quick=False):
     return ExperimentResult(experiment_id="_srv_stamp",
                             title="synthetic run-order stamp",
-                            data=val)
+                            data=values["t:0"])
 
 
 def _register_all():
-    register_units("_srv_fast", _plan_fast, _run_fast)
-    register("_srv_fast", "synthetic fast sweep")(_assemble_fast)
-    register_units("_srv_slow", _plan_slow, _run_slow)
-    register("_srv_slow", "synthetic slow sweep")(_assemble_slow)
-    register_units("_srv_many", _plan_many, _run_many)
-    register("_srv_many", "synthetic many-unit sweep")(_assemble_many)
-    register_units("_srv_stamp", _plan_stamp, _run_stamp)
-    register("_srv_stamp", "synthetic run-order stamp")(_assemble_stamp)
+    register("_srv_fast", "synthetic fast sweep", run=_assemble_fast,
+             plan_units=_plan_fast, unit=_run_fast)
+    register("_srv_slow", "synthetic slow sweep", run=_assemble_slow,
+             plan_units=_plan_slow, unit=_run_slow)
+    register("_srv_many", "synthetic many-unit sweep", run=_assemble_many,
+             plan_units=_plan_many, unit=_run_many)
+    register("_srv_stamp", "synthetic run-order stamp",
+             run=_assemble_stamp, plan_units=_plan_stamp, unit=_run_stamp)
 
 
 try:

@@ -92,8 +92,7 @@ def test_event_stream_matches_progress_schema(server):
     assert kinds[0] == "start"
     assert kinds[-1] == "done"
     assert kinds.count("unit") + result.execution["cache_hits"] >= 6
-    assert client.list()["_srv_fast"] == {
-        "title": "synthetic fast sweep", "units": 12}
+    assert client.list()["_srv_fast"] == {"title": "synthetic fast sweep"}
     assert client.ping() is None
     client.close()
 

@@ -179,8 +179,9 @@ def test_handshake_and_catalog(server):
     assert welcome["kind"] == "welcome"
     assert welcome["protocol"] == PROTOCOL_VERSION
     assert welcome["experiments"]["fig3"] == {
-        "title": "Cost of barrier synchronisation", "units": 16}
-    assert welcome["experiments"]["ablations"]["units"] == 6
+        "title": "Cost of barrier synchronisation"}
+    assert welcome["experiments"]["_srv_fast"] == {
+        "title": "synthetic fast sweep"}
     sock.close()
 
 

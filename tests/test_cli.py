@@ -236,7 +236,7 @@ def test_cache_stats_report_fields_are_pinned(tmp_path):
     assert set(d) == {
         "experiment_id", "jobs", "units_planned",
         "cache_hits", "cache_misses", "cache_stores", "cache_hit_rate",
-        "computed", "retried_in_process", "fallback_points",
+        "computed", "retried_in_process",
         "wall_seconds", "cache_root", "host_timing", "unit_timings",
     }
     assert d["experiment_id"] == "table1"
@@ -298,14 +298,6 @@ def test_invalid_chaos_plan_lists_problems(tmp_path, capsys):
     assert "'explode'" in err
     assert "bogus" in err
     assert "neither" in err
-
-
-def test_chaos_env_var_activates_plan(tmp_path, capsys, monkeypatch):
-    plan = tmp_path / "bad.json"
-    plan.write_text('{"faults": [{"kind": "explode", "unit": 0}]}')
-    monkeypatch.setenv("REPRO_CHAOS", str(plan))
-    assert main(["fig3", "--quick"]) == 2
-    assert "invalid chaos plan" in capsys.readouterr().err
 
 
 def test_journal_run_then_resume_replays(tmp_path, capsys):
