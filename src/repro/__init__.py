@@ -5,9 +5,10 @@ The package provides, from the bottom up:
 * :mod:`repro.sim` — a discrete-event simulation kernel;
 * :mod:`repro.machine` — the SPP-1000 architecture model (caches,
   two-level directory/SCI coherence, crossbars, rings, memory classes);
-* :mod:`repro.runtime` — the CPSlib-style thread runtime (fork-join,
-  barriers, semaphores) running on the simulated machine;
-* :mod:`repro.pvm` — the ConvexPVM-style message-passing layer;
+* :mod:`repro.runtime` — the CPSlib-style thread runtime (fork-join and
+  the semaphore + spin barrier) running on the simulated machine;
+* :mod:`repro.pvm` — the ConvexPVM-style message-passing layer (send and
+  receive through shared buffers);
 * :mod:`repro.perfmodel` — phase-level application performance model and
   the Cray C90 reference;
 * :mod:`repro.apps` — the paper's four applications (PIC, FEM, N-body

@@ -251,7 +251,7 @@ def load_chaos_plan(path: str) -> ChaosPlan:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ChaosPlanError(f"{path} is not valid JSON: {exc}") from exc
     return chaos_from_dict(data)
 

@@ -14,8 +14,8 @@ the simulated machine:
   category cycles sum *exactly* to the thread's total simulated cycles);
 * cross-thread dependencies are recorded as a graph: fork edges
   (parent → child at spawn time), and wait-resolution edges (the store /
-  fetch&add that released a spinning waiter — barrier releases, lock
-  hand-offs, PVM mail-flag notifies);
+  fetch&add that released a spinning waiter — barrier releases,
+  fork-join joins, PVM mail-flag notifies);
 * the **critical path** is extracted by walking that graph backwards from
   the last-finishing thread, attributing each span of the path to its
   category — the decomposition Coz-style causal profilers use;
@@ -516,8 +516,7 @@ _TRACE_SPAN_CATS = {"fork_join": "forkjoin", "pvm.send": "msg_send",
 
 #: instant names that mark synchronisation activity in a saved trace
 _TRACE_MARKERS = ("barrier.arrive", "barrier.open", "barrier.release",
-                  "lock.acquire", "lock.release", "thread.spawn",
-                  "pvm.post", "pvm.retry")
+                  "thread.spawn", "pvm.post", "pvm.retry")
 
 
 def critscope_from_trace(events: List[Dict]) -> Dict:
@@ -548,8 +547,7 @@ def critscope_from_trace(events: List[Dict]) -> Dict:
             span_us[name] = span_us.get(name, 0.0) \
                 + float(ev.get("dur", 0.0))
             span_count[name] = span_count.get(name, 0) + 1
-        elif ph in ("i", "I") and (name in _TRACE_MARKERS
-                                   or name.startswith("pvm.collective.")):
+        elif ph in ("i", "I") and name in _TRACE_MARKERS:
             markers[name] = markers.get(name, 0) + 1
     categories_us = {}
     for name, us in span_us.items():

@@ -23,9 +23,6 @@ _MARKERS = {
     "barrier.release": "^",
     "pvm.post": "*",
     "thread.spawn": ">",
-    "thread.spawn_async": ">",
-    "lock.acquire": "!",
-    "lock.release": "'",
 }
 _DEFAULT_MARKER = "."
 

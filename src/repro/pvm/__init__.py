@@ -3,26 +3,17 @@
 Public surface:
 
 * :class:`PvmSystem` — task registry, buffer pool, ``run_tasks`` driver
-* :class:`PvmTask` — per-task ``send`` / ``recv`` / ``probe``
+* :class:`PvmTask` — per-task ``send`` / ``recv``
 * :data:`ANY_SOURCE`, :data:`ANY_TAG` — receive wildcards
 * :class:`BufferPool`, :class:`Message` — internals, exposed for tests
 """
 
 from .buffers import BufferLease, BufferPool
-from .collectives import (
-    pvm_allreduce,
-    pvm_barrier,
-    pvm_bcast,
-    pvm_gather,
-    pvm_reduce,
-)
 from .message import ANY_SOURCE, ANY_TAG, Message, matches
-from .system import PvmSystem, PvmTask, Request, TaskFailedError
+from .system import PvmSystem, PvmTask, TaskFailedError
 
 __all__ = [
-    "PvmSystem", "PvmTask", "Request", "TaskFailedError",
+    "PvmSystem", "PvmTask", "TaskFailedError",
     "ANY_SOURCE", "ANY_TAG",
     "Message", "matches", "BufferPool", "BufferLease",
-    "pvm_barrier", "pvm_bcast", "pvm_reduce", "pvm_allreduce",
-    "pvm_gather",
 ]

@@ -25,52 +25,12 @@ from ..runtime.runtime import _host_region
 from .buffers import BufferPool
 from .message import ANY_SOURCE, ANY_TAG, Message, matches
 
-__all__ = ["PvmTask", "PvmSystem", "Request", "TaskFailedError"]
+__all__ = ["PvmTask", "PvmSystem", "TaskFailedError"]
 
 
 class TaskFailedError(RuntimeError):
     """A send could not be completed: the peer is unreachable, or every
     retransmission attempt was exhausted under message loss."""
-
-
-class Request:
-    """Handle for a nonblocking receive (ConvexPVM's ``nrecv`` style).
-
-    ``test()`` polls without blocking; ``wait()`` is a generator that
-    blocks the task until the message is in and returns the payload.
-    """
-
-    def __init__(self, task: "PvmTask", source: int, tag: int):
-        self.task = task
-        self.source = source
-        self.tag = tag
-        self._msg = None
-        self._unpacked = False
-
-    def test(self) -> bool:
-        """True once a matching message has arrived (claims it)."""
-        if self._msg is not None:
-            return True
-        self._msg = self.task._take(self.source, self.tag)
-        return self._msg is not None
-
-    def wait(self):
-        """Generator: block until complete; returns the payload.
-
-        The unpack (buffer access) cost is charged here, once.
-        """
-        env = self.task.env
-        if self._msg is None:
-            yield env.spin(self.task._mail_flag, lambda _v: self.test(),
-                           info=f"pvm irecv by task {self.task.tid} "
-                                f"(source {self.source}, tag {self.tag})",
-                           cat="msg_recv")
-        if not self._unpacked:
-            yield env.read_block(self._msg.buffer_addr, self._msg.nbytes,
-                                 cat="msg_recv")
-            self.task.received_messages += 1
-            self._unpacked = True
-        return self._msg.payload
 
 
 class PvmTask:
@@ -262,19 +222,6 @@ class PvmTask:
                        args={"source": msg.src, "nbytes": msg.nbytes})
         return msg.payload
 
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking: is a matching message waiting?"""
-        return self._peek(source, tag) is not None
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-              ) -> "Request":
-        """Nonblocking receive: returns a :class:`Request` immediately.
-
-        Drive completion with ``request.test()`` (poll) or
-        ``yield from request.wait()`` (block).
-        """
-        return Request(self, source, tag)
-
     def _peek(self, source: int, tag: int) -> Optional[Message]:
         for msg in self.mailbox:
             if matches(msg, source, tag):
@@ -304,10 +251,6 @@ class PvmSystem:
         except KeyError:
             raise KeyError(f"no PVM task with tid {tid}") from None
 
-    @property
-    def n_tasks(self) -> int:
-        return len(self._tasks)
-
     def run_tasks(self, n_tasks: int, body: Callable,
                   placement: Placement = Placement.HIGH_LOCALITY):
         """Run ``body(task, tid)`` on ``n_tasks`` tasks; returns results.
@@ -317,11 +260,6 @@ class PvmSystem:
         tid order.
         """
         self._tasks.clear()
-
-        def thread_body(env: ThreadEnv, tid: int):
-            task = self._tasks[tid]
-            result = yield from body(task, tid)
-            return result
 
         def main(env: ThreadEnv):
             # Pre-register tasks so early senders can address late starters.

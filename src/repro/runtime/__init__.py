@@ -6,23 +6,13 @@ Public surface:
 * :class:`ThreadEnv` — a thread's bound handle on the machine
 * :class:`Placement`, :func:`assign` — high-locality / uniform placement
 * :class:`Barrier` — the §4.2 semaphore+spin barrier
-* :class:`CountingSemaphore`, :class:`CriticalSection`, :class:`Gate`
 """
 
 from .barrier import Barrier
-from .parallel import (
-    LoopSchedule,
-    iteration_slices,
-    parallel_for,
-    parallel_reduce,
-)
-from .runtime import AsyncThread, Runtime, ThreadEnv
+from .runtime import Runtime, ThreadEnv
 from .scheduler import Placement, assign, hypernodes_used
-from .sync import CountingSemaphore, CriticalSection, Gate
 
 __all__ = [
-    "Runtime", "ThreadEnv", "AsyncThread", "Placement", "assign",
-    "hypernodes_used",
-    "Barrier", "CountingSemaphore", "CriticalSection", "Gate",
-    "LoopSchedule", "iteration_slices", "parallel_for", "parallel_reduce",
+    "Runtime", "ThreadEnv", "Placement", "assign", "hypernodes_used",
+    "Barrier",
 ]

@@ -19,7 +19,7 @@ from ..machine import Machine, MemClass
 from ..machine.address import Region
 from .scheduler import Placement, assign, hypernodes_used, team_geometry
 
-__all__ = ["ThreadEnv", "Runtime", "AsyncThread"]
+__all__ = ["ThreadEnv", "Runtime"]
 
 _NULL_CTX = nullcontext()
 
@@ -32,36 +32,6 @@ def _host_region(sim, name: str):
     if hs is None:
         return _NULL_CTX
     return hs.region(name)
-
-
-class AsyncThread:
-    """Handle on an asynchronous thread (paper §3.2).
-
-    The child runs independently of its parent; any thread may
-    ``yield from handle.join(env)`` to wait for its result.
-    """
-
-    def __init__(self, runtime: "Runtime", tid: int, cpu: int,
-                 done_flag: int):
-        self.runtime = runtime
-        self.tid = tid
-        self.cpu = cpu
-        self._done_flag = done_flag
-        self.result = None
-
-    @property
-    def finished(self) -> bool:
-        return self.runtime.machine.peek(self._done_flag) == 1
-
-    def join(self, env: "ThreadEnv"):
-        """Generator: wait for the child; returns its result."""
-        cfg = self.runtime.config
-        if not self.finished:
-            yield env.spin(self._done_flag, lambda v: v == 1,
-                           info=f"join of async thread {self.tid}",
-                           cat="forkjoin")
-        yield env.compute(cfg.join_per_thread_cycles, cat="forkjoin")
-        return self.result
 
 
 class ThreadEnv:
@@ -203,15 +173,6 @@ class ThreadEnv:
         """
         return self.runtime._fork_join(self, n_threads, body, placement)
 
-    def spawn_async(self, body, cpu: Optional[int] = None):
-        """Generator: spawn an *asynchronous* thread (§3.2).
-
-        The parent pays the spawn cost, then continues without waiting;
-        the returned :class:`AsyncThread` handle joins later with
-        ``result = yield from handle.join(env)``.
-        """
-        return self.runtime._spawn_async(self, body, cpu)
-
 
 class Runtime:
     """Owns thread bookkeeping and the per-hypernode sync-word pools."""
@@ -228,8 +189,6 @@ class Runtime:
         #: hypernodes this "process" has already spun kernel structures up
         #: on; the first fork that touches a new one pays cross-node setup.
         self._touched_hypernodes = {0}
-        #: round-robin cursor for asynchronous thread placement
-        self._async_next_cpu = 1
 
     # -- synchronisation words ---------------------------------------------
     def alloc_sync_word(self, home_hypernode: int = 0, initial=0) -> int:
@@ -334,54 +293,6 @@ class Runtime:
             tracer.end(self.sim.now, "fork_join", "runtime",
                        pid=parent.hypernode, tid=parent.cpu)
         return results
-
-    # -- asynchronous threads ------------------------------------------------
-    def _spawn_async(self, parent: ThreadEnv, body, cpu: Optional[int]):
-        cfg = self.config
-        machine = self.machine
-        if cpu is None:
-            cpu = self._async_next_cpu % cfg.n_cpus
-            self._async_next_cpu += 1
-        elif not 0 <= cpu < cfg.n_cpus:
-            raise ValueError(f"cpu {cpu} out of range")
-        child_hn = machine.topology.hypernode_of(cpu)
-        if child_hn not in self._touched_hypernodes:
-            self._touched_hypernodes.add(child_hn)
-            yield parent.compute(cfg.cross_node_setup_cycles,
-                                 cat="forkjoin")
-        spawn_cycles = cfg.spawn_local_cycles
-        if child_hn != parent.hypernode:
-            spawn_cycles += cfg.spawn_remote_extra_cycles
-        yield parent.compute(spawn_cycles, cat="forkjoin")
-        with _host_region(self.sim, "sched"):
-            desc = self.alloc_sync_word(child_hn)
-        yield parent.store(desc, 1, cat="forkjoin")
-        with _host_region(self.sim, "sched"):
-            done_flag = self.alloc_sync_word(child_hn)
-            child_env = ThreadEnv(self, self._next_tid, cpu)
-            self._next_tid += 1
-            handle = AsyncThread(self, child_env.tid, cpu, done_flag)
-            cr = machine.critscope
-            if cr is not None:
-                cr.thread_begin(child_env.tid, cpu, child_hn, self.sim.now,
-                                parent=parent.tid)
-            tracer = machine.tracer
-            if tracer.enabled:
-                tracer.instant(self.sim.now, "thread.spawn_async",
-                               "runtime", pid=child_hn, tid=cpu,
-                               args={"tid": handle.tid})
-
-        def child():
-            yield child_env.load(desc, cat="forkjoin")
-            result = yield from body(child_env, child_env.tid)
-            handle.result = result
-            yield child_env.store(done_flag, 1, cat="forkjoin")
-            if cr is not None:
-                cr.thread_end(child_env.tid, self.sim.now)
-
-        with _host_region(self.sim, "sched"):
-            self.sim.process(child(), region="app")
-        return handle
 
     def _child(self, env: ThreadEnv, body, tid_in_team: int, desc: int,
                join_count: int, done_flag: int, n_threads: int,

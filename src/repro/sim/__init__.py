@@ -3,27 +3,21 @@
 Public surface:
 
 * :class:`Simulator` — the event loop (time in nanoseconds)
-* :class:`Event`, :class:`Timeout`, :class:`Condition` — awaitables
+* :class:`Event`, :class:`Timeout` — awaitables
 * :class:`Process` — generator-based simulated activities
-* :class:`Resource`, :class:`Store`, :class:`PriorityStore` — sim-time
-  coordination objects used inside the machine model
+* :class:`Resource` — a sim-time counted resource used inside the
+  machine model
 * :class:`Tracer` — trace/counter collection
 """
 
-from .engine import Condition, Event, Simulator, Timeout
-from .errors import (
-    DeadlockError,
-    EventAlreadyTriggered,
-    Interrupt,
-    SimulationError,
-)
+from .engine import Event, Simulator, Timeout
+from .errors import DeadlockError, EventAlreadyTriggered, SimulationError
 from .process import Process
-from .resources import PriorityStore, Resource, Store
+from .resources import Resource
 from .trace import TraceEvent, TraceRecord, Tracer, active_tracer, use_tracer
 
 __all__ = [
-    "Simulator", "Event", "Timeout", "Condition", "Process",
-    "Resource", "Store", "PriorityStore", "Tracer", "TraceRecord",
-    "TraceEvent", "active_tracer", "use_tracer",
-    "SimulationError", "Interrupt", "DeadlockError", "EventAlreadyTriggered",
+    "Simulator", "Event", "Timeout", "Process", "Resource", "Tracer",
+    "TraceRecord", "TraceEvent", "active_tracer", "use_tracer",
+    "SimulationError", "DeadlockError", "EventAlreadyTriggered",
 ]

@@ -1,8 +1,8 @@
 """Discrete-event simulation kernel.
 
 The kernel is a classic event-heap simulator in the style of SimPy, reduced
-to exactly what the SPP-1000 machine model needs: events, timeouts,
-generator-based processes, and condition events (``all_of`` / ``any_of``).
+to exactly what the SPP-1000 machine model needs: events, timeouts and
+generator-based processes.
 
 Simulated time is a ``float`` measured in **nanoseconds** throughout this
 project (the SPP-1000 has a 10 ns clock, so one CPU cycle = 10.0).
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Generator, Iterable, Optional
+from typing import Callable, Generator, Optional
 
 from .errors import (
     DeadlockError,
@@ -33,7 +33,7 @@ from .errors import (
     SimulationError,
 )
 
-__all__ = ["Event", "Timeout", "Condition", "Simulator"]
+__all__ = ["Event", "Timeout", "Simulator"]
 
 _UNSET = object()
 
@@ -139,47 +139,6 @@ class Timeout(Event):
             sim.hostscope.note_push(len(queue))
 
 
-class Condition(Event):
-    """An event that triggers when a predicate over child events holds.
-
-    Used through :meth:`Simulator.all_of` / :meth:`Simulator.any_of`.  The
-    value of a condition is a dict mapping each *triggered* child event to
-    its value.
-    """
-
-    __slots__ = ("_events", "_need", "_count")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], need: int):
-        super().__init__(sim)
-        self._events = tuple(events)
-        for ev in self._events:
-            if ev.sim is not sim:
-                raise SimulationError("condition mixes events from simulators")
-        self._need = min(need, len(self._events))
-        self._count = 0
-        if not self._events or self._need <= 0:
-            self.succeed({})
-            return
-        for ev in self._events:
-            if ev.processed:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defused = True  # suppress "unhandled failure" semantics
-            self.fail(event.value)
-            return
-        self._count += 1
-        if self._count >= self._need:
-            self.succeed(
-                {ev: ev.value for ev in self._events if ev.triggered and ev.ok}
-            )
-
-
 class Simulator:
     """The event loop: an event heap ordered by (time, sequence)."""
 
@@ -231,15 +190,6 @@ class Simulator:
     def timeout(self, delay: float, value=None) -> Timeout:
         """Create an event that fires ``delay`` ns from now."""
         return Timeout(self, delay, value)
-
-    def all_of(self, events: Iterable[Event]) -> Condition:
-        """An event that fires once *all* ``events`` have succeeded."""
-        events = tuple(events)
-        return Condition(self, events, need=len(events))
-
-    def any_of(self, events: Iterable[Event]) -> Condition:
-        """An event that fires once *any one* of ``events`` has succeeded."""
-        return Condition(self, tuple(events), need=1)
 
     def process(self, generator: Generator, region: "str | None" = None):
         """Start a new :class:`~repro.sim.process.Process` from a generator.

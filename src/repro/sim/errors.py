@@ -11,22 +11,6 @@ class EventAlreadyTriggered(SimulationError):
     """An event was succeeded or failed more than once."""
 
 
-class Interrupt(SimulationError):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.process.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class StopSimulation(SimulationError):
-    """Internal signal used by :meth:`Simulator.run` to halt the event loop."""
-
-
 class DeadlockError(SimulationError):
     """``run()`` was asked to reach a condition but the event queue drained.
 

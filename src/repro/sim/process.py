@@ -48,11 +48,10 @@ and that event is not the target of ``run(until=...)``; the delay ends
 strictly before the earliest queued event (a tie goes to the older
 entry); and it does not end past a ``run(until=<time>)`` horizon.  The
 process then advances the clock itself and keeps running.  Otherwise
-it queues a real timeout, which :meth:`Process.interrupt` can cut
-short.  Inline wakes and delays are not dispatches: they are missing
-from the ``sim.dispatch`` trace count and hostscope's event and push
-counts, while hostscope's simulated time still counts every inline
-delay.
+it queues a real timeout.  Inline wakes and delays are not
+dispatches: they are missing from the ``sim.dispatch`` trace count
+and hostscope's event and push counts, while hostscope's simulated
+time still counts every inline delay.
 
 Two loops apply this one rule.  :meth:`Process._resume` reads
 ``sim.hostscope`` once per call; without a profiler it runs a loop
@@ -68,7 +67,7 @@ from types import GeneratorType
 from typing import Generator
 
 from .engine import Event, Simulator, Timeout
-from .errors import Interrupt, SimulationError
+from .errors import SimulationError
 
 __all__ = ["Process"]
 
@@ -76,7 +75,7 @@ __all__ = ["Process"]
 class Process(Event):
     """A running simulated activity; also an event for its completion."""
 
-    __slots__ = ("_generator", "_stack", "_target", "name", "region")
+    __slots__ = ("_generator", "_stack", "name", "region")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = "",
                  region: "str | None" = None):
@@ -97,8 +96,6 @@ class Process(Event):
         self.region = region or "app"
         if sim.hostscope is not None:
             sim.hostscope.processes += 1
-        #: the event this process is currently waiting on (None when ready)
-        self._target: Event | None = None
         # Kick-start at the current instant.
         start = Event(sim)
         start.callbacks.append(self._resume)
@@ -119,27 +116,6 @@ class Process(Event):
         self.sim.alive_processes -= 1
         return result
 
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The process must currently be waiting on an event; the event itself
-        stays pending (the process simply stops waiting for it).  Inside a
-        sub-operation the interrupt is thrown into the innermost generator;
-        if that does not catch it, it reaches the caller like any other
-        exception of a sub-operation.
-        """
-        if self.triggered:
-            raise SimulationError(f"{self!r} has already terminated")
-        if self._target is None:
-            raise SimulationError(f"{self!r} cannot be interrupted right now")
-        target, self._target = self._target, None
-        if target.callbacks is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        wakeup = Event(self.sim)
-        wakeup.defused = True
-        wakeup.callbacks.append(self._resume)
-        wakeup.fail(Interrupt(cause))
-
     # -- internal -------------------------------------------------------
     def _resume(self, event: Event) -> None:
         # Off path (no profiler): one hostscope read per call, and no
@@ -149,7 +125,6 @@ class Process(Event):
         if hs is not None:
             self._resume_profiled(event, hs)
             return
-        self._target = None
         ok = event._ok
         value = event._value
         if not ok:
@@ -196,7 +171,6 @@ class Process(Event):
                     callbacks = yielded.callbacks
                     if callbacks is not None:
                         callbacks.append(self._resume)
-                        self._target = yielded
                         return
                     # already processed: resume with its outcome, at the
                     # current instant, so ordering stays FIFO
@@ -224,7 +198,6 @@ class Process(Event):
                 wake = Event(sim)
                 wake.fail(value)
             wake.callbacks.append(self._resume)
-            self._target = wake
             return
 
     def _resume_profiled(self, event: Event, hs) -> None:
@@ -235,7 +208,6 @@ class Process(Event):
         to hostscope's simulated time.
         """
         sim = self.sim
-        self._target = None
         ok = event._ok
         value = event._value
         if not ok:
@@ -279,7 +251,6 @@ class Process(Event):
                         callbacks = yielded.callbacks
                         if callbacks is not None:
                             callbacks.append(self._resume)
-                            self._target = yielded
                             return
                         ok, value = yielded._ok, yielded._value
                         if not ok:
@@ -306,7 +277,6 @@ class Process(Event):
                     wake = Event(sim)
                     wake.fail(value)
                 wake.callbacks.append(self._resume)
-                self._target = wake
                 return
             finally:
                 hs.exit()

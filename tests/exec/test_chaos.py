@@ -98,6 +98,9 @@ def test_load_chaos_plan_rejects_bad_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ChaosPlanError, match="not valid JSON"):
         load_chaos_plan(str(path))
+    path.write_bytes(b'\xff\xfe{"faults": []}')  # not UTF-8
+    with pytest.raises(ChaosPlanError, match="not valid JSON"):
+        load_chaos_plan(str(path))
 
 
 # -- resolution: deterministic, quick-mode tolerant -------------------------

@@ -114,8 +114,9 @@ def test_same_bank_loads_queue_on_the_machine():
         def one(cpu, addr):
             yield m.load(cpu, addr)
 
-        procs = [m.sim.process(one(0, a1)), m.sim.process(one(2, a2))]
-        m.sim.run(until=m.sim.all_of(procs))
+        m.sim.process(one(0, a1))
+        m.sim.process(one(2, a2))
+        m.sim.run()
         return m.sim.now
 
     t_same_bank = pair(same_a, same_b)
@@ -136,9 +137,9 @@ def test_four_rings_carry_traffic_independently():
     def one(cpu, addr):
         yield machine.load(cpu, addr)
 
-    procs = [machine.sim.process(one(8 + i, addr))
-             for i, addr in enumerate(addrs)]
-    machine.sim.run(until=machine.sim.all_of(procs))
+    for i, addr in enumerate(addrs):
+        machine.sim.process(one(8 + i, addr))
+    machine.sim.run()
     rings = ms.to_dict()["rings"]
     assert sorted(rings) == ["0", "1", "2", "3"]
     assert all(row["transfers"] > 0 for row in rings.values())

@@ -230,8 +230,9 @@ def test_fetch_add_is_atomic_under_contention(machine):
         for _ in range(10):
             yield machine.fetch_add(cpu, addr, 1)
 
-    procs = [machine.sim.process(incrementer(cpu)) for cpu in range(16)]
-    machine.sim.run(until=machine.sim.all_of(procs))
+    for cpu in range(16):
+        machine.sim.process(incrementer(cpu))
+    machine.sim.run()
     assert machine.peek(addr) == 160
 
 
@@ -373,9 +374,9 @@ def test_coherence_invariants_after_mixed_traffic(machine):
             else:
                 yield machine.load(cpu, addr)
 
-    procs = [machine.sim.process(worker(cpu, cpu * 7 + 1))
-             for cpu in range(16)]
-    machine.sim.run(until=machine.sim.all_of(procs))
+    for cpu in range(16):
+        machine.sim.process(worker(cpu, cpu * 7 + 1))
+    machine.sim.run()
     machine.check_coherence_invariants()
 
 

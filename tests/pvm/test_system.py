@@ -92,21 +92,6 @@ def test_any_source_wildcard():
     assert results[2] == ["from-0", "from-1"]
 
 
-def test_probe_is_nonblocking():
-    pvm = make_pvm()
-
-    def body(task, tid):
-        if tid == 0:
-            empty = task.probe()
-            yield task.env.compute(10)
-            return empty
-        yield task.env.compute(10)
-        return None
-
-    results = pvm.run_tasks(2, body)
-    assert results[0] is False
-
-
 def test_unknown_task_rejected():
     pvm = make_pvm()
 

@@ -1,67 +1,8 @@
 """Edge-case and property tests for the simulation kernel."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import (
-    Condition,
-    Event,
-    PriorityStore,
-    SimulationError,
-    Simulator,
-)
-
-
-def test_condition_propagates_child_failure():
-    sim = Simulator()
-
-    def failing(sim):
-        yield sim.timeout(5.0)
-        raise RuntimeError("child failed")
-
-    def waiting(sim):
-        ok = sim.timeout(100.0)
-        bad = sim.process(failing(sim))
-        try:
-            yield sim.all_of([ok, bad])
-        except RuntimeError as exc:
-            return f"caught: {exc}"
-
-    proc = sim.process(waiting(sim))
-    assert sim.run(until=proc) == "caught: child failed"
-
-
-def test_any_of_with_already_processed_event():
-    sim = Simulator()
-    done = sim.timeout(1.0, value="early")
-    sim.run()           # 'done' is processed
-    cond = sim.any_of([done, sim.timeout(50.0)])
-    result = sim.run(until=cond)
-    assert "early" in result.values()
-
-
-def test_all_of_value_preserves_event_identity():
-    sim = Simulator()
-    t1 = sim.timeout(1.0, value="a")
-    t2 = sim.timeout(2.0, value="b")
-    result = sim.run(until=sim.all_of([t1, t2]))
-    assert result[t1] == "a" and result[t2] == "b"
-
-
-def test_priority_store_with_blocking_getters():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    got = []
-
-    def consumer(sim, store):
-        item = yield store.get()
-        got.append(item)
-
-    sim.process(consumer(sim, store))
-    sim.run()
-    store.put(9)   # handed straight to the blocked getter
-    sim.run()
-    assert got == [9]
+from repro.sim import Event, Simulator
 
 
 def test_schedule_callback_returns_event():
@@ -84,18 +25,6 @@ def test_events_always_fire_in_time_order(delays):
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
     assert sim.now == max(delays)
-
-
-@given(delays=st.lists(st.floats(0.1, 1000.0), min_size=2, max_size=30))
-def test_all_of_fires_at_max_any_of_at_min(delays):
-    sim = Simulator()
-    events = [sim.timeout(d) for d in delays]
-    any_cond = sim.any_of(events)
-    all_cond = sim.all_of(events)
-    sim.run(until=any_cond)
-    assert sim.now == pytest.approx(min(delays))
-    sim.run(until=all_cond)
-    assert sim.now == pytest.approx(max(delays))
 
 
 def test_process_return_none_by_default():

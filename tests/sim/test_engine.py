@@ -123,38 +123,6 @@ def test_run_until_untriggerable_event_deadlocks():
         sim.run(until=ev)
 
 
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    t1 = sim.timeout(5.0, value="a")
-    t2 = sim.timeout(15.0, value="b")
-    cond = sim.all_of([t1, t2])
-    result = sim.run(until=cond)
-    assert sim.now == 15.0
-    assert set(result.values()) == {"a", "b"}
-
-
-def test_any_of_fires_on_first_event():
-    sim = Simulator()
-    t1 = sim.timeout(5.0, value="fast")
-    sim.timeout(500.0, value="slow")
-    cond = sim.any_of([t1, sim.timeout(500.0)])
-    result = sim.run(until=cond)
-    assert sim.now == 5.0
-    assert "fast" in result.values()
-
-
-def test_all_of_empty_triggers_immediately():
-    sim = Simulator()
-    cond = sim.all_of([])
-    assert cond.triggered
-
-
-def test_condition_rejects_foreign_events():
-    sim1, sim2 = Simulator(), Simulator()
-    with pytest.raises(SimulationError):
-        sim1.all_of([sim2.timeout(1.0)])
-
-
 def test_value_before_trigger_raises():
     sim = Simulator()
     ev = sim.event()

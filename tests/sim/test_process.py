@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.hostscope import HostScope, use_hostscope
-from repro.sim import Interrupt, Resource, SimulationError, Simulator, Tracer
+from repro.sim import Resource, SimulationError, Simulator, Tracer
 
 
 def test_process_runs_and_returns_value():
@@ -138,34 +138,6 @@ def test_yielding_foreign_event_fails_the_process():
     assert proc.triggered and not proc.ok
 
 
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(1000.0)
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-
-    proc = sim.process(sleeper(sim))
-    sim.schedule_callback(5.0, lambda: proc.interrupt("wake up"))
-    sim.run()
-    assert log == [(5.0, "wake up")]
-
-
-def test_interrupt_terminated_process_raises():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
 def test_many_processes_complete():
     sim = Simulator()
     done = []
@@ -264,36 +236,6 @@ def test_sub_operation_yielding_a_non_event_raises_in_the_caller():
 
     proc = sim.process(parent())
     assert "non-event (int)" in sim.run(until=proc)
-
-
-def test_interrupt_is_thrown_into_the_innermost_generator():
-    sim = Simulator()
-    log = []
-
-    def op(sim, catch):
-        try:
-            yield sim.timeout(1000.0)
-        except Interrupt as intr:
-            if not catch:
-                raise
-            log.append(("op", sim.now, intr.cause))
-            return "recovered"
-
-    def parent(sim, catch):
-        try:
-            value = yield op(sim, catch)
-        except Interrupt as intr:
-            log.append(("parent", sim.now, intr.cause))
-            return "interrupted"
-        return value
-
-    caught = sim.process(parent(sim, True))
-    escaped = sim.process(parent(sim, False))
-    sim.schedule_callback(5.0, lambda: caught.interrupt("a"))
-    sim.schedule_callback(6.0, lambda: escaped.interrupt("b"))
-    sim.run()
-    assert log == [("op", 5.0, "a"), ("parent", 6.0, "b")]
-    assert caught.value == "recovered" and escaped.value == "interrupted"
 
 
 def _grant_order(form, bare=False):

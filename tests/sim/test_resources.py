@@ -1,8 +1,8 @@
-"""Unit tests for sim-time resources and stores."""
+"""Unit tests for sim-time resources."""
 
 import pytest
 
-from repro.sim import PriorityStore, Resource, SimulationError, Simulator, Store
+from repro.sim import Resource, SimulationError, Simulator
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -62,77 +62,3 @@ def test_resource_fifo_ordering():
     sim.run()
     assert order == ["a", "b", "c"]
     assert hold.triggered
-
-
-def test_resource_use_helper():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    p1 = res.use(5.0)
-    p2 = res.use(5.0)
-    sim.run()
-    assert p1.triggered and p2.triggered
-    assert sim.now == 10.0
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    ev = store.get()
-    assert ev.triggered and ev.value == "x"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(sim, store):
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    sim.process(consumer(sim, store))
-    sim.schedule_callback(8.0, lambda: store.put("late"))
-    sim.run()
-    assert got == [(8.0, "late")]
-
-
-def test_store_is_fifo_for_items_and_getters():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    assert store.get().value == 1
-    assert store.get().value == 2
-    order = []
-
-    def consumer(sim, store, name):
-        item = yield store.get()
-        order.append((name, item))
-
-    sim.process(consumer(sim, store, "first"))
-    sim.process(consumer(sim, store, "second"))
-    sim.run()
-    store.put("a")
-    store.put("b")
-    sim.run()
-    assert order == [("first", "a"), ("second", "b")]
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put(5)
-    assert store.try_get() == 5
-    assert len(store) == 0
-
-
-def test_priority_store_orders_items():
-    sim = Simulator()
-    ps = PriorityStore(sim)
-    for item in [5, 1, 3]:
-        ps.put(item)
-    assert ps.get().value == 1
-    assert ps.try_get() == 3
-    assert ps.get().value == 5

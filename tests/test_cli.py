@@ -288,6 +288,15 @@ def test_missing_chaos_plan_fails_cleanly(capsys):
     assert "cannot read chaos plan" in capsys.readouterr().err
 
 
+def test_non_utf8_chaos_plan_fails_cleanly(tmp_path, capsys):
+    plan = tmp_path / "bom.json"
+    plan.write_bytes(b'\xff\xfe{"faults": []}')
+    assert main(["fig3", "--chaos", str(plan)]) == 2
+    header, problem = capsys.readouterr().err.splitlines()
+    assert header == f"invalid chaos plan {plan}:"
+    assert problem.startswith(f"  {plan} is not valid JSON: 'utf-8' codec")
+
+
 def test_invalid_chaos_plan_lists_problems(tmp_path, capsys):
     plan = tmp_path / "bad.json"
     plan.write_text('{"faults": [{"kind": "explode", "unit": 0},'

@@ -113,6 +113,14 @@ def test_planning_the_des_experiments_loads_no_numpy():
         "print(json.dumps(list(sys.modules)))")
     assert "repro.experiments.degraded" in loaded
     assert _loaded(loaded, MODEL_SIDE) == []
+    # the simulator layers the DES experiments run on, and nothing more
+    assert _loaded(loaded, ("repro.sim", "repro.runtime", "repro.pvm")) == [
+        "repro.pvm", "repro.pvm.buffers", "repro.pvm.message",
+        "repro.pvm.system",
+        "repro.runtime", "repro.runtime.barrier", "repro.runtime.runtime",
+        "repro.runtime.scheduler",
+        "repro.sim", "repro.sim.engine", "repro.sim.errors",
+        "repro.sim.process", "repro.sim.resources", "repro.sim.trace"]
 
 
 def test_version_string():
