@@ -203,7 +203,8 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
             progress: Optional[ProgressStream] = None,
             policy: Optional[ResiliencePolicy] = None,
             chaos: Optional[ChaosPlan] = None,
-            journal: Optional[SweepJournal] = None):
+            journal: Optional[SweepJournal] = None,
+            pool: Optional[WorkerPool] = None):
     """Run one experiment through the fabric.
 
     Returns ``(ExperimentResult, ExecutionReport)``.  ``observed=True``
@@ -211,7 +212,10 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
     every unit to execute in this process under the ambient tracer and
     skips cache *reads* — a trace of a run that simulated nothing would
     be empty — while still warming the cache with what it computes.
-    ``progress`` streams JSONL telemetry as units complete.
+    ``progress`` streams JSONL telemetry as units complete.  ``pool``
+    computes the units left after the journal and the cache, in place
+    of a ``WorkerPool(jobs, policy)`` of this call's own; an observed
+    run ignores it.
 
     ``policy`` sets timeouts/retries (:class:`ResiliencePolicy`);
     ``chaos`` injects deterministic host faults (:class:`ChaosPlan`);
@@ -315,7 +319,8 @@ def execute(experiment_id: str, config, *, jobs: int = 1,
 
         timing["cache_store_s"] = 0.0
         if remaining:
-            pool = WorkerPool(effective_jobs, policy)
+            if pool is None or observed:
+                pool = WorkerPool(effective_jobs, policy)
             stats = PoolStats(pool.jobs)
             stats.resilience = resilience
 

@@ -4,15 +4,28 @@
 plan order, under whatever ambient contexts (tracer, fault plan) the
 caller installed — byte-for-byte the legacy serial behaviour.
 
-``--jobs N`` fans units out to ``N`` **supervised** worker processes.
-Each worker is initialised with the run's fault plan, so ``--faults``
-runs stay bit-identical to serial (unit runners are pure functions of
-their parameters, the machine configuration, and that ambient plan;
-every RNG they use is seeded locally, so no global generator is
-reseeded).  A worker resolves each unit's runner through the experiment
-table, importing the experiment's module on first use, under ``fork``
-and ``spawn`` alike.  Results merge into plan order regardless of
-completion order, so output is deterministic.
+``--jobs N`` fans units out to ``N`` **supervised** worker processes,
+each fed over a pipe of its own.  Every task carries its unit's
+machine configuration, the run's fault plan and the unit's chaos
+faults, so ``--faults`` runs stay bit-identical to serial (unit runners
+are pure functions of their parameters, the machine configuration, and
+that plan; every RNG they use is seeded locally, so no global generator
+is reseeded) and one worker can serve units of any experiment and any
+configuration.  A worker resolves each unit's runner through the
+experiment table, importing the experiment's module on first use,
+under ``fork`` and ``spawn`` alike.  Results merge into plan order
+regardless of completion order, so output is deterministic.
+
+Worker lifetime: a pool that is not opened starts its workers in each
+parallel :meth:`WorkerPool.map_units` call and stops them before the
+call returns.  An opened pool (``with WorkerPool(n) as pool:``) starts
+them on first use, keeps them until :meth:`WorkerPool.close`, and
+computes every unit in them, even at ``n == 1``: the job server keeps
+one such worker per job slot, so concurrent jobs run on separate CPUs.
+Any exception out of a call stops the workers, so the next call starts
+clean.  A forked worker holds none of its parent's sockets, ignores
+SIGINT (its supervisor decides when it stops), and exits by itself
+once its supervisor is gone.
 
 On either path each finished unit goes to the caller's ``on_complete``
 hook the moment it arrives, so the caller can store it before the
@@ -32,17 +45,21 @@ Host-level fault tolerance (see :mod:`repro.exec.resilience`):
   neither finishes nor fails in time is terminated, replaced, and its
   unit retried.
 * **Graceful degradation** — when the pool keeps dying (replacement
-  budget exhausted, queues stalled, pool fails to start) the remaining
+  budget exhausted, workers stalled, pool fails to start) the remaining
   units are computed serially in this process, so a broken host never
   sinks a sweep that serial execution could finish.
 * **Chaos injection** — a resolved :class:`~repro.exec.chaos.ChaosPlan`
   spec makes workers kill themselves, stall, or drop results at
   scripted units, deterministically, to prove all of the above in CI.
 
+The supervisor waits on the workers' pipes and process sentinels, at
+most ``_TICK_S`` at a time, so it reads a result as soon as it is
+written.
+
 Host-time accounting: every computed unit gets a timing record in
 ``PoolStats.unit_timings`` splitting its wall time into ``run_s`` (the
-simulation itself), ``queue_s`` (submit-to-start wait in the worker
-queue) and ``return_s`` (result serialisation + round-trip back to the
+simulation itself), ``queue_s`` (submit-to-start wait for a worker)
+and ``return_s`` (result serialisation + round-trip back to the
 caller).  Workers stamp ``time.monotonic()`` — comparable across
 processes on Linux (CLOCK_MONOTONIC is system-wide), unlike
 ``perf_counter`` which may not be.  Differences are clamped at zero in
@@ -52,10 +69,11 @@ case a platform breaks that assumption.
 from __future__ import annotations
 
 import os
+import sys
 import time
 import traceback
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Dict, List, Optional
 
 from .events import make_event
@@ -72,7 +90,8 @@ __all__ = ["WorkerPool", "PoolStats"]
 #: exit code of a chaos-scripted worker kill (distinguishable in logs)
 _CHAOS_EXIT = 43
 
-#: supervisor poll tick, host seconds
+#: longest the supervisor waits for a pipe or a worker exit before it
+#: checks timeouts and backoffs again, host seconds
 _TICK_S = 0.02
 
 
@@ -84,7 +103,7 @@ class PoolStats:
         self.executed = 0            #: units computed (anywhere)
         self.in_workers = 0          #: units computed in worker processes
         self.retried_in_process = 0  #: worker failures retried serially
-        #: seconds spent starting worker processes and submitting units
+        #: seconds spent starting worker processes in this call
         self.spawn_s = 0.0
         #: one record per computed unit: ``{key, where, run_s, queue_s,
         #: return_s, overhead_s}`` (see module docstring)
@@ -110,57 +129,228 @@ class _ChaosDropReturn(Exception):
     return path (a lost pipe write); retried like any worker failure."""
 
 
-def _worker_main(task_q, result_q, config, fault_plan,
-                 chaos_spec: Dict[str, List[Dict]]) -> None:
-    """One worker process: drain tasks until the ``None`` sentinel.
+def _worker_main(tasks, results, parent_ends=None) -> None:
+    """One worker process: compute each batch of tasks that arrives on
+    ``tasks``, in order, until the ``None`` sentinel, or until the
+    supervisor's end closes.
 
-    Every message is written to ``result_q`` (a SimpleQueue) *in the
-    worker's own thread*, so a ``start`` heartbeat is on the wire
-    before the unit computes — even a chaos ``kill_worker`` that
-    ``os._exit``-s mid-unit leaves the supervisor knowing exactly which
-    unit died where.
+    Every message is written to ``results`` in the worker's own thread,
+    so a ``start`` heartbeat is on the wire before the unit computes.
+    A forked worker gets ``parent_ends``, the supervisor's ends of its
+    two pipes, to close: holding the task pipe's writing end itself, it
+    would never see the pipe close.
     """
-    from ..faults import use_faults
+    import signal
 
-    pid = os.getpid()
-    while True:
-        task = task_q.get()
-        if task is None:
-            return
-        experiment_id, key, params, attempt = task
-        result_q.put(("start", pid, key, attempt, time.monotonic()))
-        faults = [f for f in chaos_spec.get(key, ())
-                  if attempt in f["attempts"]]
-        fired: List[str] = []  # chaos kinds that actually fired
-        try:
-            for fault in faults:
-                if fault["kind"] == "kill_worker":
-                    # die hard, like an OOM kill: no cleanup, no goodbye
-                    os._exit(_CHAOS_EXIT)
-                elif fault["kind"] == "delay_unit":
-                    fired.append("delay_unit")
-                    time.sleep(fault["seconds"])
-            ctx = (use_faults(fault_plan) if fault_plan is not None
-                   else nullcontext())
-            t0 = time.monotonic()
-            with ctx:
-                value = run_unit(experiment_id, params, config)
-            t1 = time.monotonic()
-            if any(f["kind"] == "drop_return" for f in faults):
-                fired.append("drop_return")
-                raise _ChaosDropReturn(
-                    f"chaos: result of unit {key!r} dropped on the "
-                    "return path")
-            result_q.put(("done", pid, key, attempt, value, t0, t1,
-                          fired))
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            raise
-        except BaseException as exc:
-            result_q.put(("fail", pid, key, attempt, repr(exc),
-                          traceback.format_exc(), fired))
+    # a terminal's ^C reaches the whole process group; the supervisor
+    # decides when its workers stop, and its SIGTERM must stop one even
+    # when the parent, like an asyncio server, handles that signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if parent_ends is not None:
+        for conn in parent_ends:
+            conn.close()
+        _release_inherited_sockets()
+    try:
+        while True:
+            batch = tasks.recv()
+            if batch is None:
+                return
+            for task in batch:
+                _compute(task, results)
+    except (EOFError, OSError):
+        return  # the supervisor is gone: nothing waits for this worker
+
+
+def _compute(task: tuple, results) -> None:
+    """Compute one task in a worker; its messages go to ``results``."""
+    experiment_id, key, params, attempt, config, fault_plan, faults = task
+    results.send(("start", key, attempt))
+    fired: List[str] = []  # chaos kinds that actually fired
+    try:
+        for fault in faults:
+            if fault["kind"] == "kill_worker":
+                # die hard, like an OOM kill: no cleanup, no goodbye
+                os._exit(_CHAOS_EXIT)
+            elif fault["kind"] == "delay_unit":
+                fired.append("delay_unit")
+                time.sleep(fault["seconds"])
+        ctx = (_faults_ctx(fault_plan) if fault_plan is not None
+               else nullcontext())
+        t0 = time.monotonic()
+        with ctx:
+            value = run_unit(experiment_id, params, config)
+        t1 = time.monotonic()
+        if any(f["kind"] == "drop_return" for f in faults):
+            fired.append("drop_return")
+            raise _ChaosDropReturn(
+                f"chaos: result of unit {key!r} dropped on the "
+                "return path")
+        results.send(("done", key, attempt, value, t0, t1, fired))
+    except BaseException as exc:
+        results.send(("fail", key, attempt, repr(exc),
+                      traceback.format_exc(), fired))
+
+
+def _release_inherited_sockets() -> None:
+    """Point every socket a forked worker inherited, stdio aside, at
+    /dev/null, so the worker holds none of its parent's sockets.
+
+    A worker forked from a server would otherwise hold the server's
+    listening socket and client connections for its whole life, and a
+    connection the server closes would send no FIN.  Duplicating
+    /dev/null over a descriptor, instead of closing it, keeps its number
+    taken: an inherited object that still owns the number can never
+    close a file this worker opens later.  Pipes stay open: one of them
+    tells the parent when this process exits.
+    """
+    import stat
+
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") \
+        else "/dev/fd"
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in map(int, os.listdir(fd_dir)):
+            try:
+                is_socket = stat.S_ISSOCK(os.fstat(fd).st_mode)
+            except OSError:
+                continue  # the listing's own descriptor, closed by now
+            if fd > 2 and is_socket:
+                os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 # -- caller side ------------------------------------------------------------
+
+def _importing() -> bool:
+    """Whether some module's body is running (an import in progress)."""
+    return any(getattr(getattr(module, "__spec__", None), "_initializing",
+                       False)
+               for module in tuple(sys.modules.values()))
+
+
+@contextmanager
+def _between_imports():
+    """Hold the global import lock, taken when no module body runs.
+
+    A child forked while another thread runs a module's body inherits
+    that module half-initialised, its lock held by a thread the child
+    does not have, so the child's first import of it would never
+    return.  No import can begin while this lock is held, so wait (at
+    most 2 s) for those in progress to finish, then start workers under
+    it.  It also keeps two threads from starting workers at once, so
+    none inherits another's half-set-up pipes.
+    """
+    import _imp
+
+    deadline = time.monotonic() + 2.0
+    _imp.acquire_lock()
+    while _importing() and time.monotonic() < deadline:
+        _imp.release_lock()
+        time.sleep(0.001)
+        _imp.acquire_lock()
+    try:
+        yield
+    finally:
+        _imp.release_lock()
+
+
+class _Worker:
+    """One worker process, the pipe ends its supervisor keeps, and the
+    units sent to it, oldest (the one it computes) first, each as
+    ``[key, attempt, seen_t]``; ``seen_t`` is when its ``start``
+    heartbeat arrived."""
+
+    __slots__ = ("proc", "tasks", "results", "sent", "_readable")
+
+    def __init__(self, proc, tasks, results):
+        import select
+
+        self.proc = proc
+        self.tasks = tasks
+        self.results = results
+        self.sent: deque = deque()
+        # one poll object per pipe: ``Connection.poll`` builds a selector
+        # per call, which costs more than a small unit's computation
+        self._readable = None
+        if hasattr(select, "poll"):
+            self._readable = select.poll()
+            self._readable.register(results.fileno(), select.POLLIN)
+
+    def readable(self) -> bool:
+        """Whether a message (or the pipe's end) waits on ``results``."""
+        if self._readable is None:  # pragma: no cover - no poll(2)
+            return self.results.poll()
+        return bool(self._readable.poll(0))
+
+    def assign(self, batch: List[tuple]) -> None:
+        self.sent.extend([task[1], task[3], None] for task in batch)
+        try:
+            self.tasks.send(batch)
+        except OSError:
+            pass  # it died; the death check retries its units
+
+    def stop(self, *, kill: bool) -> None:
+        """Wait for the process to exit, terminating it first when
+        ``kill``, and close the pipes."""
+        if kill:
+            self.proc.terminate()
+        self.proc.join(timeout=5.0)
+        if self.proc.is_alive():  # pragma: no cover - last resort
+            self.proc.kill()
+            self.proc.join(timeout=1.0)
+        self.tasks.close()
+        self.results.close()
+
+
+class _Crew:
+    """A pool's worker processes, each fed by a pipe of its own and
+    answering on another."""
+
+    def __init__(self):
+        import multiprocessing as mp
+
+        self.forked = "fork" in mp.get_all_start_methods()
+        self.context = mp.get_context("fork" if self.forked else "spawn")
+        self.workers: Dict[int, _Worker] = {}
+
+    def spawn(self) -> None:
+        with _between_imports():
+            task_r, task_w = self.context.Pipe(duplex=False)
+            result_r, result_w = self.context.Pipe(duplex=False)
+            proc = self.context.Process(
+                target=_worker_main,
+                args=(task_r, result_w,
+                      (task_w, result_r) if self.forked else None),
+                daemon=True)
+            proc.start()
+            task_r.close()
+            result_w.close()
+        self.workers[proc.pid] = _Worker(proc, task_w, result_r)
+
+    def retire(self, pid: int, *, kill: bool = False) -> deque:
+        """Stop one worker and forget it; returns the units it was sent."""
+        worker = self.workers.pop(pid)
+        worker.stop(kill=kill)
+        return worker.sent
+
+    def shutdown(self) -> None:
+        """Stop every worker: the sentinel for the idle, SIGTERM for the
+        busy, and never let cleanup mask the in-flight exception."""
+        workers, self.workers = self.workers, {}
+        try:
+            for worker in workers.values():
+                if not worker.sent:
+                    try:
+                        worker.tasks.send(None)
+                    except OSError:
+                        pass
+            for worker in workers.values():
+                worker.stop(kill=bool(worker.sent))
+        except Exception:  # pragma: no cover - cleanup must not mask
+            pass
+
 
 class _UnitTask:
     """Supervisor-side state of one unit's journey through the pool."""
@@ -168,16 +358,21 @@ class _UnitTask:
     __slots__ = ("unit", "attempt", "submitted_t", "exhausted_error",
                  "exhausted_tb")
 
-    def __init__(self, unit: WorkUnit):
+    def __init__(self, unit: WorkUnit, submitted_t: float):
         self.unit = unit
         self.attempt = 0
-        self.submitted_t = 0.0
+        self.submitted_t = submitted_t
         self.exhausted_error: Optional[str] = None
         self.exhausted_tb: str = ""
 
 
 class WorkerPool:
-    """Executes work units with ``jobs`` worker processes (1 = serial)."""
+    """Executes work units with ``jobs`` worker processes (1 = serial).
+
+    Opened (``with WorkerPool(n) as pool:``, or :meth:`open`), the pool
+    keeps its workers from their first use until :meth:`close`, and
+    computes every unit in them, even at ``jobs == 1``.
+    """
 
     def __init__(self, jobs: int = 1,
                  policy: Optional[ResiliencePolicy] = None):
@@ -185,6 +380,29 @@ class WorkerPool:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.policy = policy if policy is not None else ResiliencePolicy()
+        self._opened = False
+        self._kept: Optional[_Crew] = None
+
+    def open(self) -> "WorkerPool":
+        """Keep workers across calls; they start on first use."""
+        self._opened = True
+        return self
+
+    def close(self) -> None:
+        """Stop the kept workers; the pool is no longer opened."""
+        self._opened = False
+        self._drop_workers()
+
+    def __enter__(self) -> "WorkerPool":
+        return self.open()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _drop_workers(self) -> None:
+        crew, self._kept = self._kept, None
+        if crew is not None:
+            crew.shutdown()
 
     def map_units(self, units: List[WorkUnit], config, *,
                   fault_plan=None, stats: Optional[PoolStats] = None,
@@ -211,22 +429,29 @@ class WorkerPool:
         :class:`~repro.exec.resilience.ResiliencePolicy`) are
         quarantined: the rest of the sweep completes first — and the
         hooks fire for it — then :class:`UnitExecutionError` is raised
-        naming each poisoned unit with its original traceback.
+        naming each poisoned unit with its original traceback.  Any
+        exception out of this call stops the pool's workers.
         """
         stats = stats if stats is not None else PoolStats(self.jobs)
         chaos_spec = chaos_spec or {}
-        if self.jobs == 1 or len(units) <= 1:
-            values = self._run_serial(units, config, fault_plan, stats,
-                                      on_progress, on_event, on_complete,
-                                      chaos_spec)
-        else:
-            values = self._run_parallel(units, config, fault_plan, stats,
-                                        on_progress, on_event, on_complete,
-                                        chaos_spec)
-        ordered = {u.key: values[u.key] for u in units if u.key in values}
-        if stats.resilience.quarantined:
-            raise self._quarantine_error(units, stats)
-        return ordered
+        try:
+            if units and (self._opened or
+                          (self.jobs > 1 and len(units) > 1)):
+                values = self._run_parallel(units, config, fault_plan,
+                                            stats, on_progress, on_event,
+                                            on_complete, chaos_spec)
+            else:
+                values = self._run_serial(units, config, fault_plan, stats,
+                                          on_progress, on_event,
+                                          on_complete, chaos_spec)
+            ordered = {u.key: values[u.key] for u in units
+                       if u.key in values}
+            if stats.resilience.quarantined:
+                raise self._quarantine_error(units, stats)
+            return ordered
+        except BaseException:
+            self._drop_workers()
+            raise
 
     def _quarantine_error(self, units, stats: PoolStats):
         failures = stats.resilience.quarantined
@@ -339,31 +564,33 @@ class WorkerPool:
     def _run_parallel(self, units, config, fault_plan, stats,
                       on_progress=None, on_event=None, on_complete=None,
                       chaos_spec=None) -> Dict[str, object]:
-        import multiprocessing as mp
-
         chaos_spec = chaos_spec or {}
         policy = self.policy
-        method = ("fork" if "fork" in mp.get_all_start_methods()
-                  else "spawn")
-        context = mp.get_context(method)
         values: Dict[str, object] = {}
         exhausted: Dict[str, _UnitTask] = {}  # pool gave up; serial next
         unresolved: Dict[str, _UnitTask] = {}  # pool collapsed under them
-        tasks = {u.key: _UnitTask(u) for u in units}
+        now = time.monotonic()
+        tasks = {u.key: _UnitTask(u, now) for u in units}
 
+        crew = None
         try:
-            self._supervise(context, units, tasks, config, fault_plan,
-                            stats, values, exhausted, unresolved,
-                            chaos_spec, on_progress, on_event, on_complete)
-        except (UnitExecutionError, KeyboardInterrupt):
-            raise
+            crew = self._kept if self._kept is not None else _Crew()
+            if self._opened:
+                self._kept = crew
+            self._supervise(crew, units, tasks, config, fault_plan,
+                            stats, values, exhausted, chaos_spec,
+                            on_progress, on_event, on_complete)
         except Exception:
             # The pool itself failed to start or collapsed in a way the
             # supervisor could not contain; everything still missing
             # degrades to the serial path below.
+            self._kept = None
             for key, task in tasks.items():
                 if key not in values and key not in exhausted:
                     unresolved[key] = task
+        finally:
+            if crew is not None and crew is not self._kept:
+                crew.shutdown()
 
         # Units the pool never resolved (collapse/stall): full serial
         # treatment, retries included.
@@ -427,32 +654,29 @@ class WorkerPool:
         if on_progress is not None:
             on_progress(task.unit, timing)
 
-    def _supervise(self, context, units, tasks, config, fault_plan,
-                   stats, values, exhausted, unresolved, chaos_spec,
+    def _supervise(self, crew: _Crew, units, tasks, config, fault_plan,
+                   stats, values, exhausted, chaos_spec,
                    on_progress, on_event, on_complete) -> None:
-        """The supervisor loop: feed tasks, drain heartbeats/results,
-        detect hangs and deaths, retry with backoff, replace workers."""
+        """The supervisor loop: send due units to workers, wait on their
+        pipes, detect hangs and deaths, retry with backoff, replace
+        workers.  Raises :class:`_PoolCollapsed` when the pool cannot
+        make progress."""
+        from multiprocessing.connection import wait
+
         policy = self.policy
         n_workers = min(self.jobs, len(units))
         budget = policy.replacement_budget(n_workers)
-        task_q = context.Queue()
-        result_q = context.SimpleQueue()
-        workers: Dict[int, object] = {}
-        in_flight: Dict[int, Dict] = {}  # pid -> {key, attempt, start_t}
-        pending = deque((u.key, 1, 0.0) for u in units)
+        # A lone worker takes every due unit in one batch and computes
+        # them back to back; with several, each takes one unit at a
+        # time, so none idles while another holds units it has not begun.
+        take = len(units) if n_workers == 1 else 1
+        pending = deque((u.key, 1) for u in units)
 
-        def spawn(initial: bool = False) -> bool:
-            if not initial:
-                if stats.resilience.workers_replaced >= budget:
-                    return False
-                stats.resilience.workers_replaced += 1
-            proc = context.Process(
-                target=_worker_main,
-                args=(task_q, result_q, config, fault_plan, chaos_spec),
-                daemon=True)
-            proc.start()
-            workers[proc.pid] = proc
-            return True
+        def replace() -> None:
+            if stats.resilience.workers_replaced >= budget:
+                raise _PoolCollapsed("replacement budget exhausted")
+            stats.resilience.workers_replaced += 1
+            crew.spawn()
 
         def fail_attempt(key: str, attempt: int, error: str, tb: str,
                          now: float) -> None:
@@ -466,201 +690,160 @@ class WorkerPool:
                         max_attempts=policy.pool_attempts + 1,
                         where="worker", error=error,
                         backoff_s=round(backoff, 3)))
-                pending.append((key, attempt + 1, now + backoff))
+                task.submitted_t = now + backoff
+                pending.append((key, attempt + 1))
             else:
                 task.exhausted_error = error
                 task.exhausted_tb = tb
                 exhausted[key] = task
 
-        def outstanding() -> int:
-            return sum(1 for key in tasks
-                       if key not in values and key not in exhausted)
+        def lost(sent: deque, error: str) -> None:
+            """A worker is gone: its current unit failed an attempt, and
+            the units queued behind it go back, unattempted."""
+            key, attempt, _ = sent.popleft()
+            fail_attempt(key, attempt, error, "", time.monotonic())
+            for key, attempt, _ in reversed(sent):
+                pending.appendleft((key, attempt))
+            if outstanding():
+                replace()
 
-        def drain() -> bool:
-            """Handle every message already on ``result_q``; True if
-            there was one."""
-            nonlocal last_activity
-            drained = False
-            while not result_q.empty():
-                msg = result_q.get()
-                drained = True
-                last_activity = time.monotonic()
-                kind, pid, key, attempt = msg[:4]
-                if kind == "start":
-                    in_flight[pid] = {"key": key, "attempt": attempt,
-                                      "start_t": msg[4],
-                                      "seen_t": time.monotonic()}
-                elif kind == "done":
-                    _, _, _, _, value, t0, t1, fired = msg
-                    for chaos_kind in fired:
-                        stats.resilience.count_chaos(chaos_kind)
-                    in_flight.pop(pid, None)
-                    if key in values:
-                        continue  # late duplicate after a retry won
-                    recv_t = time.monotonic()
+        def outstanding() -> int:
+            return len(tasks) - len(values) - len(exhausted)
+
+        def feed(now: float) -> None:
+            """Send each worker that holds no unit a batch of due ones."""
+            for worker in crew.workers.values():
+                if worker.sent:
+                    continue
+                batch = []
+                for _ in range(len(pending)):
+                    key, attempt = pending.popleft()
                     task = tasks[key]
-                    run_s = max(t1 - t0, 0.0)
-                    queue_s = max(t0 - task.submitted_t, 0.0)
-                    roundtrip = max(recv_t - task.submitted_t, 0.0)
-                    timing = {
-                        "key": key, "where": "worker",
-                        "run_s": round(run_s, 6),
-                        "queue_s": round(queue_s, 6),
-                        "return_s": round(max(recv_t - t1, 0.0), 6),
-                        "overhead_s": round(
-                            max(roundtrip - run_s, 0.0), 6),
-                    }
-                    values[key] = value
-                    stats.executed += 1
-                    stats.in_workers += 1
-                    stats.unit_timings.append(timing)
-                    if on_complete is not None:
-                        on_complete(task.unit, value)
-                    if on_progress is not None:
-                        on_progress(task.unit, timing)
-                elif kind == "fail":
-                    _, _, _, _, error, tb, fired = msg
-                    for chaos_kind in fired:
-                        stats.resilience.count_chaos(chaos_kind)
-                    in_flight.pop(pid, None)
-                    if key in values:
+                    if task.submitted_t > now:
+                        pending.append((key, attempt))  # backing off
                         continue
-                    fail_attempt(key, attempt, error, tb,
-                                 time.monotonic())
-            return drained
+                    task.attempt = attempt
+                    unit = task.unit
+                    faults = [f for f in chaos_spec.get(key, ())
+                              if attempt in f["attempts"]]
+                    batch.append((unit.experiment_id, key, unit.params,
+                                  attempt, config, fault_plan, faults))
+                    if len(batch) == take:
+                        break
+                if not batch:
+                    return
+                worker.assign(batch)
+
+        def handle(worker: _Worker, msg: tuple, now: float) -> None:
+            kind, key, attempt = msg[:3]
+            if kind == "start":
+                worker.sent[0][2] = now
+                return
+            worker.sent.popleft()
+            feed(now)  # the worker's next unit runs while the hooks do
+            for chaos_kind in msg[-1]:
+                stats.resilience.count_chaos(chaos_kind)
+            if kind == "fail":
+                fail_attempt(key, attempt, msg[3], msg[4], now)
+                return
+            _, _, _, value, t0, t1, _ = msg
+            task = tasks[key]
+            run_s = max(t1 - t0, 0.0)
+            roundtrip = max(now - task.submitted_t, 0.0)
+            timing = {
+                "key": key, "where": "worker",
+                "run_s": round(run_s, 6),
+                "queue_s": round(max(t0 - task.submitted_t, 0.0), 6),
+                "return_s": round(max(now - t1, 0.0), 6),
+                "overhead_s": round(max(roundtrip - run_s, 0.0), 6),
+            }
+            values[key] = value
+            stats.executed += 1
+            stats.in_workers += 1
+            stats.unit_timings.append(timing)
+            if on_complete is not None:
+                on_complete(task.unit, value)
+            if on_progress is not None:
+                on_progress(task.unit, timing)
+
+        def drain(worker: _Worker) -> bool:
+            """Handle every message waiting on one worker's pipe; False
+            once the pipe is closed (the worker is gone)."""
+            nonlocal last_activity
+            try:
+                while worker.readable():
+                    msg = worker.results.recv()
+                    last_activity = time.monotonic()
+                    handle(worker, msg, last_activity)
+            except (EOFError, OSError):
+                return False
+            return True
 
         t_spawn = time.monotonic()
-        try:
-            for _ in range(n_workers):
-                spawn(initial=True)
-            stats.spawn_s = time.monotonic() - t_spawn
-            last_activity = time.monotonic()
-            while outstanding():
-                now = time.monotonic()
-                progressed = False
+        for pid in [pid for pid, worker in crew.workers.items()
+                    if not worker.proc.is_alive()]:
+            crew.retire(pid)  # died between calls, holding no unit
+        while len(crew.workers) < n_workers:
+            crew.spawn()
+        stats.spawn_s = time.monotonic() - t_spawn
+        last_activity = time.monotonic()
+        while outstanding():
+            feed(time.monotonic())
+            wait([conn for worker in crew.workers.values()
+                  for conn in (worker.results, worker.proc.sentinel)],
+                 timeout=_TICK_S)
 
-                # 1. feed every due task
-                still_waiting = deque()
-                while pending:
-                    key, attempt, not_before = pending.popleft()
-                    if key in values or key in exhausted:
+            # 1. results and heartbeats, then deaths: a worker found
+            # dead before its pipe is drained has its last messages read
+            for pid, worker in list(crew.workers.items()):
+                dead = not worker.proc.is_alive()
+                if drain(worker) and not dead:
+                    continue
+                sent = crew.retire(pid)
+                exitcode = worker.proc.exitcode
+                if exitcode == _CHAOS_EXIT:
+                    stats.resilience.count_chaos("kill_worker")
+                if sent:
+                    lost(sent, f"worker (pid {pid}) died with exit code "
+                         f"{exitcode} while computing unit {sent[0][0]!r}")
+                elif outstanding():
+                    replace()
+
+            # 2. hung-worker detection: heartbeat said the unit
+            # started, but no result within the timeout
+            now = time.monotonic()
+            if policy.unit_timeout_s is not None:
+                for pid, worker in list(crew.workers.items()):
+                    if not worker.sent or worker.sent[0][2] is None:
                         continue
-                    if not_before > now:
-                        still_waiting.append((key, attempt, not_before))
+                    key, _, seen_t = worker.sent[0]
+                    elapsed = now - seen_t
+                    if elapsed <= policy.unit_timeout_s:
                         continue
-                    task = tasks[key]
-                    task.attempt = attempt
-                    task.submitted_t = now
-                    unit = task.unit
-                    task_q.put((unit.experiment_id, key, unit.params,
-                                attempt))
-                    progressed = True
-                pending.extend(still_waiting)
+                    stats.resilience.timeouts += 1
+                    stats.resilience.hung_workers_replaced += 1
+                    if on_event is not None:
+                        on_event(make_event(
+                            "hung_worker", key=key, pid=pid,
+                            elapsed_s=round(elapsed, 3),
+                            timeout_s=policy.unit_timeout_s))
+                    lost(crew.retire(pid, kill=True),
+                         f"timed out after {elapsed:.1f}s "
+                         f"(--unit-timeout {policy.unit_timeout_s}s)")
 
-                # 2. drain heartbeats and results
-                if drain():
-                    progressed = True
-
-                # 3. hung-worker detection: heartbeat said the unit
-                # started, but no result within the timeout
-                if policy.unit_timeout_s is not None:
-                    for pid in list(in_flight):
-                        info = in_flight[pid]
-                        elapsed = now - info["seen_t"]
-                        if elapsed <= policy.unit_timeout_s:
-                            continue
-                        proc = workers.pop(pid, None)
-                        in_flight.pop(pid, None)
-                        if proc is not None:
-                            proc.terminate()
-                            proc.join(timeout=5.0)
-                        stats.resilience.timeouts += 1
-                        stats.resilience.hung_workers_replaced += 1
-                        if on_event is not None:
-                            on_event(make_event(
-                                "hung_worker", key=info["key"], pid=pid,
-                                elapsed_s=round(elapsed, 3),
-                                timeout_s=policy.unit_timeout_s))
-                        fail_attempt(
-                            info["key"], info["attempt"],
-                            f"timed out after {elapsed:.1f}s "
-                            f"(--unit-timeout {policy.unit_timeout_s}s)",
-                            "", time.monotonic())
-                        progressed = True
-                        if not spawn():
-                            raise _PoolCollapsed("replacement budget "
-                                                 "exhausted")
-
-                # 4. crashed-worker detection
-                for pid in list(workers):
-                    proc = workers[pid]
-                    if proc.is_alive():
-                        continue
-                    workers.pop(pid)
-                    proc.join()
-                    # Everything the worker wrote before it died is on
-                    # result_q now.  Read it before deciding: a "start"
-                    # that landed after step 2 would otherwise leave its
-                    # unit in flight forever, never retried.
-                    drain()
-                    info = in_flight.pop(pid, None)
-                    if proc.exitcode == _CHAOS_EXIT:
-                        stats.resilience.count_chaos("kill_worker")
-                    progressed = True
-                    if info is not None:
-                        fail_attempt(
-                            info["key"], info["attempt"],
-                            f"worker (pid {pid}) died with exit code "
-                            f"{proc.exitcode} while computing unit "
-                            f"{info['key']!r}", "", time.monotonic())
-                    if outstanding() and not spawn():
-                        raise _PoolCollapsed("replacement budget "
-                                             "exhausted")
-
-                # 5. stall detection: tasks queued, nothing starting,
-                # no heartbeat traffic — the queues are likely wedged
-                if outstanding() and not progressed:
-                    stall_after = max(
-                        30.0,
-                        2.0 * (policy.unit_timeout_s or 0.0))
-                    quiet = time.monotonic() - last_activity
-                    if not workers:
-                        raise _PoolCollapsed("no live workers remain")
-                    if not in_flight and quiet > stall_after:
-                        raise _PoolCollapsed(
-                            f"no worker activity for {quiet:.0f}s")
-                    time.sleep(_TICK_S)
-        except _PoolCollapsed:
-            for key, task in tasks.items():
-                if key not in values and key not in exhausted:
-                    unresolved[key] = task
-        finally:
-            self._shutdown(task_q, workers, in_flight)
-
-    @staticmethod
-    def _shutdown(task_q, workers, in_flight) -> None:
-        """Stop every worker: sentinels for the idle, SIGTERM for the
-        busy, and never let cleanup mask the in-flight exception."""
-        try:
-            for _ in range(len(workers) + 1):
-                try:
-                    task_q.put_nowait(None)
-                except Exception:
-                    break
-            deadline = time.monotonic() + 2.0
-            for pid, proc in list(workers.items()):
-                if pid in in_flight:
-                    proc.terminate()
-                proc.join(timeout=max(deadline - time.monotonic(), 0.1))
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-                if proc.is_alive():  # pragma: no cover - last resort
-                    proc.kill()
-                    proc.join(timeout=1.0)
-            task_q.close()
-        except Exception:  # pragma: no cover - cleanup must not mask
-            pass
+            # 3. stall detection: units sent, none started, no traffic
+            # at all — the workers are wedged
+            if outstanding():
+                if not crew.workers:
+                    raise _PoolCollapsed("no live workers remain")
+                stall_after = max(30.0,
+                                  2.0 * (policy.unit_timeout_s or 0.0))
+                quiet = now - last_activity
+                heads = [w.sent[0] for w in crew.workers.values() if w.sent]
+                if (heads and all(head[2] is None for head in heads)
+                        and quiet > stall_after):
+                    raise _PoolCollapsed(
+                        f"no worker activity for {quiet:.0f}s")
 
 
 class _PoolCollapsed(Exception):

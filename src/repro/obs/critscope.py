@@ -9,9 +9,9 @@ the simulated machine:
 
 * every simulated cycle of every thread is classified into one of
   :data:`CATEGORIES` — compute, fork/join, barrier-arrive-wait,
-  barrier-release, lock/contention, message-send, message-recv-wait,
-  memory-stall, and idle (the unattributed remainder, so per-thread
-  category cycles sum *exactly* to the thread's total simulated cycles);
+  barrier-release, message-send, message-recv-wait, memory-stall, and
+  idle (the unattributed remainder, so per-thread category cycles sum
+  *exactly* to the thread's total simulated cycles);
 * cross-thread dependencies are recorded as a graph: fork edges
   (parent → child at spawn time), and wait-resolution edges (the store /
   fetch&add that released a spinning waiter — barrier releases,
@@ -49,15 +49,15 @@ __all__ = ["CATEGORIES", "CritScope", "CritRun", "active_critscope",
            "use_critscope", "scaled_config", "WHAT_IF_PARAMS",
            "critscope_from_trace", "render_trace_summary"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: the wait-state taxonomy; ``idle`` is always the exact remainder
 CATEGORIES = ("compute", "forkjoin", "barrier_wait", "barrier_release",
-              "lock", "msg_send", "msg_recv", "memory", "idle")
+              "msg_send", "msg_recv", "memory", "idle")
 
 #: one-character glyphs for the per-thread ASCII wait-state timeline
 _GLYPHS = {"compute": "#", "forkjoin": "F", "barrier_wait": "b",
-           "barrier_release": "B", "lock": "L", "msg_send": "s",
+           "barrier_release": "B", "msg_send": "s",
            "msg_recv": "r", "memory": "m", "idle": "."}
 
 #: category -> the MachineConfig cost knobs an actual re-run would scale

@@ -147,9 +147,9 @@ class ThreadEnv:
             return self._timed(op, cat)
         return op
 
-    def spin(self, addr: int, predicate, info: Optional[str] = None,
-             cat: str = "lock"):
-        """``info`` names what is awaited, for watchdog stall reports."""
+    def spin(self, addr: int, predicate, info: Optional[str], cat: str):
+        """``info`` names what is awaited, for watchdog stall reports;
+        ``cat`` is the critscope category the wait bills."""
         op = self.machine.spin_until(self.cpu, addr, predicate, info)
         if self.crit is not None:
             return self._timed(op, cat, addr)

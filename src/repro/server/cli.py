@@ -35,7 +35,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="TCP port; 0 picks a free one "
                              "(default: %(default)s)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="concurrent job slots (default: %(default)s)")
+                        help="concurrent job slots; each computes its "
+                             "jobs' uncached units in a worker process "
+                             "of its own (default: %(default)s)")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache root (default: the CLI's "
                              "shared cache)")

@@ -35,13 +35,20 @@ Scheduling and fairness:
   queue depth, worker occupancy and the recent jobs; each job carries
   an end-to-end :class:`~repro.obs.tracectx.TraceContext` whose ID
   rides ``accepted``/``event``/``result`` messages and every unit
-  progress record.
+  progress record.  The server keeps its queued and running jobs and
+  the last finished ones, plus a count of every job per status.
 
-Thread model: the asyncio loop owns all protocol I/O; jobs execute in a
-small thread pool (the fabric's ``--jobs N`` worker *processes* hang
-off those threads exactly as they do off the CLI).  The only
-thread-to-loop traffic is ``call_soon_threadsafe`` with one telemetry
-record at a time.
+Thread model: the asyncio loop owns all protocol I/O.  ``--workers N``
+is N job slots; each runs one job at a time on a thread of a small
+thread pool.  Each slot also keeps one worker process (an opened
+single-worker :class:`~repro.exec.pool.WorkerPool`), started by the
+first unit the slot computes and stopped at shutdown: a ``jobs=1``
+job's uncached units compute there, so concurrent cold jobs run on
+separate CPUs, while its cache hits never leave the slot's thread.  A
+job that asks for ``jobs > 1`` starts a pool of that size of its own,
+and a telemetry-observed job computes in the slot's thread, under its
+observers.  The only thread-to-loop traffic is
+``call_soon_threadsafe`` with one telemetry record at a time.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ from ..core.canon import canonical
 from ..exec import (
     ResultCache,
     UnitExecutionError,
+    WorkerPool,
     code_fingerprint,
     default_cache_root,
     execute,
@@ -109,6 +117,13 @@ class JobSpec:
 #: what a submit's ``telemetry`` may name: each profiler scope, plus the
 #: simulated-time Chrome trace
 _TELEMETRY_KINDS = (*SCOPES, "trace")
+
+#: a job's terminal statuses
+_FINISHED = ("done", "failed", "cancelled")
+
+#: finished jobs the server keeps (``stats()`` lists the last 20 jobs);
+#: a cancel of an older one gets ``unknown_job``
+_FINISHED_KEPT = 20
 
 
 @dataclass
@@ -276,11 +291,15 @@ class ReproServer:
         self.max_queue = max_queue
         self.send_buffer = send_buffer
         self.draining = False
+        #: the queued and running jobs, and the last finished ones
         self.jobs: Dict[str, Job] = {}
+        self._finished: deque = deque()  # ids of the finished in jobs
+        self._counts: Dict[str, int] = {}  # status -> jobs accepted
         self.connections: set = set()
         self._queue: Optional[asyncio.PriorityQueue] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._worker_tasks: List[asyncio.Task] = []
+        self._pools: List[WorkerPool] = []  # one per job slot
         self._executor: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._seq = 0
@@ -306,20 +325,30 @@ class ReproServer:
         return self.host, self.port
 
     def add_worker(self) -> None:
-        """Start one more job-worker task (tests use this to sequence)."""
+        """Start one more job slot (tests use this to sequence)."""
+        pool = WorkerPool(1).open()  # its worker starts on first use
+        self._pools.append(pool)
         self._worker_tasks.append(
-            asyncio.get_running_loop().create_task(self._worker()))
+            asyncio.get_running_loop().create_task(self._worker(pool)))
 
     async def serve_forever(self) -> None:
         await self._server.serve_forever()
 
     async def shutdown(self, *, drain: bool = True) -> None:
-        """Stop accepting; optionally finish all accepted jobs first."""
+        """Stop accepting; optionally finish all accepted jobs first.
+
+        Without ``drain``, running jobs stop at their next unit
+        boundary and queued ones never start.  Either way the slots'
+        worker processes stop once no job uses them.
+        """
         self.draining = True
         if self._server is not None:
             self._server.close()
         if drain and self._queue is not None:
             await self._queue.join()
+        for job in self.jobs.values():
+            if job.status == "running":
+                job.cancel_event.set()
         for task in self._worker_tasks:
             task.cancel()
         for task in self._worker_tasks:
@@ -335,7 +364,10 @@ class ReproServer:
         if self._server is not None:
             await self._server.wait_closed()
         if self._executor is not None:
-            self._executor.shutdown(wait=False)
+            # a job's thread may outlive its cancelled slot task
+            await asyncio.to_thread(self._executor.shutdown)
+        for pool in self._pools:
+            pool.close()
 
     # -- the catalog ---------------------------------------------------
 
@@ -466,8 +498,7 @@ class ReproServer:
                 "batch points into fewer sweeps", tag,
                 retry_after_s=round(retry_after, 3))
             return
-        queued = sum(1 for j in self.jobs.values()
-                     if j.status == "queued")
+        queued = self._counts.get("queued", 0)
         if queued >= self.max_queue:
             self._reject(
                 conn, "queue_full",
@@ -491,6 +522,7 @@ class ReproServer:
         job = Job(id=f"j{self._seq:06d}", spec=spec, client=conn,
                   seq=self._seq)
         self.jobs[job.id] = job
+        self._counts["queued"] = queued + 1
         self._queue.put_nowait((-spec.priority, job.seq, job))
         conn.push({"kind": "accepted", "job": job.id, "tag": tag,
                    "experiment": exp_id, "priority": spec.priority,
@@ -502,7 +534,8 @@ class ReproServer:
         jobs = message.get("jobs", 1)
         if not isinstance(jobs, int) or jobs < 1:
             raise ValueError(f"'jobs' must be an integer >= 1 (got "
-                             f"{jobs!r}); 1 runs the sweep in-process")
+                             f"{jobs!r}); 1 runs the sweep in the job "
+                             "slot's worker process")
         priority = message.get("priority", 0)
         if not isinstance(priority, int):
             raise ValueError(f"'priority' must be an integer (got "
@@ -543,7 +576,7 @@ class ReproServer:
                          job=job_id)
             return
         if job.status == "queued":
-            job.status = "cancelled"
+            self._set_status(job, "cancelled")
             job.wall_s = round(time.monotonic() - job.enqueued_t, 4)
             conn.push({"kind": "cancelled", "job": job.id,
                        "where": "queue", "trace": job.ctx.to_wire()},
@@ -558,27 +591,40 @@ class ReproServer:
 
     # -- job execution -------------------------------------------------
 
-    async def _worker(self) -> None:
+    def _set_status(self, job: Job, status: str) -> None:
+        """Move ``job`` to ``status``: update the per-status counts, and
+        forget the oldest finished job once more than
+        ``_FINISHED_KEPT`` have finished."""
+        self._counts[job.status] -= 1
+        self._counts[status] = self._counts.get(status, 0) + 1
+        job.status = status
+        if status in _FINISHED:
+            self._finished.append(job.id)
+            if len(self._finished) > _FINISHED_KEPT:
+                del self.jobs[self._finished.popleft()]
+
+    async def _worker(self, pool: WorkerPool) -> None:
+        """One job slot: its jobs, one at a time, and ``pool``."""
         while True:
             _, _, job = await self._queue.get()
             try:
                 if job.status == "cancelled":
                     continue
-                job.status = "running"
+                self._set_status(job, "running")
                 job.ctx.add_span("queued", job.enqueued_epoch,
                                  time.time(), cat="server.queue",
                                  priority=job.spec.priority)
                 bridge = _ProgressBridge(self, job)
                 outcome = await self._loop.run_in_executor(
-                    self._executor, self._run_job_sync, job, bridge)
+                    self._executor, self._run_job_sync, job, bridge, pool)
                 self._deliver(job, outcome)
             finally:
                 self._queue.task_done()
 
     def _deliver(self, job: Job, outcome: Tuple) -> None:
         status, payload = outcome
-        job.status = {"ok": "done", "failed": "failed",
-                      "cancelled": "cancelled"}[status]
+        self._set_status(job, {"ok": "done", "failed": "failed",
+                               "cancelled": "cancelled"}[status])
         job.wall_s = round(time.monotonic() - job.enqueued_t, 4)
         conn = job.client
         if conn is None or conn.closed:
@@ -604,8 +650,9 @@ class ReproServer:
         return ResultCache(self.cache_dir or default_cache_root(),
                            code_fingerprint())
 
-    def _run_job_sync(self, job: Job, bridge: "_ProgressBridge") -> Tuple:
-        """Execute one job in a worker thread; never raises."""
+    def _run_job_sync(self, job: Job, bridge: "_ProgressBridge",
+                      pool: WorkerPool) -> Tuple:
+        """Execute one job in a slot's thread; never raises."""
         spec = job.spec
         t0 = time.perf_counter()
         t0_epoch = time.time()
@@ -613,7 +660,7 @@ class ReproServer:
             if job.cancel_event.is_set():
                 return ("cancelled", None)
             config = spp1000(n_hypernodes=spec.hypernodes)
-            payload = self._execute_job(job, config, bridge)
+            payload = self._execute_job(job, config, bridge, pool)
             payload["experiment"] = spec.experiment
             payload["tag"] = spec.tag
             payload["wall_s"] = round(time.perf_counter() - t0, 4)
@@ -629,7 +676,8 @@ class ReproServer:
             job.ctx.add_span("run", t0_epoch, time.time(),
                              cat="server.job", experiment=spec.experiment)
 
-    def _execute_job(self, job: Job, config, bridge) -> Dict:
+    def _execute_job(self, job: Job, config, bridge,
+                     pool: WorkerPool) -> Dict:
         from contextlib import ExitStack
 
         from ..sim.trace import Tracer, use_tracer
@@ -649,7 +697,8 @@ class ReproServer:
             result, report = execute(
                 spec.experiment, config, jobs=spec.jobs,
                 quick=spec.quick, cache=cache, seed=spec.seed,
-                observed=bool(spec.telemetry), progress=bridge)
+                observed=bool(spec.telemetry), progress=bridge,
+                pool=pool if spec.jobs == 1 else None)
         blocks = {name: SCOPES[name].block(profiler)
                   for name, profiler in profilers.items()
                   if SCOPES[name].has_report(profiler)}
@@ -674,9 +723,7 @@ class ReproServer:
     def stats(self) -> Dict[str, object]:
         """Live counters (tests, the drain line on stdout and the
         ``stats`` protocol verb read these)."""
-        by_status: Dict[str, int] = {}
-        for job in self.jobs.values():
-            by_status[job.status] = by_status.get(job.status, 0) + 1
+        by_status = {status: n for status, n in self._counts.items() if n}
         recent = []
         for job in list(self.jobs.values())[-20:]:
             row = {"id": job.id, "experiment": job.spec.experiment,

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import sys
 
 import pytest
 
@@ -126,3 +127,123 @@ def test_spawned_workers_resolve_experiments_from_the_table(monkeypatch):
     assert report.computed == 16
     assert {t["where"] for t in report.unit_timings} == {"worker"}
     assert stable_hash(spawned.data) == stable_hash(serial.data)
+
+
+# -- an opened pool keeps its workers ------------------------------------------
+
+
+def _children():
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+def test_opened_pool_keeps_its_workers_across_calls():
+    """One kept worker serves units of two experiments on two machine
+    configurations, and each call equals a serial one."""
+    from repro.exec.units import plan_units
+
+    calls = [("fig2", spp1000(2)), ("fig3", spp1000(1))]
+    before = _children()
+    workers = []
+    with WorkerPool(1) as pool:
+        for experiment_id, config in calls:
+            units = plan_units(experiment_id, config, quick=True)
+            stats = PoolStats(1)
+            values = pool.map_units(units, config, stats=stats)
+            assert values == WorkerPool(1).map_units(units, config)
+            assert {t["where"] for t in stats.unit_timings} == {"worker"}
+            workers.append(_children() - before)
+    assert len(workers[0]) == 1 and workers[1] == workers[0]
+    assert _children() == before
+
+
+class _Cancel(BaseException):
+    """A cancel raised from a progress hook, like the server's."""
+
+
+def test_cancel_from_a_hook_leaves_an_opened_pool_usable():
+    units = _plan_square(None)
+
+    def cancel(unit, timing):
+        raise _Cancel(unit.key)
+
+    before = _children()
+    with WorkerPool(1) as pool:
+        with pytest.raises(_Cancel):
+            pool.map_units(units, spp1000(), on_progress=cancel)
+        assert _children() == before  # the cancel stopped the worker
+        stats = PoolStats(1)
+        values = pool.map_units(units, spp1000(), stats=stats)
+        assert values == WorkerPool(1).map_units(units, spp1000())
+        assert stats.in_workers == len(units)
+    assert _children() == before
+
+
+# -- a worker forked while another thread imports ----------------------------
+
+
+def _run_importer(params, config):
+    import _pool_slow_import
+
+    return _pool_slow_import.VALUE
+
+
+register("_pool_importer", "synthetic late import", run=_assemble,
+         plan_units=lambda config, quick=False: [
+             WorkUnit("_pool_importer", "imp", {})],
+         unit=_run_importer)
+
+
+def test_worker_forked_during_an_import_can_finish_that_import(
+        tmp_path, monkeypatch):
+    """A thread is inside a module's body when the pool forks its
+    worker; the worker must still import that module: it is forked only
+    once the import has finished."""
+    import threading
+
+    from repro.exec.resilience import ResiliencePolicy
+    from repro.exec.units import plan_units
+
+    gate = tmp_path / "gate"
+    (tmp_path / "_pool_slow_import.py").write_text(
+        "import os, time\n"
+        f"while not os.path.exists({str(gate)!r}):\n"
+        "    time.sleep(0.01)\n"
+        "VALUE = 7\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    importer = threading.Thread(
+        target=__import__, args=("_pool_slow_import",))
+    importer.start()
+    threading.Timer(0.3, gate.touch).start()
+    units = plan_units("_pool_importer", spp1000())
+    stats = PoolStats(1)
+    policy = ResiliencePolicy(unit_timeout_s=10.0, max_retries=0)
+    with WorkerPool(1, policy) as pool:
+        values = pool.map_units(units, spp1000(), stats=stats)
+    importer.join()
+    sys.modules.pop("_pool_slow_import", None)
+    assert values == {"imp": 7}
+    assert stats.in_workers == 1 and stats.resilience.timeouts == 0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/<pid>/status")
+def test_worker_ignores_sigint_and_dies_on_sigterm_whatever_its_parent_does():
+    """A worker forked from a process that handles SIGTERM (an asyncio
+    server does) must still die on the supervisor's SIGTERM, and leave
+    a terminal's SIGINT to the supervisor."""
+    import signal
+
+    before = _children()
+    previous = signal.signal(signal.SIGTERM, lambda *args: None)
+    try:
+        with WorkerPool(1) as pool:
+            pool.map_units(_plan_square(None), spp1000())
+            (pid,) = _children() - before
+            status = dict(line.split(":\t") for line in open(
+                f"/proc/{pid}/status").read().splitlines() if ":\t" in line)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    caught = int(status["SigCgt"], 16)
+    ignored = int(status["SigIgn"], 16)
+    assert not caught & (1 << (signal.SIGTERM - 1))
+    assert ignored & (1 << (signal.SIGINT - 1))

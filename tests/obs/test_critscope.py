@@ -268,7 +268,7 @@ def test_to_dict_schema_and_render():
     with use_critscope(cs):
         barrier_workload(cfg, n=8, rounds=2)
     doc = cs.to_dict(top=5, what_if=[("barrier_release", 2.0)])
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["clock_ns"] == cfg.clock_ns
     for row in doc["threads"]:
         assert set(row["categories_cycles"]) == set(CATEGORIES)
@@ -299,7 +299,7 @@ def test_manifest_folds_critscope_block():
         barrier_workload(cfg, n=4, rounds=1)
     manifest = build_manifest(config=cfg, critscope=cs)
     block = manifest["critscope"]
-    assert block["schema_version"] == 1
+    assert block["schema_version"] == 2
     assert block["threads"]
     # pre-rendered dicts pass through unchanged too
     manifest2 = build_manifest(critscope=cs.to_dict(top=3))

@@ -30,7 +30,7 @@ def test_critscope_fig3_reports_attribution_and_path(capsys):
 def test_critscope_json_document(capsys):
     doc = critscope_json(capsys, "fig3")
     assert doc["experiment"] == "fig3"
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["threads"]
     assert doc["critical_path"]["total_us"] > 0
     cats = doc["critical_path"]["categories_us"]
@@ -48,6 +48,7 @@ def test_critscope_what_if_selects_projections(capsys):
     ("forkjoin=fast", "must be a number"),
     ("forkjoin=0", "must be > 0"),
     ("sorcery=2", "not projectable"),
+    ("lock=2", "not projectable"),  # a retired category
 ])
 def test_critscope_rejects_bad_what_if(capsys, spec, needle):
     assert main(["critscope", "fig3", "--what-if", spec]) == 2

@@ -113,6 +113,8 @@ def test_planning_the_des_experiments_loads_no_numpy():
         "print(json.dumps(list(sys.modules)))")
     assert "repro.experiments.degraded" in loaded
     assert _loaded(loaded, MODEL_SIDE) == []
+    # only a run's parallel path imports the process machinery
+    assert _loaded(loaded, ("multiprocessing",)) == []
     # the simulator layers the DES experiments run on, and nothing more
     assert _loaded(loaded, ("repro.sim", "repro.runtime", "repro.pvm")) == [
         "repro.pvm", "repro.pvm.buffers", "repro.pvm.message",
