@@ -4,17 +4,17 @@
 plan order, under whatever ambient contexts (tracer, fault plan) the
 caller installed — byte-for-byte the legacy serial behaviour.
 
-``--jobs N`` fans units out to ``N`` **supervised** worker processes,
-each fed over a pipe of its own.  Every task carries its unit's
-machine configuration, the run's fault plan and the unit's chaos
-faults, so ``--faults`` runs stay bit-identical to serial (unit runners
-are pure functions of their parameters, the machine configuration, and
-that plan; every RNG they use is seeded locally, so no global generator
-is reseeded) and one worker can serve units of any experiment and any
-configuration.  A worker resolves each unit's runner through the
-experiment table, importing the experiment's module on first use,
-under ``fork`` and ``spawn`` alike.  Results merge into plan order
-regardless of completion order, so output is deterministic.
+``--jobs N`` fans units out to ``N`` **supervised** worker processes
+through one task queue, one unit per idle worker.  Every task carries
+its unit's machine configuration, the run's fault plan and the unit's
+chaos faults, so ``--faults`` runs stay bit-identical to serial (unit
+runners are pure functions of their parameters, the machine
+configuration, and that plan; every RNG they use is seeded locally, so
+no global generator is reseeded) and one worker can serve units of any
+experiment and any configuration.  A worker resolves each unit's runner
+through the experiment table, importing the experiment's module on
+first use, under ``fork`` and ``spawn`` alike.  Results merge into plan
+order regardless of completion order, so output is deterministic.
 
 Worker lifetime: a pool that is not opened starts its workers in each
 parallel :meth:`WorkerPool.map_units` call and stops them before the
@@ -52,9 +52,9 @@ Host-level fault tolerance (see :mod:`repro.exec.resilience`):
   spec makes workers kill themselves, stall, or drop results at
   scripted units, deterministically, to prove all of the above in CI.
 
-The supervisor waits on the workers' pipes and process sentinels, at
-most ``_TICK_S`` at a time, so it reads a result as soon as it is
-written.
+The supervisor waits on the result queue's pipe and the workers'
+process sentinels, at most ``_TICK_S`` at a time, so it reads a result
+as soon as it is written.
 
 Host-time accounting: every computed unit gets a timing record in
 ``PoolStats.unit_timings`` splitting its wall time into ``run_s`` (the
@@ -90,9 +90,17 @@ __all__ = ["WorkerPool", "PoolStats"]
 #: exit code of a chaos-scripted worker kill (distinguishable in logs)
 _CHAOS_EXIT = 43
 
-#: longest the supervisor waits for a pipe or a worker exit before it
+#: longest the supervisor waits for a result or a worker exit before it
 #: checks timeouts and backoffs again, host seconds
 _TICK_S = 0.02
+
+#: how often an idle worker checks that its supervisor still lives,
+#: host seconds
+_ORPHAN_CHECK_S = 1.0
+
+#: longest a pool waits for another thread's import to finish before it
+#: computes in-process instead of forking workers, host seconds
+_IMPORT_WAIT_S = 2.0
 
 
 class PoolStats:
@@ -129,17 +137,17 @@ class _ChaosDropReturn(Exception):
     return path (a lost pipe write); retried like any worker failure."""
 
 
-def _worker_main(tasks, results, parent_ends=None) -> None:
-    """One worker process: compute each batch of tasks that arrives on
-    ``tasks``, in order, until the ``None`` sentinel, or until the
-    supervisor's end closes.
+def _worker_main(task_q, result_q, supervisor_pid: int) -> None:
+    """One worker process: compute tasks from ``task_q`` until the
+    ``None`` sentinel, or until its supervisor is gone.
 
-    Every message is written to ``results`` in the worker's own thread,
-    so a ``start`` heartbeat is on the wire before the unit computes.
-    A forked worker gets ``parent_ends``, the supervisor's ends of its
-    two pipes, to close: holding the task pipe's writing end itself, it
-    would never see the pipe close.
+    Every message is written to ``result_q`` (a SimpleQueue) *in the
+    worker's own thread*, so a ``start`` heartbeat is on the wire
+    before the unit computes — even a chaos ``kill_worker`` that
+    ``os._exit``-s mid-unit leaves the supervisor knowing exactly which
+    unit died where.
     """
+    import queue
     import signal
 
     # a terminal's ^C reaches the whole process group; the supervisor
@@ -147,49 +155,46 @@ def _worker_main(tasks, results, parent_ends=None) -> None:
     # when the parent, like an asyncio server, handles that signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    if parent_ends is not None:
-        for conn in parent_ends:
-            conn.close()
+    if os.name == "posix":
         _release_inherited_sockets()
-    try:
-        while True:
-            batch = tasks.recv()
-            if batch is None:
-                return
-            for task in batch:
-                _compute(task, results)
-    except (EOFError, OSError):
-        return  # the supervisor is gone: nothing waits for this worker
-
-
-def _compute(task: tuple, results) -> None:
-    """Compute one task in a worker; its messages go to ``results``."""
-    experiment_id, key, params, attempt, config, fault_plan, faults = task
-    results.send(("start", key, attempt))
-    fired: List[str] = []  # chaos kinds that actually fired
-    try:
-        for fault in faults:
-            if fault["kind"] == "kill_worker":
-                # die hard, like an OOM kill: no cleanup, no goodbye
-                os._exit(_CHAOS_EXIT)
-            elif fault["kind"] == "delay_unit":
-                fired.append("delay_unit")
-                time.sleep(fault["seconds"])
-        ctx = (_faults_ctx(fault_plan) if fault_plan is not None
-               else nullcontext())
-        t0 = time.monotonic()
-        with ctx:
-            value = run_unit(experiment_id, params, config)
-        t1 = time.monotonic()
-        if any(f["kind"] == "drop_return" for f in faults):
-            fired.append("drop_return")
-            raise _ChaosDropReturn(
-                f"chaos: result of unit {key!r} dropped on the "
-                "return path")
-        results.send(("done", key, attempt, value, t0, t1, fired))
-    except BaseException as exc:
-        results.send(("fail", key, attempt, repr(exc),
-                      traceback.format_exc(), fired))
+    pid = os.getpid()
+    while True:
+        try:
+            task = task_q.get(timeout=_ORPHAN_CHECK_S)
+        except queue.Empty:
+            if os.getppid() != supervisor_pid:
+                return  # the supervisor is gone: nothing waits for us
+            continue
+        if task is None:
+            return
+        (experiment_id, key, params, attempt, config, fault_plan,
+         faults) = task
+        result_q.put(("start", pid, key, attempt))
+        fired: List[str] = []  # chaos kinds that actually fired
+        try:
+            for fault in faults:
+                if fault["kind"] == "kill_worker":
+                    # die hard, like an OOM kill: no cleanup, no goodbye
+                    os._exit(_CHAOS_EXIT)
+                elif fault["kind"] == "delay_unit":
+                    fired.append("delay_unit")
+                    time.sleep(fault["seconds"])
+            ctx = (_faults_ctx(fault_plan) if fault_plan is not None
+                   else nullcontext())
+            t0 = time.monotonic()
+            with ctx:
+                value = run_unit(experiment_id, params, config)
+            t1 = time.monotonic()
+            if any(f["kind"] == "drop_return" for f in faults):
+                fired.append("drop_return")
+                raise _ChaosDropReturn(
+                    f"chaos: result of unit {key!r} dropped on the "
+                    "return path")
+            result_q.put(("done", pid, key, attempt, value, t0, t1,
+                          fired))
+        except BaseException as exc:
+            result_q.put(("fail", pid, key, attempt, repr(exc),
+                          traceback.format_exc(), fired))
 
 
 def _release_inherited_sockets() -> None:
@@ -201,8 +206,8 @@ def _release_inherited_sockets() -> None:
     connection the server closes would send no FIN.  Duplicating
     /dev/null over a descriptor, instead of closing it, keeps its number
     taken: an inherited object that still owns the number can never
-    close a file this worker opens later.  Pipes stay open: one of them
-    tells the parent when this process exits.
+    close a file this worker opens later.  The queues' pipes are not
+    sockets, and stay open.
     """
     import stat
 
@@ -237,17 +242,22 @@ def _between_imports():
     A child forked while another thread runs a module's body inherits
     that module half-initialised, its lock held by a thread the child
     does not have, so the child's first import of it would never
-    return.  No import can begin while this lock is held, so wait (at
-    most 2 s) for those in progress to finish, then start workers under
-    it.  It also keeps two threads from starting workers at once, so
-    none inherits another's half-set-up pipes.
+    return.  No import can begin while this lock is held, so wait for
+    those in progress to finish, then start workers under it.  One still
+    running after ``_IMPORT_WAIT_S`` raises :class:`_PoolCollapsed`:
+    the call then computes in-process instead of forking.  Holding the
+    lock also keeps two threads from starting workers at once, so
+    neither child inherits the other's half-set-up process pipes.
     """
     import _imp
 
-    deadline = time.monotonic() + 2.0
+    deadline = time.monotonic() + _IMPORT_WAIT_S
     _imp.acquire_lock()
-    while _importing() and time.monotonic() < deadline:
+    while _importing():
         _imp.release_lock()
+        if time.monotonic() >= deadline:
+            raise _PoolCollapsed("another thread's import did not finish "
+                                 f"within {_IMPORT_WAIT_S}s")
         time.sleep(0.001)
         _imp.acquire_lock()
     try:
@@ -256,112 +266,16 @@ def _between_imports():
         _imp.release_lock()
 
 
-class _Worker:
-    """One worker process, the pipe ends its supervisor keeps, and the
-    units sent to it, oldest (the one it computes) first, each as
-    ``[key, attempt, seen_t]``; ``seen_t`` is when its ``start``
-    heartbeat arrived."""
-
-    __slots__ = ("proc", "tasks", "results", "sent", "_readable")
-
-    def __init__(self, proc, tasks, results):
-        import select
-
-        self.proc = proc
-        self.tasks = tasks
-        self.results = results
-        self.sent: deque = deque()
-        # one poll object per pipe: ``Connection.poll`` builds a selector
-        # per call, which costs more than a small unit's computation
-        self._readable = None
-        if hasattr(select, "poll"):
-            self._readable = select.poll()
-            self._readable.register(results.fileno(), select.POLLIN)
-
-    def readable(self) -> bool:
-        """Whether a message (or the pipe's end) waits on ``results``."""
-        if self._readable is None:  # pragma: no cover - no poll(2)
-            return self.results.poll()
-        return bool(self._readable.poll(0))
-
-    def assign(self, batch: List[tuple]) -> None:
-        self.sent.extend([task[1], task[3], None] for task in batch)
-        try:
-            self.tasks.send(batch)
-        except OSError:
-            pass  # it died; the death check retries its units
-
-    def stop(self, *, kill: bool) -> None:
-        """Wait for the process to exit, terminating it first when
-        ``kill``, and close the pipes."""
-        if kill:
-            self.proc.terminate()
-        self.proc.join(timeout=5.0)
-        if self.proc.is_alive():  # pragma: no cover - last resort
-            self.proc.kill()
-            self.proc.join(timeout=1.0)
-        self.tasks.close()
-        self.results.close()
-
-
-class _Crew:
-    """A pool's worker processes, each fed by a pipe of its own and
-    answering on another."""
-
-    def __init__(self):
-        import multiprocessing as mp
-
-        self.forked = "fork" in mp.get_all_start_methods()
-        self.context = mp.get_context("fork" if self.forked else "spawn")
-        self.workers: Dict[int, _Worker] = {}
-
-    def spawn(self) -> None:
-        with _between_imports():
-            task_r, task_w = self.context.Pipe(duplex=False)
-            result_r, result_w = self.context.Pipe(duplex=False)
-            proc = self.context.Process(
-                target=_worker_main,
-                args=(task_r, result_w,
-                      (task_w, result_r) if self.forked else None),
-                daemon=True)
-            proc.start()
-            task_r.close()
-            result_w.close()
-        self.workers[proc.pid] = _Worker(proc, task_w, result_r)
-
-    def retire(self, pid: int, *, kill: bool = False) -> deque:
-        """Stop one worker and forget it; returns the units it was sent."""
-        worker = self.workers.pop(pid)
-        worker.stop(kill=kill)
-        return worker.sent
-
-    def shutdown(self) -> None:
-        """Stop every worker: the sentinel for the idle, SIGTERM for the
-        busy, and never let cleanup mask the in-flight exception."""
-        workers, self.workers = self.workers, {}
-        try:
-            for worker in workers.values():
-                if not worker.sent:
-                    try:
-                        worker.tasks.send(None)
-                    except OSError:
-                        pass
-            for worker in workers.values():
-                worker.stop(kill=bool(worker.sent))
-        except Exception:  # pragma: no cover - cleanup must not mask
-            pass
-
-
 class _UnitTask:
     """Supervisor-side state of one unit's journey through the pool."""
 
     __slots__ = ("unit", "attempt", "submitted_t", "exhausted_error",
                  "exhausted_tb")
 
-    def __init__(self, unit: WorkUnit, submitted_t: float):
+    def __init__(self, unit: WorkUnit):
         self.unit = unit
         self.attempt = 0
-        self.submitted_t = submitted_t
+        self.submitted_t = 0.0
         self.exhausted_error: Optional[str] = None
         self.exhausted_tb: str = ""
 
@@ -381,7 +295,10 @@ class WorkerPool:
         self.jobs = jobs
         self.policy = policy if policy is not None else ResiliencePolicy()
         self._opened = False
-        self._kept: Optional[_Crew] = None
+        # the workers' processes and queues, while they run
+        self._workers: Dict[int, object] = {}  # pid -> process
+        self._task_q = None
+        self._result_q = None
 
     def open(self) -> "WorkerPool":
         """Keep workers across calls; they start on first use."""
@@ -399,10 +316,31 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _drop_workers(self) -> None:
-        crew, self._kept = self._kept, None
-        if crew is not None:
-            crew.shutdown()
+    def _drop_workers(self, *, kill: bool = False) -> None:
+        """Stop the workers and discard their queues: the ``None``
+        sentinel for idle workers, SIGTERM for all when ``kill``; never
+        let cleanup mask the in-flight exception."""
+        workers, self._workers = self._workers, {}
+        task_q, result_q = self._task_q, self._result_q
+        self._task_q = self._result_q = None
+        if task_q is None:
+            return
+        try:
+            for proc in workers.values():
+                if kill:
+                    proc.terminate()
+                else:
+                    task_q.put(None)
+            for proc in workers.values():
+                proc.join(timeout=5.0)
+                if proc.is_alive():  # pragma: no cover - last resort
+                    proc.kill()
+                    proc.join(timeout=1.0)
+            task_q.close()
+            task_q.join_thread()
+            result_q.close()
+        except Exception:  # pragma: no cover - cleanup must not mask
+            pass
 
     def map_units(self, units: List[WorkUnit], config, *,
                   fault_plan=None, stats: Optional[PoolStats] = None,
@@ -450,7 +388,7 @@ class WorkerPool:
                 raise self._quarantine_error(units, stats)
             return ordered
         except BaseException:
-            self._drop_workers()
+            self._drop_workers(kill=True)
             raise
 
     def _quarantine_error(self, units, stats: PoolStats):
@@ -569,28 +507,22 @@ class WorkerPool:
         values: Dict[str, object] = {}
         exhausted: Dict[str, _UnitTask] = {}  # pool gave up; serial next
         unresolved: Dict[str, _UnitTask] = {}  # pool collapsed under them
-        now = time.monotonic()
-        tasks = {u.key: _UnitTask(u, now) for u in units}
+        tasks = {u.key: _UnitTask(u) for u in units}
 
-        crew = None
         try:
-            crew = self._kept if self._kept is not None else _Crew()
-            if self._opened:
-                self._kept = crew
-            self._supervise(crew, units, tasks, config, fault_plan,
-                            stats, values, exhausted, chaos_spec,
-                            on_progress, on_event, on_complete)
+            self._supervise(units, tasks, config, fault_plan, stats,
+                            values, exhausted, chaos_spec, on_progress,
+                            on_event, on_complete)
         except Exception:
             # The pool itself failed to start or collapsed in a way the
             # supervisor could not contain; everything still missing
             # degrades to the serial path below.
-            self._kept = None
+            self._drop_workers(kill=True)
             for key, task in tasks.items():
                 if key not in values and key not in exhausted:
                     unresolved[key] = task
-        finally:
-            if crew is not None and crew is not self._kept:
-                crew.shutdown()
+        if not self._opened:
+            self._drop_workers()
 
         # Units the pool never resolved (collapse/stall): full serial
         # treatment, retries included.
@@ -654,29 +586,44 @@ class WorkerPool:
         if on_progress is not None:
             on_progress(task.unit, timing)
 
-    def _supervise(self, crew: _Crew, units, tasks, config, fault_plan,
-                   stats, values, exhausted, chaos_spec,
-                   on_progress, on_event, on_complete) -> None:
-        """The supervisor loop: send due units to workers, wait on their
-        pipes, detect hangs and deaths, retry with backoff, replace
+    def _supervise(self, units, tasks, config, fault_plan, stats, values,
+                   exhausted, chaos_spec, on_progress, on_event,
+                   on_complete) -> None:
+        """The supervisor loop: feed one unit per idle worker, wait on
+        the result pipe and the worker sentinels, drain heartbeats and
+        results, detect hangs and deaths, retry with backoff, replace
         workers.  Raises :class:`_PoolCollapsed` when the pool cannot
         make progress."""
+        import multiprocessing as mp
         from multiprocessing.connection import wait
 
         policy = self.policy
         n_workers = min(self.jobs, len(units))
         budget = policy.replacement_budget(n_workers)
-        # A lone worker takes every due unit in one batch and computes
-        # them back to back; with several, each takes one unit at a
-        # time, so none idles while another holds units it has not begun.
-        take = len(units) if n_workers == 1 else 1
-        pending = deque((u.key, 1) for u in units)
+        context = mp.get_context("fork" if "fork" in
+                                 mp.get_all_start_methods() else "spawn")
+        if self._task_q is None:
+            self._task_q = context.Queue()
+            self._result_q = context.SimpleQueue()
+        task_q, result_q = self._task_q, self._result_q
+        workers = self._workers
+        in_flight: Dict[int, Dict] = {}  # pid -> {key, attempt, seen_t}
+        sent: set = set()  # keys on the task queue or in a worker
+        pending = deque((u.key, 1, 0.0) for u in units)
+
+        def spawn() -> None:
+            with _between_imports():
+                proc = context.Process(
+                    target=_worker_main,
+                    args=(task_q, result_q, os.getpid()), daemon=True)
+                proc.start()
+            workers[proc.pid] = proc
 
         def replace() -> None:
             if stats.resilience.workers_replaced >= budget:
                 raise _PoolCollapsed("replacement budget exhausted")
             stats.resilience.workers_replaced += 1
-            crew.spawn()
+            spawn()
 
         def fail_attempt(key: str, attempt: int, error: str, tb: str,
                          now: float) -> None:
@@ -690,158 +637,150 @@ class WorkerPool:
                         max_attempts=policy.pool_attempts + 1,
                         where="worker", error=error,
                         backoff_s=round(backoff, 3)))
-                task.submitted_t = now + backoff
-                pending.append((key, attempt + 1))
+                pending.append((key, attempt + 1, now + backoff))
             else:
                 task.exhausted_error = error
                 task.exhausted_tb = tb
                 exhausted[key] = task
 
-        def lost(sent: deque, error: str) -> None:
-            """A worker is gone: its current unit failed an attempt, and
-            the units queued behind it go back, unattempted."""
-            key, attempt, _ = sent.popleft()
-            fail_attempt(key, attempt, error, "", time.monotonic())
-            for key, attempt, _ in reversed(sent):
-                pending.appendleft((key, attempt))
-            if outstanding():
-                replace()
-
         def outstanding() -> int:
             return len(tasks) - len(values) - len(exhausted)
 
-        def feed(now: float) -> None:
-            """Send each worker that holds no unit a batch of due ones."""
-            for worker in crew.workers.values():
-                if worker.sent:
-                    continue
-                batch = []
-                for _ in range(len(pending)):
-                    key, attempt = pending.popleft()
-                    task = tasks[key]
-                    if task.submitted_t > now:
-                        pending.append((key, attempt))  # backing off
-                        continue
-                    task.attempt = attempt
-                    unit = task.unit
-                    faults = [f for f in chaos_spec.get(key, ())
-                              if attempt in f["attempts"]]
-                    batch.append((unit.experiment_id, key, unit.params,
-                                  attempt, config, fault_plan, faults))
-                    if len(batch) == take:
-                        break
-                if not batch:
+        def feed() -> None:
+            """Put due units on the task queue, one per idle worker."""
+            now = time.monotonic()
+            for _ in range(len(pending)):
+                if len(sent) >= len(workers):
                     return
-                worker.assign(batch)
+                key, attempt, not_before = pending.popleft()
+                if not_before > now:
+                    pending.append((key, attempt, not_before))  # backoff
+                    continue
+                task = tasks[key]
+                task.attempt = attempt
+                task.submitted_t = now
+                unit = task.unit
+                faults = [f for f in chaos_spec.get(key, ())
+                          if attempt in f["attempts"]]
+                task_q.put((unit.experiment_id, key, unit.params, attempt,
+                            config, fault_plan, faults))
+                sent.add(key)
 
-        def handle(worker: _Worker, msg: tuple, now: float) -> None:
-            kind, key, attempt = msg[:3]
-            if kind == "start":
-                worker.sent[0][2] = now
-                return
-            worker.sent.popleft()
-            feed(now)  # the worker's next unit runs while the hooks do
-            for chaos_kind in msg[-1]:
-                stats.resilience.count_chaos(chaos_kind)
-            if kind == "fail":
-                fail_attempt(key, attempt, msg[3], msg[4], now)
-                return
-            _, _, _, value, t0, t1, _ = msg
-            task = tasks[key]
-            run_s = max(t1 - t0, 0.0)
-            roundtrip = max(now - task.submitted_t, 0.0)
-            timing = {
-                "key": key, "where": "worker",
-                "run_s": round(run_s, 6),
-                "queue_s": round(max(t0 - task.submitted_t, 0.0), 6),
-                "return_s": round(max(now - t1, 0.0), 6),
-                "overhead_s": round(max(roundtrip - run_s, 0.0), 6),
-            }
-            values[key] = value
-            stats.executed += 1
-            stats.in_workers += 1
-            stats.unit_timings.append(timing)
-            if on_complete is not None:
-                on_complete(task.unit, value)
-            if on_progress is not None:
-                on_progress(task.unit, timing)
-
-        def drain(worker: _Worker) -> bool:
-            """Handle every message waiting on one worker's pipe; False
-            once the pipe is closed (the worker is gone)."""
+        def drain() -> None:
+            """Handle every message already on ``result_q``."""
             nonlocal last_activity
-            try:
-                while worker.readable():
-                    msg = worker.results.recv()
-                    last_activity = time.monotonic()
-                    handle(worker, msg, last_activity)
-            except (EOFError, OSError):
-                return False
-            return True
+            while not result_q.empty():
+                msg = result_q.get()
+                recv_t = last_activity = time.monotonic()
+                kind, pid, key, attempt = msg[:4]
+                if kind == "start":
+                    in_flight[pid] = {"key": key, "attempt": attempt,
+                                      "seen_t": recv_t}
+                    continue
+                in_flight.pop(pid, None)
+                sent.discard(key)
+                for chaos_kind in msg[-1]:
+                    stats.resilience.count_chaos(chaos_kind)
+                if kind == "fail":
+                    fail_attempt(key, attempt, msg[4], msg[5], recv_t)
+                    feed()
+                    continue
+                _, _, _, _, value, t0, t1, _ = msg
+                task = tasks[key]
+                run_s = max(t1 - t0, 0.0)
+                roundtrip = max(recv_t - task.submitted_t, 0.0)
+                timing = {
+                    "key": key, "where": "worker",
+                    "run_s": round(run_s, 6),
+                    "queue_s": round(max(t0 - task.submitted_t, 0.0), 6),
+                    "return_s": round(max(recv_t - t1, 0.0), 6),
+                    "overhead_s": round(max(roundtrip - run_s, 0.0), 6),
+                }
+                values[key] = value
+                stats.executed += 1
+                stats.in_workers += 1
+                stats.unit_timings.append(timing)
+                feed()  # the worker's next unit runs while the hooks do
+                if on_complete is not None:
+                    on_complete(task.unit, value)
+                if on_progress is not None:
+                    on_progress(task.unit, timing)
 
         t_spawn = time.monotonic()
-        for pid in [pid for pid, worker in crew.workers.items()
-                    if not worker.proc.is_alive()]:
-            crew.retire(pid)  # died between calls, holding no unit
-        while len(crew.workers) < n_workers:
-            crew.spawn()
+        for pid in [pid for pid, proc in workers.items()
+                    if not proc.is_alive()]:
+            workers.pop(pid).join()  # died between calls, holding no unit
+        while len(workers) < n_workers:
+            spawn()
         stats.spawn_s = time.monotonic() - t_spawn
         last_activity = time.monotonic()
         while outstanding():
-            feed(time.monotonic())
-            wait([conn for worker in crew.workers.values()
-                  for conn in (worker.results, worker.proc.sentinel)],
+            feed()
+            wait([result_q._reader,
+                  *(proc.sentinel for proc in workers.values())],
                  timeout=_TICK_S)
 
-            # 1. results and heartbeats, then deaths: a worker found
-            # dead before its pipe is drained has its last messages read
-            for pid, worker in list(crew.workers.items()):
-                dead = not worker.proc.is_alive()
-                if drain(worker) and not dead:
-                    continue
-                sent = crew.retire(pid)
-                exitcode = worker.proc.exitcode
-                if exitcode == _CHAOS_EXIT:
-                    stats.resilience.count_chaos("kill_worker")
-                if sent:
-                    lost(sent, f"worker (pid {pid}) died with exit code "
-                         f"{exitcode} while computing unit {sent[0][0]!r}")
-                elif outstanding():
-                    replace()
+            # 1. heartbeats and results
+            drain()
 
             # 2. hung-worker detection: heartbeat said the unit
             # started, but no result within the timeout
             now = time.monotonic()
+            hung: Dict[int, float] = {}  # pid -> seconds on its unit
             if policy.unit_timeout_s is not None:
-                for pid, worker in list(crew.workers.items()):
-                    if not worker.sent or worker.sent[0][2] is None:
-                        continue
-                    key, _, seen_t = worker.sent[0]
-                    elapsed = now - seen_t
-                    if elapsed <= policy.unit_timeout_s:
-                        continue
-                    stats.resilience.timeouts += 1
-                    stats.resilience.hung_workers_replaced += 1
-                    if on_event is not None:
-                        on_event(make_event(
-                            "hung_worker", key=key, pid=pid,
-                            elapsed_s=round(elapsed, 3),
-                            timeout_s=policy.unit_timeout_s))
-                    lost(crew.retire(pid, kill=True),
-                         f"timed out after {elapsed:.1f}s "
-                         f"(--unit-timeout {policy.unit_timeout_s}s)")
+                for pid, info in in_flight.items():
+                    if now - info["seen_t"] > policy.unit_timeout_s:
+                        hung[pid] = now - info["seen_t"]
+                        workers[pid].terminate()
 
-            # 3. stall detection: units sent, none started, no traffic
-            # at all — the workers are wedged
+            # 3. dead workers, the hung ones included
+            for pid in list(workers):
+                proc = workers[pid]
+                if pid not in hung and proc.is_alive():
+                    continue
+                workers.pop(pid)
+                proc.join(timeout=5.0)
+                # Everything the worker wrote before it died is on
+                # result_q now.  Read it before deciding: a "start"
+                # that landed after step 1 would otherwise leave its
+                # unit in flight forever, never retried, and a result
+                # written just before a timeout's SIGTERM still counts.
+                drain()
+                info = in_flight.pop(pid, None)
+                if proc.exitcode == _CHAOS_EXIT:
+                    stats.resilience.count_chaos("kill_worker")
+                if info is not None:
+                    sent.discard(info["key"])
+                    if pid in hung:
+                        elapsed = hung[pid]
+                        stats.resilience.timeouts += 1
+                        stats.resilience.hung_workers_replaced += 1
+                        if on_event is not None:
+                            on_event(make_event(
+                                "hung_worker", key=info["key"], pid=pid,
+                                elapsed_s=round(elapsed, 3),
+                                timeout_s=policy.unit_timeout_s))
+                        error = (f"timed out after {elapsed:.1f}s "
+                                 f"(--unit-timeout "
+                                 f"{policy.unit_timeout_s}s)")
+                    else:
+                        error = (f"worker (pid {pid}) died with exit code "
+                                 f"{proc.exitcode} while computing unit "
+                                 f"{info['key']!r}")
+                    fail_attempt(info["key"], info["attempt"], error, "",
+                                 time.monotonic())
+                if outstanding():
+                    replace()
+
+            # 4. stall detection: units sent, none started, no traffic
+            # at all — the queues are likely wedged
             if outstanding():
-                if not crew.workers:
+                if not workers:
                     raise _PoolCollapsed("no live workers remain")
                 stall_after = max(30.0,
                                   2.0 * (policy.unit_timeout_s or 0.0))
-                quiet = now - last_activity
-                heads = [w.sent[0] for w in crew.workers.values() if w.sent]
-                if (heads and all(head[2] is None for head in heads)
-                        and quiet > stall_after):
+                quiet = time.monotonic() - last_activity
+                if not in_flight and quiet > stall_after:
                     raise _PoolCollapsed(
                         f"no worker activity for {quiet:.0f}s")
 

@@ -24,7 +24,7 @@ Scheduling and fairness:
   replaces the previous one, carrying a ``coalesced`` count) and
   terminal messages (results, errors) evict progress records instead of
   queueing behind them.  TCP backpressure (``drain()``) throttles the
-  writer underneath.
+  writer underneath, over a kernel send buffer fixed at 64 KiB.
 * **Cancellation** — queued jobs cancel instantly; running jobs
   cancel at the next unit boundary (the progress hook raises
   :class:`JobCancelled`, which the pool machinery never swallows).
@@ -54,6 +54,7 @@ observers.  The only thread-to-loop traffic is
 from __future__ import annotations
 
 import asyncio
+import socket
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -124,6 +125,11 @@ _FINISHED = ("done", "failed", "cancelled")
 #: finished jobs the server keeps (``stats()`` lists the last 20 jobs);
 #: a cancel of an older one gets ``unknown_job``
 _FINISHED_KEPT = 20
+
+#: kernel send buffer of each accepted connection, bytes; left to
+#: autotune it grows to megabytes and absorbs a stalled client's records
+#: before the writer ever waits in ``drain()`` and they coalesce
+_SOCKET_SEND_BYTES = 64 * 1024
 
 
 @dataclass
@@ -266,7 +272,11 @@ class ClientConnection:
                 pass
         try:
             self.writer.close()
-            await self.writer.wait_closed()
+            await asyncio.wait_for(
+                asyncio.shield(self.writer.wait_closed()), 5.0)
+        except TimeoutError:
+            # the client stopped reading: drop what it never read
+            self.writer.transport.abort()
         except (ConnectionError, OSError):
             pass
 
@@ -380,6 +390,8 @@ class ReproServer:
     # -- connection handling -------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        writer.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, _SOCKET_SEND_BYTES)
         conn = ClientConnection(self, reader, writer)
         try:
             ok = await self._handshake(conn)

@@ -225,6 +225,40 @@ def test_worker_forked_during_an_import_can_finish_that_import(
     assert stats.in_workers == 1 and stats.resilience.timeouts == 0
 
 
+def test_import_that_outlasts_the_wait_computes_in_process(
+        tmp_path, monkeypatch):
+    """A thread is still inside a module's body when the wait for it
+    ends: the pool forks nothing and computes the call in-process."""
+    import threading
+
+    from repro.exec import pool as pool_module
+
+    gate = tmp_path / "gate"
+    (tmp_path / "_pool_stuck_import.py").write_text(
+        "import os, time\n"
+        f"while not os.path.exists({str(gate)!r}):\n"
+        "    time.sleep(0.01)\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(pool_module, "_IMPORT_WAIT_S", 0.05)
+    importer = threading.Thread(
+        target=__import__, args=("_pool_stuck_import",))
+    importer.start()
+    units = _plan_square(None)
+    before = _children()
+    stats = PoolStats(1)
+    try:
+        with WorkerPool(1) as pool:
+            values = pool.map_units(units, spp1000(), stats=stats)
+            assert _children() == before
+    finally:
+        gate.touch()
+        importer.join()
+        sys.modules.pop("_pool_stuck_import", None)
+    assert values == WorkerPool(1).map_units(units, spp1000())
+    assert stats.in_workers == 0
+    assert stats.resilience.serial_fallbacks == len(units)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads /proc/<pid>/status")
 def test_worker_ignores_sigint_and_dies_on_sigterm_whatever_its_parent_does():

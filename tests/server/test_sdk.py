@@ -295,6 +295,31 @@ def test_slow_consumer_is_coalesced_not_buffered():
         srv.stop(drain=False)
 
 
+def test_client_that_stopped_reading_does_not_hold_up_shutdown():
+    """The kernel send buffer is bounded, so a stalled client leaves
+    bytes the server can never send; stopping must drop them, not wait
+    for them.  ``ServerThread.stop`` raises after 60 s."""
+    srv = ServerThread(workers=1, no_cache=True, send_buffer=8).start()
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    try:
+        sock.settimeout(120)
+        sock.connect((srv.host, srv.port))
+        fh = sock.makefile("rb")
+        sock.sendall(encode({"kind": "hello",
+                             "protocol": PROTOCOL_VERSION}))
+        assert decode(fh.readline())["kind"] == "welcome"
+        sock.sendall(encode({"kind": "submit",
+                             "experiment": "_srv_many"}))
+        deadline = time.monotonic() + 180
+        while not srv.call(_stats(srv))["jobs"].get("done"):
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+    finally:
+        srv.stop(drain=False)
+        sock.close()
+
+
 async def _stats_async(server):
     return server.stats()
 
