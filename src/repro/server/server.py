@@ -274,7 +274,7 @@ class ClientConnection:
             self.writer.close()
             await asyncio.wait_for(
                 asyncio.shield(self.writer.wait_closed()), 5.0)
-        except TimeoutError:
+        except asyncio.TimeoutError:
             # the client stopped reading: drop what it never read
             self.writer.transport.abort()
         except (ConnectionError, OSError):

@@ -273,8 +273,9 @@ def test_worker_ignores_sigint_and_dies_on_sigterm_whatever_its_parent_does():
         with WorkerPool(1) as pool:
             pool.map_units(_plan_square(None), spp1000())
             (pid,) = _children() - before
-            status = dict(line.split(":\t") for line in open(
-                f"/proc/{pid}/status").read().splitlines() if ":\t" in line)
+            with open(f"/proc/{pid}/status") as fh:
+                status = dict(line.split(":\t") for line in
+                              fh.read().splitlines() if ":\t" in line)
     finally:
         signal.signal(signal.SIGTERM, previous)
     caught = int(status["SigCgt"], 16)

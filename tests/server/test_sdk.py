@@ -302,10 +302,10 @@ def test_client_that_stopped_reading_does_not_hold_up_shutdown():
     srv = ServerThread(workers=1, no_cache=True, send_buffer=8).start()
     sock = socket.socket()
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    fh = sock.makefile("rb")
     try:
         sock.settimeout(120)
         sock.connect((srv.host, srv.port))
-        fh = sock.makefile("rb")
         sock.sendall(encode({"kind": "hello",
                              "protocol": PROTOCOL_VERSION}))
         assert decode(fh.readline())["kind"] == "welcome"
@@ -317,6 +317,7 @@ def test_client_that_stopped_reading_does_not_hold_up_shutdown():
             time.sleep(0.05)
     finally:
         srv.stop(drain=False)
+        fh.close()
         sock.close()
 
 
