@@ -30,8 +30,16 @@ from typing import Any, Dict
 __all__ = ["canonical", "canonical_json", "config_dict", "stable_hash"]
 
 
+#: exact JSON scalar types, already canonical.  Their subclasses (an
+#: ``IntEnum`` member, a ``str``-mixin enum member, ``numpy.float64``)
+#: take the checks below.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def canonical(obj: Any) -> Any:
     """Recursively coerce ``obj`` into canonical JSON-able form."""
+    if type(obj) in _SCALARS:
+        return obj
     if isinstance(obj, enum.Enum):
         return canonical(obj.value)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -44,8 +52,6 @@ def canonical(obj: Any) -> Any:
         return sorted(items, key=lambda v: json.dumps(v, sort_keys=True))
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
     if isinstance(obj, int):
         return int(obj)  # normalise int subclasses
     if isinstance(obj, float):

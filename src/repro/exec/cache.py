@@ -48,12 +48,13 @@ verified.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 from typing import Dict, Optional
 
-from ..core.canon import canonical, stable_hash
+from ..core.canon import canonical, canonical_json, stable_hash
 from .fingerprint import code_fingerprint
 from .units import WorkUnit
 
@@ -110,6 +111,9 @@ class ResultCache:
         self.stores = 0
         self.corrupt = 0       #: entries that failed checksum verification
         self.quarantined = 0   #: corrupt entries preserved for autopsy
+        #: (config, fault_plan, seed, fingerprint, hash state of their
+        #: key-material prefix) of the last run addressed; see digest()
+        self._run: Optional[tuple] = None
 
     # -- root validation ------------------------------------------------
 
@@ -159,7 +163,33 @@ class ResultCache:
 
     def digest(self, unit: WorkUnit, config, fault_plan=None,
                seed: Optional[int] = None) -> str:
-        return stable_hash(self.key_material(unit, config, fault_plan, seed))
+        """``stable_hash(self.key_material(unit, config, fault_plan,
+        seed))``, with the run material hashed once per run.
+
+        Sorted keys put ``unit`` last in the key material's canonical
+        JSON, so that JSON is the run material's minus its closing
+        brace, then ``,"unit":``, the unit's canonical JSON and ``}``.
+        The SHA-256 state of that prefix is kept for the last run this
+        cache addressed and copied for each unit.  The run is matched
+        by identity, not equality: ``spp1000(clock_ns=10)`` equals
+        ``spp1000(clock_ns=10.0)`` and seed ``True`` equals ``1``, yet
+        each has an address of its own.  The memo holds its inputs, so
+        their ids cannot be reused while it does.  A thread reads the
+        memo once and uses that tuple, so threads sharing a cache at
+        worst hash a run again.
+        """
+        run = self._run
+        if (run is None or run[0] is not config or run[1] is not fault_plan
+                or run[2] is not seed or run[3] is not self.fingerprint):
+            material = canonical_json(run_material(
+                config, fault_plan, seed, self.fingerprint))
+            state = hashlib.sha256(
+                (material[:-1] + ',"unit":').encode("ascii"))
+            run = self._run = (config, fault_plan, seed, self.fingerprint,
+                               state)
+        state = run[4].copy()
+        state.update((canonical_json(unit.material()) + "}").encode("ascii"))
+        return state.hexdigest()
 
     def _path(self, digest: str) -> str:
         return os.path.join(self.root, "objects", digest[:2],

@@ -139,6 +139,7 @@ def build_manifest(result=None, *, tracer: Optional[Tracer] = None,
     if config is not None:
         from ..core.canon import config_dict, stable_hash
 
+        params = config_dict(config)
         manifest["machine"] = {
             "n_hypernodes": config.n_hypernodes,
             "n_cpus": config.n_cpus,
@@ -146,8 +147,8 @@ def build_manifest(result=None, *, tracer: Optional[Tracer] = None,
             "dcache_bytes": config.dcache_bytes,
             # full canonical parameter set, hashed the same way the
             # result cache keys it (see docs/execution.md)
-            "config_hash": stable_hash(config_dict(config), length=16),
-            "config": _jsonable(config_dict(config)),
+            "config_hash": stable_hash(params, length=16),
+            "config": _jsonable(params),
         }
     if tracer is not None:
         manifest["counters"] = _jsonable(tracer.counters)

@@ -367,10 +367,15 @@ class ReproServer:
             except asyncio.CancelledError:
                 pass
         reason = "drain" if drain else "stop"
-        for conn in list(self.connections):
+
+        async def bye(conn: ClientConnection) -> None:
             conn.push({"kind": "bye", "reason": reason}, critical=True)
             await conn.flush()
             await conn.close()
+
+        # concurrently: a client that stopped reading holds its own
+        # connection for up to 10 s (flush, then close), not the others'
+        await asyncio.gather(*map(bye, list(self.connections)))
         if self._server is not None:
             await self._server.wait_closed()
         if self._executor is not None:
@@ -714,11 +719,11 @@ class ReproServer:
         blocks = {name: SCOPES[name].block(profiler)
                   for name, profiler in profilers.items()
                   if SCOPES[name].has_report(profiler)}
+        execution = report.to_dict()
         payload = {
             "data": canonical(result.data),
-            "execution": report.to_dict(),
-            "manifest": result.manifest(config=config,
-                                        execution=report.to_dict(),
+            "execution": execution,
+            "manifest": result.manifest(config=config, execution=execution,
                                         **blocks),
         }
         if tracer is not None and (tracer.events or tracer.records):

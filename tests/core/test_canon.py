@@ -2,9 +2,11 @@
 
 import dataclasses
 import enum
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import spp1000
 from repro.core.canon import (
@@ -18,6 +20,16 @@ from repro.core.canon import (
 class Colour(enum.Enum):
     RED = "red"
     BLUE = "blue"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Mode(str, enum.Enum):
+    FAST = "fast"
+    SLOW = "slow"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,6 +55,15 @@ def test_enum_becomes_value():
     assert canonical({"c": Colour.BLUE}) == {"c": "blue"}
 
 
+def test_scalar_subclass_enums_become_plain_scalars():
+    # an enum that subclasses a scalar type is not an exact scalar
+    assert type(canonical(Level.HIGH)) is int
+    assert canonical(Level.HIGH) == 2
+    assert type(canonical(Mode.FAST)) is str
+    assert canonical(Mode.FAST) == "fast"
+    assert canonical_json([Level.LOW, Mode.SLOW]) == '[1,"slow"]'
+
+
 def test_sets_are_order_independent():
     assert canonical_json({"s": {3, 1, 2}}) == canonical_json({"s": {2, 3, 1}})
 
@@ -53,6 +74,8 @@ def test_dict_key_order_does_not_matter():
 
 def test_numpy_values_become_plain():
     assert canonical(np.int64(7)) == 7
+    assert type(canonical(np.float64(0.5))) is float
+    assert canonical(np.bool_(True)) is True
     assert canonical(np.array([1.0, 2.0])) == [1.0, 2.0]
 
 
@@ -89,3 +112,53 @@ def test_stable_hash_length_and_determinism():
 def test_float_int_distinction_preserved():
     # 1 and 1.0 canonicalise to JSON "1" and "1.0" respectively
     assert canonical_json(1) != canonical_json(1.0)
+
+
+def _full_path_canonical(obj):
+    """``canonical`` without its early return for exact scalars: every
+    value takes the enum, dataclass and container checks first."""
+    if isinstance(obj, enum.Enum):
+        return _full_path_canonical(obj.value)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _full_path_canonical(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _full_path_canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (set, frozenset)):
+        items = [_full_path_canonical(v) for v in obj]
+        return sorted(items, key=lambda v: json.dumps(v, sort_keys=True))
+    if isinstance(obj, (list, tuple)):
+        return [_full_path_canonical(v) for v in obj]
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return int(obj)
+    if isinstance(obj, float):
+        return float(obj)
+    if isinstance(obj, str):
+        return obj
+    if hasattr(obj, "tolist"):
+        return _full_path_canonical(obj.tolist())
+    raise TypeError(f"cannot canonicalise {type(obj).__name__}")
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from(Level), st.sampled_from(Mode),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64), st.booleans().map(np.bool_))
+
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.tuples(inner, inner),
+    st.sets(_SCALARS, max_size=4),
+    st.dictionaries(st.one_of(st.integers(), st.text()), inner,
+                    max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+def test_canonical_json_matches_the_full_path(obj):
+    full = json.dumps(_full_path_canonical(obj), sort_keys=True,
+                      separators=(",", ":"), ensure_ascii=True)
+    assert canonical_json(obj) == full

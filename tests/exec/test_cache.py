@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.core import spp1000
+from repro.core.canon import stable_hash
 from repro.exec.cache import CACHE_SCHEMA, ResultCache, default_cache_root
 from repro.exec.fingerprint import code_fingerprint
 from repro.exec.units import WorkUnit
@@ -33,7 +34,9 @@ def test_digest_is_stable_across_instances(tmp_path):
     a = make_cache(tmp_path).digest(UNIT, spp1000())
     b = make_cache(tmp_path).digest(UNIT, spp1000())
     assert a == b
-    assert len(a) == 64
+    # the SHA-256 of the whole key material's canonical JSON
+    assert a == ("e5a56ee33cd92ed4adcf6d8bcdfdc1d0"
+                 "d5f05da658bee6b98b65eb4d099b5041")
 
 
 def test_digest_depends_on_every_ingredient(tmp_path):
@@ -57,6 +60,46 @@ def test_digest_depends_on_fault_plan(tmp_path):
     assert with_faults != base
     assert cache.digest(UNIT, spp1000(),
                         fault_plan=ring_loss_plan(1)) == with_faults
+    assert cache.digest(UNIT, spp1000(n_hypernodes=4), ring_loss_plan(1),
+                        seed=7) == ("0ff4c1769dc18bcf81b68ff05a78b7a2"
+                                    "1c08020163d96168c34625e385149f2b")
+
+
+@pytest.mark.parametrize("hypernodes", [1, 2, 4])
+def test_digest_is_the_stable_hash_of_the_key_material(tmp_path,
+                                                        hypernodes):
+    from repro.exec.units import plan_units, unit_experiments
+    from repro.faults import ring_loss_plan
+
+    cache = make_cache(tmp_path)
+    config = spp1000(n_hypernodes=hypernodes)
+    plan = ring_loss_plan(1)
+    for fault_plan, seed in ((None, None), (plan, None), (None, 7),
+                             (plan, 7)):
+        for exp_id in unit_experiments():
+            for unit in plan_units(exp_id, config):
+                assert cache.digest(unit, config, fault_plan, seed) == (
+                    stable_hash(cache.key_material(unit, config,
+                                                   fault_plan, seed)))
+
+
+def test_digest_never_mistakes_an_equal_run_for_the_same_one(tmp_path):
+    """``clock_ns=10`` equals ``clock_ns=10.0`` and seed ``True`` equals
+    ``1``, but their canonical JSON differs, and so do their addresses:
+    a cache that alternates between them must not reuse one run's
+    hashed material for the other."""
+    cache = make_cache(tmp_path)
+    ints, floats = spp1000(clock_ns=10), spp1000(clock_ns=10.0)
+    assert ints == floats and hash(ints) == hash(floats)
+    runs = [(config, seed) for config in (ints, floats)
+            for seed in (1, True)]
+    expected = [stable_hash(cache.key_material(UNIT, config, seed=seed))
+                for config, seed in runs]
+    assert len(set(expected)) == 4
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [0, 2, 1, 3]):
+        for i in order:
+            config, seed = runs[i]
+            assert cache.digest(UNIT, config, seed=seed) == expected[i]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Server mechanics: scheduling, rate limits, backpressure, drain."""
 
+import asyncio
 import socket
 import time
 import types
@@ -9,7 +10,7 @@ import pytest
 from repro.sdk import Client, RateLimited, ServerError
 from repro.server import ServerThread
 from repro.server.protocol import PROTOCOL_VERSION, decode, encode
-from repro.server.server import ClientConnection, TokenBucket
+from repro.server.server import ClientConnection, ReproServer, TokenBucket
 
 
 # -- token bucket --------------------------------------------------------
@@ -234,6 +235,40 @@ def test_drain_finishes_accepted_jobs_and_says_bye():
             client.submit("_srv_fast", quick=True)
     finally:
         srv.stop(drain=False)
+
+
+def test_shutdown_says_bye_to_every_connection_at_once():
+    """A client that stopped reading holds its connection's ``flush``
+    and ``close`` for 5 s each, so a shutdown that said bye to one
+    connection after another would wait that long per stalled client.
+    Each patched ``flush`` waits up to 100 loop turns, not a clock, for
+    the other connection's to start."""
+    conns = [_bare_connection(limit=8) for _ in range(2)]
+    entered = []
+    seen = {}
+
+    def stall(conn):
+        async def flush(timeout=5.0):
+            entered.append(conn)
+            for _ in range(100):
+                if len(entered) == len(conns):
+                    break
+                await asyncio.sleep(0)
+            seen[conn] = len(entered)
+
+        async def close():
+            conn.closed = True
+        return flush, close
+
+    for conn in conns:
+        conn.flush, conn.close = stall(conn)
+    server = ReproServer()
+    server.connections.update(conns)
+    asyncio.run(server.shutdown(drain=False))
+    assert seen == {conn: 2 for conn in conns}
+    assert all(conn.closed for conn in conns)
+    assert [conn._buffer[-1] for conn in conns] == (
+        [{"kind": "bye", "reason": "stop"}] * 2)
 
 
 def _reads_bye(client):
