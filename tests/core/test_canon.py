@@ -142,16 +142,16 @@ def _full_path_canonical(obj):
     raise TypeError(f"cannot canonicalise {type(obj).__name__}")
 
 
-_SCALARS = st.one_of(
+_LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
     st.sampled_from(Level), st.sampled_from(Mode),
     st.integers(-2**63, 2**63 - 1).map(np.int64),
     st.floats().map(np.float64), st.booleans().map(np.bool_))
 
-_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
     st.lists(inner, max_size=4),
     st.tuples(inner, inner),
-    st.sets(_SCALARS, max_size=4),
+    st.sets(_LEAVES, max_size=4),
     st.dictionaries(st.one_of(st.integers(), st.text()), inner,
                     max_size=4)), max_leaves=24)
 
