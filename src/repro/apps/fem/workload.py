@@ -127,13 +127,13 @@ class FEMWorkload:
         """Useful flops: the paper's 437 per point update."""
         return FLOPS_PER_POINT_UPDATE * self.problem.n_points
 
-    def _mix(self, team: TeamSpec, tid: int = 0) -> LocalityMix:
+    def _mix(self, team: TeamSpec, hn: int) -> LocalityMix:
+        """The mix of the threads on hypernode ``hn``."""
         hns = team.n_hypernodes_used
         if hns == 1:
             return LocalityMix(private=0.0, node=1.0, remote=0.0)
         if self.data_placement == "near_shared":
-            remote = 0.0 if team.hypernode_of_thread(tid) == \
-                team.hypernodes[0] else 1.0
+            remote = 0.0 if hn == team.hypernodes[0] else 1.0
         elif self.data_placement == "block_shared":
             remote = 0.05    # partition-boundary traffic only
         else:
@@ -179,7 +179,16 @@ class FEMWorkload:
                   locality=mix, access=Access.STREAM, remote_reuse=0.9),
             ]
 
-        return StepWork([phases_for(self._mix(team, tid))
+        # one phase list per distinct mix, shared by every thread that
+        # reads with it: the model prices each once per hypernode
+        by_mix = {}
+        by_hn = {}
+        for hn in team.hypernodes:
+            mix = self._mix(team, hn)
+            if mix not in by_mix:
+                by_mix[mix] = phases_for(mix)
+            by_hn[hn] = by_mix[mix]
+        return StepWork([by_hn[team.hypernode_of_thread(tid)]
                          for tid in range(n)], barriers=3)
 
     def run(self, n_threads: int,

@@ -125,8 +125,7 @@ class NBodyWorkload:
         # size" observation).
         imbalance = 1.0 + 3.0 / math.sqrt(chunk) if n > 1 else 1.0
 
-        def phases_for(tid: int):
-            heavy = imbalance if tid == 0 else 1.0
+        def phases_for(heavy: float):
             return [
                 # tree build: Morton sort + insertion; the tree arrays
                 # are write-shared while building, so no remote reuse
@@ -153,7 +152,10 @@ class NBodyWorkload:
                       locality=mix, access=Access.STREAM, remote_reuse=0.9),
             ]
 
-        return StepWork([phases_for(tid) for tid in range(n)], barriers=3)
+        # thread 0 carries the imbalance; the rest share one phase list,
+        # which the model prices once per hypernode
+        rest = [phases_for(1.0)] * (n - 1)
+        return StepWork([phases_for(imbalance)] + rest, barriers=3)
 
     # -- PVM version ---------------------------------------------------------------
     def pvm_step(self, team: TeamSpec) -> StepWork:

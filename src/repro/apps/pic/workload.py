@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 from ...core.config import MachineConfig
 from ...perfmodel import (
@@ -157,7 +156,9 @@ class PICWorkload:
                   working_set_bytes=chunk_bytes,
                   locality=mix, access=Access.STREAM, remote_reuse=0.9),
         ]
-        return StepWork([list(phases) for _ in range(n)], barriers=4)
+        # every thread runs the one phase list: the model prices it once
+        # per hypernode
+        return StepWork([phases] * n, barriers=4)
 
     # -- PVM version ---------------------------------------------------------
     def pvm_step(self, team: TeamSpec) -> StepWork:
@@ -168,51 +169,49 @@ class PICWorkload:
         chunk_bytes = chunk * _PARTICLE_WORDS * _WORD
         grid_b = prob.grid_bytes
 
-        thread_phases: List[List[Phase]] = []
         stages = max(0, math.ceil(math.log2(n))) if n > 1 else 0
-        for tid in range(n):
-            msgs = []
-            if stages:
-                # recursive doubling: at most one stage crosses hypernodes
-                remote_stages = 1 if team.n_hypernodes_used > 1 else 0
-                for s in range(stages):
-                    remote = s < remote_stages
-                    msgs.append(Msg(grid_b, remote=remote, kind="send"))
-                    msgs.append(Msg(grid_b, remote=remote, kind="recv"))
-            phases = [
-                Phase("deposit/particles", flops=chunk * 24,
-                      traffic_bytes=chunk * 6 * _WORD,
-                      working_set_bytes=chunk_bytes,
-                      locality=private, access=Access.STREAM),
-                Phase("deposit/scatter",
-                      flops=chunk * (DEPOSIT_FLOPS_PER_PARTICLE - 24),
-                      traffic_bytes=chunk * 27 * 2 * _WORD,
-                      working_set_bytes=grid_b,
-                      locality=private, access=Access.RANDOM),
-                # all-reduce of the replicated charge mesh
-                Phase("allreduce/rho",
-                      flops=prob.grid.n_cells * stages,
-                      traffic_bytes=2.0 * grid_b * max(stages, 1),
-                      working_set_bytes=grid_b,
-                      locality=private, access=Access.STREAM,
-                      messages=tuple(msgs)),
-                # REDUNDANT full-mesh solve on every task
-                Phase("solve/fft-redundant", flops=fft_flops(prob.grid),
-                      traffic_bytes=10.0 * grid_b,
-                      working_set_bytes=4.0 * grid_b,
-                      locality=private, access=Access.STREAM),
-                Phase("gather", flops=chunk * GATHER_FLOPS_PER_PARTICLE,
-                      traffic_bytes=chunk * (27 * 3 + 6) * _WORD,
-                      working_set_bytes=3.0 * grid_b + chunk_bytes,
-                      locality=private, access=Access.RANDOM),
-                Phase("push", flops=chunk * PUSH_FLOPS_PER_PARTICLE,
-                      traffic_bytes=chunk * 12 * _WORD,
-                      working_set_bytes=chunk_bytes,
-                      locality=private, access=Access.STREAM),
-            ]
-            thread_phases.append(phases)
+        msgs = []
+        if stages:
+            # recursive doubling: at most one stage crosses hypernodes
+            remote_stages = 1 if team.n_hypernodes_used > 1 else 0
+            for s in range(stages):
+                remote = s < remote_stages
+                msgs.append(Msg(grid_b, remote=remote, kind="send"))
+                msgs.append(Msg(grid_b, remote=remote, kind="recv"))
+        phases = [
+            Phase("deposit/particles", flops=chunk * 24,
+                  traffic_bytes=chunk * 6 * _WORD,
+                  working_set_bytes=chunk_bytes,
+                  locality=private, access=Access.STREAM),
+            Phase("deposit/scatter",
+                  flops=chunk * (DEPOSIT_FLOPS_PER_PARTICLE - 24),
+                  traffic_bytes=chunk * 27 * 2 * _WORD,
+                  working_set_bytes=grid_b,
+                  locality=private, access=Access.RANDOM),
+            # all-reduce of the replicated charge mesh
+            Phase("allreduce/rho",
+                  flops=prob.grid.n_cells * stages,
+                  traffic_bytes=2.0 * grid_b * max(stages, 1),
+                  working_set_bytes=grid_b,
+                  locality=private, access=Access.STREAM,
+                  messages=tuple(msgs)),
+            # REDUNDANT full-mesh solve on every task
+            Phase("solve/fft-redundant", flops=fft_flops(prob.grid),
+                  traffic_bytes=10.0 * grid_b,
+                  working_set_bytes=4.0 * grid_b,
+                  locality=private, access=Access.STREAM),
+            Phase("gather", flops=chunk * GATHER_FLOPS_PER_PARTICLE,
+                  traffic_bytes=chunk * (27 * 3 + 6) * _WORD,
+                  working_set_bytes=3.0 * grid_b + chunk_bytes,
+                  locality=private, access=Access.RANDOM),
+            Phase("push", flops=chunk * PUSH_FLOPS_PER_PARTICLE,
+                  traffic_bytes=chunk * 12 * _WORD,
+                  working_set_bytes=chunk_bytes,
+                  locality=private, access=Access.STREAM),
+        ]
+        # every task sends the same messages, so all run one phase list;
         # PVM tasks synchronise through the all-reduce, not barriers
-        return StepWork(thread_phases, barriers=0)
+        return StepWork([phases] * n, barriers=0)
 
     # -- runs -------------------------------------------------------------------
     def run_shared(self, n_threads: int,

@@ -149,7 +149,9 @@ class PPMWorkload:
                   working_set_bytes=tile_bytes,
                   locality=mix, access=Access.STREAM, remote_reuse=0.8),
         ]
-        return StepWork([list(phases) for _ in range(n)], barriers=2)
+        # every thread runs the one phase list: the model prices it once
+        # per hypernode
+        return StepWork([phases] * n, barriers=2)
 
     def run(self, n_threads: int,
             placement: Placement = Placement.HIGH_LOCALITY) -> RunResult:

@@ -188,7 +188,11 @@ class ResultCache:
             run = self._run = (config, fault_plan, seed, self.fingerprint,
                                state)
         state = run[4].copy()
-        state.update((canonical_json(unit.material()) + "}").encode("ascii"))
+        # material() is canonical already: encode it as canonical_json
+        # would, without walking it again
+        state.update((json.dumps(unit.material(), sort_keys=True,
+                                 separators=(",", ":"), ensure_ascii=True)
+                      + "}").encode("ascii"))
         return state.hexdigest()
 
     def _path(self, digest: str) -> str:

@@ -19,6 +19,12 @@ simulated-machine execution time of each step:
 * OS interference — a machine-full team shares its CPUs with the
   operating system (the §6 complaint), stretching the critical path by
   ``os_daemon_load``.
+
+A phase's price reads its thread only through the thread's hypernode, so
+threads that hold the same phase list object and share a hypernode play
+one role: :meth:`PerformanceModel.step_time_ns` prices each role once and
+hands its threads that exact float, the same result as pricing each
+thread.  SPMD step builders give every thread of a role one list.
 """
 
 from __future__ import annotations
@@ -163,15 +169,27 @@ class PerformanceModel:
 
     # -- per-step and full-run time --------------------------------------------
     def step_time_ns(self, step: StepWork, team: TeamSpec) -> float:
+        """One step's critical path: the slowest thread, the barriers and
+        the OS stretch.  Each role is priced once (module docstring)."""
         if step.n_threads != team.n_threads:
             raise ValueError(
                 f"step describes {step.n_threads} threads, team has "
                 f"{team.n_threads}")
         cfg = self.config
-        per_thread = [
-            sum(self.phase_time_ns(p, team, tid) for p in phases)
-            for tid, phases in enumerate(step.thread_phases)
-        ]
+        rows = step.thread_phases
+        # a thread's role: its hypernode and its phase list object.  The
+        # first thread of a role prices it, in phase order, for all.
+        roles = [(team.hypernode_of_thread(tid), id(phases))
+                 for tid, phases in enumerate(rows)]
+        parts = {}
+        for tid, role in enumerate(roles):
+            if role not in parts:
+                parts[role] = [self.phase_breakdown(p, team, tid)
+                               for p in rows[tid]]
+        role_ns = {role: sum(b["pipe_ns"] + b["stall_ns"] + b["msg_ns"]
+                             for b in breakdowns)
+                   for role, breakdowns in parts.items()}
+        per_thread = [role_ns[role] for role in roles]
         critical = max(per_thread) if per_thread else 0.0
         bar_ns = step.barriers * barrier_ns(
             cfg, team.n_threads, team.n_hypernodes_used)
@@ -181,16 +199,20 @@ class PerformanceModel:
             critical *= 1.0 + cfg.os_daemon_load
         tracer = active_tracer()
         if tracer is not None and tracer.enabled:
-            self._emit_step_trace(tracer, step, team, per_thread, bar_ns,
-                                  critical)
+            self._emit_step_trace(tracer, step, team, roles, parts,
+                                  per_thread, bar_ns, critical)
         ms = _ambient_memscope()
         if ms is not None:
             # model-attributed miss profile: how many misses each phase
             # generates and how they split local vs remote (the same
-            # split phase_breakdown prices into stall time)
-            for tid, phases in enumerate(step.thread_phases):
-                for phase in phases:
-                    prof = self._miss_profile(phase, team, tid)
+            # split phase_breakdown prices into stall time), profiled once
+            # per role and recorded once per thread and phase
+            profiles = {}
+            for tid, (phases, role) in enumerate(zip(rows, roles)):
+                if role not in profiles:
+                    profiles[role] = [self._miss_profile(p, team, tid)
+                                      for p in phases]
+                for phase, prof in zip(phases, profiles[role]):
                     ms.model_phase(
                         phase.name, prof["misses"],
                         prof["misses"] * prof["local_share"],
@@ -198,19 +220,20 @@ class PerformanceModel:
         return critical
 
     def _emit_step_trace(self, tracer, step: StepWork, team: TeamSpec,
-                         per_thread, bar_ns: float, critical: float) -> None:
+                         roles, parts, per_thread, bar_ns: float,
+                         critical: float) -> None:
         """Emit one modelled step as complete ('X') events, one track per
-        CPU, with the pipe/stall/message breakdown in each event's args."""
+        CPU, with the pipe/stall/message breakdown in each event's args
+        (each role's, priced once by :meth:`step_time_ns`)."""
         t0 = self._trace_clock
         cpus = team.cpus
-        for tid, phases in enumerate(step.thread_phases):
+        for tid, (phases, role) in enumerate(zip(step.thread_phases, roles)):
             cursor = t0
             pid = team.hypernode_of_thread(tid)
-            for phase in phases:
-                parts = self.phase_breakdown(phase, team, tid)
-                dur = parts["pipe_ns"] + parts["stall_ns"] + parts["msg_ns"]
+            for phase, b in zip(phases, parts[role]):
+                dur = b["pipe_ns"] + b["stall_ns"] + b["msg_ns"]
                 tracer.complete(cursor, dur, phase.name, "perfmodel",
-                                pid=pid, tid=cpus[tid], args=parts)
+                                pid=pid, tid=cpus[tid], args=b)
                 cursor += dur
         crit_tid = per_thread.index(max(per_thread)) if per_thread else 0
         tracer.complete(t0, critical, "step", "perfmodel",

@@ -87,7 +87,13 @@ class Phase:
 
 @dataclass
 class StepWork:
-    """The work of one timestep: a phase sequence per thread + barriers."""
+    """The work of one timestep: a phase sequence per thread + barriers.
+
+    Threads may share one phase list object.  The model prices a shared
+    list once per hypernode and hands each of its threads that price,
+    the same result as pricing each thread; threads with separate but
+    equal lists are priced once each.
+    """
 
     thread_phases: List[List[Phase]]
     barriers: int = 1

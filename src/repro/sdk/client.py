@@ -314,13 +314,14 @@ class Client:
         self._wait_for_kind("pong")
 
     def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            try:
-                self._fh.close()
-                self._sock.close()
-            except OSError:
-                pass
+        # a connection the server ended (bye, EOF, a lost send) is marked
+        # closed but still holds its socket: release it here too
+        self.closed = True
+        try:
+            self._fh.close()
+            self._sock.close()
+        except OSError:
+            pass
 
     def __enter__(self) -> "Client":
         return self

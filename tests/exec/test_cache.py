@@ -193,8 +193,8 @@ def test_checksum_corruption_quarantined_and_reexecutable(tmp_path):
     assert cache.quarantined == 1
     assert not os.path.exists(path)              # no longer served
     assert cache.quarantine_entries() == 1       # preserved for autopsy
-    qpath = cache._quarantine_path(digest)
-    assert json.load(open(qpath))["value"]["__chaos_corrupted__"] is True
+    with open(cache._quarantine_path(digest)) as f:
+        assert json.load(f)["value"]["__chaos_corrupted__"] is True
     # re-execution stores a fresh verified entry
     cache.put(digest, {"v": 42}, UNIT)
     assert cache.get(digest) == {"v": 42}
@@ -208,7 +208,8 @@ def test_entries_carry_payload_checksum(tmp_path):
     cache = make_cache(tmp_path)
     digest = cache.digest(UNIT, spp1000())
     cache.put(digest, [1, 2.5], UNIT)
-    entry = json.load(open(cache._path(digest)))
+    with open(cache._path(digest)) as f:
+        entry = json.load(f)
     assert entry["schema"] == CACHE_SCHEMA == 2
     # SHA-256 of the value's canonical JSON bytes: entries written by
     # earlier builds keep verifying

@@ -1,7 +1,12 @@
 """Tests for the phase-level execution model."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.apps.fem import FEMWorkload, large_problem as fem_large
+from repro.apps.nbody import NBodyWorkload, problem_32k
+from repro.apps.pic import PICWorkload, small_problem as pic_small
+from repro.apps.ppm import TABLE2_PROBLEMS, PPMWorkload
 from repro.core import spp1000
 from repro.core.units import MIB
 from repro.perfmodel import (
@@ -167,3 +172,106 @@ def test_parallel_speedup_emerges():
     t8 = MODEL.step_time_ns(step(8), team(8))
     speedup = t1 / t8
     assert 5.0 <= speedup <= 8.0, f"8-thread speedup {speedup:.2f}"
+
+
+# -- one pricing per role -----------------------------------------------------
+
+_CONFIGS = {hn: spp1000(n_hypernodes=hn) for hn in range(1, 17)}
+_MODELS = {hn: PerformanceModel(cfg) for hn, cfg in _CONFIGS.items()}
+
+
+@st.composite
+def _mixes(draw):
+    private, node, remote = (draw(st.floats(0.0, 1.0)) for _ in range(3))
+    total = private + node + remote
+    if total == 0.0:
+        return LocalityMix()
+    return LocalityMix(private / total, node / total, remote / total)
+
+
+_MSGS = st.builds(Msg, nbytes=st.integers(1, 1 << 20), remote=st.booleans(),
+                  kind=st.sampled_from(["send", "recv"]))
+_PHASES = st.builds(
+    Phase, name=st.sampled_from(["a", "b", "c"]),
+    flops=st.floats(0.0, 1e9), traffic_bytes=st.floats(0.0, 1e9),
+    working_set_bytes=st.floats(0.0, 64.0 * MIB), locality=_mixes(),
+    access=st.sampled_from(list(Access)),
+    messages=st.lists(_MSGS, max_size=3).map(tuple),
+    remote_reuse=st.floats(0.0, 1.0))
+
+
+@st.composite
+def _shared_steps(draw):
+    """A team and a step whose threads pick their phase lists from a
+    small pool, so threads share list objects across hypernodes."""
+    hns = draw(st.integers(1, 16))
+    n = draw(st.integers(1, min(128, 8 * hns)))
+    placement = draw(st.sampled_from(list(Placement)))
+    pool = draw(st.lists(st.lists(_PHASES, max_size=4), min_size=1,
+                         max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
+                          max_size=n))
+    barriers = draw(st.integers(0, 3))
+    return (hns, TeamSpec(_CONFIGS[hns], n, placement),
+            [pool[i] for i in picks], barriers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shared_steps())
+def test_shared_lists_price_exactly_as_copied_lists(case):
+    hns, tm, rows, barriers = case
+    model = _MODELS[hns]
+    shared = model.step_time_ns(StepWork(rows, barriers), tm)
+    copied = model.step_time_ns(StepWork([list(p) for p in rows], barriers),
+                                tm)
+    assert shared == copied
+
+
+def _count_pricings(monkeypatch):
+    calls = []
+    price = PerformanceModel.phase_breakdown
+
+    def counted(self, phase, team, tid):
+        calls.append(tid)
+        return price(self, phase, team, tid)
+
+    monkeypatch.setattr(PerformanceModel, "phase_breakdown", counted)
+    return calls
+
+
+def test_a_shared_list_is_priced_once_per_hypernode(monkeypatch):
+    phases = [Phase("stream", flops=1e6, traffic_bytes=4e6,
+                    working_set_bytes=16 * MIB,
+                    locality=LocalityMix(0.5, 0.25, 0.25)),
+              Phase("gather", traffic_bytes=1e6, working_set_bytes=2 * MIB,
+                    access=Access.RANDOM, remote_reuse=0.5),
+              Phase("send", messages=(Msg(4096, remote=True),))]
+    tm = TeamSpec(_CONFIGS[16], 128)
+    calls = _count_pricings(monkeypatch)
+    _MODELS[16].step_time_ns(StepWork([phases] * 128), tm)
+    assert len(calls) == 16 * len(phases)
+    # separate but equal lists are still priced, once per thread
+    calls.clear()
+    _MODELS[16].step_time_ns(StepWork([list(phases) for _ in range(128)]),
+                             tm)
+    assert len(calls) == 128 * len(phases)
+
+
+def _list_objects(step):
+    return len({id(phases) for phases in step.thread_phases})
+
+
+def test_spmd_builders_give_each_role_one_list():
+    tm = team(16)
+    assert _list_objects(PICWorkload(pic_small(), CFG).shared_step(tm)) == 1
+    assert _list_objects(PICWorkload(pic_small(), CFG).pvm_step(tm)) == 1
+    ppm = PPMWorkload(TABLE2_PROBLEMS["120x480 / 4x16"], CFG)
+    assert _list_objects(ppm.step(tm)) == 1
+    # thread 0 carries the tree code's load imbalance
+    nbody = NBodyWorkload(problem_32k(), CFG)
+    assert _list_objects(nbody.shared_step(tm)) == 2
+    assert _list_objects(nbody.shared_step(team(1))) == 1
+    # one list per distinct locality mix
+    assert _list_objects(FEMWorkload(fem_large(), CFG).step(tm)) == 1
+    near = FEMWorkload(fem_large(), CFG, data_placement="near_shared")
+    assert _list_objects(near.step(tm)) == 2

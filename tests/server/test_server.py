@@ -233,6 +233,21 @@ def test_drain_finishes_accepted_jobs_and_says_bye():
         assert client.closed or _reads_bye(client)
         with pytest.raises(ServerError):
             client.submit("_srv_fast", quick=True)
+        client.close()
+    finally:
+        srv.stop(drain=False)
+
+
+def test_close_releases_a_connection_the_server_ended():
+    """Reading the server's bye marks a client closed; ``close()`` must
+    still release its socket."""
+    srv = ServerThread(workers=1, no_cache=True).start()
+    try:
+        client = Client(srv.host, srv.port)
+        srv.call(srv.server.shutdown(drain=True), timeout=120)
+        assert _reads_bye(client)
+        client.close()
+        assert client._sock.fileno() == -1
     finally:
         srv.stop(drain=False)
 
