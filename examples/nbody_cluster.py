@@ -11,15 +11,14 @@ the paper's Figure 8 scaling for the 32K/256K/2M-particle runs.
 import numpy as np
 
 from repro.apps.nbody import (
-    NBodySimulation,
     NBodyWorkload,
-    direct_forces,
-    plummer_sphere,
     problem_2m,
     problem_32k,
     problem_256k,
-    tree_forces,
 )
+from repro.apps.nbody.bodies import plummer_sphere
+from repro.apps.nbody.force import direct_forces, tree_forces
+from repro.apps.nbody.integrator import NBodySimulation
 from repro.core import spp1000
 from repro.runtime import Placement
 

@@ -9,13 +9,10 @@ the SPP-1000 and the C90 (Figure 6 / Table 1).
     python examples/pic_beam_plasma.py
 """
 
-from repro.apps.pic import (
-    Grid3D,
-    PICSimulation,
-    PICWorkload,
-    beam_plasma,
-    small_problem,
-)
+from repro.apps.pic import PICWorkload, small_problem
+from repro.apps.pic.grid import Grid3D
+from repro.apps.pic.particles import beam_plasma
+from repro.apps.pic.simulation import PICSimulation
 from repro.core import spp1000
 from repro.core.units import to_seconds
 

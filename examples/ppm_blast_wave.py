@@ -11,13 +11,9 @@ the Table 2 performance predictions.
 
 import numpy as np
 
-from repro.apps.ppm import (
-    PPMSolver2D,
-    PPMWorkload,
-    TABLE2_PROBLEMS,
-    TiledPPM,
-    blast_state,
-)
+from repro.apps.ppm import TABLE2_PROBLEMS, PPMWorkload
+from repro.apps.ppm.solver import PPMSolver2D, blast_state
+from repro.apps.ppm.tiles import TiledPPM
 from repro.core import spp1000
 
 SHADES = " .:-=+*#%@"

@@ -22,8 +22,16 @@ Quickstart::
 """
 
 from .core import MachineConfig, spp1000
-from .machine import Machine, MemClass
 
 __version__ = "1.0.0"
 
 __all__ = ["Machine", "MachineConfig", "MemClass", "spp1000", "__version__"]
+
+
+def __getattr__(name):
+    # the simulated machine loads on first use: the analytic experiments
+    # never build one
+    if name in ("Machine", "MemClass"):
+        from . import machine
+        return getattr(machine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

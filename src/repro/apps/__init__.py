@@ -8,7 +8,12 @@
 
 Each application is a real numerical code (NumPy) with a companion
 workload module that characterises its parallel phases for the
-performance model.
+performance model.  A package's root re-exports only that workload
+surface, which imports no NumPy, so the analytic experiments load
+neither NumPy nor the numerics; the numerics are imported from their
+own modules.  The numbers both sides read (flops per update, mesh
+sizes) are defined once, in each package's NumPy-free ``counts``
+module.
 """
 
 __all__ = ["pic", "fem", "nbody", "ppm"]

@@ -1,30 +1,18 @@
 """2-D unstructured FEM gas dynamics (paper §5.2).
 
-Numerics: :func:`rectangle_mesh` / :func:`small_mesh` / :func:`large_mesh`
-(the paper's exact mesh sizes), Morton ordering, and
-:class:`GasDynamicsFEM` — a first-order lumped-mass Galerkin Euler solver.
+The package root is the performance workload: :class:`FEMWorkload`
+with the paper's three Figure-7 curves (:func:`small1_problem`,
+:func:`small2_problem`, :func:`large_problem`).  It imports no NumPy
+and builds no mesh, so the analytic experiments load none.
 
-Performance: :class:`FEMWorkload` with the paper's three Figure-7 curves
-(:func:`small1_problem`, :func:`small2_problem`, :func:`large_problem`).
+The numerics live in their own modules: :mod:`.mesh`
+(``rectangle_mesh``, and ``small_mesh`` / ``large_mesh`` with the
+paper's exact mesh sizes), Morton ordering (:mod:`.morton`),
+:class:`~.gasdyn.GasDynamicsFEM` — a first-order lumped-mass Galerkin
+Euler solver — and :class:`~.driver.FEMSimulation`.  The flop counts
+and mesh sizes both sides read are in :mod:`.counts`.
 """
 
-from .driver import FEMSimulation
-from .gasdyn import (
-    FLOPS_PER_ELEMENT_UPDATE,
-    FLOPS_PER_POINT_UPDATE,
-    FEMState,
-    GasDynamicsFEM,
-    sod_tube,
-    uniform_flow,
-)
-from .mesh import TriMesh, large_mesh, rectangle_mesh, small_mesh
-from .morton import (
-    element_permutation,
-    morton_decode,
-    morton_encode,
-    morton_order_mesh,
-    point_permutation,
-)
 from .workload import (
     C90_FEM_PROFILE,
     FEMProblem,
@@ -34,13 +22,5 @@ from .workload import (
     small2_problem,
 )
 
-__all__ = [
-    "TriMesh", "rectangle_mesh", "small_mesh", "large_mesh",
-    "morton_encode", "morton_decode", "morton_order_mesh",
-    "point_permutation", "element_permutation",
-    "FEMState", "GasDynamicsFEM", "FEMSimulation", "uniform_flow",
-    "sod_tube",
-    "FLOPS_PER_POINT_UPDATE", "FLOPS_PER_ELEMENT_UPDATE",
-    "FEMProblem", "FEMWorkload", "small1_problem", "small2_problem",
-    "large_problem", "C90_FEM_PROFILE",
-]
+__all__ = ["FEMProblem", "FEMWorkload", "small1_problem", "small2_problem",
+           "large_problem", "C90_FEM_PROFILE"]

@@ -33,14 +33,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .counts import FLOPS_PER_POINT_UPDATE
 from .mesh import TriMesh
 
-__all__ = ["FEMState", "GasDynamicsFEM", "uniform_flow", "sod_tube",
-           "FLOPS_PER_POINT_UPDATE", "FLOPS_PER_ELEMENT_UPDATE"]
-
-#: the paper's measured hpm flop counts (§5.2.2)
-FLOPS_PER_POINT_UPDATE = 437.0
-FLOPS_PER_ELEMENT_UPDATE = 220.0
+__all__ = ["FEMState", "GasDynamicsFEM", "uniform_flow", "sod_tube"]
 
 _NVAR = 4  # rho, rho*u, rho*v, E
 

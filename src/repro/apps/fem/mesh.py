@@ -21,13 +21,9 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["TriMesh", "rectangle_mesh", "small_mesh", "large_mesh",
-           "SMALL_GRID", "LARGE_GRID"]
+from .counts import LARGE_GRID, SMALL_GRID
 
-#: the paper's data sets as (nx, ny) quad grids: ``rectangle_mesh(nx, ny)``
-#: has ``(nx+1)(ny+1)`` points and ``2 nx ny`` elements
-SMALL_GRID = (320, 144)
-LARGE_GRID = (512, 512)
+__all__ = ["TriMesh", "rectangle_mesh", "small_mesh", "large_mesh"]
 
 
 @dataclass(frozen=True)

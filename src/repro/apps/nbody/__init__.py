@@ -1,30 +1,18 @@
 """Gravitational N-body tree code (paper §5.3).
 
-Numerics: :func:`plummer_sphere` / :func:`uniform_cube` initial
-conditions, Morton-key octree (:func:`build_octree`), Barnes-Hut forces
-(:func:`tree_forces`) with a group MAC, direct-summation reference, and
-the :class:`NBodySimulation` leapfrog driver.
+The package root is the performance workload: :class:`NBodyWorkload`
+with the paper's 32K/256K/2M sizes and both programming styles.  It
+imports no NumPy, so the analytic experiments load none.
 
-Performance: :class:`NBodyWorkload` with the paper's 32K/256K/2M sizes
-and both programming styles.
+The numerics live in their own modules: :func:`~.bodies.plummer_sphere`
+/ :func:`~.bodies.uniform_cube` initial conditions, the Morton-key
+octree (:func:`~.tree.build_octree`), Barnes-Hut forces
+(:func:`~.force.tree_forces`) with a group MAC, the direct-summation
+reference, :mod:`.diagnostics` and the
+:class:`~.integrator.NBodySimulation` leapfrog driver.  The flop count
+per interaction both sides read is in :mod:`.counts`.
 """
 
-from .bodies import Bodies, plummer_sphere, uniform_cube
-from .diagnostics import (
-    center_of_mass,
-    lagrangian_radius,
-    plummer_density,
-    radial_density_profile,
-    virial_ratio,
-)
-from .force import (
-    FLOPS_PER_INTERACTION,
-    ForceResult,
-    direct_forces,
-    tree_forces,
-)
-from .integrator import NBodySimulation
-from .tree import Octree, build_octree, compute_quadrupoles, morton_keys_3d
 from .workload import (
     C90_TREE_PROFILE,
     NBodyProblem,
@@ -34,13 +22,5 @@ from .workload import (
     problem_256k,
 )
 
-__all__ = [
-    "Bodies", "plummer_sphere", "uniform_cube",
-    "radial_density_profile", "lagrangian_radius", "virial_ratio",
-    "plummer_density", "center_of_mass",
-    "Octree", "build_octree", "compute_quadrupoles", "morton_keys_3d",
-    "ForceResult", "tree_forces", "direct_forces", "FLOPS_PER_INTERACTION",
-    "NBodySimulation",
-    "NBodyProblem", "NBodyWorkload",
-    "problem_32k", "problem_256k", "problem_2m", "C90_TREE_PROFILE",
-]
+__all__ = ["NBodyProblem", "NBodyWorkload", "problem_32k", "problem_256k",
+           "problem_2m", "C90_TREE_PROFILE"]

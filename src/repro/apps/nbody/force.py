@@ -16,14 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import Bodies, G
+from .counts import FLOPS_PER_INTERACTION
 from .tree import Octree, build_octree
 
-__all__ = ["ForceResult", "tree_forces", "direct_forces",
-           "FLOPS_PER_INTERACTION"]
-
-#: one softened monopole interaction: dx(3), r^2(5), r^-3 via sqrt+div(~20
-#: on scalar hardware), scale+accumulate(9) — the conventional ledger is 38
-FLOPS_PER_INTERACTION = 38.0
+__all__ = ["ForceResult", "tree_forces", "direct_forces"]
 
 
 @dataclass

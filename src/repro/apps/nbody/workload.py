@@ -39,7 +39,7 @@ from ...perfmodel import (
     TeamSpec,
 )
 from ...runtime import Placement
-from .force import FLOPS_PER_INTERACTION
+from .counts import FLOPS_PER_INTERACTION
 
 __all__ = ["NBodyProblem", "NBodyWorkload", "problem_32k", "problem_256k",
            "problem_2m", "C90_TREE_PROFILE"]
@@ -212,18 +212,16 @@ class NBodyWorkload:
                    placement: Placement = Placement.HIGH_LOCALITY
                    ) -> RunResult:
         team = TeamSpec(self.config, n_threads, placement)
-        result = self.model.run([self.shared_step(team)], team,
-                                repeat=self.problem.n_steps)
-        useful = self.flops_per_step() * self.problem.n_steps
-        return RunResult(result.time_ns, useful, n_threads)
+        return self.model.run([self.shared_step(team)], team,
+                              repeat=self.problem.n_steps,
+                              step_flops=self.flops_per_step())
 
     def run_pvm(self, n_tasks: int,
                 placement: Placement = Placement.HIGH_LOCALITY) -> RunResult:
         team = TeamSpec(self.config, n_tasks, placement)
-        result = self.model.run([self.pvm_step(team)], team,
-                                repeat=self.problem.n_steps)
-        useful = self.flops_per_step() * self.problem.n_steps
-        return RunResult(result.time_ns, useful, n_tasks)
+        return self.model.run([self.pvm_step(team)], team,
+                              repeat=self.problem.n_steps,
+                              step_flops=self.flops_per_step())
 
     def run_c90(self, model: C90Model = C90Model()) -> float:
         return model.time_ns(self.flops_per_step() * self.problem.n_steps,

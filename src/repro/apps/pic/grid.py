@@ -2,39 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .counts import GridShape
 
 __all__ = ["Grid3D"]
 
 
-@dataclass(frozen=True)
-class Grid3D:
-    """A periodic rectangular mesh with unit-cell spacing.
-
-    Positions are measured in cell units: the domain is
-    ``[0, nx) x [0, ny) x [0, nz)`` with periodic wrap-around, matching
-    the paper's periodic boundary conditions in all three directions.
-    """
-
-    nx: int
-    ny: int
-    nz: int
-
-    def __post_init__(self):
-        for n in (self.nx, self.ny, self.nz):
-            if n < 4:
-                raise ValueError("grid needs at least 4 cells per dimension "
-                                 "(TSC support)")
-
-    @property
-    def shape(self) -> tuple:
-        return (self.nx, self.ny, self.nz)
-
-    @property
-    def n_cells(self) -> int:
-        return self.nx * self.ny * self.nz
+class Grid3D(GridShape):
+    """A :class:`~.counts.GridShape` with the array helpers the
+    numerics use."""
 
     @property
     def dims(self) -> np.ndarray:

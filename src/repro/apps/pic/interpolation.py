@@ -19,15 +19,7 @@ import numpy as np
 
 from .grid import Grid3D
 
-__all__ = ["tsc_weights", "deposit_charge", "gather_field",
-           "DEPOSIT_FLOPS_PER_PARTICLE", "GATHER_FLOPS_PER_PARTICLE"]
-
-#: analytic flop counts per particle (audited against the code below):
-#: weights 3 dims x 8 flops = 24; 27 weight products x 2 = 54;
-#: deposit: 27 multiply-adds = 54
-DEPOSIT_FLOPS_PER_PARTICLE = 24 + 54 + 54
-#: gather: 24 + 54 weight products + 27 points x 3 components x 2 = 162
-GATHER_FLOPS_PER_PARTICLE = 24 + 54 + 162
+__all__ = ["tsc_weights", "deposit_charge", "gather_field"]
 
 
 def tsc_weights(positions: np.ndarray, grid: Grid3D

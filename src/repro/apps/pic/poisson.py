@@ -9,14 +9,13 @@ the beam-plasma problem.  The electric field is obtained spectrally:
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
 
 from .grid import Grid3D
 
-__all__ = ["solve_fields", "fft_flops"]
+__all__ = ["solve_fields"]
 
 
 def solve_fields(rho: np.ndarray, grid: Grid3D
@@ -40,11 +39,3 @@ def solve_fields(rho: np.ndarray, grid: Grid3D
         fields.append(np.real(np.fft.ifftn(e_k)))
     return phi, fields
 
-
-def fft_flops(grid: Grid3D) -> float:
-    """Flops of one field solve: 5 FFTs (1 forward + 4 inverse) plus the
-    spectral algebra, using the standard ``5 N log2 N`` per FFT."""
-    n = grid.n_cells
-    per_fft = 5.0 * n * math.log2(n)
-    spectral = 10.0 * n   # k^2, divide, three -ik products
-    return 5.0 * per_fft + spectral

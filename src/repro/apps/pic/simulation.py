@@ -18,21 +18,18 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .grid import Grid3D
-from .interpolation import (
+from .counts import (
     DEPOSIT_FLOPS_PER_PARTICLE,
     GATHER_FLOPS_PER_PARTICLE,
-    deposit_charge,
-    gather_field,
+    PUSH_FLOPS_PER_PARTICLE,
+    fft_flops,
 )
+from .grid import Grid3D
+from .interpolation import deposit_charge, gather_field
 from .particles import ParticleSet
-from .poisson import fft_flops, solve_fields
+from .poisson import solve_fields
 
-__all__ = ["PICSimulation", "PUSH_FLOPS_PER_PARTICLE"]
-
-#: leap-frog push: 3 x (v += (q/m) E dt: 2 flops) + 3 x (x += v dt: 2)
-#: + periodic wrap arithmetic ~ 6
-PUSH_FLOPS_PER_PARTICLE = 6 + 6 + 6
+__all__ = ["PICSimulation"]
 
 
 class PICSimulation:

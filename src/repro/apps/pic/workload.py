@@ -39,13 +39,13 @@ from ...perfmodel import (
     TeamSpec,
 )
 from ...runtime import Placement
-from .grid import Grid3D
-from .interpolation import (
+from .counts import (
     DEPOSIT_FLOPS_PER_PARTICLE,
     GATHER_FLOPS_PER_PARTICLE,
+    PUSH_FLOPS_PER_PARTICLE,
+    GridShape,
+    fft_flops,
 )
-from .poisson import fft_flops
-from .simulation import PUSH_FLOPS_PER_PARTICLE
 
 __all__ = ["PICProblem", "PICWorkload", "small_problem", "large_problem",
            "C90_PIC_PROFILE"]
@@ -62,7 +62,7 @@ _PARTICLE_WORDS = 11            #: paper §5.1: 11 words per particle
 class PICProblem:
     """One of the paper's two PIC calculations."""
 
-    grid: Grid3D
+    grid: GridShape
     particles_per_cell: int = 9    #: 8 plasma + 1 beam electrons per cell
     n_steps: int = 500
     label: str = ""
@@ -82,12 +82,12 @@ class PICProblem:
 
 def small_problem() -> PICProblem:
     """32 x 32 x 32 mesh, 294 912 particles (Table 1 row 1)."""
-    return PICProblem(Grid3D(32, 32, 32), label="32x32x32")
+    return PICProblem(GridShape(32, 32, 32), label="32x32x32")
 
 
 def large_problem() -> PICProblem:
     """64 x 64 x 32 mesh, 1 179 648 particles (Table 1 row 2)."""
-    return PICProblem(Grid3D(64, 64, 32), label="64x64x32")
+    return PICProblem(GridShape(64, 64, 32), label="64x64x32")
 
 
 class PICWorkload:
@@ -224,13 +224,11 @@ class PICWorkload:
     def run_pvm(self, n_tasks: int,
                 placement: Placement = Placement.HIGH_LOCALITY) -> RunResult:
         team = TeamSpec(self.config, n_tasks, placement)
-        result = self.model.run([self.pvm_step(team)], team,
-                                repeat=self.problem.n_steps)
         # MFLOP/s bookkeeping: the redundant solves do not count as
         # useful work; report useful flops only.
-        useful = self.flops_per_step() * self.problem.n_steps
-        return RunResult(time_ns=result.time_ns, flops=useful,
-                         n_threads=n_tasks)
+        return self.model.run([self.pvm_step(team)], team,
+                              repeat=self.problem.n_steps,
+                              step_flops=self.flops_per_step())
 
     def run_c90(self, model: C90Model = C90Model()) -> float:
         """C90 single-head time for the full calculation, in ns."""

@@ -1,39 +1,19 @@
 """Piecewise-Parabolic Method hydrodynamics — PROMETHEUS (paper §5.4).
 
-Numerics: :class:`GammaLawEOS`, PPM reconstruction, HLLC Riemann solver,
-directionally split sweeps, the monolithic :class:`PPMSolver2D`, and the
-:class:`TiledPPM` domain decomposition with four-deep ghost frames
-(bit-identical to the monolithic solver).
+The package root is the performance workload: :class:`PPMWorkload`
+with the exact Table 2 configurations (:data:`TABLE2_PROBLEMS`).  It
+imports no NumPy, so the analytic experiments load none.
 
-Performance: :class:`PPMWorkload` with the exact Table 2 configurations
-(:data:`TABLE2_PROBLEMS`).
+The numerics live in their own modules: :class:`~.eos.GammaLawEOS`, PPM
+reconstruction (:mod:`.reconstruct`), the HLLC Riemann solver
+(:mod:`.riemann`) and the exact one (:mod:`.exact_riemann`),
+directionally split sweeps (:mod:`.sweep`), the monolithic
+:class:`~.solver.PPMSolver2D`, and the :class:`~.tiles.TiledPPM` domain
+decomposition with four-deep ghost frames (bit-identical to the
+monolithic solver).  The ghost depth and flops per zone both sides read
+are in :mod:`.counts`.
 """
 
-from .eos import GammaLawEOS
-from .exact_riemann import (
-    RiemannState,
-    exact_riemann,
-    sample_riemann,
-    sod_exact,
-)
-from .reconstruct import ppm_reconstruct, vanleer_slopes
-from .riemann import hllc_flux
-from .solver import PPMSolver2D, blast_state, sod_state, uniform_state
-from .sweep import (
-    FLOPS_PER_ZONE_PER_STEP,
-    GHOST,
-    max_wavespeed,
-    primitives,
-    sweep,
-)
-from .tiles import Tile, TiledPPM
 from .workload import TABLE2_PROBLEMS, PPMProblem, PPMWorkload
 
-__all__ = [
-    "GammaLawEOS", "ppm_reconstruct", "vanleer_slopes", "hllc_flux",
-    "RiemannState", "exact_riemann", "sample_riemann", "sod_exact",
-    "PPMSolver2D", "uniform_state", "sod_state", "blast_state",
-    "sweep", "primitives", "max_wavespeed", "GHOST",
-    "FLOPS_PER_ZONE_PER_STEP",
-    "Tile", "TiledPPM", "PPMProblem", "PPMWorkload", "TABLE2_PROBLEMS",
-]
+__all__ = ["PPMProblem", "PPMWorkload", "TABLE2_PROBLEMS"]

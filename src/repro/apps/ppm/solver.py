@@ -9,8 +9,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .counts import GHOST
 from .eos import GammaLawEOS
-from .sweep import GHOST, max_wavespeed, primitives, sweep
+from .sweep import max_wavespeed, primitives, sweep
 
 __all__ = ["PPMSolver2D", "sod_state", "uniform_state", "blast_state"]
 

@@ -15,20 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .counts import GHOST
 from .eos import GammaLawEOS
 from .reconstruct import ppm_reconstruct
 from .riemann import hllc_flux
 
-__all__ = ["GHOST", "primitives", "sweep", "max_wavespeed",
-           "FLOPS_PER_ZONE_PER_STEP"]
-
-#: ghost-frame width (paper: "frame is four grid points wide")
-GHOST = 4
-
-#: PROMETHEUS-calibre work per zone per timestep (paper: "a few thousand
-#: floating point operations ... to update each zone for a single time
-#: step"); used by the performance workload's flop ledger.
-FLOPS_PER_ZONE_PER_STEP = 3000.0
+__all__ = ["primitives", "sweep", "max_wavespeed"]
 
 
 def primitives(u: np.ndarray, eos: GammaLawEOS):

@@ -20,9 +20,10 @@ from typing import Dict, List
 
 import numpy as np
 
+from .counts import GHOST
 from .eos import GammaLawEOS
 from .solver import PPMSolver2D
-from .sweep import GHOST, max_wavespeed, sweep
+from .sweep import max_wavespeed, sweep
 
 __all__ = ["Tile", "TiledPPM"]
 

@@ -27,7 +27,7 @@ from ...perfmodel import (
     TeamSpec,
 )
 from ...runtime import Placement
-from .sweep import FLOPS_PER_ZONE_PER_STEP, GHOST
+from .counts import FLOPS_PER_ZONE_PER_STEP, GHOST
 
 __all__ = ["PPMProblem", "PPMWorkload", "TABLE2_PROBLEMS"]
 
@@ -156,7 +156,6 @@ class PPMWorkload:
     def run(self, n_threads: int,
             placement: Placement = Placement.HIGH_LOCALITY) -> RunResult:
         team = TeamSpec(self.config, n_threads, placement)
-        result = self.model.run([self.step(team)], team,
-                                repeat=self.problem.n_steps)
-        useful = self.flops_per_step() * self.problem.n_steps
-        return RunResult(result.time_ns, useful, n_threads)
+        return self.model.run([self.step(team)], team,
+                              repeat=self.problem.n_steps,
+                              step_flops=self.flops_per_step())

@@ -368,7 +368,6 @@ def _main(argv: List[str], command=None) -> int:
         execute,
     )
     from .exec.resilience import DEFAULT_MAX_RETRIES
-    from .faults import use_faults
     from .obs import use_tracer, write_chrome_trace, write_metrics
     from .sim import Tracer
 
@@ -394,7 +393,12 @@ def _main(argv: List[str], command=None) -> int:
                      for scope in profiling]
         try:
             with ExitStack() as stack:
-                stack.enter_context(use_faults(fault_plan))
+                if fault_plan is not None:
+                    # only a plan needs the fault layer, and it loads
+                    # the simulator, which a model run never builds
+                    from .faults import use_faults
+
+                    stack.enter_context(use_faults(fault_plan))
                 if tracer is not None:
                     stack.enter_context(use_tracer(tracer))
                 for scope, profiler in profilers:

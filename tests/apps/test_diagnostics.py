@@ -5,24 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from repro.apps.fem import FEMSimulation, rectangle_mesh, sod_tube, uniform_flow
-from repro.apps.nbody import (
+from repro.apps.fem.driver import FEMSimulation
+from repro.apps.fem.gasdyn import sod_tube, uniform_flow
+from repro.apps.fem.mesh import rectangle_mesh
+from repro.apps.nbody.bodies import plummer_sphere, uniform_cube
+from repro.apps.nbody.diagnostics import (
     lagrangian_radius,
     plummer_density,
-    plummer_sphere,
     radial_density_profile,
-    uniform_cube,
     virial_ratio,
 )
-from repro.apps.pic import (
-    Grid3D,
-    PICSimulation,
-    beam_plasma,
+from repro.apps.pic.diagnostics import (
     density_spectrum,
     energy_budget,
     field_energy_growth_rate,
     velocity_histogram,
 )
+from repro.apps.pic.grid import Grid3D
+from repro.apps.pic.particles import beam_plasma
+from repro.apps.pic.simulation import PICSimulation
 
 
 # -- PIC -----------------------------------------------------------------

@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.apps.fem import (
-    TriMesh,
+from repro.apps.fem import large_problem, small1_problem, small2_problem
+from repro.apps.fem.mesh import TriMesh, large_mesh, rectangle_mesh, small_mesh
+from repro.apps.fem.morton import (
     element_permutation,
-    large_mesh,
-    large_problem,
     morton_decode,
     morton_encode,
     morton_order_mesh,
     point_permutation,
-    rectangle_mesh,
-    small1_problem,
-    small2_problem,
-    small_mesh,
 )
 
 

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps.fem import (
-    GasDynamicsFEM,
-    rectangle_mesh,
-    sod_tube,
-    uniform_flow,
-)
+from repro.apps.fem.gasdyn import GasDynamicsFEM, sod_tube, uniform_flow
+from repro.apps.fem.mesh import rectangle_mesh
 
 
 @pytest.fixture

@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.nbody import (
-    Bodies,
-    NBodySimulation,
-    build_octree,
-    direct_forces,
-    morton_keys_3d,
-    plummer_sphere,
-    tree_forces,
-    uniform_cube,
-)
+from repro.apps.nbody.bodies import Bodies, plummer_sphere, uniform_cube
+from repro.apps.nbody.force import direct_forces, tree_forces
+from repro.apps.nbody.integrator import NBodySimulation
+from repro.apps.nbody.tree import build_octree, morton_keys_3d
 
 
 def test_bodies_validation():

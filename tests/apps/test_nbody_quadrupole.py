@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.apps.nbody import (
-    Bodies,
-    build_octree,
-    compute_quadrupoles,
-    direct_forces,
-    plummer_sphere,
-    tree_forces,
-)
+from repro.apps.nbody.bodies import Bodies, plummer_sphere
+from repro.apps.nbody.force import direct_forces, tree_forces
+from repro.apps.nbody.tree import build_octree, compute_quadrupoles
 
 
 def test_quadrupoles_are_traceless_and_symmetric():

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.pic import (
-    Grid3D,
-    PICSimulation,
-    ParticleSet,
-    beam_plasma,
+from repro.apps.pic.grid import Grid3D
+from repro.apps.pic.interpolation import (
     deposit_charge,
     gather_field,
-    solve_fields,
     tsc_weights,
 )
+from repro.apps.pic.particles import ParticleSet, beam_plasma
+from repro.apps.pic.poisson import solve_fields
+from repro.apps.pic.simulation import PICSimulation
 
 
 @pytest.fixture

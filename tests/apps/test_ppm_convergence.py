@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps.ppm import GammaLawEOS, PPMSolver2D, uniform_state
+from repro.apps.ppm.eos import GammaLawEOS
+from repro.apps.ppm.solver import PPMSolver2D, uniform_state
 
 
 def advecting_wave(nx, amplitude=1e-3, velocity=1.0):

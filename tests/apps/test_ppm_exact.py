@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.apps.ppm import (
-    PPMSolver2D,
+from repro.apps.ppm.exact_riemann import (
     RiemannState,
     exact_riemann,
     sample_riemann,
     sod_exact,
-    sod_state,
 )
+from repro.apps.ppm.solver import PPMSolver2D, sod_state
 
 
 def test_sod_star_region_matches_literature():

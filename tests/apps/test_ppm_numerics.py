@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.apps.ppm import (
-    GammaLawEOS,
+from repro.apps.ppm.eos import GammaLawEOS
+from repro.apps.ppm.reconstruct import ppm_reconstruct, vanleer_slopes
+from repro.apps.ppm.riemann import hllc_flux
+from repro.apps.ppm.solver import (
     PPMSolver2D,
     blast_state,
-    hllc_flux,
-    ppm_reconstruct,
     sod_state,
-    sweep,
     uniform_state,
-    vanleer_slopes,
 )
+from repro.apps.ppm.sweep import sweep
 
 
 # -- reconstruction ---------------------------------------------------------

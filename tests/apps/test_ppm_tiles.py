@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.apps.ppm import GHOST, PPMSolver2D, TiledPPM, blast_state, sod_state
+from repro.apps.ppm.counts import GHOST
+from repro.apps.ppm.solver import PPMSolver2D, blast_state, sod_state
+from repro.apps.ppm.tiles import TiledPPM
 
 
 def test_tiling_must_divide_grid():

@@ -275,3 +275,57 @@ def test_spmd_builders_give_each_role_one_list():
     assert _list_objects(FEMWorkload(fem_large(), CFG).step(tm)) == 1
     near = FEMWorkload(fem_large(), CFG, data_placement="near_shared")
     assert _list_objects(near.step(tm)) == 2
+
+
+# -- what a run computes once -------------------------------------------------
+
+def test_only_the_pic_shared_run_sums_its_phase_flops(monkeypatch):
+    """Each application reports its useful flops; only the PIC
+    shared-memory run reports the phases' total, so only it sums them."""
+    summed = []
+    total = StepWork.total_flops.fget
+
+    def counted(step):
+        summed.append(step)
+        return total(step)
+
+    monkeypatch.setattr(StepWork, "total_flops", property(counted))
+    FEMWorkload(fem_large(), CFG).run(16)
+    NBodyWorkload(problem_32k(), CFG).run_shared(16)
+    NBodyWorkload(problem_32k(), CFG).run_pvm(4)
+    PPMWorkload(TABLE2_PROBLEMS["120x480 / 4x16"], CFG).run(16)
+    PICWorkload(pic_small(), CFG).run_pvm(16)
+    assert summed == []
+    shared = PICWorkload(pic_small(), CFG).run_shared(16)
+    assert len(summed) == 1
+    assert shared.flops == total(summed[0]) * pic_small().n_steps
+
+
+def test_miss_costs_and_contention_are_computed_once(monkeypatch):
+    """Pricing reads the remote miss latency computed with the model and
+    the contention factors computed once per team."""
+    import repro.perfmodel.model as model_module
+
+    cfg = _CONFIGS[4]
+    tm = TeamSpec(cfg, 32)
+    step = FEMWorkload(fem_large(), cfg).step(tm)
+    latencies, lookups = [], []
+    latency = model_module.remote_miss_cycles
+    lookup = TeamSpec.threads_on_hypernode
+
+    def counted_latency(config):
+        latencies.append(config)
+        return latency(config)
+
+    def counted_lookup(self, hn):
+        lookups.append(hn)
+        return lookup(self, hn)
+
+    monkeypatch.setattr(model_module, "remote_miss_cycles", counted_latency)
+    monkeypatch.setattr(TeamSpec, "threads_on_hypernode", counted_lookup)
+    model = PerformanceModel(cfg)
+    model.run([step, step], tm, repeat=3)
+    assert len(latencies) == 1
+    # one bank factor per hypernode in use, and the first hypernode's
+    # thread count again for the ring factor
+    assert sorted(lookups) == sorted(tm.hypernodes + tm.hypernodes[:1])

@@ -125,6 +125,47 @@ def test_planning_the_des_experiments_loads_no_numpy():
         "repro.sim.process", "repro.sim.resources", "repro.sim.trace"]
 
 
+#: what a run of the analytic experiments must not import: NumPy, and
+#: the simulated machine with the layers that run on it
+SIMULATOR_SIDE = ("numpy", "repro.machine", "repro.faults", "repro.pvm",
+                  "repro.runtime.runtime", "repro.runtime.barrier")
+
+
+def test_running_the_model_experiments_loads_no_numpy_and_no_machine():
+    loaded = _fresh(
+        "from repro.core import spp1000\n"
+        "from repro.exec import execute\n"
+        "for exp in ('fig6', 'fig7', 'fig8', 'memclass', 'scale128',\n"
+        "            'table1', 'table2'):\n"
+        "    execute(exp, spp1000(n_hypernodes=2), quick=True)\n"
+        "print(json.dumps(list(sys.modules)))")
+    assert "repro.experiments.table2_ppm" in loaded
+    assert _loaded(loaded, SIMULATOR_SIDE) == []
+    # each application's package root, workload and counts, no numerics
+    assert _loaded(loaded, ("repro.apps",)) == [
+        "repro.apps",
+        "repro.apps.fem", "repro.apps.fem.counts", "repro.apps.fem.workload",
+        "repro.apps.nbody", "repro.apps.nbody.counts",
+        "repro.apps.nbody.workload",
+        "repro.apps.pic", "repro.apps.pic.counts", "repro.apps.pic.workload",
+        "repro.apps.ppm", "repro.apps.ppm.counts", "repro.apps.ppm.workload"]
+
+
+def test_model_run_imports_no_numpy_and_no_machine():
+    """``python -m repro fig7 --quick --no-cache`` runs on the phase
+    model alone."""
+    loaded = _fresh(
+        "import runpy\n"
+        "sys.argv = ['repro', 'fig7', '--quick', '--no-cache']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as stop:\n"
+        "    assert not stop.code, stop.code\n"
+        "print(json.dumps(list(sys.modules)))")
+    assert "repro.experiments.fig7_fem" in loaded
+    assert _loaded(loaded, SIMULATOR_SIDE) == []
+
+
 def test_version_string():
     assert repro.__version__.count(".") == 2
 
