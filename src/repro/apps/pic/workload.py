@@ -218,8 +218,9 @@ class PICWorkload:
                    placement: Placement = Placement.HIGH_LOCALITY
                    ) -> RunResult:
         team = TeamSpec(self.config, n_threads, placement)
-        return self.model.run([self.shared_step(team)], team,
-                              repeat=self.problem.n_steps)
+        step = self.shared_step(team)
+        return self.model.run([step], team, repeat=self.problem.n_steps,
+                              step_flops=step.total_flops)
 
     def run_pvm(self, n_tasks: int,
                 placement: Placement = Placement.HIGH_LOCALITY) -> RunResult:

@@ -30,7 +30,7 @@ thread.  SPMD step builders give every thread of a role one list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence
 
 from ..core.config import MachineConfig
 from ..core.metrics import mflops as _mflops
@@ -72,9 +72,6 @@ class PerformanceModel:
         #: modelled by this instance lay out end-to-end on the trace
         self._trace_clock = 0.0
         self._remote_miss_cycles = remote_miss_cycles(config)
-        #: the last team priced, its ring factor and its hypernodes' bank
-        #: factors (:meth:`_contention`)
-        self._team_factors = (None, 0.0, {})
 
     # -- cache behaviour ---------------------------------------------------
     def spill_fraction(self, working_set_bytes: float,
@@ -153,8 +150,11 @@ class PerformanceModel:
             local_cost = cfg.miss_local_cycles
             remote_cost = self._remote_miss_cycles
 
-        ring_factor, bank_factors = self._contention(team)
-        bank_factor = bank_factors[team.hypernode_of_thread(tid)]
+        my_hn = team.hypernode_of_thread(tid)
+        local_threads = team.threads_on_hypernode(my_hn)
+        bank_factor = 1.0 + cfg.bank_contention * (local_threads - 1)
+        ring_factor = 1.0 + cfg.ring_contention * max(
+            0.0, team.remote_threads / cfg.n_rings - 1.0)
 
         mix = phase.locality
         # remote traffic that the global cache buffer retains between
@@ -165,29 +165,6 @@ class PerformanceModel:
                 "remote_cost": remote_cost, "bank_factor": bank_factor,
                 "ring_factor": ring_factor, "local_share": local_share,
                 "remote_share": remote_share}
-
-    def _contention(self, team: TeamSpec) -> Tuple[float, Dict[int, float]]:
-        """The team's ring factor and the bank factor of each of its
-        hypernodes.
-
-        Bank pressure comes from the threads sharing a hypernode, ring
-        pressure from the threads off the team's first hypernode.  Every
-        phase of every step of a run reads them, so they are computed
-        once per team: the model keeps the last team's.
-        """
-        memo = self._team_factors
-        if memo[0] is not team:
-            cfg = self.config
-            bank_factors = {
-                hn: 1.0 + cfg.bank_contention
-                * (team.threads_on_hypernode(hn) - 1)
-                for hn in team.hypernodes}
-            remote_sources = max(0, team.n_threads - team.threads_on_hypernode(
-                team.hypernodes[0])) if team.n_hypernodes_used > 1 else 0
-            ring_factor = 1.0 + cfg.ring_contention * max(
-                0.0, remote_sources / cfg.n_rings - 1.0)
-            memo = self._team_factors = (team, ring_factor, bank_factors)
-        return memo[1], memo[2]
 
     # -- per-step and full-run time --------------------------------------------
     def step_time_ns(self, step: StepWork, team: TeamSpec) -> float:
@@ -267,18 +244,15 @@ class PerformanceModel:
         self._trace_clock = t0 + critical
 
     def run(self, steps: Sequence[StepWork], team: TeamSpec,
-            repeat: int = 1, step_flops: Optional[float] = None
-            ) -> RunResult:
+            repeat: int = 1, *, step_flops: float) -> RunResult:
         """Model ``repeat`` iterations of the given step sequence.
 
         ``step_flops`` is one iteration's useful work as the application
-        counts it; without it, the run counts the flops of every phase.
+        counts it.
         """
         if repeat < 1:
             raise ValueError("repeat must be >= 1")
         step_time = sum(self.step_time_ns(s, team) for s in steps)
-        if step_flops is None:
-            step_flops = sum(s.total_flops for s in steps)
         return RunResult(time_ns=step_time * repeat,
                          flops=step_flops * repeat,
                          n_threads=team.n_threads)

@@ -139,6 +139,12 @@ class TeamSpec:
     def threads_on_hypernode(self, hn: int) -> int:
         return self._threads_per_hypernode.get(hn, 0)
 
+    @cached_property
+    def remote_threads(self) -> int:
+        """Threads off the first hypernode: the sources of the team's
+        ring traffic."""
+        return self.n_threads - self.threads_on_hypernode(self.hypernodes[0])
+
     def hypernode_of_thread(self, tid: int) -> int:
         return self.cpus[tid] // self.config.cpus_per_hypernode
 

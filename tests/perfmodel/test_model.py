@@ -147,8 +147,8 @@ def test_full_machine_pays_os_interference():
 def test_run_scales_with_repeat():
     step = simple_step(4)
     tm = team(4)
-    one = MODEL.run([step], tm, repeat=1)
-    ten = MODEL.run([step], tm, repeat=10)
+    one = MODEL.run([step], tm, repeat=1, step_flops=step.total_flops)
+    ten = MODEL.run([step], tm, repeat=10, step_flops=step.total_flops)
     assert ten.time_ns == pytest.approx(10 * one.time_ns)
     assert ten.flops == pytest.approx(10 * one.flops)
     assert ten.mflops == pytest.approx(one.mflops)
@@ -156,7 +156,7 @@ def test_run_scales_with_repeat():
 
 def test_run_rejects_bad_repeat():
     with pytest.raises(ValueError):
-        MODEL.run([simple_step(1)], team(1), repeat=0)
+        MODEL.run([simple_step(1)], team(1), repeat=0, step_flops=1e6)
 
 
 def test_parallel_speedup_emerges():
@@ -301,31 +301,28 @@ def test_only_the_pic_shared_run_sums_its_phase_flops(monkeypatch):
     assert shared.flops == total(summed[0]) * pic_small().n_steps
 
 
-def test_miss_costs_and_contention_are_computed_once(monkeypatch):
-    """Pricing reads the remote miss latency computed with the model and
-    the contention factors computed once per team."""
+def test_the_remote_miss_latency_is_computed_once_per_model(monkeypatch):
+    """Pricing reads the remote miss latency computed with the model."""
     import repro.perfmodel.model as model_module
 
     cfg = _CONFIGS[4]
     tm = TeamSpec(cfg, 32)
     step = FEMWorkload(fem_large(), cfg).step(tm)
-    latencies, lookups = [], []
+    latencies = []
     latency = model_module.remote_miss_cycles
-    lookup = TeamSpec.threads_on_hypernode
 
     def counted_latency(config):
         latencies.append(config)
         return latency(config)
 
-    def counted_lookup(self, hn):
-        lookups.append(hn)
-        return lookup(self, hn)
-
     monkeypatch.setattr(model_module, "remote_miss_cycles", counted_latency)
-    monkeypatch.setattr(TeamSpec, "threads_on_hypernode", counted_lookup)
     model = PerformanceModel(cfg)
-    model.run([step, step], tm, repeat=3)
+    model.run([step, step], tm, repeat=3, step_flops=step.total_flops)
     assert len(latencies) == 1
-    # one bank factor per hypernode in use, and the first hypernode's
-    # thread count again for the ring factor
-    assert sorted(lookups) == sorted(tm.hypernodes + tm.hypernodes[:1])
+
+
+def test_remote_threads_are_the_threads_off_the_first_hypernode():
+    cfg = _CONFIGS[4]
+    assert TeamSpec(cfg, 8).remote_threads == 0
+    assert TeamSpec(cfg, 32).remote_threads == 24
+    assert TeamSpec(cfg, 8, Placement.UNIFORM).remote_threads == 6
