@@ -15,5 +15,3 @@ own modules.  The numbers both sides read (flops per update, mesh
 sizes) are defined once, in each package's NumPy-free ``counts``
 module.
 """
-
-__all__ = ["pic", "fem", "nbody", "ppm"]

@@ -232,23 +232,19 @@ def _timeline(args) -> int:
 
 
 def _scope_command(scope, args, config, fault_plan) -> int:
-    """``python -m repro <scope> <experiment>`` (or ``--trace PATH``):
-    one profiler's view of a live run, or of a saved trace."""
+    """``python -m repro <scope> <experiment>``: one profiler's view of
+    a live run."""
     import json as _json
 
     if args.trace:
-        from .obs.export import load_trace_checked
-
-        events = load_trace_checked(args.trace)
-        if events is None:
-            return 2
-        doc = scope.from_trace(events)
-        print(_json.dumps(doc, indent=2) if args.json
-              else scope.render_trace(doc, title=args.trace))
-        return 0
+        print(f"{scope.name} profiles a live run and reads no trace file; "
+              f"'python -m repro {args.experiment or '<experiment>'} "
+              f"--{scope.name} --trace {args.trace}' profiles the run and "
+              "saves its trace", file=sys.stderr)
+        return 2
     if not args.experiment:
         print(f"{scope.name} needs an experiment id (e.g. 'python -m repro "
-              f"{scope.name} fig3') or --trace PATH", file=sys.stderr)
+              f"{scope.name} fig3')", file=sys.stderr)
         return 2
     from .exec import execute
     from .faults import use_faults
@@ -301,13 +297,22 @@ def _main(argv: List[str], command=None) -> int:
               "worker retries, N allows N retries with exponential "
               "backoff", file=sys.stderr)
         return 2
+    if args.top < 1:
+        print(f"--top must be >= 1 (got {args.top}): it is how many hot "
+              "pages, flagged lines, critical-path spans or host-time "
+              "regions a profiler lists", file=sys.stderr)
+        return 2
     try:
         for scope in SCOPES.values():
             scope.check(args)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    config = spp1000(n_hypernodes=args.hypernodes)
+    try:
+        config = spp1000(n_hypernodes=args.hypernodes)
+    except ValueError as exc:
+        print(f"--hypernodes {args.hypernodes}: {exc}", file=sys.stderr)
+        return 2
     if command is None:
         if args.experiment is None:
             commands = ", ".join(f"'{name}'" for name in (

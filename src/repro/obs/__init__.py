@@ -8,8 +8,8 @@ first-class measurement subsystem for the simulated machine:
   (``Tracer``); every layer (machine, runtime, PVM, perfmodel) emits
   into it with thread/CPU/hypernode attribution;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (open in Perfetto
-  or ``chrome://tracing``; one track per simulated CPU) and JSONL
-  event streams;
+  or ``chrome://tracing``; one track per simulated CPU), written by
+  ``--trace`` and read back by ``python -m repro timeline --trace``;
 * :mod:`repro.obs.metrics` — per-run ``metrics.json`` manifests:
   headline experiment data, per-phase span times, counter deltas,
   imbalance factors, instrumentation-overhead accounting;
@@ -27,9 +27,9 @@ first-class measurement subsystem for the simulated machine:
   simulated-cycles/s and events/s throughput (``python -m repro
   hostscope``; see ``docs/hostscope.md``);
 * :mod:`repro.obs.scopes` — the profiler scope table: one entry per
-  profiler (how it is built, installed, rendered, folded into a
-  manifest and summarised from a trace), read by the CLI commands and
-  flags, the job server's telemetry and the manifests;
+  profiler (how it is built, installed, rendered and folded into a
+  manifest), read by the CLI commands and flags, the job server's
+  telemetry and the manifests;
 * :mod:`repro.obs.tracectx` — end-to-end trace context: one trace ID
   minted in the SDK, carried over the NDJSON protocol, stamped onto
   exec-pool unit progress, and stitched with the simulated Chrome
@@ -50,23 +50,19 @@ from ..sim.trace import TraceEvent, Tracer, active_tracer, use_tracer
 from .critscope import (
     CritScope,
     active_critscope,
-    critscope_from_trace,
     scaled_config,
     use_critscope,
 )
 from .export import (
     chrome_trace,
-    jsonl_lines,
     load_trace,
     load_trace_checked,
     write_chrome_trace,
-    write_jsonl,
 )
 from .fidelity import FIDELITY_EXPERIMENTS, fidelity_residuals
 from .hostscope import (
     HostScope,
     active_hostscope,
-    hostscope_from_trace,
     use_hostscope,
 )
 from .ledger import (
@@ -79,7 +75,6 @@ from .ledger import (
 from .memscope import (
     MemScope,
     active_memscope,
-    memscope_from_trace,
     placement_probe,
     use_memscope,
 )
@@ -98,16 +93,12 @@ from .tracectx import (
 
 __all__ = [
     "Tracer", "TraceEvent", "active_tracer", "use_tracer",
-    "chrome_trace", "write_chrome_trace", "jsonl_lines", "write_jsonl",
-    "load_trace", "load_trace_checked",
+    "chrome_trace", "write_chrome_trace", "load_trace", "load_trace_checked",
     "CritScope", "active_critscope", "use_critscope", "scaled_config",
-    "critscope_from_trace",
     "build_manifest", "provenance_stamp", "span_summary", "write_metrics",
     "render_timeline", "timeline_from_tracer",
     "MemScope", "active_memscope", "use_memscope", "placement_probe",
-    "memscope_from_trace",
-    "HostScope", "active_hostscope", "use_hostscope",
-    "hostscope_from_trace", "SCOPES", "Scope",
+    "HostScope", "active_hostscope", "use_hostscope", "SCOPES", "Scope",
     "FIDELITY_EXPERIMENTS", "fidelity_residuals",
     "Ledger", "LedgerError", "DEFAULT_LEDGER_PATH", "record_checksum",
     "fold_document",

@@ -46,8 +46,7 @@ from ..core.ambient import Slot
 from ..core.tables import Table
 
 __all__ = ["CATEGORIES", "CritScope", "CritRun", "active_critscope",
-           "use_critscope", "scaled_config", "WHAT_IF_PARAMS",
-           "critscope_from_trace", "render_trace_summary"]
+           "use_critscope", "scaled_config", "WHAT_IF_PARAMS"]
 
 SCHEMA_VERSION = 2
 
@@ -507,89 +506,3 @@ active_critscope = _CRITSCOPE.get
 #: ``with use_critscope(scope):`` — machines built inside report into it
 use_critscope = _CRITSCOPE.use
 
-
-# -- trace-based summaries --------------------------------------------------
-
-#: structured-span name -> wait-state category (coarse, for saved traces)
-_TRACE_SPAN_CATS = {"fork_join": "forkjoin", "pvm.send": "msg_send",
-                    "pvm.pack": "msg_send", "pvm.recv": "msg_recv"}
-
-#: instant names that mark synchronisation activity in a saved trace
-_TRACE_MARKERS = ("barrier.arrive", "barrier.open", "barrier.release",
-                  "thread.spawn", "pvm.post", "pvm.retry")
-
-
-def critscope_from_trace(events: List[Dict]) -> Dict:
-    """A coarse wait-state summary from a saved ``--trace`` file.
-
-    Chrome traces carry begin/end spans (``ph`` B/E, ``ts`` in
-    microseconds) and instants; the cycle-exact per-thread attribution
-    and the dependency graph are not recoverable from a trace — run
-    ``critscope <experiment>`` live for those.
-    """
-    span_us: Dict[str, float] = {}
-    span_count: Dict[str, int] = {}
-    markers: Dict[str, int] = {}
-    open_spans: Dict[Tuple, float] = {}
-    for ev in events:
-        name = ev.get("name", "")
-        ph = ev.get("ph")
-        key = (name, ev.get("pid"), ev.get("tid"))
-        if ph == "B":
-            open_spans[key] = float(ev.get("ts", 0.0))
-        elif ph == "E":
-            t0 = open_spans.pop(key, None)
-            if t0 is not None:
-                span_us[name] = span_us.get(name, 0.0) \
-                    + float(ev.get("ts", 0.0)) - t0
-                span_count[name] = span_count.get(name, 0) + 1
-        elif ph == "X":
-            span_us[name] = span_us.get(name, 0.0) \
-                + float(ev.get("dur", 0.0))
-            span_count[name] = span_count.get(name, 0) + 1
-        elif ph in ("i", "I") and name in _TRACE_MARKERS:
-            markers[name] = markers.get(name, 0) + 1
-    categories_us = {}
-    for name, us in span_us.items():
-        cat = _TRACE_SPAN_CATS.get(name)
-        if cat is not None:
-            categories_us[cat] = categories_us.get(cat, 0.0) + us
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "source": "trace",
-        "spans_us": {n: round(us, 3) for n, us in sorted(span_us.items())},
-        "span_counts": span_count,
-        "categories_us": {c: round(us, 3)
-                          for c, us in sorted(categories_us.items())},
-        "sync_markers": markers,
-    }
-
-
-def render_trace_summary(doc: Dict, title: str = "critscope") -> str:
-    """Human tables for a :func:`critscope_from_trace` document."""
-    parts = [f"== critscope (from trace): {title} =="]
-    if doc["spans_us"]:
-        st = Table("span time by name", ["span", "count", "total us"])
-        for name, us in sorted(doc["spans_us"].items(),
-                               key=lambda kv: -kv[1]):
-            st.add_row(name, doc["span_counts"].get(name, 0), f"{us:.1f}")
-        parts.append(st.render())
-    if doc["categories_us"]:
-        ct = Table("coarse wait-state categories", ["category", "total us"])
-        for cat, us in sorted(doc["categories_us"].items(),
-                              key=lambda kv: -kv[1]):
-            ct.add_row(cat, f"{us:.1f}")
-        parts.append(ct.render())
-    if doc["sync_markers"]:
-        mt = Table("synchronisation markers", ["marker", "count"])
-        for name in sorted(doc["sync_markers"]):
-            mt.add_row(name, doc["sync_markers"][name])
-        parts.append(mt.render())
-    if len(parts) == 1:
-        parts.append("trace contains no runtime/pvm span or sync events; "
-                     "capture one with --trace on a machine-level "
-                     "experiment, or run critscope <experiment> live")
-    parts.append("note: per-cycle attribution and the cross-thread "
-                 "dependency graph need a live run "
-                 "(python -m repro critscope <experiment>)")
-    return "\n\n".join(parts)

@@ -1,4 +1,5 @@
-"""Trace exporters: Chrome trace-event JSON and JSONL streams.
+"""The Chrome trace-event JSON that ``--trace`` writes and ``timeline``
+reads.
 
 The Chrome format is the `trace-event`_ JSON that Perfetto and
 ``chrome://tracing`` load directly: a ``traceEvents`` array whose
@@ -14,13 +15,13 @@ paper's per-processor CXpa views.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from ..core.config import MachineConfig
 from ..sim.trace import TraceEvent, Tracer
 
-__all__ = ["chrome_trace", "write_chrome_trace", "jsonl_lines",
-           "write_jsonl", "load_trace", "load_trace_checked"]
+__all__ = ["chrome_trace", "write_chrome_trace", "load_trace",
+           "load_trace_checked"]
 
 _NS_PER_US = 1000.0
 
@@ -99,42 +100,30 @@ def write_chrome_trace(tracer: Tracer, path: str,
                   default=_fallback)
 
 
-def jsonl_lines(tracer: Tracer) -> Iterator[str]:
-    """One compact JSON object per structured event, in emission order."""
-    for ev in tracer.events:
-        yield json.dumps(_event_dict(ev), default=_fallback)
-
-
-def write_jsonl(tracer: Tracer, path: str) -> None:
-    """Write the JSONL event stream to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in jsonl_lines(tracer):
-            fh.write(line + "\n")
-
-
 def load_trace(path: str) -> List[Dict]:
-    """Load event dicts from a Chrome trace JSON *or* a JSONL file."""
+    """The event dicts of a Chrome trace JSON document (the object that
+    :func:`write_chrome_trace` and ``Job.write_trace`` write).
+
+    Raises ValueError for anything else: a file that is not JSON, a
+    bare array, or an object whose ``traceEvents`` is not a list of
+    event objects.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        # JSONL: one event object per line
-        return [json.loads(line) for line in text.splitlines()
-                if line.strip()]
-    if isinstance(doc, list):  # bare traceEvents array
-        return doc
-    if "traceEvents" not in doc and "ph" in doc:  # single-line JSONL
-        return [doc]
-    return list(doc.get("traceEvents", []))
+        doc = json.load(fh)
+    events = doc.get("traceEvents") if isinstance(doc, dict) else None
+    if not (isinstance(events, list)
+            and all(isinstance(ev, dict) for ev in events)):
+        raise ValueError("not a JSON object whose 'traceEvents' is a list "
+                         "of event objects")
+    return events
 
 
 def load_trace_checked(path: str) -> Optional[List[Dict]]:
-    """Load a trace file for rendering, or print why it cannot be used.
+    """Load a trace file for ``timeline --trace``, or print why it
+    cannot be used.
 
     Returns the event list, or ``None`` after printing one actionable
-    line naming the path — shared by the ``timeline``, ``memscope`` and
-    ``critscope`` CLI paths so a missing, unreadable, corrupt, or empty
+    line naming the path, so a missing, unreadable, corrupt, or empty
     trace never tracebacks.
     """
     import sys
@@ -147,7 +136,7 @@ def load_trace_checked(path: str) -> Optional[List[Dict]]:
         return None
     except ValueError as exc:
         print(f"cannot parse trace file {path}: {exc}; expected a Chrome "
-              "trace JSON or JSONL written by --trace", file=sys.stderr)
+              "trace JSON written by --trace", file=sys.stderr)
         return None
     if not events:
         print(f"trace file {path} contains no events; re-run the "

@@ -45,7 +45,7 @@ from ..core.ambient import Slot
 from ..core.tables import Table
 
 __all__ = ["REGIONS", "HostScope", "active_hostscope", "use_hostscope",
-           "host_region", "hostscope_from_trace", "render_trace_summary"]
+           "host_region"]
 
 SCHEMA_VERSION = 1
 
@@ -316,53 +316,3 @@ def host_region(hs: Optional[HostScope], name: str):
         return _NULL_CTX
     return _Region(hs, name)
 
-
-# -- trace-based summaries --------------------------------------------------
-
-def hostscope_from_trace(events: List[Dict]) -> Dict:
-    """A coarse event-census from a saved ``--trace`` file.
-
-    A Chrome trace records *simulated* time, not host time — host-time
-    attribution needs a live run (``python -m repro hostscope <exp>``).
-    This summary still answers "what would the profiler see": event
-    counts by phase and category, span names, and the simulated span.
-    """
-    by_phase: Dict[str, int] = {}
-    by_cat: Dict[str, int] = {}
-    t_min, t_max = None, None
-    for ev in events:
-        ph = str(ev.get("ph", "?"))
-        by_phase[ph] = by_phase.get(ph, 0) + 1
-        cat = str(ev.get("cat", "?"))
-        by_cat[cat] = by_cat.get(cat, 0) + 1
-        ts = ev.get("ts")
-        if isinstance(ts, (int, float)):
-            t_min = ts if t_min is None else min(t_min, ts)
-            t_max = ts if t_max is None else max(t_max, ts)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "source": "trace",
-        "events": len(events),
-        "events_by_phase": dict(sorted(by_phase.items())),
-        "events_by_category": dict(sorted(by_cat.items())),
-        "simulated_span_us": (round(t_max - t_min, 3)
-                              if t_min is not None else 0.0),
-    }
-
-
-def render_trace_summary(doc: Dict, title: str = "hostscope") -> str:
-    """Human tables for a :func:`hostscope_from_trace` document."""
-    parts = [f"== hostscope (from trace): {title} =="]
-    ct = Table("trace event census",
-               ["category", "events"])
-    for cat, n in sorted(doc["events_by_category"].items(),
-                         key=lambda kv: -kv[1]):
-        ct.add_row(cat, n)
-    ct.add_row("TOTAL", doc["events"])
-    parts.append(ct.render())
-    parts.append(f"simulated span: {doc['simulated_span_us']:.1f} us "
-                 f"({doc['events']} trace events)")
-    parts.append("note: a trace records simulated time; host-time "
-                 "attribution and throughput need a live run "
-                 "(python -m repro hostscope <experiment>)")
-    return "\n\n".join(parts)

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 from ..core.ambient import Slot
 
 __all__ = ["MemScope", "active_memscope", "use_memscope",
-           "placement_probe", "memscope_from_trace"]
+           "placement_probe"]
 
 SCHEMA_VERSION = 1
 
@@ -495,75 +495,3 @@ def placement_probe(config, memscope: Optional[MemScope] = None,
     ms.probe_used = True
     return ms
 
-
-# ---------------------------------------------------------------------------
-# trace-file summarisation (``python -m repro memscope --trace t.json``)
-# ---------------------------------------------------------------------------
-
-_TRACE_CLASSES = {"load.hit": "hits", "load.miss.local": "miss_local",
-                  "load.miss.gcb": "miss_gcb",
-                  "load.miss.remote": "miss_remote"}
-
-
-def memscope_from_trace(events: List[Dict]) -> Dict:
-    """A miss-class summary from a saved trace's machine-event instants.
-
-    Captured traces carry the legacy coherence records as thread-scoped
-    instants with ``cat == "machine"``; this rebuilds the breakdown
-    table from them (occupancy and per-page detail are not recoverable
-    from a trace — run ``memscope <experiment>`` live for those).
-    """
-    counts = {"hits": 0, "miss_local": 0, "miss_gcb": 0, "miss_remote": 0}
-    invalidations = {"local": 0, "remote": 0}
-    ring_round_trips: Dict[str, int] = {}
-    for ev in events:
-        if ev.get("cat") != "machine":
-            continue
-        name = ev.get("name", "")
-        if name in _TRACE_CLASSES:
-            counts[_TRACE_CLASSES[name]] += 1
-        elif name == "store.inval.local":
-            invalidations["local"] += 1
-        elif name == "store.inval.remote":
-            invalidations["remote"] += 1
-        elif name == "ring.round_trip":
-            payload = ev.get("args", {}).get("payload", [None])
-            ring = str(payload[0]) if payload else "?"
-            ring_round_trips[ring] = ring_round_trips.get(ring, 0) + 1
-    misses = (counts["miss_local"] + counts["miss_gcb"]
-              + counts["miss_remote"])
-    total = counts["hits"] + misses
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "source": "trace",
-        "breakdown": {
-            "total_accesses": total,
-            **counts,
-            "hit_rate": counts["hits"] / total if total else 0.0,
-            "remote_fraction":
-                counts["miss_remote"] / misses if misses else 0.0,
-        },
-        "invalidations": invalidations,
-        "ring_round_trips": ring_round_trips,
-    }
-
-
-def render_trace_summary(doc: Dict, title: str = "memscope") -> str:
-    """Human rendering of :func:`memscope_from_trace` output."""
-    from ..core.tables import Table
-
-    b = doc["breakdown"]
-    table = Table(f"{title}: miss-class breakdown (from trace)",
-                  ["class", "count"])
-    for label, key in (("cache hit", "hits"), ("local miss", "miss_local"),
-                       ("GCB hit (remote line)", "miss_gcb"),
-                       ("SCI remote miss", "miss_remote")):
-        table.add_row(label, b[key])
-    table.add_row("remote fraction", f"{b['remote_fraction']:.1%}")
-    parts = [table.render()]
-    if doc["ring_round_trips"]:
-        rings = Table("ring round trips", ["ring", "count"])
-        for ring, count in sorted(doc["ring_round_trips"].items()):
-            rings.add_row(ring, count)
-        parts.append(rings.render())
-    return "\n\n".join(parts)

@@ -2,11 +2,10 @@
 
 Each profiler that can watch a run is one :class:`Scope` in
 :data:`SCOPES`.  An entry records how the profiler is built from CLI
-arguments, installed around a run, rendered, turned into a manifest
-block, and summarised from a saved ``--trace`` file.  Every caller reads
-the table: the ``python -m repro <scope> <experiment>`` commands and the
-``--<scope>`` flags of :mod:`repro.cli`, the job server's ``telemetry``
-kinds, and the profiler blocks of
+arguments, installed around a run, rendered and turned into a manifest
+block.  Every caller reads the table: the ``python -m repro <scope>
+<experiment>`` commands and the ``--<scope>`` flags of :mod:`repro.cli`,
+the job server's ``telemetry`` kinds, and the profiler blocks of
 :func:`~repro.obs.metrics.build_manifest`.  A new profiler is one entry
 here.
 
@@ -41,10 +40,6 @@ class Scope:
     build: Callable
     #: ``profiler -> context manager`` installing it around a run
     install: Callable
-    #: ``events -> doc``: the summary of a saved ``--trace`` file ...
-    from_trace: Callable
-    #: ... and ``(doc, title) -> str``, its rendering
-    render_trace: Callable
     #: the profiler's own CLI options: ``(flag, add_argument kwargs)``
     options: Tuple[Tuple[str, Dict], ...] = ()
     #: ``args -> None``: validates (and normalises) those options,
@@ -137,8 +132,6 @@ SCOPES: Dict[str, Scope] = {scope.name: scope for scope in (
         build=lambda config, args=None: memscope.MemScope(
             config, sample=getattr(args, "memscope_sample", 1)),
         install=memscope.use_memscope,
-        from_trace=memscope.memscope_from_trace,
-        render_trace=memscope.render_trace_summary,
         options=(("--memscope-sample", dict(
             type=int, default=1, metavar="N",
             help="profile 1-in-N accesses for the per-page heat map "
@@ -152,8 +145,6 @@ SCOPES: Dict[str, Scope] = {scope.name: scope for scope in (
                 "speedup projections",
         build=lambda config, args=None: critscope.CritScope(config),
         install=critscope.use_critscope,
-        from_trace=critscope.critscope_from_trace,
-        render_trace=critscope.render_trace_summary,
         options=(("--what-if", dict(
             action="append", default=None, metavar="CAT=FACTOR",
             help="with critscope: project run time with category CAT "
@@ -175,7 +166,5 @@ SCOPES: Dict[str, Scope] = {scope.name: scope for scope in (
         summary="host-time self-profile (wall clock per simulator "
                 "subsystem, simulated cycles/s and events/s)",
         build=lambda config, args=None: hostscope.HostScope(config),
-        install=_use_and_profile,
-        from_trace=hostscope.hostscope_from_trace,
-        render_trace=hostscope.render_trace_summary),
+        install=_use_and_profile),
 )}

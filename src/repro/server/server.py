@@ -564,9 +564,13 @@ class ReproServer:
                 f"unknown telemetry scope(s) {', '.join(map(repr, unknown))}; "
                 f"choose from: {', '.join(_TELEMETRY_KINDS)}")
         hypernodes = message.get("hypernodes", 2)
-        if not isinstance(hypernodes, int) or hypernodes < 1:
-            raise ValueError(f"'hypernodes' must be an integer >= 1 "
-                             f"(got {hypernodes!r})")
+        if not isinstance(hypernodes, int):
+            raise ValueError(f"'hypernodes' must be an integer (got "
+                             f"{hypernodes!r})")
+        try:
+            spp1000(n_hypernodes=hypernodes)
+        except ValueError as exc:
+            raise ValueError(f"'hypernodes' {hypernodes}: {exc}") from None
         seed = message.get("seed")
         if seed is not None and not isinstance(seed, int):
             raise ValueError(f"'seed' must be an integer or null (got "

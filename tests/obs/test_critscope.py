@@ -17,8 +17,7 @@ from repro.experiments.fig2_forkjoin import forkjoin_time_us
 from repro.experiments.fig3_barrier import barrier_metrics_us
 from repro.machine import Machine
 from repro.obs import HostScope, use_hostscope
-from repro.obs.critscope import (CATEGORIES, CritScope, critscope_from_trace,
-                                 render_trace_summary, scaled_config,
+from repro.obs.critscope import (CATEGORIES, CritScope, scaled_config,
                                  use_critscope)
 from repro.runtime import Barrier, Placement, Runtime
 
@@ -305,30 +304,3 @@ def test_manifest_folds_critscope_block():
     manifest2 = build_manifest(critscope=cs.to_dict(top=3))
     assert manifest2["critscope"]["critical_path"]
 
-
-# ---------------------------------------------------------------------------
-# trace-based coarse summaries
-# ---------------------------------------------------------------------------
-
-def test_critscope_from_trace_roundtrip():
-    from repro.obs import chrome_trace, use_tracer
-    from repro.sim import Tracer
-
-    cfg = spp1000(2)
-    tracer = Tracer(enabled=True)
-    with use_tracer(tracer):
-        barrier_metrics_us(8, Placement.UNIFORM, cfg, rounds=2)
-    events = chrome_trace(tracer, cfg)["traceEvents"]
-    doc = critscope_from_trace(events)
-    assert doc["source"] == "trace"
-    assert doc["categories_us"]["forkjoin"] > 0
-    assert doc["sync_markers"]["barrier.arrive"] > 0
-    text = render_trace_summary(doc, title="t.json")
-    assert "span time by name" in text
-    assert "need a live run" in text
-
-
-def test_trace_summary_of_empty_trace_is_actionable():
-    doc = critscope_from_trace([])
-    text = render_trace_summary(doc)
-    assert "no runtime/pvm span" in text

@@ -1,15 +1,9 @@
-"""Tests for the Chrome trace / JSONL exporters."""
+"""Tests for the Chrome trace exporter and its loader."""
 
 import json
 
 from repro.core import spp1000
-from repro.obs import (
-    chrome_trace,
-    jsonl_lines,
-    load_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.obs import chrome_trace, load_trace, write_chrome_trace
 from repro.sim import Tracer
 
 CFG = spp1000(2)
@@ -66,28 +60,12 @@ def test_legacy_records_ride_along_as_machine_instants():
     assert any(e["name"] == "load.miss.local" for e in recs)
 
 
-def test_jsonl_every_line_parses(tmp_path):
+def test_load_trace_round_trips_the_chrome_document(tmp_path):
     tracer = traced_activity()
-    lines = list(jsonl_lines(tracer))
-    assert len(lines) == len(tracer.events)
-    for line in lines:
-        ev = json.loads(line)
-        assert "ph" in ev and "ts" in ev
-    path = tmp_path / "events.jsonl"
-    write_jsonl(tracer, str(path))
-    assert len(path.read_text().splitlines()) == len(lines)
-
-
-def test_load_trace_round_trips_both_formats(tmp_path):
-    tracer = traced_activity()
-    chrome_path = tmp_path / "trace.json"
-    jsonl_path = tmp_path / "trace.jsonl"
-    write_chrome_trace(tracer, str(chrome_path), CFG)
-    write_jsonl(tracer, str(jsonl_path))
-    chrome_events = load_trace(str(chrome_path))
-    jsonl_events = load_trace(str(jsonl_path))
-    assert len(jsonl_events) == len(tracer.events)
-    # chrome doc adds metadata on top of the structured events
-    assert len(chrome_events) > len(jsonl_events)
-    names = {e["name"] for e in jsonl_events}
-    assert {"thread", "push", "barrier.arrive"} <= names
+    path = tmp_path / "trace.json"
+    write_chrome_trace(tracer, str(path), CFG)
+    events = load_trace(str(path))
+    assert events == json.loads(path.read_text())["traceEvents"]
+    # the document adds metadata tracks on top of the structured events
+    assert len(events) > len(tracer.events)
+    assert {"thread", "push", "barrier.arrive"} <= {e["name"] for e in events}

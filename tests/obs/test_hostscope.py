@@ -15,12 +15,7 @@ import pytest
 
 from repro import Machine, spp1000
 from repro.obs import HostScope, active_hostscope, use_hostscope
-from repro.obs.hostscope import (
-    REGIONS,
-    host_region,
-    hostscope_from_trace,
-    render_trace_summary,
-)
+from repro.obs.hostscope import REGIONS, host_region
 from repro.pvm import PvmSystem
 from repro.runtime import Placement, Runtime
 from repro.sim import Simulator
@@ -213,24 +208,6 @@ def test_render_without_activity_explains_itself():
     hs.start()
     hs.stop()
     assert "no simulator activity" in hs.render()
-
-
-def test_trace_summary_census():
-    hs = HostScope()
-    from repro.obs import use_tracer
-    from repro.sim import Tracer
-
-    tracer = Tracer(enabled=True)
-    with use_tracer(tracer), use_hostscope(hs), hs.profile():
-        run_forkjoin()
-    from repro.obs import timeline_from_tracer
-
-    events = timeline_from_tracer(tracer)
-    doc = hostscope_from_trace(events)
-    assert doc["source"] == "trace"
-    assert doc["events"] == len(events)
-    text = render_trace_summary(doc, title="t.json")
-    assert "live run" in text
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from repro.core import spp1000
 from repro.machine import Machine, MemClass
 from repro.obs import MemScope, active_memscope, use_memscope
-from repro.obs.memscope import memscope_from_trace, placement_probe
+from repro.obs.memscope import placement_probe
 
 
 def run(machine, gen):
@@ -289,25 +289,3 @@ def test_probe_remote_fraction_rises_with_hypernodes(n_hn, expected_remote):
     assert doc["source"] == "probe"
     assert doc["breakdown"]["remote_fraction"] == pytest.approx(
         expected_remote)
-
-
-def test_memscope_from_trace_counts_machine_instants():
-    events = [
-        {"cat": "machine", "name": "load.hit"},
-        {"cat": "machine", "name": "load.hit"},
-        {"cat": "machine", "name": "load.miss.local"},
-        {"cat": "machine", "name": "load.miss.remote"},
-        {"cat": "machine", "name": "store.inval.remote"},
-        {"cat": "machine", "name": "ring.round_trip",
-         "args": {"payload": [2]}},
-        {"cat": "runtime", "name": "load.hit"},   # wrong cat: ignored
-    ]
-    doc = memscope_from_trace(events)
-    b = doc["breakdown"]
-    assert b["hits"] == 2
-    assert b["miss_local"] == 1
-    assert b["miss_remote"] == 1
-    assert b["total_accesses"] == 4
-    assert b["remote_fraction"] == pytest.approx(0.5)
-    assert doc["invalidations"]["remote"] == 1
-    assert doc["ring_round_trips"] == {"2": 1}

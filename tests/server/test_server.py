@@ -163,6 +163,21 @@ def test_unknown_experiment_lists_servable_ids():
         srv.stop(drain=False)
 
 
+@pytest.mark.parametrize("hypernodes", [0, 17])
+def test_out_of_range_hypernodes_is_a_bad_submit(hypernodes):
+    srv = ServerThread(workers=0, no_cache=True).start()
+    try:
+        client = Client(srv.host, srv.port)
+        with pytest.raises(ServerError) as excinfo:
+            client.submit("_srv_stamp", hypernodes=hypernodes)
+        assert excinfo.value.error == "bad_submit"
+        assert excinfo.value.detail == (
+            f"'hypernodes' {hypernodes}: SPP-1000 supports 1..16 hypernodes")
+        client.close()
+    finally:
+        srv.stop(drain=False)
+
+
 # -- raw-protocol behaviour ---------------------------------------------
 
 

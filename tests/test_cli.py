@@ -40,9 +40,17 @@ def test_hypernode_option_is_honoured(capsys):
     assert "Table 1" in capsys.readouterr().out
 
 
-def test_invalid_hypernode_count_raises():
-    with pytest.raises(ValueError):
-        main(["table1", "--hypernodes", "99"])
+def test_out_of_range_hypernode_count_exits_2(capsys):
+    for argv in (["table1", "--hypernodes", "99"],
+                 ["fig2", "--quick", "--hypernodes", "0"],
+                 ["fig2", "--quick", "--hypernodes", "17"],
+                 ["list", "--hypernodes", "0"],
+                 ["memscope", "fig3", "--quick", "--hypernodes", "0"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"--hypernodes {argv[-1]}: SPP-1000 "
+                                "supports 1..16 hypernodes\n")
 
 
 def test_unknown_experiment_lists_valid_ids(capsys):
@@ -281,6 +289,16 @@ def test_unit_timeout_must_be_positive(capsys):
 def test_retries_must_be_non_negative(capsys):
     assert main(["fig3", "--retries", "-1"]) == 2
     assert "--retries must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_top_must_be_positive(top, capsys):
+    assert main(["memscope", "fig3", "--quick", "--json", "--top",
+                 top]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"--top must be >= 1 (got {top})")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_missing_chaos_plan_fails_cleanly(capsys):

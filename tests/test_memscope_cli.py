@@ -1,4 +1,4 @@
-"""CLI tests for memscope and trace-file errors."""
+"""CLI tests for memscope and for reading trace files."""
 
 import hashlib
 import json
@@ -106,7 +106,7 @@ def test_memscope_command_matches_the_flag(tmp_path, capsys):
 def test_memscope_without_experiment_or_trace(capsys):
     assert main(["memscope"]) == 2
     err = capsys.readouterr().err
-    assert "experiment id" in err and "--trace" in err
+    assert "experiment id" in err and "--trace" not in err
 
 
 def test_memscope_sample_must_be_positive(capsys):
@@ -122,10 +122,10 @@ def test_bare_invocation_names_the_commands(capsys):
 
 
 # ---------------------------------------------------------------------------
-# satellite 1: actionable errors for bad trace files, both commands
+# trace files: timeline reads them, the profilers point at a live run
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("command", ["timeline", "memscope"])
+@pytest.mark.parametrize("command", ["timeline"])
 def test_missing_trace_file_names_the_path(command, tmp_path, capsys):
     path = tmp_path / "nope.json"
     assert main([command, "--trace", str(path)]) == 2
@@ -135,7 +135,7 @@ def test_missing_trace_file_names_the_path(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["timeline", "memscope"])
+@pytest.mark.parametrize("command", ["timeline"])
 def test_corrupt_trace_file_names_the_path(command, tmp_path, capsys):
     path = tmp_path / "corrupt.json"
     path.write_text("{not json")
@@ -146,7 +146,7 @@ def test_corrupt_trace_file_names_the_path(command, tmp_path, capsys):
     assert "expected a Chrome trace" in err
 
 
-@pytest.mark.parametrize("command", ["timeline", "memscope"])
+@pytest.mark.parametrize("command", ["timeline"])
 def test_empty_trace_file_names_the_path(command, tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"traceEvents": []}')
@@ -157,14 +157,43 @@ def test_empty_trace_file_names_the_path(command, tmp_path, capsys):
     assert "--trace" in err          # tells the user how to capture one
 
 
-def test_memscope_from_captured_trace(tmp_path, capsys):
-    trace = tmp_path / "t.json"
-    assert main(["fig3", "--quick", "--trace", str(trace)]) == 0
-    capsys.readouterr()
-    assert main(["memscope", "--trace", str(trace), "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["source"] == "trace"
-    assert doc["breakdown"]["total_accesses"] > 0
+@pytest.mark.parametrize("content", [
+    '{"ph": "i", "ts": 0.0, "pid": 0, "tid": 0, "name": "a"}\n'
+    '{"ph": "i", "ts": 1.0, "pid": 0, "tid": 0, "name": "b"}\n',
+    '{"ph": "i", "ts": 0.0, "pid": 0, "tid": 0, "name": "a"}',
+    '[{"ph": "i", "ts": 0.0, "pid": 0, "tid": 0, "name": "a"}]',
+    '{"events": []}',
+    '{"traceEvents": [1, 2]}',
+], ids=["jsonl", "jsonl-one-line", "bare-array", "no-traceEvents",
+        "events-not-objects"])
+def test_timeline_reads_only_the_chrome_trace_object(content, tmp_path,
+                                                      capsys):
+    path = tmp_path / "t.json"
+    path.write_text(content)
+    assert main(["timeline", "--trace", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot parse trace file" in captured.err
+    assert str(path) in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("experiment", [[], ["fig3"]],
+                         ids=["no-experiment", "fig3"])
+@pytest.mark.parametrize("scope", ["memscope", "critscope", "hostscope"])
+def test_profilers_read_no_trace_file(scope, experiment, tmp_path, capsys):
+    """A profiler watches a live run; given --trace, it names the command
+    that profiles the run and saves its trace, and touches no file."""
+    path = tmp_path / "t.json"
+    assert main([scope, *experiment, "--trace", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    exp = experiment[0] if experiment else "<experiment>"
+    assert captured.err == (
+        f"{scope} profiles a live run and reads no trace file; 'python -m "
+        f"repro {exp} --{scope} --trace {path}' profiles the run and "
+        "saves its trace\n")
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
