@@ -305,13 +305,9 @@ def _main(argv: List[str], command=None) -> int:
     try:
         for scope in SCOPES.values():
             scope.check(args)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
         config = spp1000(n_hypernodes=args.hypernodes)
     except ValueError as exc:
-        print(f"--hypernodes {args.hypernodes}: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
     if command is None:
         if args.experiment is None:

@@ -567,10 +567,7 @@ class ReproServer:
         if not isinstance(hypernodes, int):
             raise ValueError(f"'hypernodes' must be an integer (got "
                              f"{hypernodes!r})")
-        try:
-            spp1000(n_hypernodes=hypernodes)
-        except ValueError as exc:
-            raise ValueError(f"'hypernodes' {hypernodes}: {exc}") from None
+        spp1000(n_hypernodes=hypernodes)  # ValueError outside the range
         seed = message.get("seed")
         if seed is not None and not isinstance(seed, int):
             raise ValueError(f"'seed' must be an integer or null (got "

@@ -171,8 +171,7 @@ def test_out_of_range_hypernodes_is_a_bad_submit(hypernodes):
         with pytest.raises(ServerError) as excinfo:
             client.submit("_srv_stamp", hypernodes=hypernodes)
         assert excinfo.value.error == "bad_submit"
-        assert excinfo.value.detail == (
-            f"'hypernodes' {hypernodes}: SPP-1000 supports 1..16 hypernodes")
+        assert excinfo.value.detail == "SPP-1000 supports 1..16 hypernodes"
         client.close()
     finally:
         srv.stop(drain=False)
