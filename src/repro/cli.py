@@ -212,7 +212,13 @@ def _timeline(args) -> int:
         events = load_trace_checked(args.trace)
         if events is None:
             return 2
-        print(render_timeline(events, title=args.trace))
+        try:
+            text = render_timeline(events, title=args.trace)
+        except (TypeError, ValueError) as exc:  # a field not a number
+            print(f"cannot parse trace file {args.trace}: {exc}",
+                  file=sys.stderr)
+            return 2
+        print(text)
         return 0
     # No trace file: capture a small barrier demo live and render it.
     from .obs import timeline_from_tracer, use_tracer

@@ -164,8 +164,10 @@ def test_empty_trace_file_names_the_path(command, tmp_path, capsys):
     '[{"ph": "i", "ts": 0.0, "pid": 0, "tid": 0, "name": "a"}]',
     '{"events": []}',
     '{"traceEvents": [1, 2]}',
+    '{"traceEvents": [{"ph": "i", "ts": 0.0, "pid": "hn0", "tid": 0}]}',
+    '{"traceEvents": [{"ph": "X", "ts": 0.0, "dur": null, "pid": 0}]}',
 ], ids=["jsonl", "jsonl-one-line", "bare-array", "no-traceEvents",
-        "events-not-objects"])
+        "events-not-objects", "pid-not-a-number", "dur-null"])
 def test_timeline_reads_only_the_chrome_trace_object(content, tmp_path,
                                                       capsys):
     path = tmp_path / "t.json"
