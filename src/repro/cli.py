@@ -22,7 +22,7 @@ Examples::
     python -m repro hostscope fig2 --json     # ... as JSON
     python -m repro fig3 --hostscope --metrics m.json  # fold into manifest
     python -m repro fig3 --jobs 4 --progress  # live JSONL sweep telemetry
-    python -m repro fig3 --no-cache --journal j.jsonl  # rerun to resume
+    python -m repro fig3 --cache-dir d        # rerun to resume a killed sweep
     python -m repro fig3 --jobs 4 --unit-timeout 60 --retries 3
     python -m repro fig3 --jobs 4 --chaos examples/chaos/kill_and_corrupt.json
     python -m repro ledger record .bench_work/des-seed1.json  # e2e run
@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="reduced repetitions / problem sizes for a fast run")
     parser.add_argument(
         "--seed", type=int, default=None,
-        help="seed recorded in the run's cache keys and journal; results "
-             "do not depend on it, as every workload RNG is seeded locally")
+        help="seed recorded in the run's cache keys; results do not "
+             "depend on it, as every workload RNG is seeded locally")
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write a Chrome trace-event JSON of the run to PATH (open in "
@@ -85,13 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-plan JSON (see docs/robustness.md): inject SCI ring "
              "failures, CPU/hypernode failures, and PVM message loss at "
              "simulated timestamps")
-    parser.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help="crash-safe sweep journal for --no-cache runs: append every "
-             "unit completion to PATH (JSONL, fsync-ed); rerunning the "
-             "same sweep with the same PATH replays it and computes only "
-             "the missing units. A journal of another run, or a file "
-             "that is not a journal, exits 2 and is left untouched")
     parser.add_argument(
         "--unit-timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock limit per work-unit attempt; a worker that "
@@ -242,11 +235,17 @@ def _scope_command(scope, args, config, fault_plan) -> int:
     a live run."""
     import json as _json
 
+    experiment = args.experiment or "<experiment>"
     if args.trace:
         print(f"{scope.name} profiles a live run and reads no trace file; "
-              f"'python -m repro {args.experiment or '<experiment>'} "
-              f"--{scope.name} --trace {args.trace}' profiles the run and "
-              "saves its trace", file=sys.stderr)
+              f"'python -m repro {experiment} --{scope.name} --trace "
+              f"{args.trace}' profiles the run and saves its trace",
+              file=sys.stderr)
+        return 2
+    if args.metrics:
+        print(f"{scope.name} writes no metrics manifest; 'python -m repro "
+              f"{experiment} --{scope.name} --metrics {args.metrics}' folds "
+              "its profile into one", file=sys.stderr)
         return 2
     if not args.experiment:
         print(f"{scope.name} needs an experiment id (e.g. 'python -m repro "
@@ -356,21 +355,25 @@ def _main(argv: List[str], command=None) -> int:
     if args.metrics:
         args.metrics = _resolve_output(args.metrics, "metrics.json")
     # Fail fast on unwritable output paths -- before, not after, the run.
-    for path in (args.trace, args.metrics):
+    progress_path = args.progress if args.progress != "-" else None
+    for path in (args.trace, args.metrics, progress_path):
         if path:
             parent = os.path.dirname(os.path.abspath(path))
             if not os.path.isdir(parent):
                 print(f"output directory does not exist: {parent}",
                       file=sys.stderr)
                 return 2
+    if progress_path and os.path.isdir(progress_path):
+        print(f"--progress {progress_path} is a directory; pass a file "
+              "path for the JSONL telemetry, or --progress alone for "
+              "stderr", file=sys.stderr)
+        return 2
     from contextlib import ExitStack
 
     from .exec import (
         CacheRootError,
-        JournalError,
         ProgressStream,
         ResiliencePolicy,
-        SweepJournal,
         UnitExecutionError,
         execute,
     )
@@ -393,8 +396,6 @@ def _main(argv: List[str], command=None) -> int:
                          else DEFAULT_MAX_RETRIES))
     progress = ProgressStream(args.progress) if args.progress else None
     for exp_id in targets:
-        journal = (SweepJournal(_suffixed(args.journal, exp_id, multi))
-                   if args.journal else None)
         tracer = Tracer(enabled=True) if observing else None
         profilers = [(scope, scope.build(config, args))
                      for scope in profiling]
@@ -414,8 +415,8 @@ def _main(argv: List[str], command=None) -> int:
                     exp_id, config, jobs=args.jobs or 1, quick=args.quick,
                     cache=cache, fault_plan=fault_plan, seed=args.seed,
                     observed=observing, progress=progress,
-                    policy=policy, chaos=chaos_plan, journal=journal)
-        except (JournalError, UnitExecutionError) as exc:
+                    policy=policy, chaos=chaos_plan)
+        except UnitExecutionError as exc:
             return _execution_failed(exc, progress)
         print(result.render())
         if args.profile:
@@ -487,18 +488,16 @@ def _load_chaos(args):
 
 
 def _execution_failed(exc, progress) -> int:
-    """Report a sweep that drained with poison units (or a bad journal).
+    """Report a sweep that drained with poison units.
 
-    Quarantined units already have everything else journaled/cached, so
-    the message says exactly what failed and a rerun recomputes only
-    those units.
+    The message says exactly what failed; with a cache, the healthy
+    units are already stored, so a rerun recomputes only the failed
+    ones.
     """
-    from .exec import JournalError
-
     print(str(exc), file=sys.stderr)
     if progress is not None:
         progress.close()
-    return 2 if isinstance(exc, JournalError) else 1
+    return 1
 
 
 def _build_cache(args):

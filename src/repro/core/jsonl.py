@@ -1,8 +1,7 @@
 """Checksummed, crash-tolerant JSONL: one self-checksummed object a line.
 
-Both append-only files of the reproduction are written and read here:
-the sweep journal (:mod:`repro.exec.journal`) and the performance
-ledger (:mod:`repro.obs.ledger`).
+The performance ledger (:mod:`repro.obs.ledger`) is this module's one
+user: its append-only history file is written and read here.
 
 Writing — :func:`append` stamps ``sha256`` = :func:`checksum` of the
 object (the :func:`~repro.core.canon.stable_hash` of everything except
@@ -14,22 +13,22 @@ mid-append leaves a torn, newline-less tail; the next append starts on
 a fresh line, so the torn line stays one skipped line instead of
 swallowing the object written after it.
 
-Reading — :func:`read` (or :func:`parse`, over lines a caller already
-holds open) returns the intact objects plus the count of skipped lines:
-torn, unparsable, not an object, or failing the checksum.  Skipping is
-the recovery contract — it never raises, and a damaged line can only
-cost its own object, never smuggle a wrong one in.
+Reading — :func:`read` returns the intact objects plus the count of
+skipped lines: torn, unparsable, not an object, or failing the
+checksum.  Skipping is the recovery contract — it never raises, and a
+damaged line can only cost its own object, never smuggle a wrong one
+in.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .canon import stable_hash
 
-__all__ = ["checksum", "append", "parse", "read"]
+__all__ = ["checksum", "append", "read"]
 
 
 def checksum(obj: Dict) -> str:
@@ -59,31 +58,26 @@ def append(path: str, obj: Dict) -> Dict:
     return stamped
 
 
-def parse(lines: Iterable[str]) -> Tuple[List[Dict], int]:
-    """The intact objects among ``lines`` and the count of skipped ones."""
-    objects: List[Dict] = []
-    skipped = 0
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError:
-            skipped += 1
-            continue
-        if isinstance(obj, dict) and obj.get("sha256") == checksum(obj):
-            objects.append(obj)
-        else:
-            skipped += 1
-    return objects, skipped
-
-
 def read(path: str) -> Tuple[List[Dict], int]:
-    """:func:`parse` over the file at ``path``; ``([], 0)`` when it
-    cannot be opened."""
+    """The intact objects in the file at ``path`` and the count of
+    skipped lines; ``([], 0)`` when it cannot be opened."""
     try:
         fh = open(path, encoding="utf-8", errors="replace")
     except OSError:
         return [], 0
+    objects: List[Dict] = []
+    skipped = 0
     with fh:
-        return parse(fh)
+        for line in fh:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError:
+                skipped += 1
+                continue
+            if isinstance(obj, dict) and obj.get("sha256") == checksum(obj):
+                objects.append(obj)
+            else:
+                skipped += 1
+    return objects, skipped

@@ -5,8 +5,7 @@ material**: the canonical JSON (see :mod:`repro.core.canon`) of
 
 * the unit itself (experiment id, point key, parameters),
 
-plus its run's :func:`run_material`, which the sweep journal's header
-binds to as well:
+plus its run's :func:`run_material`:
 
 * the full machine configuration,
 * the ambient fault plan (or null),
@@ -75,9 +74,9 @@ def run_material(config, fault_plan=None, seed: Optional[int] = None,
                  fingerprint: str = "") -> Dict:
     """Everything besides the unit itself that a unit's value depends on.
 
-    The one definition of "the same run": a cache entry's address and
-    a sweep journal's header both hash it, so neither can hand a value
-    to a run with another machine, fault plan, seed or code.
+    The one definition of "the same run": a cache entry's address
+    hashes it, so the cache cannot hand a value to a run with another
+    machine, fault plan, seed or code.
     """
     return {
         "schema": CACHE_SCHEMA,

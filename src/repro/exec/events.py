@@ -18,10 +18,6 @@ kind, missing field, foreign schema).  Optional enrichments (``t_s``,
 ``eta_s``, per-unit host timings, worker occupancy) ride along freely:
 validation pins the floor of each shape, not its ceiling.
 
-The crash-safe sweep journal is not a telemetry stream: its line
-shapes live with the only code that writes and reads them,
-:mod:`repro.exec.journal`.
-
 Kinds (``EVENT_KINDS``):
 
 ``start``            the plan: unit totals, cache hits, jobs
@@ -66,7 +62,7 @@ def make_event(kind: str, **fields) -> Dict:
 
     Raises :class:`EventSchemaError` at the *emit* site when a producer
     forgets a required field — a malformed record should never reach a
-    stream, a journal, or the wire.
+    stream or the wire.
     """
     try:
         required = EVENT_KINDS[kind]

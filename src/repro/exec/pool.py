@@ -356,7 +356,7 @@ class WorkerPool:
         ``on_complete(unit, value)`` fires once per completed unit, as
         it completes — out of plan order under ``--jobs N`` — on every
         path (serial, worker drain, serial fallback); it is the hook
-        that stores finished units (cache and journal).
+        that stores finished units in the cache.
         ``on_progress(unit, timing)`` fires right after it with that
         unit's host-timing record; it is the live-telemetry hook and
         must not mutate results.  ``on_event`` receives resilience

@@ -17,8 +17,8 @@ PAPERS.md), so the fabric treats those as expected events:
   (never a pool-internals one);
 * :class:`UnitExecutionError` — raised by the fabric after the sweep
   has drained, naming every quarantined unit so one poison unit cannot
-  sink the results of the rest (they are journaled/cached and a rerun
-  skips them);
+  sink the results of the rest (they are cached and a rerun skips
+  them);
 * :class:`ResilienceStats` — the counter block surfaced in execution
   reports and metrics manifests.
 
@@ -113,8 +113,8 @@ class UnitExecutionError(RuntimeError):
     """Raised after a sweep drains with quarantined (poison) units.
 
     The sweep itself completed every healthy unit first — their values
-    are in the cache and the journal, so a rerun after the fix
-    recomputes only the named units.  ``failures`` holds one
+    are in the cache, so a rerun after the fix recomputes only the
+    named units.  ``failures`` holds one
     :class:`UnitFailure` per poisoned unit, original tracebacks
     included.
     """
@@ -127,7 +127,7 @@ class UnitExecutionError(RuntimeError):
         lines = [
             f"{len(failures)} of {completed + len(failures)} work units "
             f"failed permanently in experiment {experiment_id!r} "
-            f"(the other {completed} completed and are journaled/cached):"]
+            f"(the other {completed} completed and are cached):"]
         for failure in failures:
             lines.append(f"  - {failure.describe()}")
             if failure.traceback:

@@ -10,10 +10,9 @@ git provenance.  ``repro ledger record`` folds one run record into one
 checksummed line of ``benchmarks/LEDGER.jsonl``; the other verbs read
 the history back, one series per workload.
 
-The file is written and read by :mod:`repro.core.jsonl`, the same
-module as the sweep journal: append-only, one self-checksummed JSON
-object per line, fsync'd per append, a torn tail healed by the next
-append.  Readers skip torn or corrupt lines (a crash mid-append, a
+The file is written and read by :mod:`repro.core.jsonl`: append-only,
+one self-checksummed JSON object per line, fsync'd per append, a torn
+tail healed by the next append.  Readers skip torn or corrupt lines (a crash mid-append, a
 failed checksum, a foreign ``ledger_schema``) and report them as
 ``skipped`` instead of crashing — history survives anything short of
 deleting the file.

@@ -5,8 +5,8 @@ a small pool of job workers.  Each accepted connection is a
 :class:`ClientConnection` that can submit any number of jobs; the
 server runs them through the existing execution fabric
 (:func:`repro.exec.execute` — planner, supervised pool,
-content-addressed cache, journal-grade event records) and streams every
-telemetry record back to the submitting client as it happens.  Because
+content-addressed cache, schema-checked event records) and streams
+every telemetry record back to the submitting client as it happens.  Because
 jobs go through the same fabric as the one-shot CLI, results are
 bit-identical to ``python -m repro <exp>`` and a warm cache answers a
 repeat submission without re-simulating anything.

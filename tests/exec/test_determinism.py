@@ -1,21 +1,22 @@
 """The fabric's bit-identity contract.
 
-Acceptance criteria from the execution-fabric issue: every experiment
-run with ``--jobs 4`` produces byte-identical ``.data`` to the serial
-run — including under a fault plan and when resuming a half-finished
-journal — and a warm-cache re-run re-simulates nothing.  A warm cache
-and a replayed journal hand back each value with its keys in the order
-the unit built them, so even ``json.dumps(data)`` matches the serial
-run.  A sweep stopped partway keeps every unit it reported as finished.
+Every experiment run with ``--jobs 4`` produces byte-identical
+``.data`` to the serial run — including under a fault plan and when
+resuming from a half-filled cache — and a warm-cache re-run
+re-simulates nothing.  A warm cache hands back each value with its keys
+in the order the unit built them, so even ``json.dumps(data)`` matches
+the serial run.  A sweep stopped partway keeps every unit it reported
+as finished.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.core import spp1000
 from repro.core.canon import canonical_json
-from repro.exec import ResultCache, SweepJournal, execute, unit_experiments
+from repro.exec import ResultCache, execute, plan_units, unit_experiments
 
 CONFIG = spp1000()
 
@@ -64,17 +65,6 @@ def test_warm_cache_recomputes_nothing(exp_id, tmp_path):
     assert warm_report.cache_misses == 0
 
 
-@pytest.mark.parametrize("exp_id", unit_experiments())
-def test_replayed_journal_is_bit_identical(exp_id, tmp_path):
-    path = str(tmp_path / "sweep.jsonl")
-    execute(exp_id, CONFIG, jobs=1, quick=True, journal=SweepJournal(path))
-    replayed, report = execute(exp_id, CONFIG, jobs=1, quick=True,
-                               journal=SweepJournal(path))
-    assert report.computed == 0
-    assert report.from_journal == report.units_planned
-    assert json.dumps(replayed.data) == serial_dumps(exp_id)
-
-
 def test_parallel_under_fault_plan_is_bit_identical():
     from repro.faults import ring_loss_plan, use_faults
 
@@ -93,18 +83,17 @@ def test_parallel_under_fault_plan_is_bit_identical():
 def test_resume_mid_sweep_is_bit_identical(tmp_path):
     expected, _ = serial_data("fig3")
     # a "killed" run: only the first five points made it to disk
-    full = tmp_path / "full.jsonl"
-    execute("fig3", CONFIG, jobs=1, quick=True,
-            journal=SweepJournal(str(full)))
-    partial = tmp_path / "partial.jsonl"
-    header_and_five = full.read_text().splitlines(keepends=True)[:6]
-    partial.write_text("".join(header_and_five))
+    cache = ResultCache(str(tmp_path / "cache"))
+    execute("fig3", CONFIG, jobs=1, quick=True, cache=cache)
+    for unit in plan_units("fig3", CONFIG, quick=True)[5:]:
+        os.remove(cache._path(cache.digest(unit, CONFIG)))
+    assert cache.entries() == 5
 
     result, report = execute("fig3", CONFIG, jobs=4, quick=True,
-                             journal=SweepJournal(str(partial)))
+                             cache=cache)
     assert canonical_json(result.data) == expected
-    assert report.from_journal == 5
-    assert report.computed == report.units_planned - 5
+    assert report.cache_hits == 5
+    assert report.computed == report.units_planned - 5 == 11
 
 
 class _Cancelled(BaseException):

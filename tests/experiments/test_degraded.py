@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core import spp1000
-from repro.exec import SweepJournal, execute
 from repro.experiments import run_experiment
 from repro.faults import ring_loss_plan, use_faults
 
@@ -54,13 +52,3 @@ def test_ambient_plan_replaces_canned_scenarios():
     [recorded] = result.data["fault_events"]
     assert recorded["scenario"] == "custom plan under test"
 
-
-def test_journal_resume_is_bit_identical(tmp_path):
-    path = str(tmp_path / "degraded.jsonl")
-    first, _ = execute("degraded", spp1000(), quick=True,
-                       journal=SweepJournal(path))
-    second, report = execute("degraded", spp1000(), quick=True,
-                             journal=SweepJournal(path))
-    assert second.data == first.data
-    assert report.computed == 0           # everything came from the file
-    assert report.from_journal == report.units_planned > 0

@@ -99,6 +99,33 @@ def test_trace_and_metrics_outputs(tmp_path, capsys):
     assert manifest["instrumentation"]["tracer_simulated_cost_ns"] == 0.0
 
 
+def test_observed_run_ignores_a_warm_cache(tmp_path, capsys):
+    """A traced run simulates what it reports: a cache the same run
+    filled leaves its trace byte-identical to an uncached one."""
+    cache = str(tmp_path / "cache")
+    warm, cold = tmp_path / "warm.json", tmp_path / "cold.json"
+    assert main(["fig3", "--quick", "--cache-dir", cache]) == 0
+    assert main(["fig3", "--quick", "--cache-dir", cache,
+                 "--trace", str(warm)]) == 0
+    assert main(["fig3", "--quick", "--no-cache", "--trace", str(cold)]) == 0
+    assert warm.read_bytes() == cold.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_bad_progress_path_fails_before_the_run(where, tmp_path, capsys):
+    path = (tmp_path / "nope" / "p.jsonl" if where == "missing-parent"
+            else tmp_path)
+    assert main(["fig2", "--quick", "--no-cache",
+                 "--progress", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = (f"output directory does not exist: {tmp_path / 'nope'}"
+                if where == "missing-parent" else
+                f"--progress {path} is a directory; pass a file path for "
+                "the JSONL telemetry, or --progress alone for stderr")
+    assert captured.err.splitlines() == [expected]
+
+
 def test_profile_flag_prints_counters(capsys):
     assert main(["fig2", "--quick", "--profile"]) == 0
     out = capsys.readouterr().out
@@ -132,8 +159,7 @@ def test_parser_has_robustness_flags():
     from repro.cli import build_parser
 
     text = build_parser().format_help()
-    for flag in ("--faults", "--journal"):
-        assert flag in text
+    assert "--faults" in text
 
 
 def test_missing_fault_plan_fails_cleanly(capsys):
@@ -269,14 +295,14 @@ def test_cache_stats_line_warm_run_shows_hits(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# resilience flags: --unit-timeout / --retries / --chaos / --journal
+# resilience flags: --unit-timeout / --retries / --chaos
 # ---------------------------------------------------------------------------
 
 def test_parser_has_resilience_flags():
     from repro.cli import build_parser
 
     text = build_parser().format_help()
-    for flag in ("--unit-timeout", "--retries", "--chaos", "--journal"):
+    for flag in ("--unit-timeout", "--retries", "--chaos"):
         assert flag in text
 
 
@@ -326,60 +352,6 @@ def test_invalid_chaos_plan_lists_problems(tmp_path, capsys):
     assert "neither" in err
 
 
-def test_journal_run_then_resume_replays(tmp_path, capsys):
-    journal = tmp_path / "j.jsonl"
-    assert main(["fig3", "--quick", "--no-cache", "--jobs", "2",
-                 "--journal", str(journal), "--cache-stats"]) == 0
-    capsys.readouterr()
-    assert main(["fig3", "--quick", "--no-cache", "--journal",
-                 str(journal), "--cache-stats"]) == 0
-    out = capsys.readouterr().out
-    assert "replayed from journal" in out
-    assert "0 computed" in out
-
-
-def test_resume_refuses_schema_1_journal(tmp_path, capsys):
-    journal = tmp_path / "j.jsonl"
-    journal.write_text('{"experiment_id":"fig3","journal":1}\n'
-                       '{"key":"uniform:1","sha256":"00","value":1}\n')
-    assert main(["fig3", "--quick", "--no-cache", "--journal",
-                 str(journal)]) == 2
-    assert "uses journal schema 1" in capsys.readouterr().err
-
-
-def test_journal_never_overwrites_a_non_journal_file(tmp_path, capsys):
-    journal = tmp_path / "notes.txt"
-    journal.write_text("my notes\n")
-    assert main(["fig3", "--quick", "--no-cache", "--journal",
-                 str(journal)]) == 2
-    err = capsys.readouterr().err
-    assert "is not a sweep journal" in err
-    assert len(err.strip().splitlines()) == 1
-    assert journal.read_text() == "my notes\n"
-
-
-@pytest.mark.parametrize("first,second", [
-    (["fig3", "--quick", "--hypernodes", "1"],
-     ["fig3", "--quick", "--hypernodes", "2"]),
-    (["degraded", "--quick"], ["degraded"]),
-], ids=["hypernodes", "quick-then-full"])
-def test_journal_refuses_another_run(first, second, tmp_path, capsys):
-    """A journal replays only into the run that wrote it: another
-    machine or sweep plan exits 2 and leaves the file untouched."""
-    journal = tmp_path / "j.jsonl"
-    assert main(first + ["--no-cache", "--journal", str(journal)]) == 0
-    before = journal.read_bytes()
-    capsys.readouterr()
-    assert main(second + ["--no-cache", "--journal", str(journal)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip().splitlines() == [
-        f"{journal} was written by another run of {second[0]!r} (a "
-        "different sweep plan, machine, fault plan, seed or code); pass "
-        "a fresh --journal path"]
-    assert journal.read_bytes() == before
-
-
 def test_cache_dir_pointing_at_file_is_actionable(tmp_path, capsys):
     target = tmp_path / "afile"
     target.write_text("x")
@@ -398,13 +370,14 @@ def test_cache_dir_with_foreign_files_is_actionable(tmp_path, capsys):
     assert "non-cache files" in err and "notes.txt" in err
 
 
-def _journal_values(path):
-    """``{key: value}`` of every unit record in a sweep journal."""
-    from repro.core import jsonl
+def _cache_values(root):
+    """``{digest: value}`` of every entry in a result cache."""
+    import json as _json
 
-    records, skipped = jsonl.read(str(path))
-    assert skipped == 0
-    return {rec["key"]: rec["value"] for rec in records[1:]}
+    values = {}
+    for entry in (root / "objects").glob("*/*.json"):
+        values[entry.stem] = _json.loads(entry.read_text())["value"]
+    return values
 
 
 def test_chaos_run_is_bit_identical_to_clean_serial(tmp_path, capsys):
@@ -418,16 +391,15 @@ def test_chaos_run_is_bit_identical_to_clean_serial(tmp_path, capsys):
         {"kind": "kill_worker", "unit": 1},
         {"kind": "delay_unit", "unit": 2, "seconds": 0.02},
     ]}))
-    clean = tmp_path / "clean.jsonl"
-    chaotic = tmp_path / "chaos.jsonl"
-    assert main(["fig3", "--quick", "--no-cache",
-                 "--journal", str(clean)]) == 0
-    assert main(["fig3", "--quick", "--no-cache", "--jobs", "2",
-                 "--chaos", str(chaos), "--journal", str(chaotic),
+    clean = tmp_path / "clean"
+    chaotic = tmp_path / "chaos"
+    assert main(["fig3", "--quick", "--cache-dir", str(clean)]) == 0
+    assert main(["fig3", "--quick", "--cache-dir", str(chaotic),
+                 "--jobs", "2", "--chaos", str(chaos),
                  "--cache-stats"]) == 0
-    # every unit's value, at full precision, in both runs' journals
-    assert len(_journal_values(clean)) == 16
-    assert _journal_values(chaotic) == _journal_values(clean)
+    # every unit's value, at full precision, in both runs' caches
+    assert len(_cache_values(clean)) == 16
+    assert _cache_values(chaotic) == _cache_values(clean)
     out = capsys.readouterr().out
     assert "survived" in out
     assert "chaos faults injected" in out
@@ -491,7 +463,7 @@ def test_ledger_record_verb_folds_bench_json(tmp_path, capsys):
     ("/root/.cache/j", "/root/.cache/j.fig2"),
     ("out/trace.json", "out/trace.fig2.json"),
     ("m.json", "m.fig2.json"),
-    ("journal", "journal.fig2"),
+    ("trace", "trace.fig2"),
 ], ids=["dotted-dir", "hidden-dir", "extension", "bare-extension",
         "no-extension"])
 def test_multi_experiment_outputs_stay_in_their_directory(path, expected):

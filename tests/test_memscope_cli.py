@@ -198,6 +198,21 @@ def test_profilers_read_no_trace_file(scope, experiment, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("scope", ["memscope", "critscope", "hostscope"])
+def test_profilers_write_no_manifest(scope, tmp_path, capsys):
+    """A profiler command prints its profile; given --metrics, it names
+    the flag form that folds the profile into a manifest, and runs
+    nothing."""
+    path = tmp_path / "m.json"
+    assert main([scope, "fig3", "--quick", "--metrics", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{scope} writes no metrics manifest; 'python -m repro fig3 "
+        f"--{scope} --metrics {path}' folds its profile into one\n")
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # --memscope on a normal run folds into the manifest
 # ---------------------------------------------------------------------------
